@@ -87,7 +87,7 @@ type Config struct {
 	Bandwidth int          // b, in bits per link (UCAST/CONGEST) or per broadcast (BCAST)
 	Model     Model        //
 	Topology  *graph.Graph // required iff Model == Congest
-	Seed      int64        // base seed; node i draws from Seed*1e9 + i
+	Seed      int64        // base seed; node i draws from Seed*1_000_000_007 + i
 	MaxRounds int          // safety bound; 0 means DefaultMaxRounds
 	CutSide   []bool       // optional: membership of the cut side for CutBits accounting
 
@@ -339,7 +339,7 @@ func (b BatchableNode) QuietRounds() int { return b.Quiet() }
 type Ctx struct {
 	id     int
 	cfg    *Config
-	rng    *rand.Rand
+	rng    *rand.Rand // built by Rand on first use
 	round  int
 	out    []*bits.Buffer // staged unicast messages, indexed by destination
 	sent   []int          // destinations staged this round
@@ -366,8 +366,15 @@ func (c *Ctx) Model() Model { return c.cfg.Model }
 // Round returns the current round number (0-based).
 func (c *Ctx) Round() int { return c.round }
 
-// Rand returns this node's private deterministic randomness source.
-func (c *Ctx) Rand() *rand.Rand { return c.rng }
+// Rand returns this node's private deterministic randomness source. It
+// is seeded from Config.Seed and the node id on first use, so nodes that
+// never draw pay nothing for it.
+func (c *Ctx) Rand() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.cfg.Seed*1_000_000_007 + int64(c.id)))
+	}
+	return c.rng
+}
 
 // SetOutput records the node's final (or running) output value.
 func (c *Ctx) SetOutput(v interface{}) { c.output = v }
@@ -573,7 +580,6 @@ func newEngine(cfg *Config, nodes []Node) *engine {
 		e.ctxs[i] = &Ctx{
 			id:     i,
 			cfg:    cfg,
-			rng:    rand.New(rand.NewSource(cfg.Seed*1_000_000_007 + int64(i))),
 			out:    outFlat[i*n : (i+1)*n : (i+1)*n],
 			sent:   make([]int, 0, 4),
 			traced: e.traceOn,

@@ -167,7 +167,7 @@ func BenchmarkEngineScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkRunProcsGossip exercises the goroutine-per-node (Proc) surface
+// BenchmarkRunProcsGossip exercises the coroutine-per-node (Proc) surface
 // on a congest ring, the third protocol family.
 func BenchmarkRunProcsGossip(b *testing.B) {
 	const rounds = 20

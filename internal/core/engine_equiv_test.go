@@ -182,7 +182,7 @@ func TestWorkerPoolRace(t *testing.T) {
 	if res.Stats.TotalBits == 0 {
 		t.Fatal("no traffic")
 	}
-	// Also the Proc (goroutine-per-node) surface under forced parallelism.
+	// Also the Proc (coroutine-per-node) surface under forced parallelism.
 	cfg2 := Config{N: 32, Bandwidth: 32, Model: Unicast, Seed: 4, Parallelism: 8}
 	_, err = RunProcs(cfg2, func(p *Proc) error {
 		payload := bits.New(64)

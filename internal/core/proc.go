@@ -2,18 +2,21 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime/debug"
 
 	"repro/internal/bits"
 )
 
-// Proc is a node's handle in the goroutine-based programming surface: each
-// node runs as its own goroutine and the synchronous rounds of the model
-// are rendered as blocking barrier calls on channels. A body stages
-// messages with Send/Broadcast and then calls Next, which ends the current
-// round and returns the messages received at the start of the following
-// round.
+// Proc is a node's handle in the coroutine-based programming surface: each
+// node's body runs as an iter.Pull coroutine and the synchronous rounds of
+// the model are rendered as blocking barrier calls. A body stages messages
+// with Send/Broadcast and then calls Next, which ends the current round
+// and returns the messages received at the start of the following round.
+// Each round the engine resumes the body with a direct coroutine switch
+// from its Step call, and Next switches straight back; no scheduler run
+// queue or channel sits between them (DESIGN.md §16).
 //
 // Under the parallel engine (Config.Parallelism != 1) the bodies of
 // distinct nodes may run truly concurrently within a round, so any state
@@ -21,12 +24,21 @@ import (
 // read-only or synchronized (see routing.Router for the canonical
 // pattern). Received buffers are frozen views shared with other
 // recipients; treat them as read-only.
+//
+// A body that panics fails its node with a "core: node body panic" error
+// carrying the panic value and stack; the panic never reaches the engine.
+// When a run ends while a body is still parked in Next (another node
+// failed, or the run hit MaxRounds or the stall detector), RunProcs
+// unwinds that body before returning: Next panics with an internal
+// sentinel, the body's deferred calls run, and the sentinel is swallowed;
+// a body must not recover that panic and carry on. A body must not call
+// runtime.Goexit (t.FailNow, t.Fatal and friends in tests): iter.Pull
+// re-raises the Goexit on the goroutine that resumed the body, which is
+// the engine's caller or a pool worker.
 type Proc struct {
-	ctx     *Ctx
-	inCh    chan []*bits.Buffer
-	barrier chan struct{}
-	done    chan struct{}
-	retErr  error
+	ctx   *Ctx
+	in    []*bits.Buffer      // inbox handed over by the current Step
+	yield func(struct{}) bool // suspends the body until the next Step
 }
 
 // ID returns the node identifier.
@@ -75,69 +87,95 @@ func (p *Proc) Broadcast(msg *bits.Buffer) error { return p.ctx.Broadcast(msg) }
 // returns the inbox of the next round (indexed by sender; nil entries mean
 // no message). The first round of a body begins immediately on start; the
 // first Next call therefore returns the messages sent by other nodes in
-// round 0.
+// round 0. If the run has ended instead, Next does not return: it unwinds
+// the body (see Proc).
 func (p *Proc) Next() []*bits.Buffer {
-	p.barrier <- struct{}{}
-	return <-p.inCh
+	if !p.yield(struct{}{}) {
+		panic(procStopped{})
+	}
+	return p.in
 }
 
-// procNode adapts a Proc-style body to the engine's Node interface.
+// procStopped is the sentinel panic with which Next unwinds a body whose
+// coroutine was stopped; procNode.run swallows it.
+type procStopped struct{}
+
+// procNode adapts a Proc-style body to the engine's Node interface. The
+// body runs as an iter.Pull coroutine: Step hands it the round's inbox and
+// resumes it, and the body's next Next call suspends it again.
 type procNode struct {
-	body    func(*Proc) error
-	proc    *Proc
-	started bool
+	body   func(*Proc) error
+	proc   Proc
+	next   func() (struct{}, bool)
+	stop   func()
+	retErr error
 }
 
 func (pn *procNode) Step(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-	if !pn.started {
-		pn.started = true
-		pn.proc = &Proc{
-			ctx:     ctx,
-			inCh:    make(chan []*bits.Buffer),
-			barrier: make(chan struct{}),
-			done:    make(chan struct{}),
-		}
-		go func() {
-			defer func() {
-				// A body panic (e.g. an index derived from corrupted wire
-				// data) must surface as this node's error — a detected
-				// failure the harness can classify — never kill the
-				// process from an engine goroutine.
-				if r := recover(); r != nil {
-					pn.proc.retErr = fmt.Errorf("core: node body panic: %v\n%s", r, debug.Stack())
-				}
-				close(pn.proc.done)
-			}()
-			pn.proc.retErr = pn.body(pn.proc)
-		}()
-	} else {
-		// Deliver this round's inbox to the body blocked inside Next.
-		pn.proc.inCh <- in
+	if pn.next == nil {
+		pn.proc.ctx = ctx
+		pn.next, pn.stop = iter.Pull(pn.run)
 	}
-	select {
-	case <-pn.proc.barrier:
+	pn.proc.in = in
+	if _, parked := pn.next(); parked {
 		return false, nil
-	case <-pn.proc.done:
-		return true, pn.proc.retErr
 	}
+	return true, pn.retErr
 }
 
-// RunProcs runs one body per node, each in its own goroutine, under the
+// run is the node's coroutine body. A body panic (e.g. an index derived
+// from corrupted wire data) must surface as this node's error — a
+// detected failure the harness can classify — so it is recovered here,
+// inside the coroutine; iter.Pull would otherwise re-raise it on the
+// goroutine that called Step.
+func (pn *procNode) run(yield func(struct{}) bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, stopped := r.(procStopped); !stopped {
+				pn.retErr = fmt.Errorf("core: node body panic: %v\n%s", r, debug.Stack())
+			}
+		}
+	}()
+	pn.proc.yield = yield
+	pn.retErr = pn.body(&pn.proc)
+}
+
+// RunProcs runs one body per node, each as its own coroutine, under the
 // given configuration. All bodies share the body function; they branch on
-// p.ID() (the common SPMD style of congested clique algorithms).
+// p.ID() (the common SPMD style of congested clique algorithms). Before
+// it returns, RunProcs unwinds every body still parked in Next — after a
+// node error, a body panic, ErrRoundLimit or ErrStalled — so a failed run
+// leaves no goroutine behind.
 func RunProcs(cfg Config, body func(*Proc) error) (*Result, error) {
-	nodes := make([]Node, cfg.N)
-	for i := range nodes {
-		nodes[i] = &procNode{body: body}
+	pns := make([]procNode, cfg.N)
+	for i := range pns {
+		pns[i].body = body
 	}
-	return Run(cfg, nodes)
+	return runProcNodes(cfg, pns)
 }
 
-// RunProcsEach runs a distinct body per node.
+// RunProcsEach runs a distinct body per node; see RunProcs.
 func RunProcsEach(cfg Config, bodies []func(*Proc) error) (*Result, error) {
-	nodes := make([]Node, len(bodies))
+	pns := make([]procNode, len(bodies))
 	for i, b := range bodies {
-		nodes[i] = &procNode{body: b}
+		pns[i].body = b
 	}
+	return runProcNodes(cfg, pns)
+}
+
+// runProcNodes runs the adapted bodies and then stops every started
+// coroutine; stopping one that already returned is a no-op.
+func runProcNodes(cfg Config, pns []procNode) (*Result, error) {
+	nodes := make([]Node, len(pns))
+	for i := range pns {
+		nodes[i] = &pns[i]
+	}
+	defer func() {
+		for i := range pns {
+			if pns[i].stop != nil {
+				pns[i].stop()
+			}
+		}
+	}()
 	return Run(cfg, nodes)
 }

@@ -190,13 +190,20 @@ func runWave(shards int, idx []int, opt RunOptions, cells []Cell, oracleLeg, fau
 
 // runLegGuarded wraps runLeg in a dedicated goroutine with panic capture
 // and an optional deadline. Panics inside engine node bodies are already
-// converted to node errors by core (see procNode.Step); this guard
+// converted to node errors by core (see core.Proc); this guard
 // additionally catches panics in the adapter code and in local reference
 // computations, and bounds the leg's wall time. A timed-out goroutine is
 // abandoned, not cancelled — its writes land in its own legOut, which is
-// discarded.
+// discarded. A leg that finishes after its deadline is timed out even if
+// its result is ready when the deadline is observed: select picks at
+// random between ready cases, so without that check an overrun leg would
+// pass or fail by chance.
 func runLegGuarded(c Cell, oracle, faulty bool, timeout time.Duration) legOut {
+	timedOut := func() legOut {
+		return legOut{err: fmt.Errorf("leg timed out after %v", timeout), infra: true, attempts: 1}
+	}
 	ch := make(chan legOut, 1)
+	start := time.Now()
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -205,6 +212,9 @@ func runLegGuarded(c Cell, oracle, faulty bool, timeout time.Duration) legOut {
 		}()
 		out := runLeg(c, oracle, faulty)
 		out.attempts = 1
+		if timeout > 0 && time.Since(start) > timeout {
+			out = timedOut()
+		}
 		ch <- out
 	}()
 	if timeout <= 0 {
@@ -216,6 +226,6 @@ func runLegGuarded(c Cell, oracle, faulty bool, timeout time.Duration) legOut {
 	case out := <-ch:
 		return out
 	case <-t.C:
-		return legOut{err: fmt.Errorf("leg timed out after %v", timeout), infra: true, attempts: 1}
+		return timedOut()
 	}
 }
