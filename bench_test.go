@@ -13,6 +13,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/circsim"
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/counting"
 	"repro/internal/experiments"
 	"repro/internal/f2"
@@ -34,7 +35,7 @@ func runExperiment(b *testing.B, id string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, true); err != nil {
+		if err := e.Run(io.Discard, true, experiments.Env{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -72,7 +73,7 @@ func BenchmarkTheorem2ParitySim(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := circsim.EvalOnClique(c, 8, 64, in, nil, 1); err != nil {
+		if _, err := circsim.EvalOnClique(core.Env{}, c, 8, 64, in, nil, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +85,7 @@ func BenchmarkBeckerReconstruction(b *testing.B) {
 	k := g.Degeneracy()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := subgraph.Reconstruct(g, k, 16, 3)
+		res, err := subgraph.Reconstruct(core.Env{}, g, k, 16, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func BenchmarkDLPDeterministic64(b *testing.B) {
 	g := graph.Gnp(64, 0.2, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := triangles.DLPDeterministic(g, 64, 5); err != nil {
+		if _, err := triangles.DLPDeterministic(core.Env{}, g, 64, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,7 +111,7 @@ func BenchmarkBroadcastDetect64(b *testing.B) {
 	g := graph.Gnp(64, 0.2, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := triangles.BroadcastDetect(g, 16, 5); err != nil {
+		if _, err := triangles.BroadcastDetect(core.Env{}, g, 16, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,7 +203,7 @@ func BenchmarkMatmulTriangleStrassen16(b *testing.B) {
 	g := graph.Gnp(16, 0.3, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := matmul.DetectTrianglesOnClique(g, matmul.Strassen, 4, 6, 64, 7); err != nil {
+		if _, err := matmul.DetectTrianglesOnClique(core.Env{}, g, matmul.Strassen, 4, 6, 64, 7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,7 +216,7 @@ func BenchmarkTheorem7DetectC4(b *testing.B) {
 	graph.PlantCopy(g, fam.H, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := subgraph.DetectKnownTuran(g, fam, 16, 9); err != nil {
+		if _, err := subgraph.DetectKnownTuran(core.Env{}, g, fam, 16, 9); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -227,7 +228,7 @@ func BenchmarkAdaptiveDetect(b *testing.B) {
 	h := graph.Cycle(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := subgraph.DetectAdaptive(g, h, 16, 11); err != nil {
+		if _, err := subgraph.DetectAdaptive(core.Env{}, g, h, 16, 11); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -271,7 +272,7 @@ func BenchmarkMulOnClique8(b *testing.B) {
 	x, y := f2.Random(8, rng), f2.Random(8, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := matmul.MulOnClique(x, y, matmul.Schoolbook, 0, 64, 3); err != nil {
+		if _, err := matmul.MulOnClique(core.Env{}, x, y, matmul.Schoolbook, 0, 64, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -282,7 +283,7 @@ func BenchmarkC4Congest(b *testing.B) {
 	g := graph.Gnp(36, 0.15, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := subgraph.DetectC4Congest(g, 16, 12, 3); err != nil {
+		if _, err := subgraph.DetectC4Congest(core.Env{}, g, 16, 12, 3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -42,7 +41,7 @@ func main() {
 		batch   = flag.Bool("batch", false, "matmul: cross-check with the 64-lane bitsliced local detector")
 	)
 	flag.Parse()
-	core.SetDefaultParallelism(*par)
+	env := core.Env{Parallelism: max(*par, 0)}
 
 	rng := rand.New(rand.NewSource(*seed))
 	g := graph.Gnp(*n, *p, rng)
@@ -59,15 +58,15 @@ func main() {
 	)
 	switch *alg {
 	case "broadcast":
-		res, err := triangles.BroadcastDetect(g, *b, *seed)
+		res, err := triangles.BroadcastDetect(env, g, *b, *seed)
 		must(err)
 		found, stats = res.Found, res.Stats
 	case "dlp":
-		res, err := triangles.DLPDeterministic(g, *b, *seed)
+		res, err := triangles.DLPDeterministic(env, g, *b, *seed)
 		must(err)
 		found, stats = res.Found, res.Stats
 	case "dlp-rand":
-		res, err := triangles.DLPRandomized(g, *b, *promT, 6, *seed)
+		res, err := triangles.DLPRandomized(env, g, *b, *promT, 6, *seed)
 		must(err)
 		found, stats = res.Found, res.Stats
 		note = fmt.Sprintf(" (one-sided, promise T=%d)", *promT)
@@ -76,42 +75,38 @@ func main() {
 		if *family == "strassen" {
 			fam = matmul.Strassen
 		}
-		res, err := matmul.DetectTrianglesOnClique(g, fam, 8, 8, *b, *seed)
+		res, err := matmul.DetectTrianglesOnClique(env, g, fam, 8, 8, *b, *seed)
 		must(err)
 		found, stats = res.Found, res.Run.Stats
 		note = fmt.Sprintf(" (§2.1 pipeline, %s circuits)", fam)
 		engine = "scalar (dense plan)"
 		if *batch {
 			rng2 := rand.New(rand.NewSource(*seed + 1))
-			workers := core.DefaultParallelism()
-			if workers == 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			bf, err := matmul.DetectTrianglesBatch(g, fam, 8, 64, workers, rng2)
+			bf, err := matmul.DetectTrianglesBatch(g, fam, 8, 64, core.ResolveParallelism(env.Parallelism), rng2)
 			must(err)
 			engine = fmt.Sprintf("bitsliced EvalBatch (64 Shamir lanes/pass): found=%v, agrees=%v", bf, bf == found)
 		}
 	case "detect":
 		fam, err := familyByName(*pattern)
 		must(err)
-		res, err := subgraph.DetectKnownTuran(g, fam, *b, *seed)
+		res, err := subgraph.DetectKnownTuran(env, g, fam, *b, *seed)
 		must(err)
 		found, stats = res.Found, res.Stats
 		note = fmt.Sprintf(" (Theorem 7, H=%s, k=%d)", fam.Name, res.KUsed)
 	case "adaptive":
 		fam, err := familyByName(*pattern)
 		must(err)
-		res, err := subgraph.DetectAdaptive(g, fam.H, *b, *seed)
+		res, err := subgraph.DetectAdaptive(env, g, fam.H, *b, *seed)
 		must(err)
 		found, stats = res.Found, res.Stats
 		note = fmt.Sprintf(" (Theorem 9, H=%s, %d guesses)", fam.Name, res.Guesses)
 	case "reconstruct":
-		res, err := subgraph.Reconstruct(g, *k, *b, *seed)
+		res, err := subgraph.Reconstruct(env, g, *k, *b, *seed)
 		must(err)
 		found, stats = res.OK, res.Stats
 		note = fmt.Sprintf(" (reconstruction success, %d-bit messages)", res.MsgBits)
 	case "c4congest":
-		res, err := subgraph.DetectC4Congest(g, *b, *k, *seed)
+		res, err := subgraph.DetectC4Congest(env, g, *b, *k, *seed)
 		must(err)
 		found, stats = res.Found, res.Stats
 		note = fmt.Sprintf(" (CONGEST neighborhood exchange, cap=%d)", *k)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/circsim"
 	"repro/internal/circuit"
+	"repro/internal/core"
 )
 
 func main() {
@@ -49,7 +50,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := circsim.EvalOnClique(nc.c, players, bandwidth, in, nil, seed)
+		res, err := circsim.EvalOnClique(core.Env{}, nc.c, players, bandwidth, in, nil, seed)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func main() {
 	// Theorem 7 K4-detector on instances of the template.
 	fam := turan.CliqueFamily(4)
 	det := func(g *graph.Graph, side []bool) (bool, core.Stats, error) {
-		res, err := subgraph.DetectKnownTuranCut(g, fam, bandwidth, seed, side)
+		res, err := subgraph.DetectKnownTuranCut(core.Env{}, g, fam, bandwidth, seed, side)
 		if err != nil {
 			return false, core.Stats{}, err
 		}
@@ -68,7 +68,7 @@ func main() {
 		Bandwidth: bandwidth,
 		Seed:      seed,
 		Detect: func(g *graph.Graph, b int, s int64) (bool, core.Stats, error) {
-			res, err := triangles.BroadcastDetect(g, b, s)
+			res, err := triangles.BroadcastDetect(core.Env{}, g, b, s)
 			if err != nil {
 				return false, core.Stats{}, err
 			}

@@ -9,6 +9,7 @@ import (
 	"log"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/subgraph"
 	"repro/internal/triangles"
@@ -30,7 +31,7 @@ func main() {
 
 	// 1. The trivial CLIQUE-BCAST detector: everyone broadcasts their
 	// adjacency row over ceil(n/b) rounds.
-	res, err := triangles.BroadcastDetect(g, bandwidth, seed)
+	res, err := triangles.BroadcastDetect(core.Env{}, g, bandwidth, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func main() {
 	// every player learns the whole topology from one O(k log n)-bit
 	// broadcast per node.
 	k := g.Degeneracy()
-	rec, err := subgraph.Reconstruct(g, k, bandwidth, seed)
+	rec, err := subgraph.Reconstruct(core.Env{}, g, k, bandwidth, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func main() {
 	}
 
 	// With k below the degeneracy, all players detect the failure instead.
-	rec2, err := subgraph.Reconstruct(g, k-1, bandwidth, seed)
+	rec2, err := subgraph.Reconstruct(core.Env{}, g, k-1, bandwidth, seed)
 	if err != nil {
 		log.Fatal(err)
 	}

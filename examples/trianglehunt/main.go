@@ -10,6 +10,7 @@ import (
 	"log"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/matmul"
 	"repro/internal/triangles"
@@ -37,11 +38,11 @@ func main() {
 		truth := in.g.HasTriangle()
 		tcount := in.g.CountTriangles()
 
-		bd, err := triangles.BroadcastDetect(in.g, bandwidth, seed)
+		bd, err := triangles.BroadcastDetect(core.Env{}, in.g, bandwidth, seed)
 		must(err)
 		row(in.name, truth, "broadcast-exchange", bd.Found, bd.Stats.Rounds)
 
-		dlp, err := triangles.DLPDeterministic(in.g, bandwidth, seed)
+		dlp, err := triangles.DLPDeterministic(core.Env{}, in.g, bandwidth, seed)
 		must(err)
 		row(in.name, truth, "DLP deterministic", dlp.Found, dlp.Stats.Rounds)
 
@@ -49,11 +50,11 @@ func main() {
 		if promised < 1 {
 			promised = 1
 		}
-		rnd, err := triangles.DLPRandomized(in.g, bandwidth, promised, 6, seed)
+		rnd, err := triangles.DLPRandomized(core.Env{}, in.g, bandwidth, promised, 6, seed)
 		must(err)
 		row(in.name, truth, fmt.Sprintf("DLP randomized T=%d", promised), rnd.Found, rnd.Stats.Rounds)
 
-		mm, err := matmul.DetectTrianglesOnClique(in.g, matmul.Strassen, 8, 8, 64, seed)
+		mm, err := matmul.DetectTrianglesOnClique(core.Env{}, in.g, matmul.Strassen, 8, 8, 64, seed)
 		must(err)
 		row(in.name, truth, "matmul (Strassen, §2.1)", mm.Found, mm.Run.Stats.Rounds)
 	}

@@ -86,7 +86,7 @@ func newTriangleNOF(t *testing.T, n, bandwidth int) *TriangleNOF {
 		Bandwidth: bandwidth,
 		Seed:      7,
 		Detect: func(g *graph.Graph, b int, seed int64) (bool, core.Stats, error) {
-			res, err := triangles.BroadcastDetect(g, b, seed)
+			res, err := triangles.BroadcastDetect(core.Env{}, g, b, seed)
 			if err != nil {
 				return false, core.Stats{}, err
 			}
@@ -137,7 +137,7 @@ func TestTriangleNOFAccountingIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := triangles.BroadcastDetect(g, nof.Bandwidth, nof.Seed)
+	res, err := triangles.BroadcastDetect(core.Env{}, g, nof.Bandwidth, nof.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 )
 
 func randomInput(n int, rng *rand.Rand) []bool {
@@ -23,7 +24,7 @@ func checkAgainstDirect(t *testing.T, c *circuit.Circuit, n, bandwidth int, inpu
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvalOnClique(c, n, bandwidth, input, nil, seed)
+	res, err := EvalOnClique(core.Env{}, c, n, bandwidth, input, nil, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestRoundsScaleWithDepthNotSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		in := randomInput(inputs, rng)
-		res, err := EvalOnClique(c, 8, 64, in, nil, 1)
+		res, err := EvalOnClique(core.Env{}, c, 8, 64, in, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +237,7 @@ func TestCustomInputLayout(t *testing.T) {
 	owner := make([]int32, 20)
 	in := randomInput(20, rng)
 	want, _ := c.Eval(in)
-	res, err := EvalOnClique(c, 5, 16, in, owner, 3)
+	res, err := EvalOnClique(core.Env{}, c, 5, 16, in, owner, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := NewPlan(c, 4, bad); err == nil {
 		t.Error("out-of-range input owner accepted")
 	}
-	if _, err := EvalOnClique(c, 4, 8, make([]bool, 5), nil, 0); err == nil {
+	if _, err := EvalOnClique(core.Env{}, c, 4, 8, make([]bool, 5), nil, 0); err == nil {
 		t.Error("wrong input length accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 )
 
 // TestSimulationEquivalenceProperty is the package's central property:
@@ -59,7 +60,7 @@ func TestSimulationEquivalenceProperty(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		res, err := EvalOnClique(c, n, bandwidth, in, owner, seed)
+		res, err := EvalOnClique(core.Env{}, c, n, bandwidth, in, owner, seed)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -93,7 +94,7 @@ func TestTinyTreeEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range []bool{false, true} {
-		res, err := EvalOnClique(c, 3, 4, []bool{v}, nil, 1)
+		res, err := EvalOnClique(core.Env{}, c, 3, 4, []bool{v}, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestDepthZeroCircuit(t *testing.T) {
 	if c.Depth() != 0 {
 		t.Fatalf("depth = %d, want 0", c.Depth())
 	}
-	res, err := EvalOnClique(c, 4, 8, []bool{true, false}, nil, 1)
+	res, err := EvalOnClique(core.Env{}, c, 4, 8, []bool{true, false}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

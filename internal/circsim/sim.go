@@ -559,7 +559,7 @@ type RunResult struct {
 // initially distributed according to inputOwner (BalancedInputOwner if
 // nil). It returns the circuit outputs together with the round/bit
 // accounting of the run.
-func EvalOnClique(c *circuit.Circuit, n, bandwidth int, input []bool, inputOwner []int32, seed int64) (*RunResult, error) {
+func EvalOnClique(env core.Env, c *circuit.Circuit, n, bandwidth int, input []bool, inputOwner []int32, seed int64) (*RunResult, error) {
 	if inputOwner == nil {
 		inputOwner = BalancedInputOwner(c.NumInputs(), n)
 	}
@@ -576,7 +576,7 @@ func EvalOnClique(c *circuit.Circuit, n, bandwidth int, input []bool, inputOwner
 	}
 	rt := routing.NewRouter(n)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		out, err := Simulate(p, plan, rt, perPlayer[p.ID()])
 		if err != nil {
 			return err

@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bits"
@@ -92,18 +91,18 @@ type Config struct {
 	CutSide   []bool       // optional: membership of the cut side for CutBits accounting
 
 	// Parallelism is the number of workers stepping nodes within a round.
-	// 0 consults the package default (SetDefaultParallelism), which itself
-	// defaults to runtime.GOMAXPROCS(0); 1 forces the sequential legacy
+	// 0 means runtime.GOMAXPROCS(0); 1 forces the sequential legacy
 	// engine (the determinism oracle); k > 1 uses k workers. Outputs and
-	// Stats are identical for every setting.
+	// Stats are identical for every setting. Protocols that build their
+	// own Config take it from the caller's Env.
 	Parallelism int
 
 	// FaultPlan injects a deterministic adversary into the delivery path
-	// (internal/fault implements it). nil consults the package default
-	// fault factory (SetDefaultFaultFactory), which is nil by default —
-	// no faults. Fault decisions are applied during sequential delivery,
-	// so a given plan produces a bit-identical fault schedule under every
-	// Parallelism setting.
+	// (internal/fault implements it); nil is a clean channel. Fault
+	// decisions are applied during sequential delivery, so a given plan
+	// produces a bit-identical fault schedule under every Parallelism
+	// setting. Protocols that build their own Config get it from the
+	// caller's Env.Faults.
 	FaultPlan FaultInjector
 
 	// QuiesceLimit aborts the run with ErrStalled after this many
@@ -114,9 +113,9 @@ type Config struct {
 	QuiesceLimit int
 
 	// Sink receives the run's round-level trace (see trace.go and
-	// DESIGN.md §14); nil consults the package default sink factory
-	// (SetDefaultSinkFactory), which is nil by default — untraced, at
-	// zero cost. A Sink is valid at every Parallelism setting: records
+	// DESIGN.md §14); nil leaves the run untraced, at zero cost.
+	// Protocols that build their own Config get it from the caller's
+	// Env.Sink. A Sink is valid at every Parallelism setting: records
 	// are emitted from the sequential delivery pass and per-node marks
 	// merge in ascending node id, so the deterministic trace fields are
 	// bit-identical across worker widths — there is no configuration in
@@ -168,63 +167,37 @@ type FaultStats struct {
 // that a crash-stalled run fails in thousands, not millions, of steps.
 const DefaultQuiesceLimit = 1024
 
-// defaultFaultFactory builds a FaultInjector for runs whose Config has no
-// explicit FaultPlan; nil means no faults. Guarded for concurrent reads.
-var defaultFaultFactory atomic.Value // of func(seed int64) FaultInjector
-
-// SetDefaultFaultFactory installs (or, with nil, clears) the package
-// default fault source: runs whose Config.FaultPlan is nil call it with
-// their Config.Seed to obtain a plan. This is how harnesses inject the
-// adversary into protocols that build their own Config internally —
-// exactly the pattern of SetDefaultParallelism. It returns the previous
-// factory so callers can restore it.
-func SetDefaultFaultFactory(f func(seed int64) FaultInjector) func(seed int64) FaultInjector {
-	var prev func(seed int64) FaultInjector
-	if box, ok := defaultFaultFactory.Load().(faultFactoryBox); ok {
-		prev = box.f
-	}
-	defaultFaultFactory.Store(faultFactoryBox{f})
-	return prev
-}
-
-// faultFactoryBox wraps the factory so atomic.Value tolerates nil.
-type faultFactoryBox struct {
-	f func(seed int64) FaultInjector
-}
-
-// resolveFaultPlan picks the run's injector: the explicit plan, else the
-// package default factory applied to the run seed, else none.
-func (c *Config) resolveFaultPlan() FaultInjector {
-	if c.FaultPlan != nil {
-		return c.FaultPlan
-	}
-	if box, ok := defaultFaultFactory.Load().(faultFactoryBox); ok && box.f != nil {
-		return box.f(c.Seed)
-	}
-	return nil
-}
-
 // DefaultMaxRounds bounds runaway protocols.
 const DefaultMaxRounds = 1 << 20
 
-// defaultParallelism is consulted by runs whose Config.Parallelism is 0;
-// 0 means runtime.GOMAXPROCS(0).
-var defaultParallelism atomic.Int64
-
-// SetDefaultParallelism sets the worker count used by runs whose
-// Config.Parallelism is zero: 1 forces the sequential engine everywhere,
-// k > 1 uses k workers, 0 restores the default (GOMAXPROCS). It is what
-// the -parallelism flags of the cmd binaries plumb through, so protocol
-// packages that build their own Config pick it up without new knobs.
-func SetDefaultParallelism(p int) {
-	if p < 0 {
-		p = 0
-	}
-	defaultParallelism.Store(int64(p))
+// Env is the engine environment of one protocol run, for protocols that
+// build their own Config: every such entry point takes an Env and runs
+// RunProcs(env.Apply(cfg), …). The zero value is the default engine:
+// GOMAXPROCS workers, a clean channel, no trace.
+//
+// Faults and Sink are factories, not instances, so that every engine
+// execution gets its own fault plan and trace built from its own
+// Config.Seed, even when one protocol call drives several.
+type Env struct {
+	Parallelism int                            // Config.Parallelism
+	Faults      func(seed int64) FaultInjector // builds Config.FaultPlan; nil = clean channel
+	Sink        func(seed int64) Sink          // builds Config.Sink; nil (or a nil result) = untraced
 }
 
-// DefaultParallelism reports the current package default (0 = GOMAXPROCS).
-func DefaultParallelism() int { return int(defaultParallelism.Load()) }
+// Apply returns cfg with the environment filled into the engine settings
+// it leaves unset: Parallelism 0, nil FaultPlan, nil Sink.
+func (e Env) Apply(cfg Config) Config {
+	if cfg.Parallelism == 0 {
+		cfg.Parallelism = e.Parallelism
+	}
+	if cfg.FaultPlan == nil && e.Faults != nil {
+		cfg.FaultPlan = e.Faults(cfg.Seed)
+	}
+	if cfg.Sink == nil && e.Sink != nil {
+		cfg.Sink = e.Sink(cfg.Seed)
+	}
+	return cfg
+}
 
 // workers resolves the effective worker count for this run.
 func (c *Config) workers() int { return ResolveParallelism(c.Parallelism) }
@@ -567,8 +540,8 @@ func newEngine(cfg *Config, nodes []Node) *engine {
 		done:    make([]bool, n),
 		errs:    make([]error, n),
 		workers: cfg.workers(),
-		plan:    cfg.resolveFaultPlan(),
-		sink:    cfg.resolveSink(),
+		plan:    cfg.FaultPlan,
+		sink:    cfg.Sink,
 	}
 	e.traceOn = e.sink != nil
 	if e.plan != nil {

@@ -427,12 +427,11 @@ func TestPar1OverheadVsSeq(t *testing.T) {
 	seqCfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: 1}
 	// "par1" is the parallel engine resolved to one worker — what a 1-CPU
 	// box gets from Parallelism=0. Route it through the default-resolution
-	// path so the guard covers the whole par1 code path, not just the
-	// config literal. (Both must resolve to the inline stepping loop: no
-	// pool is built at width 1, so par1 has no fixed overhead over seq.)
-	prev := DefaultParallelism()
-	SetDefaultParallelism(1)
-	defer SetDefaultParallelism(prev)
+	// path (GOMAXPROCS pinned to 1 for the test) so the guard covers the
+	// whole par1 code path, not just the config literal. (Both must
+	// resolve to the inline stepping loop: no pool is built at width 1,
+	// so par1 has no fixed overhead over seq.)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	parCfg := seqCfg
 	parCfg.Parallelism = 0
 	best := func(cfg Config) float64 {

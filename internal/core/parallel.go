@@ -8,13 +8,9 @@ import (
 )
 
 // ResolveParallelism maps a requested worker count onto an effective one
-// using the same rules as Config.Parallelism: 0 consults the package
-// default (SetDefaultParallelism), which itself defaults to
-// runtime.GOMAXPROCS(0). Values below zero are treated as zero.
+// using the same rules as Config.Parallelism: 0 (or below) means
+// runtime.GOMAXPROCS(0).
 func ResolveParallelism(p int) int {
-	if p <= 0 {
-		p = int(defaultParallelism.Load())
-	}
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}

@@ -1,12 +1,9 @@
 package core
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Round-level tracing (DESIGN.md §14). A Sink installed on Config.Sink
-// (or via SetDefaultSinkFactory) receives one RoundTrace record per
+// (directly, or through Env.Sink) receives one RoundTrace record per
 // engine iteration — per round, or per quiet-batch span — emitted from
 // the engine's sequential delivery pass, plus a RunMeta header and a
 // RunFooter carrying the final Stats. The tracer is a second,
@@ -118,44 +115,6 @@ type Sink interface {
 	TraceStart(m RunMeta)
 	TraceRound(r *RoundTrace)
 	TraceEnd(f *RunFooter)
-}
-
-// defaultSinkFactory builds a Sink for runs whose Config has no
-// explicit Sink; nil means untraced. Same pattern — and same purpose —
-// as SetDefaultFaultFactory: harnesses inject tracing into protocols
-// that build their Config internally.
-var defaultSinkFactory atomic.Value // of sinkFactoryBox
-
-// sinkFactoryBox wraps the factory so atomic.Value tolerates nil.
-type sinkFactoryBox struct {
-	f func(seed int64) Sink
-}
-
-// SetDefaultSinkFactory installs (or, with nil, clears) the package
-// default trace source: runs whose Config.Sink is nil call it with
-// their Config.Seed to obtain a Sink (a nil return leaves the run
-// untraced). It returns the previous factory so callers can restore
-// it. This is how the scenario matrix archives per-cell traces and how
-// experiments profile protocols that own their Config.
-func SetDefaultSinkFactory(f func(seed int64) Sink) func(seed int64) Sink {
-	var prev func(seed int64) Sink
-	if box, ok := defaultSinkFactory.Load().(sinkFactoryBox); ok {
-		prev = box.f
-	}
-	defaultSinkFactory.Store(sinkFactoryBox{f})
-	return prev
-}
-
-// resolveSink picks the run's trace sink: the explicit Config.Sink,
-// else the package default factory applied to the run seed, else none.
-func (c *Config) resolveSink() Sink {
-	if c.Sink != nil {
-		return c.Sink
-	}
-	if box, ok := defaultSinkFactory.Load().(sinkFactoryBox); ok && box.f != nil {
-		return box.f(c.Seed)
-	}
-	return nil
 }
 
 // Annotate stamps a phase marker into the current round's trace record.

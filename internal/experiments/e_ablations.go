@@ -17,17 +17,17 @@ import (
 // §4): the routing flavor, the Strassen recursion cutoff, the Theorem 7
 // bandwidth dependence, and the sample count of the randomized DLP
 // algorithm.
-func EA1Ablations(w io.Writer, quick bool) error {
+func EA1Ablations(w io.Writer, quick bool, env Env) error {
 	header(w, "EA1", "ablations over the reproduction's design choices")
 
 	// (a) Routing flavor: deterministic schedule vs in-model Valiant, on
 	// the same balanced demand (also part of E2; repeated here at one n
 	// for the ablation record).
-	det, err := routeAllToAll(32, false)
+	det, err := routeAllToAll(env.Engine, 32, false)
 	if err != nil {
 		return err
 	}
-	val, err := routeAllToAll(32, true)
+	val, err := routeAllToAll(env.Engine, 32, true)
 	if err != nil {
 		return err
 	}
@@ -63,7 +63,7 @@ func EA1Ablations(w io.Writer, quick bool) error {
 		bands = []int{8, 32}
 	}
 	for _, b := range bands {
-		res, err := subgraph.DetectKnownTuran(g, fam, b, 17)
+		res, err := subgraph.DetectKnownTuran(env.Engine, g, fam, b, 17)
 		if err != nil {
 			return err
 		}
@@ -82,7 +82,7 @@ func EA1Ablations(w io.Writer, quick bool) error {
 		samples = []int{1, 4}
 	}
 	for _, s := range samples {
-		res, err := triangles.DLPRandomized(gd, 32, T, s, 19)
+		res, err := triangles.DLPRandomized(env.Engine, gd, 32, T, s, 19)
 		if err != nil {
 			return err
 		}
@@ -95,7 +95,7 @@ func EA1Ablations(w io.Writer, quick bool) error {
 	gc := graph.Gnp(36, 0.15, rng)
 	truth := graph.ContainsSubgraph(gc, graph.Cycle(4))
 	for _, cap := range []int{0, 12, 6} {
-		res, err := subgraph.DetectC4Congest(gc, 8, cap, 23)
+		res, err := subgraph.DetectC4Congest(env.Engine, gc, 8, cap, 23)
 		if err != nil {
 			return err
 		}
@@ -115,12 +115,8 @@ func EA1Ablations(w io.Writer, quick bool) error {
 	// even when GOMAXPROCS=1 or the user passed -parallelism 1.
 	const ablationWorkers = 4
 	ge := graph.Gnp(48, 0.3, rng)
-	prev := core.DefaultParallelism()
-	core.SetDefaultParallelism(1)
-	seq, seqErr := triangles.BroadcastDetect(ge, 16, 29)
-	core.SetDefaultParallelism(ablationWorkers)
-	par, parErr := triangles.BroadcastDetect(ge, 16, 29)
-	core.SetDefaultParallelism(prev)
+	seq, seqErr := triangles.BroadcastDetect(core.Env{Parallelism: 1}, ge, 16, 29)
+	par, parErr := triangles.BroadcastDetect(core.Env{Parallelism: ablationWorkers}, ge, 16, 29)
 	if seqErr != nil {
 		return seqErr
 	}

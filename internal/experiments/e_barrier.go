@@ -10,7 +10,7 @@ import (
 // E13Barrier quantifies Section 2's punchline: the circuit lower bounds
 // that clique round bounds would have to beat are barely superlinear, so
 // even tiny round bounds cross the frontier.
-func E13Barrier(w io.Writer, quick bool) error {
+func E13Barrier(w io.Writer, quick bool, env Env) error {
 	header(w, "E13", "Section 2 barrier — how weak the known circuit bounds are")
 
 	fmt.Fprintf(w, "the λ hierarchy of [6] (CC[m] wire bounds are n·λ_{d-1}(n) at depth d):\n")

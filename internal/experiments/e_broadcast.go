@@ -13,7 +13,7 @@ import (
 // E5Reconstruction regenerates the Becker et al. [2] guarantees: one
 // logical broadcast of O(k·log n) bits per node, reconstruction succeeds
 // exactly when the degeneracy is at most k.
-func E5Reconstruction(w io.Writer, quick bool) error {
+func E5Reconstruction(w io.Writer, quick bool, env Env) error {
 	header(w, "E5", "[2] reconstruction — message growth O(k log n) and the success threshold")
 	fmt.Fprintf(w, "%8s %6s %12s %14s\n", "n", "k", "msg bits", "bits/(k·lg n)")
 	ns := []int{64, 256, 1024, 4096}
@@ -45,7 +45,7 @@ func E5Reconstruction(w io.Writer, quick bool) error {
 			if k < 1 {
 				continue
 			}
-			res, err := subgraph.Reconstruct(g, k, 16, 7)
+			res, err := subgraph.Reconstruct(env.Engine, g, k, 16, 7)
 			if err != nil {
 				return err
 			}
@@ -64,7 +64,7 @@ func E5Reconstruction(w io.Writer, quick bool) error {
 
 // E6Degeneracy regenerates Claim 6 on real H-free graphs: measured
 // degeneracy against the 4·ex(n,H)/n bound.
-func E6Degeneracy(w io.Writer, quick bool) error {
+func E6Degeneracy(w io.Writer, quick bool, env Env) error {
 	header(w, "E6", "Claim 6 — degeneracy of H-free graphs vs 4·ex(n,H)/n")
 	rng := rand.New(rand.NewSource(7))
 	type row struct {
@@ -111,7 +111,7 @@ func E6Degeneracy(w io.Writer, quick bool) error {
 // E7DetectKnownTuran regenerates Theorem 7: measured rounds against the
 // ex(n,H)/n·log(n)/b prediction across families with very different Turán
 // numbers (constant for trees, √n for C4, n for odd cycles).
-func E7DetectKnownTuran(w io.Writer, quick bool) error {
+func E7DetectKnownTuran(w io.Writer, quick bool, env Env) error {
 	header(w, "E7", "Theorem 7 — detection rounds vs ex(n,H)/n · log(n)/b (bandwidth 16)")
 	rng := rand.New(rand.NewSource(8))
 	ns := []int{32, 64, 128}
@@ -130,7 +130,7 @@ func E7DetectKnownTuran(w io.Writer, quick bool) error {
 		for _, n := range ns {
 			g := graph.Gnp(n, 1.5/float64(n), rng)
 			graph.PlantCopy(g, fam.H, rng)
-			res, err := subgraph.DetectKnownTuran(g, fam, 16, 21)
+			res, err := subgraph.DetectKnownTuran(env.Engine, g, fam, 16, 21)
 			if err != nil {
 				return err
 			}
@@ -150,7 +150,7 @@ func E7DetectKnownTuran(w io.Writer, quick bool) error {
 
 // E8SampledDegeneracy regenerates Lemma 8: the degeneracy of the sampled
 // G_j tracks k·2^{-j} while the expectation stays above c·log n.
-func E8SampledDegeneracy(w io.Writer, quick bool) error {
+func E8SampledDegeneracy(w io.Writer, quick bool, env Env) error {
 	header(w, "E8", "Lemma 8 — degeneracy of G_j vs k·2^{-j} (G = K_n)")
 	rng := rand.New(rand.NewSource(9))
 	n := 128
@@ -185,7 +185,7 @@ func E8SampledDegeneracy(w io.Writer, quick bool) error {
 
 // E9AdaptiveDetect regenerates Theorem 9: correct answers with ex(n,H)
 // unknown, and the number of A-invocations (guesses) the search needs.
-func E9AdaptiveDetect(w io.Writer, quick bool) error {
+func E9AdaptiveDetect(w io.Writer, quick bool, env Env) error {
 	header(w, "E9", "Theorem 9 — adaptive detection, unknown Turán number (bandwidth 16)")
 	rng := rand.New(rand.NewSource(10))
 	trials := 10
@@ -209,7 +209,7 @@ func E9AdaptiveDetect(w io.Writer, quick bool) error {
 		n := 24 + 8*(t%3)
 		g := graph.Gnp(n, []float64{0.04, 0.15, 0.4}[t%3], rng)
 		truth := graph.ContainsSubgraph(g, p.h)
-		res, err := subgraph.DetectAdaptive(g, p.h, 16, int64(t))
+		res, err := subgraph.DetectAdaptive(env.Engine, g, p.h, 16, int64(t))
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/circuit"
@@ -12,22 +11,11 @@ import (
 	"repro/internal/matmul"
 )
 
-// batchEval selects the bitsliced engine for local reference evaluation
-// (the cmd binaries' -batch flag plumbs through here).
-var batchEval atomic.Bool
-
-// SetBatchEval switches the experiments' local circuit evaluations (the
-// reference checks of E1/E3) onto the 64-lane bitsliced engine.
-func SetBatchEval(on bool) { batchEval.Store(on) }
-
-// BatchEval reports whether the bitsliced reference engine is selected.
-func BatchEval() bool { return batchEval.Load() }
-
-// evalReference evaluates the circuit on one assignment with whichever
-// local engine is selected: the dense scalar plan, or lane 0 of a
-// bitsliced pass.
-func evalReference(c *circuit.Circuit, in []bool) ([]bool, error) {
-	if !BatchEval() {
+// evalReference evaluates the circuit on one assignment with the
+// selected local engine: the dense scalar plan, or lane 0 of a
+// bitsliced pass when batch is set.
+func evalReference(c *circuit.Circuit, in []bool, batch bool) ([]bool, error) {
+	if !batch {
 		return c.Eval(in)
 	}
 	lanes, err := c.EvalBatch(circuit.ReplicateLanes(in))
@@ -46,7 +34,7 @@ func evalReference(c *circuit.Circuit, in []bool) ([]bool, error) {
 // the Section 2.1 trial circuit — equivalence first, then throughput per
 // evaluated assignment, then the batched Shamir detector against the
 // exact truth.
-func E14EvalEngines(w io.Writer, quick bool) error {
+func E14EvalEngines(w io.Writer, quick bool, env Env) error {
 	header(w, "E14", "evaluation-engine ablation — scalar vs dense vs bitsliced")
 	rng := rand.New(rand.NewSource(41))
 

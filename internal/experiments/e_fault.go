@@ -29,35 +29,29 @@ import (
 //	    (machine-greppable E17RECORD lines; bench.sh folds n=64 in);
 //	(d) ledger resume: a run interrupted mid-ledger completes to a
 //	    report identical to the uninterrupted one.
-func E17FaultInjection(w io.Writer, quick bool) error {
+func E17FaultInjection(w io.Writer, quick bool, env Env) error {
 	header(w, "E17", "fault-injection adversary — determinism, safety sweep, recovery overhead, ledger resume")
 
 	const bandwidth = 32
 
-	// (a) Determinism across engine parallelism. The plan is installed
-	// as the package-default fault factory (exactly how the scenario
-	// harness installs it) and the framed connectivity protocol runs
-	// under parallelism 1 and 4: faults are decided per (round, src,
-	// dst) in the sequential delivery pass, so every label, phase and
-	// bit of accounting must match.
+	// (a) Determinism across engine parallelism. The plan's factory goes
+	// into the run's Env (exactly how the scenario harness hands it to
+	// an engine leg) and the framed connectivity protocol runs under
+	// parallelism 1 and 4: faults are decided per (round, src, dst) in
+	// the sequential delivery pass, so every label, phase and bit of
+	// accounting must match.
 	nA := 24
 	gA := graph.ComponentsGnp(nA, 2, 0.3, rand.New(rand.NewSource(170)))
 	specA := fault.Spec{Drop: 0.01, Corrupt: 0.005}
-	prevF := core.SetDefaultFaultFactory(specA.Factory())
-	prevP := core.DefaultParallelism()
 	var runs [2]*sketch.CCResult
 	for i, par := range []int{1, 4} {
-		core.SetDefaultParallelism(par)
-		res, err := sketch.ConnectedComponents(gA, sketch.DirectFramedAgg, bandwidth, 171)
+		envA := core.Env{Parallelism: par, Faults: specA.Factory()}
+		res, err := sketch.ConnectedComponents(envA, gA, sketch.DirectFramedAgg, bandwidth, 171)
 		if err != nil {
-			core.SetDefaultParallelism(prevP)
-			core.SetDefaultFaultFactory(prevF)
 			return fmt.Errorf("E17(a) parallelism %d: %w", par, err)
 		}
 		runs[i] = res
 	}
-	core.SetDefaultParallelism(prevP)
-	core.SetDefaultFaultFactory(prevF)
 	for v := range runs[0].Leader {
 		if runs[0].Leader[v] != runs[1].Leader[v] {
 			return fmt.Errorf("E17(a): labels diverge at vertex %d across parallelism", v)
@@ -139,17 +133,16 @@ func E17FaultInjection(w io.Writer, quick bool) error {
 	// re-shipped, spare sketch copies burned, stalled phases re-proposed.
 	nC := 64
 	gC := graph.ComponentsGnp(nC, 3, 8.0/float64(nC), rand.New(rand.NewSource(172)))
-	clean, err := sketch.ConnectedComponents(gC, sketch.DirectFramedAgg, bandwidth, 173)
+	clean, err := sketch.ConnectedComponents(env.Engine, gC, sketch.DirectFramedAgg, bandwidth, 173)
 	if err != nil {
 		return fmt.Errorf("E17(c) clean: %w", err)
 	}
 	fmt.Fprintf(w, "\n(c) framed-connectivity recovery overhead, n=%d (clean: phases=%d rounds=%d bits=%d):\n",
 		nC, clean.Phases, clean.Stats.Rounds, clean.Stats.TotalBits)
 	for _, rate := range []float64{0.005, 0.01, 0.05} {
-		spec := fault.Spec{Drop: rate}
-		prevF := core.SetDefaultFaultFactory(spec.Factory())
-		res, err := sketch.ConnectedComponents(gC, sketch.DirectFramedAgg, bandwidth, 173)
-		core.SetDefaultFaultFactory(prevF)
+		envC := env.Engine
+		envC.Faults = fault.Spec{Drop: rate}.Factory()
+		res, err := sketch.ConnectedComponents(envC, gC, sketch.DirectFramedAgg, bandwidth, 173)
 		outcome := "ok"
 		rounds, bits, phases := 0, int64(0), 0
 		overhead := 0.0

@@ -21,7 +21,7 @@ import (
 // passes the Definition 10 machine check, Observation 11 holds on random
 // instances, and the Lemma 13 reduction converts clique runs into 2-party
 // transcripts whose length the fooling-set bound constrains.
-func E10LowerBoundGraphs(w io.Writer, quick bool) error {
+func E10LowerBoundGraphs(w io.Writer, quick bool, env Env) error {
 	header(w, "E10", "Lemmas 14/18/21 — verified templates and the Lemma 13 reduction")
 	rng := rand.New(rand.NewSource(11))
 
@@ -83,7 +83,7 @@ func E10LowerBoundGraphs(w io.Writer, quick bool) error {
 	for _, e := range entries {
 		fam := e.fam
 		det := func(g *graph.Graph, side []bool) (bool, core.Stats, error) {
-			res, err := subgraph.DetectKnownTuranCut(g, fam, 16, 23, side)
+			res, err := subgraph.DetectKnownTuranCut(env.Engine, g, fam, 16, 23, side)
 			if err != nil {
 				return false, core.Stats{}, err
 			}
@@ -116,7 +116,7 @@ func E10LowerBoundGraphs(w io.Writer, quick bool) error {
 
 // E11NOFTriangles regenerates Claim 23 and Theorem 24: Ruzsa–Szemerédi
 // graph sizes and the NOF protocol derived from a BCAST triangle detector.
-func E11NOFTriangles(w io.Writer, quick bool) error {
+func E11NOFTriangles(w io.Writer, quick bool, env Env) error {
 	header(w, "E11", "Claim 23 + Theorem 24 — RS graphs and the NOF reduction")
 	ns := []int{8, 16, 32, 64, 128}
 	if quick {
@@ -148,7 +148,7 @@ func E11NOFTriangles(w io.Writer, quick bool) error {
 		Bandwidth: 16,
 		Seed:      29,
 		Detect: func(g *graph.Graph, b int, s int64) (bool, core.Stats, error) {
-			res, err := triangles.BroadcastDetect(g, b, s)
+			res, err := triangles.BroadcastDetect(env.Engine, g, b, s)
 			if err != nil {
 				return false, core.Stats{}, err
 			}
@@ -189,7 +189,7 @@ func E11NOFTriangles(w io.Writer, quick bool) error {
 // E12CountingBound regenerates the non-explicit counting bound: the exact
 // largest R at which protocols cannot cover all functions, against the
 // (n-2 log n)/b shape and the trivial n/b upper bound.
-func E12CountingBound(w io.Writer, quick bool) error {
+func E12CountingBound(w io.Writer, quick bool, env Env) error {
 	header(w, "E12", "counting — largest R with #protocols < #functions")
 	ns := []int{8, 16, 32, 64, 128, 256}
 	if quick {

@@ -19,7 +19,7 @@ import (
 // routing constant. The rounds·bits product therefore crosses over in
 // the cube's favor as n grows — at these parameters between n=27 and
 // n=64 — and the full sweep asserts the crossover at n=64.
-func E15SemiringMM(w io.Writer, quick bool) error {
+func E15SemiringMM(w io.Writer, quick bool, env Env) error {
 	header(w, "E15", "semiring MM ablation — naive row-broadcast vs cube partition")
 
 	// (a) Backend equivalence: both protocols must reproduce the local
@@ -32,7 +32,7 @@ func E15SemiringMM(w io.Writer, quick bool) error {
 		want := semiring.NaiveMul(sr, a, b)
 		for _, proto := range []semiring.Protocol{semiring.Naive, semiring.Cube} {
 			for _, mul := range []semiring.LocalMul{semiring.NaiveKernel(sr), semiring.Kernel(sr)} {
-				res, err := semiring.RunMM(sr, a, b, proto, 64, 15, mul)
+				res, err := semiring.RunMM(env.Engine, sr, a, b, proto, 64, 15, mul)
 				if err != nil {
 					return fmt.Errorf("E15(a) %s/%s: %w", sr.Name(), proto, err)
 				}
@@ -59,7 +59,7 @@ func E15SemiringMM(w io.Writer, quick bool) error {
 		var stats [2]struct{ rounds, bits int64 }
 		var naiveProduct *semiring.Matrix
 		for pi, proto := range []semiring.Protocol{semiring.Naive, semiring.Cube} {
-			res, err := semiring.RunMM(semiring.MinPlus, d, d, proto, 64, int64(n)+1, nil)
+			res, err := semiring.RunMM(env.Engine, semiring.MinPlus, d, d, proto, 64, int64(n)+1, nil)
 			if err != nil {
 				return fmt.Errorf("E15(b) n=%d %s: %w", n, proto, err)
 			}
@@ -98,7 +98,7 @@ func E15SemiringMM(w io.Writer, quick bool) error {
 	wg := graph.WeightedGnp(nAPSP, 0.2, 100, 77)
 	want := semiring.FloydWarshall(wg)
 	for _, proto := range []semiring.Protocol{semiring.Naive, semiring.Cube} {
-		res, err := semiring.APSP(wg, proto, 64, 9, nil)
+		res, err := semiring.APSP(env.Engine, wg, proto, 64, 9, nil)
 		if err != nil {
 			return fmt.Errorf("E15(c) %s: %w", proto, err)
 		}

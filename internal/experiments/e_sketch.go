@@ -22,7 +22,7 @@ import (
 // protocol wins it at n=256. Round growth is pinned against the
 // analytic per-phase cost: phases stay within the ceil(log2 n) Borůvka
 // bound (plus recovery-stall slack) at every size.
-func E16SketchConnectivity(w io.Writer, quick bool) error {
+func E16SketchConnectivity(w io.Writer, quick bool, env Env) error {
 	header(w, "E16", "ℓ0-sketch connectivity — sketch Borůvka vs broadcast-Borůvka baseline")
 
 	const bandwidth = 32
@@ -34,7 +34,7 @@ func E16SketchConnectivity(w io.Writer, quick bool) error {
 	g0 := graph.ComponentsGnp(n0, 2, 0.25, rand.New(rand.NewSource(160)))
 	var agg0 [2]*sketch.CCResult
 	for i, agg := range []sketch.Aggregation{sketch.DirectAgg, sketch.LenzenAgg} {
-		res, err := sketch.ConnectedComponents(g0, agg, bandwidth, 16)
+		res, err := sketch.ConnectedComponents(env.Engine, g0, agg, bandwidth, 16)
 		if err != nil {
 			return fmt.Errorf("E16(a) %v: %w", agg, err)
 		}
@@ -66,11 +66,11 @@ func E16SketchConnectivity(w io.Writer, quick bool) error {
 		g := graph.ComponentsGnp(n, 3, p, rand.New(rand.NewSource(int64(n))))
 		ref := sketch.UnionFindComponents(g)
 
-		sk, err := sketch.ConnectedComponents(g, sketch.LenzenAgg, bandwidth, int64(n)+1)
+		sk, err := sketch.ConnectedComponents(env.Engine, g, sketch.LenzenAgg, bandwidth, int64(n)+1)
 		if err != nil {
 			return fmt.Errorf("E16(b) n=%d sketch: %w", n, err)
 		}
-		base, err := sketch.BroadcastBoruvka(g, bandwidth, int64(n)+2)
+		base, err := sketch.BroadcastBoruvka(env.Engine, g, bandwidth, int64(n)+2)
 		if err != nil {
 			return fmt.Errorf("E16(b) n=%d baseline: %w", n, err)
 		}
@@ -120,7 +120,7 @@ func E16SketchConnectivity(w io.Writer, quick bool) error {
 		nWS = 24
 	}
 	gw := graph.ComponentsGnp(nWS, 2, 10.0/float64(nWS), rand.New(rand.NewSource(163)))
-	sf, err := sketch.SpanningForest(gw, sketch.LenzenAgg, bandwidth, 31)
+	sf, err := sketch.SpanningForest(env.Engine, gw, sketch.LenzenAgg, bandwidth, 31)
 	if err != nil {
 		return fmt.Errorf("E16(c) spanning forest: %w", err)
 	}
@@ -128,7 +128,7 @@ func E16SketchConnectivity(w io.Writer, quick bool) error {
 		nWS, len(sf.Forest), sf.Components, sf.Stats.Rounds)
 
 	wg := graph.WeightedFromSeed(gw, 164, 3)
-	mst, err := sketch.MST(wg, 3, sketch.LenzenAgg, bandwidth, 33)
+	mst, err := sketch.MST(env.Engine, wg, 3, sketch.LenzenAgg, bandwidth, 33)
 	if err != nil {
 		return fmt.Errorf("E16(c) MST: %w", err)
 	}

@@ -31,7 +31,7 @@ import (
 //
 // Wall-clock fields are deliberately absent from the output: every line
 // is a pure function of the inputs, so the experiment goldens.
-func E18RoundTracing(w io.Writer, quick bool) error {
+func E18RoundTracing(w io.Writer, quick bool, env Env) error {
 	header(w, "E18", "round tracing — zero-interference observer, Stats reconciliation, per-phase profiles")
 
 	const bandwidth = 32
@@ -116,9 +116,9 @@ func E18RoundTracing(w io.Writer, quick bool) error {
 	// absorbs the routing sub-phases after it).
 	gs := graph.ComponentsGnp(n, 2, 0.3, rand.New(rand.NewSource(182)))
 	rec := &obs.Recorder{}
-	prevS := core.SetDefaultSinkFactory(func(seed int64) core.Sink { return rec })
-	res, err := sketch.ConnectedComponents(gs, sketch.LenzenAgg, bandwidth, 183)
-	core.SetDefaultSinkFactory(prevS)
+	envD := env.Engine
+	envD.Sink = func(int64) core.Sink { return rec }
+	res, err := sketch.ConnectedComponents(envD, gs, sketch.LenzenAgg, bandwidth, 183)
 	if err != nil {
 		return fmt.Errorf("E18(d): %w", err)
 	}

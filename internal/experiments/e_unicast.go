@@ -18,7 +18,7 @@ import (
 // E1CircuitSimulation regenerates Theorem 2's shape: rounds grow linearly
 // with circuit depth and stay flat as the circuit (and input) grows at
 // fixed depth; per-link traffic respects the O(b+s) budget.
-func E1CircuitSimulation(w io.Writer, quick bool) error {
+func E1CircuitSimulation(w io.Writer, quick bool, env Env) error {
 	header(w, "E1", "Theorem 2 — rounds vs depth (n=8 players, bandwidth 64)")
 	rng := rand.New(rand.NewSource(1))
 	depths := []int{2, 4, 6, 8, 12}
@@ -32,11 +32,11 @@ func E1CircuitSimulation(w io.Writer, quick bool) error {
 			return err
 		}
 		in := randomBits(64, rng)
-		res, err := circsim.EvalOnClique(c, 8, 64, in, nil, 1)
+		res, err := circsim.EvalOnClique(env.Engine, c, 8, 64, in, nil, 1)
 		if err != nil {
 			return err
 		}
-		if err := checkCircuit(c, in, res); err != nil {
+		if err := checkCircuit(c, in, res, env.Batch); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%8d %8d %8d %10d %8.2f %10d\n",
@@ -56,11 +56,11 @@ func E1CircuitSimulation(w io.Writer, quick bool) error {
 			return err
 		}
 		in := randomBits(sz, rng)
-		res, err := circsim.EvalOnClique(c, 8, 64, in, nil, 2)
+		res, err := circsim.EvalOnClique(env.Engine, c, 8, 64, in, nil, 2)
 		if err != nil {
 			return err
 		}
-		if err := checkCircuit(c, in, res); err != nil {
+		if err := checkCircuit(c, in, res, env.Batch); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%8d %8d %8d %10d\n", sz, c.Wires(), res.Plan.S, res.Stats.Rounds)
@@ -68,8 +68,8 @@ func E1CircuitSimulation(w io.Writer, quick bool) error {
 	return nil
 }
 
-func checkCircuit(c *circuit.Circuit, in []bool, res *circsim.RunResult) error {
-	want, err := evalReference(c, in)
+func checkCircuit(c *circuit.Circuit, in []bool, res *circsim.RunResult, batch bool) error {
+	want, err := evalReference(c, in, batch)
 	if err != nil {
 		return err
 	}
@@ -83,7 +83,7 @@ func checkCircuit(c *circuit.Circuit, in []bool, res *circsim.RunResult) error {
 
 // E2Routing regenerates the Lenzen [28] guarantee: the all-to-all
 // balanced demand routes in a round count independent of n.
-func E2Routing(w io.Writer, quick bool) error {
+func E2Routing(w io.Writer, quick bool, env Env) error {
 	header(w, "E2", "Lenzen routing — all-to-all demand, rounds vs n (bandwidth 64)")
 	ns := []int{8, 16, 32, 64}
 	if quick {
@@ -91,11 +91,11 @@ func E2Routing(w io.Writer, quick bool) error {
 	}
 	fmt.Fprintf(w, "%6s %10s %14s %14s %12s\n", "n", "messages", "det rounds", "valiant rounds", "maxLink")
 	for _, n := range ns {
-		det, err := routeAllToAll(n, false)
+		det, err := routeAllToAll(env.Engine, n, false)
 		if err != nil {
 			return err
 		}
-		val, err := routeAllToAll(n, true)
+		val, err := routeAllToAll(env.Engine, n, true)
 		if err != nil {
 			return err
 		}
@@ -105,10 +105,10 @@ func E2Routing(w io.Writer, quick bool) error {
 	return nil
 }
 
-func routeAllToAll(n int, valiant bool) (*core.Stats, error) {
+func routeAllToAll(env core.Env, n int, valiant bool) (*core.Stats, error) {
 	rt := routing.NewRouter(n)
 	cfg := core.Config{N: n, Bandwidth: 64, Model: core.Unicast, Seed: 3}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		var out []routing.Msg
 		for d := 0; d < n; d++ {
 			if d == p.ID() {
@@ -146,7 +146,7 @@ func routeAllToAll(n int, valiant bool) (*core.Stats, error) {
 // E3MatmulTriangles regenerates the Section 2.1 story: Strassen circuits
 // have asymptotically fewer wires per n² than schoolbook, and the wire
 // density s drives the simulated triangle-detection round count.
-func E3MatmulTriangles(w io.Writer, quick bool) error {
+func E3MatmulTriangles(w io.Writer, quick bool, env Env) error {
 	header(w, "E3", "Section 2.1 — matmul circuit families and triangle detection")
 	ns := []int{8, 16, 32, 64}
 	if quick {
@@ -181,7 +181,7 @@ func E3MatmulTriangles(w io.Writer, quick bool) error {
 		g := graph.Gnp(n, 0.3, rng)
 		want := g.HasTriangle()
 		for _, alg := range []matmul.Algorithm{matmul.Schoolbook, matmul.Strassen} {
-			res, err := matmul.DetectTrianglesOnClique(g, alg, 4, 6, 64, 9)
+			res, err := matmul.DetectTrianglesOnClique(env.Engine, g, alg, 4, 6, 64, 9)
 			if err != nil {
 				return err
 			}
@@ -191,7 +191,7 @@ func E3MatmulTriangles(w io.Writer, quick bool) error {
 			fmt.Fprintf(w, "%6d %12v %14d %12d %10v\n",
 				n, alg, res.Run.Stats.Rounds, res.Run.Stats.MaxLinkBits, res.Found)
 		}
-		if BatchEval() {
+		if env.Batch {
 			// -batch: cross-check with the bitsliced local detector (64
 			// Shamir trials in one EvalBatch pass).
 			got, err := matmul.DetectTrianglesBatch(g, matmul.Schoolbook, 0, 64, 1, rng)
@@ -210,7 +210,7 @@ func E3MatmulTriangles(w io.Writer, quick bool) error {
 // E4DLPTriangles regenerates the [8] upper bounds: deterministic rounds
 // growing like n^{1/3} (at fixed bandwidth), and randomized traffic
 // falling as the promised triangle count grows.
-func E4DLPTriangles(w io.Writer, quick bool) error {
+func E4DLPTriangles(w io.Writer, quick bool, env Env) error {
 	header(w, "E4", "[8] — deterministic n^{1/3} scaling and randomized T-scaling")
 	rng := rand.New(rand.NewSource(5))
 	ns := []int{27, 64, 125}
@@ -220,7 +220,7 @@ func E4DLPTriangles(w io.Writer, quick bool) error {
 	fmt.Fprintf(w, "%6s %8s %10s %12s %16s\n", "n", "n^{1/3}", "rounds", "totalBits", "bits/n^{4/3}")
 	for _, n := range ns {
 		g := graph.Gnp(n, 0.2, rng)
-		res, err := triangles.DLPDeterministic(g, 64, 11)
+		res, err := triangles.DLPDeterministic(env.Engine, g, 64, 11)
 		if err != nil {
 			return err
 		}
@@ -242,7 +242,7 @@ func E4DLPTriangles(w io.Writer, quick bool) error {
 		ts = []int{1, tcount}
 	}
 	for _, T := range ts {
-		res, err := triangles.DLPRandomized(g, 64, T, 6, 13)
+		res, err := triangles.DLPRandomized(env.Engine, g, 64, T, 6, 13)
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+
+	"repro/internal/core"
 )
 
 // Experiment is one reproducible unit: a theorem/claim mapped to a table
@@ -17,7 +19,17 @@ import (
 type Experiment struct {
 	ID    string
 	Claim string // the paper statement being regenerated
-	Run   func(w io.Writer, quick bool) error
+	Run   func(w io.Writer, quick bool, env Env) error
+}
+
+// Env configures a run of the experiments: the engine environment every
+// protocol run starts from (cliquebench's -parallelism flag), and
+// whether the local reference checks of E1 and E3 use the 64-lane
+// bitsliced engine (-batch). The zero value is the default engine with
+// scalar references.
+type Env struct {
+	Engine core.Env
+	Batch  bool
 }
 
 // All lists the experiments in paper order.

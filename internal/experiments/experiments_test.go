@@ -14,7 +14,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 	for _, e := range All {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			if err := e.Run(io.Discard, true); err != nil {
+			if err := e.Run(io.Discard, true, Env{}); err != nil {
 				t.Fatalf("%s (%s): %v", e.ID, e.Claim, err)
 			}
 		})
@@ -30,7 +30,7 @@ func TestExperimentsProduceTables(t *testing.T) {
 			t.Fatalf("missing experiment %s", e)
 		}
 		var sb strings.Builder
-		if err := exp.Run(&sb, true); err != nil {
+		if err := exp.Run(&sb, true, Env{}); err != nil {
 			t.Fatal(err)
 		}
 		out := sb.String()

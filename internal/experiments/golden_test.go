@@ -43,7 +43,7 @@ func TestQuickGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, e := range All {
 		fmt.Fprintf(&buf, ">>> %s\n", e.ID)
-		if err := e.Run(&buf, true); err != nil {
+		if err := e.Run(&buf, true, Env{}); err != nil {
 			t.Fatalf("%s failed: %v", e.ID, err)
 		}
 	}

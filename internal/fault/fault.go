@@ -1,6 +1,6 @@
 // Package fault is the repo's deterministic adversary: a seeded fault
-// plan injected into core's delivery path via Config.FaultPlan (or the
-// package-default factory, for protocols that build their own Config).
+// plan injected into core's delivery path via Config.FaultPlan (or
+// core.Env.Faults, for protocols that build their own Config).
 //
 // Every decision — drop, corrupt, delay, duplicate, crash — is a pure
 // function of (seed, round, src, dst) resp. (seed, id), derived
@@ -186,9 +186,10 @@ func New(spec Spec, seed int64) *Plan {
 // Spec returns the plan's fault specification.
 func (p *Plan) Spec() Spec { return p.spec }
 
-// Factory adapts the spec into core.SetDefaultFaultFactory's shape: each
-// run seed gets its own Plan. An inactive spec returns nil (meaning
-// "clear the default"), so callers can install s.Factory() untested.
+// Factory adapts the spec into core.Env.Faults's shape: each engine run
+// gets its own Plan, built from its Config.Seed. An inactive spec
+// returns nil (a clean channel), so callers can set s.Factory()
+// untested.
 func (s Spec) Factory() func(seed int64) core.FaultInjector {
 	if !s.Active() {
 		return nil

@@ -233,7 +233,7 @@ func TestReductionEndToEnd(t *testing.T) {
 	}
 	fam := turan.CliqueFamily(4)
 	det := func(g *graph.Graph, cut []bool) (bool, core.Stats, error) {
-		res, err := subgraph.DetectKnownTuranCut(g, fam, 16, 7, cut)
+		res, err := subgraph.DetectKnownTuranCut(core.Env{}, g, fam, 16, 7, cut)
 		if err != nil {
 			return false, core.Stats{}, err
 		}
@@ -273,7 +273,7 @@ func TestReductionWithCycleGraph(t *testing.T) {
 	}
 	fam := turan.CycleFamily(5)
 	det := func(g *graph.Graph, cut []bool) (bool, core.Stats, error) {
-		res, err := subgraph.DetectKnownTuranCut(g, fam, 16, 5, cut)
+		res, err := subgraph.DetectKnownTuranCut(core.Env{}, g, fam, 16, 5, cut)
 		if err != nil {
 			return false, core.Stats{}, err
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -95,7 +96,7 @@ func TestBatchMatchesCliqueDetector(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 3; trial++ {
 		g := graph.Gnp(8, 0.3, rng)
-		clique, err := DetectTrianglesOnClique(g, Schoolbook, 0, 40, 64, int64(trial))
+		clique, err := DetectTrianglesOnClique(core.Env{}, g, Schoolbook, 0, 40, 64, int64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/circsim"
+	"repro/internal/core"
 	"repro/internal/f2"
 )
 
@@ -19,7 +20,7 @@ type MulResult struct {
 // row i of B, and ends up holding the rows of the product assigned to it
 // by the simulation's output partition (the runtime reassembles them for
 // the caller).
-func MulOnClique(a, b *f2.Matrix, alg Algorithm, cutoff, bandwidth int, seed int64) (*MulResult, error) {
+func MulOnClique(env core.Env, a, b *f2.Matrix, alg Algorithm, cutoff, bandwidth int, seed int64) (*MulResult, error) {
 	n := a.N()
 	if b.N() != n {
 		return nil, fmt.Errorf("matmul: dimension mismatch %d vs %d", n, b.N())
@@ -38,7 +39,7 @@ func MulOnClique(a, b *f2.Matrix, alg Algorithm, cutoff, bandwidth int, seed int
 			}
 		}
 	}
-	run, err := circsim.EvalOnClique(c, n, bandwidth, in, owner, seed)
+	run, err := circsim.EvalOnClique(env, c, n, bandwidth, in, owner, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/f2"
 )
 
@@ -11,7 +12,7 @@ func TestMulOnCliqueSchoolbook(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{4, 8, 12} {
 		a, b := f2.Random(n, rng), f2.Random(n, rng)
-		res, err := MulOnClique(a, b, Schoolbook, 0, 64, 5)
+		res, err := MulOnClique(core.Env{}, a, b, Schoolbook, 0, 64, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -25,7 +26,7 @@ func TestMulOnCliqueStrassen(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{4, 8, 16} {
 		a, b := f2.Random(n, rng), f2.Random(n, rng)
-		res, err := MulOnClique(a, b, Strassen, 2, 64, 7)
+		res, err := MulOnClique(core.Env{}, a, b, Strassen, 2, 64, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func TestMulOnCliqueStrassen(t *testing.T) {
 func TestMulOnCliqueBandwidthRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, b := f2.Random(8, rng), f2.Random(8, rng)
-	res, err := MulOnClique(a, b, Schoolbook, 0, 16, 9)
+	res, err := MulOnClique(core.Env{}, a, b, Schoolbook, 0, 16, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestMulOnCliqueBandwidthRespected(t *testing.T) {
 }
 
 func TestMulOnCliqueDimensionMismatch(t *testing.T) {
-	if _, err := MulOnClique(f2.New(4), f2.New(5), Schoolbook, 0, 16, 1); err == nil {
+	if _, err := MulOnClique(core.Env{}, f2.New(4), f2.New(5), Schoolbook, 0, 16, 1); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/circsim"
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/f2"
 	"repro/internal/graph"
 )
@@ -379,7 +380,7 @@ type DetectResult struct {
 // adjacency matrix with player i holding row i (the paper's input
 // partition), and evaluate the circuit with the Theorem 2 simulation on
 // CLIQUE-UCAST(n, bandwidth).
-func DetectTrianglesOnClique(g *graph.Graph, alg Algorithm, cutoff, trials, bandwidth int, seed int64) (*DetectResult, error) {
+func DetectTrianglesOnClique(env core.Env, g *graph.Graph, alg Algorithm, cutoff, trials, bandwidth int, seed int64) (*DetectResult, error) {
 	n := g.N()
 	rng := rand.New(rand.NewSource(seed))
 	c, err := TriangleCircuit(n, alg, cutoff, trials, rng)
@@ -394,7 +395,7 @@ func DetectTrianglesOnClique(g *graph.Graph, alg Algorithm, cutoff, trials, band
 			owner[i*n+j] = int32(i) // player i holds row i
 		}
 	}
-	run, err := circsim.EvalOnClique(c, n, bandwidth, in, owner, seed)
+	run, err := circsim.EvalOnClique(env, c, n, bandwidth, in, owner, seed)
 	if err != nil {
 		return nil, err
 	}

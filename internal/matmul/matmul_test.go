@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/f2"
 	"repro/internal/graph"
 )
@@ -160,7 +161,7 @@ func TestDetectTrianglesOnClique(t *testing.T) {
 	}
 	cases[3].want = cases[3].g.HasTriangle()
 	for _, tc := range cases {
-		res, err := DetectTrianglesOnClique(tc.g, Schoolbook, 0, 10, 64, 42)
+		res, err := DetectTrianglesOnClique(core.Env{}, tc.g, Schoolbook, 0, 10, 64, 42)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -173,7 +174,7 @@ func TestDetectTrianglesOnClique(t *testing.T) {
 func TestDetectTrianglesStrassenOnClique(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.Gnp(8, 0.4, rng)
-	res, err := DetectTrianglesOnClique(g, Strassen, 2, 10, 64, 17)
+	res, err := DetectTrianglesOnClique(core.Env{}, g, Strassen, 2, 10, 64, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestTriangleCircuitPlantedTriangle(t *testing.T) {
 	g.AddEdge(2, 5)
 	g.AddEdge(5, 7)
 	g.AddEdge(7, 2)
-	res, err := DetectTrianglesOnClique(g, Schoolbook, 0, 12, 64, int64(rng.Int()))
+	res, err := DetectTrianglesOnClique(core.Env{}, g, Schoolbook, 0, 12, 64, int64(rng.Int()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,12 @@ import (
 )
 
 // DirSink archives every traced run under one directory: its Factory is
-// the shape core.SetDefaultSinkFactory wants, and each engine run it
-// sees becomes one engine-trace/v1 NDJSON file named by the run's seed
+// the shape core.Env.Sink wants, and each engine run it sees becomes
+// one engine-trace/v1 NDJSON file named by the run's seed
 // (trace-s<seed>.ndjson, with -<k> suffixes if a seed recurs — e.g. a
-// protocol that drives several engine executions in one leg). Files are
-// created lazily at TraceStart, so installing a DirSink costs nothing
-// for code paths that never run the engine. Close flushes and closes
+// protocol that drives several engine executions in one leg, or a
+// quarantine retry). Files are created lazily at TraceStart, so a
+// DirSink costs nothing for code paths that never run the engine. Close flushes and closes
 // every file, reporting the first error; call it only after all traced
 // runs have finished (a leg abandoned by a timeout may still be
 // writing, and its trace is best-effort anyway).
@@ -31,8 +31,7 @@ func NewDirSink(dir string) *DirSink {
 	return &DirSink{dir: dir, seen: map[int64]int{}}
 }
 
-// Factory returns the per-run sink constructor to install with
-// core.SetDefaultSinkFactory.
+// Factory returns the per-run sink constructor to set as core.Env.Sink.
 func (d *DirSink) Factory() func(seed int64) core.Sink {
 	return func(seed int64) core.Sink {
 		d.mu.Lock()

@@ -12,19 +12,18 @@ import (
 )
 
 // TestDirSinkArchivesPerSeed drives the factory the way the scenario
-// runners do: several engine runs, one repeated seed, and checks the
-// directory holds one reconciling trace file per run with the -<k>
-// suffix on the recurrence.
+// runners do, through a core.Env: several engine runs, one repeated
+// seed, and checks the directory holds one reconciling trace file per
+// run with the -<k> suffix on the recurrence.
 func TestDirSinkArchivesPerSeed(t *testing.T) {
 	dir := t.TempDir()
 	ds := NewDirSink(dir)
-	prev := core.SetDefaultSinkFactory(ds.Factory())
-	defer core.SetDefaultSinkFactory(prev)
+	env := core.Env{Parallelism: 1, Sink: ds.Factory()}
 
 	var want []*core.Result
 	for _, seed := range []int64{11, 11, 12} {
-		cfg := core.Config{N: 16, Bandwidth: 24, Model: core.Unicast, Seed: seed, Parallelism: 1}
-		res, err := core.Run(cfg, gossipNodes(16, 6, 3))
+		cfg := core.Config{N: 16, Bandwidth: 24, Model: core.Unicast, Seed: seed}
+		res, err := core.Run(env.Apply(cfg), gossipNodes(16, 6, 3))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,8 +80,8 @@ type CellOptions struct {
 // RunCell executes one cell's differential pair exactly as
 // RunMatrixOpts would — oracle leg on the sequential scalar engine,
 // engine leg under the cell's configuration, panic/timeout guards,
-// quarantine retries with backoff, fault factory installed for the
-// engine leg only — and classifies the outcome. With a LegCache, the
+// quarantine retries with backoff, the adversary on the engine leg
+// only — and classifies the outcome. With a LegCache, the
 // oracle leg is served from the cache when possible (its wall time is
 // then recorded as 0) and stored after a successful miss. Because every
 // leg is deterministic in the cell coordinates, the resulting
@@ -89,9 +89,6 @@ type CellOptions struct {
 // timings aside — the property the scenariod chaos tests lean on.
 func RunCell(c Cell, opt CellOptions) CellResult {
 	faulty := opt.Faults.Active()
-	prev := core.DefaultParallelism()
-	defer core.SetDefaultParallelism(prev)
-
 	var o legOut
 	cached := false
 	if opt.Cache != nil {
@@ -101,36 +98,38 @@ func RunCell(c Cell, opt CellOptions) CellResult {
 		}
 	}
 	if !cached {
-		core.SetDefaultParallelism(1)
-		o = runLegRetries(c, true, faulty, opt)
+		o = runLegRetries(c, oracleLeg(faulty), opt)
 		if opt.Cache != nil && o.err == nil && o.res != nil {
 			opt.Cache.PutOracle(c, faulty, CachedLeg{Output: o.res.Output, Stats: o.res.Stats, Edges: o.edges})
 		}
 	}
 
-	if faulty {
-		prevF := core.SetDefaultFaultFactory(opt.Faults.Factory())
-		defer core.SetDefaultFaultFactory(prevF)
-	}
-	if opt.TraceDir != "" {
-		ds := obs.NewDirSink(opt.TraceDir)
-		prevS := core.SetDefaultSinkFactory(ds.Factory())
-		defer func() {
-			core.SetDefaultSinkFactory(prevS)
-			ds.Close()
-		}()
-	}
-	core.SetDefaultParallelism(c.Engine.Parallelism)
-	e := runLegRetries(c, false, faulty, opt)
+	engineLeg, closeSink := engineLegOf(opt.Faults, opt.TraceDir)
+	defer closeSink()
+	e := runLegRetries(c, engineLeg, opt)
 	return classify(c, o, e, faulty)
+}
+
+// engineLegOf is the engine side of every cell of a run, before runLeg
+// fills in the cell's configuration: the run's adversary and, with a
+// trace directory, a DirSink archiving one trace per engine run. The
+// returned func closes the archive; call it once the legs are done.
+func engineLegOf(faults fault.Spec, traceDir string) (Leg, func()) {
+	leg := Leg{Faulty: faults.Active(), Env: core.Env{Faults: faults.Factory()}}
+	if traceDir == "" {
+		return leg, func() {}
+	}
+	ds := obs.NewDirSink(traceDir)
+	leg.Env.Sink = ds.Factory()
+	return leg, func() { ds.Close() }
 }
 
 // runLegRetries is the single-cell mirror of runWave's quarantine loop:
 // infra failures (panic, timeout) retry up to opt.Retries times with
 // the capped-backoff pause; protocol errors never retry — they are
 // deterministic by the replay guarantee.
-func runLegRetries(c Cell, oracle, faulty bool, opt CellOptions) legOut {
-	out := runLegGuarded(c, oracle, faulty, opt.Timeout)
+func runLegRetries(c Cell, leg Leg, opt CellOptions) legOut {
+	out := runLegGuarded(c, leg, opt.Timeout)
 	sleep := opt.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
@@ -139,7 +138,7 @@ func runLegRetries(c Cell, oracle, faulty bool, opt CellOptions) legOut {
 		if d := Backoff(opt.RetryBackoff, opt.RetryBackoffCap, attempt, c.Seed, cellKey(c)); d > 0 {
 			sleep(d)
 		}
-		r := runLegGuarded(c, oracle, faulty, opt.Timeout)
+		r := runLegGuarded(c, leg, opt.Timeout)
 		r.attempts = attempt + 1
 		out = r
 	}

@@ -99,7 +99,7 @@ func ProtocolByName(name string) (Protocol, bool) {
 // the triangle-count path on the plain engine leg, and the 64-lane
 // bitsliced Shamir detector (one-sided error 2^-64) on batch legs.
 func runTriangle(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult, error) {
-	res, err := triangles.BroadcastDetect(g, bandwidth, seed)
+	res, err := triangles.BroadcastDetect(leg.Env, g, bandwidth, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func runTriangle(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult
 	switch {
 	case leg.Batch:
 		truth, err = matmul.DetectTrianglesBatch(g, matmul.Schoolbook, 2, 64,
-			leg.Parallelism, rand.New(rand.NewSource(seed^0x7a1a7)))
+			leg.Env.Parallelism, rand.New(rand.NewSource(seed^0x7a1a7)))
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +129,7 @@ func runTriangle(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult
 // against an exhaustive local embedding search.
 func runHDetect(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult, error) {
 	fam := turan.CycleFamily(4)
-	res, err := subgraph.DetectKnownTuran(g, fam, bandwidth, seed)
+	res, err := subgraph.DetectKnownTuran(leg.Env, g, fam, bandwidth, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func runRouting(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult,
 		maxPayload = routing.FrameBits(routePayloadBits)
 	}
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(leg.Env.Apply(cfg), func(p *core.Proc) error {
 		me := p.ID()
 		nbrs := g.Neighbors(me)
 		out := make([]routing.Msg, 0, len(nbrs))
@@ -289,7 +289,7 @@ func runCircuit(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult,
 		return nil, err
 	}
 	input := edgeBits(g)
-	run, err := circsim.EvalOnClique(c, n, bandwidth, input, nil, seed)
+	run, err := circsim.EvalOnClique(leg.Env, c, n, bandwidth, input, nil, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +344,7 @@ func runReconstruct(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegRes
 	if k < 1 {
 		k = 1
 	}
-	res, err := subgraph.Reconstruct(g, k, bandwidth, seed)
+	res, err := subgraph.Reconstruct(leg.Env, g, k, bandwidth, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func legKernel(sr semiring.Semiring, leg Leg) semiring.LocalMul {
 // blocked (batch leg) kernel.
 func runAPSP(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult, error) {
 	wg := graph.WeightedFromSeed(g, seed, weightMax)
-	res, err := semiring.APSP(wg, semiring.Naive, bandwidth, seed, legKernel(semiring.MinPlus, leg))
+	res, err := semiring.APSP(leg.Env, wg, semiring.Naive, bandwidth, seed, legKernel(semiring.MinPlus, leg))
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ const khopK = 3
 // distance products through the leg's kernel.
 func runKHop(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult, error) {
 	wg := graph.WeightedFromSeed(g, seed, weightMax)
-	res, err := semiring.KHopDistances(wg, khopK, semiring.Cube, bandwidth, seed, legKernel(semiring.MinPlus, leg))
+	res, err := semiring.KHopDistances(leg.Env, wg, khopK, semiring.Cube, bandwidth, seed, legKernel(semiring.MinPlus, leg))
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +105,7 @@ func runMatrixPower(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegRes
 	if leg.Oracle {
 		kern = semiring.NaiveKernel
 	}
-	res, err := semiring.MatrixPowerCounts(g, semiring.Naive, bandwidth, seed, kern)
+	res, err := semiring.MatrixPowerCounts(leg.Env, g, semiring.Naive, bandwidth, seed, kern)
 	if err != nil {
 		return nil, err
 	}

@@ -80,7 +80,7 @@ func checkCC(name string, g *graph.Graph, res *sketch.CCResult, leg Leg) error {
 // stack aggregation) and checks the labeling against the leg's local
 // reference engine.
 func runConnectivity(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult, error) {
-	res, err := sketch.ConnectedComponents(g, sketchAgg(sketch.DirectAgg, sketch.DirectFramedAgg, leg), bandwidth, seed)
+	res, err := sketch.ConnectedComponents(leg.Env, g, sketchAgg(sketch.DirectAgg, sketch.DirectFramedAgg, leg), bandwidth, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ func runConnectivity(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegRe
 // component sketches concentrate at leaders through the router) and
 // validates the spanning-forest certificates strictly.
 func runSpanForest(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult, error) {
-	res, err := sketch.SpanningForest(g, sketchAgg(sketch.LenzenAgg, sketch.LenzenFramedAgg, leg), bandwidth, seed)
+	res, err := sketch.SpanningForest(leg.Env, g, sketchAgg(sketch.LenzenAgg, sketch.LenzenFramedAgg, leg), bandwidth, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +125,7 @@ func runSpanForest(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResu
 // non-sketch Borůvka on engine legs.
 func runSketchMST(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult, error) {
 	wg := graph.WeightedFromSeed(g, seed, mstWeightMax)
-	res, err := sketch.MST(wg, mstWeightMax, sketchAgg(sketch.LenzenAgg, sketch.LenzenFramedAgg, leg), bandwidth, seed)
+	res, err := sketch.MST(leg.Env, wg, mstWeightMax, sketchAgg(sketch.LenzenAgg, sketch.LenzenFramedAgg, leg), bandwidth, seed)
 	if err != nil {
 		return nil, err
 	}

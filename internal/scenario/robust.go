@@ -2,12 +2,10 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/obs"
 )
 
 // RunOptions extends the matrix run with the resilience knobs of the
@@ -37,9 +35,9 @@ type RunOptions struct {
 	Sleep func(time.Duration)
 	// Faults is the adversary. When active, every cell runs with
 	// Leg.Faulty set on both legs (hardened protocol variants,
-	// fault-stable outputs) and the plan is installed as the core
-	// package's default fault factory for the engine-leg passes only;
-	// the oracle legs stay clean and define the expected outputs.
+	// fault-stable outputs) and the plan's factory goes into the engine
+	// legs' Env only; the oracle legs stay clean and define the
+	// expected outputs.
 	Faults fault.Spec
 	// Ledger is the path of an append-only JSONL run ledger. When set,
 	// completed cells are recorded as each engine pass finishes, and a
@@ -65,13 +63,7 @@ type RunOptions struct {
 // different run).
 func RunMatrixOpts(m *Matrix, opt RunOptions) (*Report, error) {
 	cells := m.Expand()
-	// Shard resolution deliberately bypasses core.ResolveParallelism: the
-	// package default is the *engine* parallelism knob (a -parallelism 1
-	// oracle run must not collapse the cell pool to one shard).
-	shards := opt.Shards
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
+	shards := core.ResolveParallelism(opt.Shards)
 	faulty := opt.Faults.Active()
 
 	led, prior, err := openLedger(opt.Ledger, m, opt)
@@ -92,35 +84,20 @@ func RunMatrixOpts(m *Matrix, opt RunOptions) (*Report, error) {
 		}
 	}
 
-	prev := core.DefaultParallelism()
-	defer core.SetDefaultParallelism(prev)
-
 	wallStart := time.Now()
 	oracle := make([]legOut, len(cells))
 	engine := make([]legOut, len(cells))
 
 	// Pass 1: the sequential scalar oracle leg of every pending cell,
 	// always on a clean channel.
-	core.SetDefaultParallelism(1)
-	runWave(shards, pending, opt, cells, true, faulty, oracle)
+	runWave(shards, pending, opt, cells, oracleLeg(faulty), oracle)
 
-	// Pass 2..k: engine legs grouped by configuration (the parallelism
-	// default must not flip mid-pass), with the adversary installed for
-	// exactly these passes when the run is faulted. Each configuration's
-	// cells are classified — and ledgered — as its pass completes, so an
+	// Pass 2..k: engine legs, one pass per configuration, carrying the
+	// adversary when the run is faulted. Each configuration's cells are
+	// classified — and ledgered — as its pass completes, so an
 	// interrupted run resumes at engine-pass granularity.
-	if faulty {
-		prevF := core.SetDefaultFaultFactory(opt.Faults.Factory())
-		defer core.SetDefaultFaultFactory(prevF)
-	}
-	if opt.TraceDir != "" {
-		ds := obs.NewDirSink(opt.TraceDir)
-		prevS := core.SetDefaultSinkFactory(ds.Factory())
-		defer func() {
-			core.SetDefaultSinkFactory(prevS)
-			ds.Close()
-		}()
-	}
+	engineLeg, closeSink := engineLegOf(opt.Faults, opt.TraceDir)
+	defer closeSink()
 	for _, eng := range m.Engines {
 		idx := make([]int, 0, len(pending))
 		for _, i := range pending {
@@ -128,8 +105,7 @@ func RunMatrixOpts(m *Matrix, opt RunOptions) (*Report, error) {
 				idx = append(idx, i)
 			}
 		}
-		core.SetDefaultParallelism(eng.Parallelism)
-		runWave(shards, idx, opt, cells, false, faulty, engine)
+		runWave(shards, idx, opt, cells, engineLeg, engine)
 		for _, i := range idx {
 			results[i] = classify(cells[i], oracle[i], engine[i], faulty)
 			if led != nil {
@@ -162,12 +138,12 @@ func RunMatrixOpts(m *Matrix, opt RunOptions) (*Report, error) {
 // neighbors down with it. Protocol-level errors are never retried: they
 // are deterministic by the replay guarantee and belong to the outcome
 // classification, not the retry loop.
-func runWave(shards int, idx []int, opt RunOptions, cells []Cell, oracleLeg, faulty bool, out []legOut) {
+func runWave(shards int, idx []int, opt RunOptions, cells []Cell, leg Leg, out []legOut) {
 	if len(idx) == 0 {
 		return
 	}
 	core.ParallelFor(shards, len(idx), func(k int) {
-		out[idx[k]] = runLegGuarded(cells[idx[k]], oracleLeg, faulty, opt.Timeout)
+		out[idx[k]] = runLegGuarded(cells[idx[k]], leg, opt.Timeout)
 	})
 	sleep := opt.Sleep
 	if sleep == nil {
@@ -181,7 +157,7 @@ func runWave(shards int, idx []int, opt RunOptions, cells []Cell, oracleLeg, fau
 			if d := Backoff(opt.RetryBackoff, opt.RetryBackoffCap, attempt, cells[i].Seed, cellKey(cells[i])); d > 0 {
 				sleep(d)
 			}
-			r := runLegGuarded(cells[i], oracleLeg, faulty, opt.Timeout)
+			r := runLegGuarded(cells[i], leg, opt.Timeout)
 			r.attempts = attempt + 1
 			out[i] = r
 		}
@@ -198,7 +174,7 @@ func runWave(shards int, idx []int, opt RunOptions, cells []Cell, oracleLeg, fau
 // its result is ready when the deadline is observed: select picks at
 // random between ready cases, so without that check an overrun leg would
 // pass or fail by chance.
-func runLegGuarded(c Cell, oracle, faulty bool, timeout time.Duration) legOut {
+func runLegGuarded(c Cell, leg Leg, timeout time.Duration) legOut {
 	timedOut := func() legOut {
 		return legOut{err: fmt.Errorf("leg timed out after %v", timeout), infra: true, attempts: 1}
 	}
@@ -210,7 +186,7 @@ func runLegGuarded(c Cell, oracle, faulty bool, timeout time.Duration) legOut {
 				ch <- legOut{err: fmt.Errorf("leg panic: %v", r), infra: true, attempts: 1}
 			}
 		}()
-		out := runLeg(c, oracle, faulty)
+		out := runLeg(c, leg)
 		out.attempts = 1
 		if timeout > 0 && time.Since(start) > timeout {
 			out = timedOut()

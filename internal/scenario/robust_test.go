@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -112,6 +114,62 @@ func TestFaultSweepDeterministicAcrossShards(t *testing.T) {
 		cb.OracleNs, cb.EngineNs = 0, 0
 		if ca != cb {
 			t.Fatalf("cell %d differs across shard counts:\n  1 shard:  %+v\n  4 shards: %+v", i, ca, cb)
+		}
+	}
+}
+
+// TestConcurrentRunsMatchSerial runs a clean and a faulted matrix at
+// the same time in one process and requires each canonical report to
+// equal the same run done alone, byte for byte. A run's engine settings
+// (worker count, adversary, trace sink) travel in its legs' core.Env,
+// so neither run can pick up the other's.
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	spec, err := fault.ParseSpec("drop=0.05,corrupt=0.02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []RunOptions{{Shards: 2}, {Shards: 2, Faults: spec}}
+	canonical := func(opt RunOptions) ([]byte, error) {
+		m := DefaultMatrix(true, 7)
+		m.Sizes = []int{16}
+		if err := m.FilterFamilies("gnp,components"); err != nil {
+			return nil, err
+		}
+		if err := m.FilterProtocols("connectivity,routing,apsp"); err != nil {
+			return nil, err
+		}
+		rep, err := RunMatrixOpts(m, opt)
+		if err != nil {
+			return nil, err
+		}
+		rep.Canonicalize()
+		return json.Marshal(rep)
+	}
+
+	serial := make([][]byte, len(opts))
+	for i, opt := range opts {
+		if serial[i], err = canonical(opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	concurrent := make([][]byte, len(opts))
+	errs := make([]error, len(opts))
+	var wg sync.WaitGroup
+	for i, opt := range opts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i], errs[i] = canonical(opt)
+		}()
+	}
+	wg.Wait()
+	for i, opt := range opts {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(serial[i], concurrent[i]) {
+			t.Errorf("run with faults %q: report differs when run next to the other run:\n  serial:     %s\n  concurrent: %s",
+				opt.Faults, serial[i], concurrent[i])
 		}
 	}
 }

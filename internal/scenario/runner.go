@@ -104,18 +104,22 @@ type legOut struct {
 	attempts int
 }
 
-// runLeg regenerates the cell's instance and executes one leg.
+// oracleLeg is the oracle side of every cell: the sequential scalar
+// engine on a clean channel.
+func oracleLeg(faulty bool) Leg {
+	return Leg{Oracle: true, Faulty: faulty, Env: core.Env{Parallelism: 1}}
+}
+
+// runLeg regenerates the cell's instance and executes one leg; an engine
+// leg takes its worker count and batch mode from the cell.
 // Regenerating per leg (rather than sharing one graph) puts family
 // generation itself under differential test and keeps legs fully
 // independent.
-func runLeg(c Cell, oracle, faulty bool) legOut {
+func runLeg(c Cell, leg Leg) legOut {
 	g := c.Family.Gen(c.N, c.Seed)
-	leg := Leg{Oracle: oracle, Faulty: faulty}
-	if !oracle {
+	if !leg.Oracle {
 		leg.Batch = c.Engine.Batch
-		leg.Parallelism = core.ResolveParallelism(c.Engine.Parallelism)
-	} else {
-		leg.Parallelism = 1
+		leg.Env.Parallelism = core.ResolveParallelism(c.Engine.Parallelism)
 	}
 	start := time.Now()
 	res, err := c.Protocol.Run(g, c.Engine.Bandwidth, c.Seed+1, leg)

@@ -56,13 +56,17 @@ type EngineConfig struct {
 // hardened protocol variant and emit a fault-stable output — one that is
 // invariant under recovery detours (extra Borůvka phases, alternative
 // but equally valid certificates) — while the adversary itself is only
-// installed for the engine leg. The oracle leg therefore runs the same
+// in the engine leg's Env. The oracle leg therefore runs the same
 // hardened variant on a clean channel and defines the expected output.
 type Leg struct {
-	Oracle      bool
-	Parallelism int // resolved worker count for local batch evaluation
-	Batch       bool
-	Faulty      bool
+	Oracle bool
+	Batch  bool
+	Faulty bool
+	// Env is the engine environment the adapter hands every protocol
+	// run: one worker on a clean channel for the oracle leg; for the
+	// engine leg, the cell's resolved worker count (also the width of
+	// local batch evaluation), the run's adversary and its trace sink.
+	Env core.Env
 }
 
 // LegResult is one execution of a cell: a canonical, printable digest of

@@ -85,19 +85,6 @@ func TestShardingDoesNotChangeResults(t *testing.T) {
 	}
 }
 
-func TestRunMatrixRestoresParallelismDefault(t *testing.T) {
-	prev := core.DefaultParallelism()
-	defer core.SetDefaultParallelism(prev)
-	core.SetDefaultParallelism(3)
-	m := testMatrix(t)
-	m.Protocols = m.Protocols[:1]
-	m.Families = m.Families[:1]
-	RunMatrix(m, 2)
-	if got := core.DefaultParallelism(); got != 3 {
-		t.Fatalf("default parallelism left at %d, want 3 restored", got)
-	}
-}
-
 func TestRunnerFlagsOutputDivergence(t *testing.T) {
 	m := testMatrix(t)
 	m.Families = m.Families[:1]

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -55,7 +56,7 @@ func BenchmarkMMNaive27(b *testing.B) {
 	x, y := benchPair(b, MinPlus, 27)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunMM(MinPlus, x, y, Naive, 64, 1, nil); err != nil {
+		if _, err := RunMM(core.Env{}, MinPlus, x, y, Naive, 64, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +66,7 @@ func BenchmarkMMCube27(b *testing.B) {
 	x, y := benchPair(b, MinPlus, 27)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunMM(MinPlus, x, y, Cube, 64, 1, nil); err != nil {
+		if _, err := RunMM(core.Env{}, MinPlus, x, y, Cube, 64, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -75,7 +76,7 @@ func BenchmarkAPSPNaive24(b *testing.B) {
 	wg := graph.WeightedGnp(24, 0.25, 100, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := APSP(wg, Naive, 64, 1, nil); err != nil {
+		if _, err := APSP(core.Env{}, wg, Naive, 64, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -62,7 +62,7 @@ type MMResult struct {
 // player i initially holds row i of A and row i of B and finishes holding
 // row i of the product, which the runtime reassembles for the caller. mul
 // selects the local block kernel (nil = sr.MulLocal).
-func RunMM(sr Semiring, a, b *Matrix, proto Protocol, bandwidth int, seed int64, mul LocalMul) (*MMResult, error) {
+func RunMM(env core.Env, sr Semiring, a, b *Matrix, proto Protocol, bandwidth int, seed int64, mul LocalMul) (*MMResult, error) {
 	n := a.Rows()
 	if a.Cols() != n || b.Rows() != n || b.Cols() != n {
 		return nil, fmt.Errorf("semiring: RunMM needs square n×n operands, got %dx%d · %dx%d",
@@ -73,7 +73,7 @@ func RunMM(sr Semiring, a, b *Matrix, proto Protocol, bandwidth int, seed int64,
 	}
 	rt := routing.NewRouter(n)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		row, err := MulRow(p, rt, sr, proto, a.Row(p.ID()), b.Row(p.ID()), mul)
 		if err != nil {
 			return err

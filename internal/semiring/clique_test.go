@@ -19,7 +19,7 @@ func TestRunMMMatchesLocal(t *testing.T) {
 			b := ringRandom(sr, n, n, rng)
 			want := NaiveMul(sr, a, b)
 			for _, proto := range []Protocol{Naive, Cube} {
-				res, err := RunMM(sr, a, b, proto, 32, 17, nil)
+				res, err := RunMM(core.Env{}, sr, a, b, proto, 32, 17, nil)
 				if err != nil {
 					t.Fatalf("%s/%s n=%d: %v", sr.Name(), proto, n, err)
 				}
@@ -43,11 +43,11 @@ func TestRunMMKernelChoiceInvariant(t *testing.T) {
 		a := ringRandom(sr, 18, 18, rng)
 		b := ringRandom(sr, 18, 18, rng)
 		for _, proto := range []Protocol{Naive, Cube} {
-			naive, err := RunMM(sr, a, b, proto, 48, 5, NaiveKernel(sr))
+			naive, err := RunMM(core.Env{}, sr, a, b, proto, 48, 5, NaiveKernel(sr))
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := RunMM(sr, a, b, proto, 48, 5, Kernel(sr))
+			fast, err := RunMM(core.Env{}, sr, a, b, proto, 48, 5, Kernel(sr))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,16 +68,12 @@ func TestRunMMParallelismOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := ringRandom(MinPlus, 16, 16, rng)
 	b := ringRandom(MinPlus, 16, 16, rng)
-	prev := core.DefaultParallelism()
-	defer core.SetDefaultParallelism(prev)
 	for _, proto := range []Protocol{Naive, Cube} {
-		core.SetDefaultParallelism(1)
-		seq, err := RunMM(MinPlus, a, b, proto, 32, 3, nil)
+		seq, err := RunMM(core.Env{Parallelism: 1}, MinPlus, a, b, proto, 32, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		core.SetDefaultParallelism(4)
-		par, err := RunMM(MinPlus, a, b, proto, 32, 3, nil)
+		par, err := RunMM(core.Env{Parallelism: 4}, MinPlus, a, b, proto, 32, 3, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,11 +95,11 @@ func TestCubeBeatsNaiveBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := ringRandom(MinPlus, 27, 27, rng)
 	b := ringRandom(MinPlus, 27, 27, rng)
-	nv, err := RunMM(MinPlus, a, b, Naive, 64, 1, nil)
+	nv, err := RunMM(core.Env{}, MinPlus, a, b, Naive, 64, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := RunMM(MinPlus, a, b, Cube, 64, 1, nil)
+	cb, err := RunMM(core.Env{}, MinPlus, a, b, Cube, 64, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +147,13 @@ func TestCubeGeom(t *testing.T) {
 }
 
 func TestRunMMRejectsBadShapes(t *testing.T) {
-	if _, err := RunMM(Boolean, NewMatrix(3, 4, 0), NewMatrix(4, 4, 0), Naive, 8, 1, nil); err == nil {
+	if _, err := RunMM(core.Env{}, Boolean, NewMatrix(3, 4, 0), NewMatrix(4, 4, 0), Naive, 8, 1, nil); err == nil {
 		t.Fatal("non-square A accepted")
 	}
-	if _, err := RunMM(Boolean, NewMatrix(4, 4, 0), NewMatrix(3, 3, 0), Naive, 8, 1, nil); err == nil {
+	if _, err := RunMM(core.Env{}, Boolean, NewMatrix(4, 4, 0), NewMatrix(3, 3, 0), Naive, 8, 1, nil); err == nil {
 		t.Fatal("mismatched B accepted")
 	}
-	if _, err := RunMM(Boolean, NewMatrix(4, 4, 0), NewMatrix(4, 4, 0), Protocol(99), 8, 1, nil); err == nil {
+	if _, err := RunMM(core.Env{}, Boolean, NewMatrix(4, 4, 0), NewMatrix(4, 4, 0), Protocol(99), 8, 1, nil); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
 }

@@ -23,12 +23,12 @@ func Squarings(n int) int {
 // bandwidth) by repeated min-plus squaring of the weight matrix — one
 // accounted clique run of Squarings(n) distributed products over the
 // chosen protocol. Unreachable pairs come back as Inf.
-func APSP(wg *graph.Weighted, proto Protocol, bandwidth int, seed int64, mul LocalMul) (*MMResult, error) {
+func APSP(env core.Env, wg *graph.Weighted, proto Protocol, bandwidth int, seed int64, mul LocalMul) (*MMResult, error) {
 	n := wg.N()
 	d := DistanceMatrix(wg)
 	rt := routing.NewRouter(n)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		row := append([]uint32(nil), d.Row(p.ID())...)
 		for span := 1; span < n-1; span *= 2 {
 			next, err := MulRow(p, rt, MinPlus, proto, row, row, mul)
@@ -50,7 +50,7 @@ func APSP(wg *graph.Weighted, proto Protocol, bandwidth int, seed int64, mul Loc
 // clique: entry (u,v) is the weight of the cheapest u→v path using at
 // most k edges (Inf if none). k-1 distributed min-plus products of the
 // running distance matrix with W, all in one accounted run.
-func KHopDistances(wg *graph.Weighted, k int, proto Protocol, bandwidth int, seed int64, mul LocalMul) (*MMResult, error) {
+func KHopDistances(env core.Env, wg *graph.Weighted, k int, proto Protocol, bandwidth int, seed int64, mul LocalMul) (*MMResult, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("semiring: k-hop distance product needs k >= 1, got %d", k)
 	}
@@ -58,7 +58,7 @@ func KHopDistances(wg *graph.Weighted, k int, proto Protocol, bandwidth int, see
 	d := DistanceMatrix(wg)
 	rt := routing.NewRouter(n)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		wrow := d.Row(p.ID())
 		row := append([]uint32(nil), wrow...)
 		for t := 1; t < k; t++ {
@@ -97,7 +97,7 @@ type PowerResult struct {
 // common neighbors close a 4-cycle). The workload multiplies over two
 // rings, so it takes a kernel selector rather than one LocalMul (nil =
 // each ring's fast kernel; pass NaiveKernel for the oracle leg).
-func MatrixPowerCounts(g *graph.Graph, proto Protocol, bandwidth int, seed int64, kern func(Semiring) LocalMul) (*PowerResult, error) {
+func MatrixPowerCounts(env core.Env, g *graph.Graph, proto Protocol, bandwidth int, seed int64, kern func(Semiring) LocalMul) (*PowerResult, error) {
 	if kern == nil {
 		kern = Kernel
 	}
@@ -106,7 +106,7 @@ func MatrixPowerCounts(g *graph.Graph, proto Protocol, bandwidth int, seed int64
 	rt := routing.NewRouter(n)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
 	type rows struct{ b2, b3, c2 []uint32 }
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		arow := adj.Row(p.ID())
 		b2, err := MulRow(p, rt, Boolean, proto, arow, arow, kern(Boolean))
 		if err != nil {

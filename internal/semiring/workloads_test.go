@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -27,7 +28,7 @@ func TestAPSPMatchesFloydWarshall(t *testing.T) {
 	} {
 		wg := graph.WeightedGnp(tc.n, tc.p, 100, int64(tc.n)*7+1)
 		want := FloydWarshall(wg)
-		res, err := APSP(wg, tc.proto, 32, 3, nil)
+		res, err := APSP(core.Env{}, wg, tc.proto, 32, 3, nil)
 		if err != nil {
 			t.Fatalf("n=%d %s: %v", tc.n, tc.proto, err)
 		}
@@ -41,7 +42,7 @@ func TestAPSPDisconnected(t *testing.T) {
 	// Two components: distances across must be Inf, within must be exact.
 	g := graph.DisjointUnion(graph.Cycle(5), graph.Path(4))
 	wg := graph.WeightedFromSeed(g, 13, 9)
-	res, err := APSP(wg, Naive, 16, 1, nil)
+	res, err := APSP(core.Env{}, wg, Naive, 16, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestKHopMatchesBellmanFord(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 5} {
 		want := BellmanFordK(wg, k)
 		for _, proto := range []Protocol{Naive, Cube} {
-			res, err := KHopDistances(wg, k, proto, 32, 2, nil)
+			res, err := KHopDistances(core.Env{}, wg, k, proto, 32, 2, nil)
 			if err != nil {
 				t.Fatalf("k=%d %s: %v", k, proto, err)
 			}
@@ -67,7 +68,7 @@ func TestKHopMatchesBellmanFord(t *testing.T) {
 			}
 		}
 	}
-	if _, err := KHopDistances(wg, 0, Naive, 32, 2, nil); err == nil {
+	if _, err := KHopDistances(core.Env{}, wg, 0, Naive, 32, 2, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -107,7 +108,7 @@ func TestMatrixPowerCounts(t *testing.T) {
 		{"triangle-only", graph.Complete(3), Naive}, // triangle, no C4
 		{"k6", graph.Complete(6), Cube},
 	} {
-		res, err := MatrixPowerCounts(tc.g, tc.proto, 32, 7, nil)
+		res, err := MatrixPowerCounts(core.Env{}, tc.g, tc.proto, 32, 7, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

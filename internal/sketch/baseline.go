@@ -17,14 +17,14 @@ import (
 // incidence, so the raw rows cross the wire again each phase. Per phase
 // it moves n·(n-1)·n bits where the sketch ladder moves O(n · polylog n);
 // E16 measures the rounds·bits gap.
-func BroadcastBoruvka(g *graph.Graph, bandwidth int, seed int64) (*CCResult, error) {
+func BroadcastBoruvka(env core.Env, g *graph.Graph, bandwidth int, seed int64) (*CCResult, error) {
 	n := g.N()
 	if n < 2 {
 		return trivialCC(n), nil
 	}
 	rounds := core.ChunkRounds(n, bandwidth)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		me := p.ID()
 		comp := make([]int, n)
 		for v := range comp {

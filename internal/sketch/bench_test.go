@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -45,7 +46,7 @@ func BenchmarkConnectivity64(b *testing.B) {
 	g := graph.ComponentsGnp(64, 3, 0.125, rand.New(rand.NewSource(64)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ConnectedComponents(g, LenzenAgg, 32, 65); err != nil {
+		if _, err := ConnectedComponents(core.Env{}, g, LenzenAgg, 32, 65); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,7 +57,7 @@ func BenchmarkBroadcastBoruvka64(b *testing.B) {
 	g := graph.ComponentsGnp(64, 3, 0.125, rand.New(rand.NewSource(64)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BroadcastBoruvka(g, 32, 66); err != nil {
+		if _, err := BroadcastBoruvka(core.Env{}, g, 32, 66); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -121,8 +121,8 @@ type CCResult struct {
 // from the XOR-merged sketches of their members, and merged components
 // concentrate their remaining sketch copies at the new leader. O(log n)
 // phases; per-phase cost is the sketch-stack size, not the degree.
-func ConnectedComponents(g *graph.Graph, agg Aggregation, bandwidth int, seed int64) (*CCResult, error) {
-	return runBoruvka(g, nil, 1, agg, bandwidth, seed)
+func ConnectedComponents(env core.Env, g *graph.Graph, agg Aggregation, bandwidth int, seed int64) (*CCResult, error) {
+	return runBoruvka(env, g, nil, 1, agg, bandwidth, seed)
 }
 
 // SpanningForest runs ConnectedComponents and validates the edge
@@ -130,8 +130,8 @@ func ConnectedComponents(g *graph.Graph, agg Aggregation, bandwidth int, seed in
 // forest must be acyclic, and it must span exactly the components of the
 // labeling. The Lenzen-routed aggregation is the natural fit here — the
 // certificates ride the same merged-sketch concentration.
-func SpanningForest(g *graph.Graph, agg Aggregation, bandwidth int, seed int64) (*CCResult, error) {
-	res, err := runBoruvka(g, nil, 1, agg, bandwidth, seed)
+func SpanningForest(env core.Env, g *graph.Graph, agg Aggregation, bandwidth int, seed int64) (*CCResult, error) {
+	res, err := runBoruvka(env, g, nil, 1, agg, bandwidth, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +147,7 @@ func SpanningForest(g *graph.Graph, agg Aggregation, bandwidth int, seed int64) 
 // classes in increasing order — a component only proposes a class-c edge
 // once no class-<c edge leaves any component, which is exactly Kruskal's
 // invariant, so the forest's total weight equals the MST weight.
-func MST(wg *graph.Weighted, maxClass uint32, agg Aggregation, bandwidth int, seed int64) (*CCResult, error) {
+func MST(env core.Env, wg *graph.Weighted, maxClass uint32, agg Aggregation, bandwidth int, seed int64) (*CCResult, error) {
 	if maxClass < 1 {
 		return nil, fmt.Errorf("sketch: MST needs maxClass >= 1, got %d", maxClass)
 	}
@@ -157,7 +157,7 @@ func MST(wg *graph.Weighted, maxClass uint32, agg Aggregation, bandwidth int, se
 		}
 	}
 	classOf := func(me, v int) int { return int(wg.Weight(me, v)) - 1 }
-	res, err := runBoruvka(wg.Graph, classOf, int(maxClass), agg, bandwidth, seed)
+	res, err := runBoruvka(env, wg.Graph, classOf, int(maxClass), agg, bandwidth, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +215,7 @@ type ccFull struct {
 // runBoruvka is the shared protocol body. classOf(me, v) maps an
 // incident edge {me, v} to its weight class in [0, classes); nil means
 // single-class (plain connectivity).
-func runBoruvka(g *graph.Graph, classOf func(me, v int) int, classes int, agg Aggregation, bandwidth int, seed int64) (*CCResult, error) {
+func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, classes int, agg Aggregation, bandwidth int, seed int64) (*CCResult, error) {
 	n := g.N()
 	if n < 2 {
 		return trivialCC(n), nil
@@ -231,7 +231,7 @@ func runBoruvka(g *graph.Graph, classOf func(me, v int) int, classes int, agg Ag
 
 	rt := routing.NewRouter(n)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		me := p.ID()
 
 		// Per-class incidence stacks of this node's own edges. Stack

@@ -10,14 +10,10 @@ import (
 	"repro/internal/graph"
 )
 
-// withFaults installs spec as the package-default fault source for the
-// duration of fn — exactly how the scenario harness injects the
-// adversary into protocols that build their own core.Config.
-func withFaults(t *testing.T, spec fault.Spec, fn func()) {
-	t.Helper()
-	prev := core.SetDefaultFaultFactory(spec.Factory())
-	defer core.SetDefaultFaultFactory(prev)
-	fn()
+// withFaults is the engine environment carrying spec's adversary —
+// exactly how the scenario harness hands it to an engine leg.
+func withFaults(spec fault.Spec) core.Env {
+	return core.Env{Faults: spec.Factory()}
 }
 
 // TestFramedAggMatchesUnframedCleanChannel: on a lossless channel the
@@ -30,11 +26,11 @@ func TestFramedAggMatchesUnframedCleanChannel(t *testing.T) {
 		{DirectAgg, DirectFramedAgg},
 		{LenzenAgg, LenzenFramedAgg},
 	} {
-		plain, err := ConnectedComponents(g, pair[0], 64, 7)
+		plain, err := ConnectedComponents(core.Env{}, g, pair[0], 64, 7)
 		if err != nil {
 			t.Fatalf("%v: %v", pair[0], err)
 		}
-		framed, err := ConnectedComponents(g, pair[1], 64, 7)
+		framed, err := ConnectedComponents(core.Env{}, g, pair[1], 64, 7)
 		if err != nil {
 			t.Fatalf("%v: %v", pair[1], err)
 		}
@@ -59,7 +55,7 @@ func TestFramedAggMatchesUnframedCleanChannel(t *testing.T) {
 func TestFramedAggSurvivesFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	g := graph.ComponentsGnp(18, 2, 0.35, rng)
-	want, err := ConnectedComponents(g, DirectFramedAgg, 64, 5)
+	want, err := ConnectedComponents(core.Env{}, g, DirectFramedAgg, 64, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,19 +71,17 @@ func TestFramedAggSurvivesFaults(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			recovered, detected := 0, 0
-			withFaults(t, tc.spec, func() {
-				for seed := int64(0); seed < 12; seed++ {
-					res, err := ConnectedComponents(g, tc.agg, 64, seed)
-					if err != nil {
-						detected++
-						continue
-					}
-					if !reflect.DeepEqual(res.Leader, want.Leader) {
-						t.Fatalf("seed %d: SILENT divergence: wrong labeling accepted", seed)
-					}
-					recovered++
+			for seed := int64(0); seed < 12; seed++ {
+				res, err := ConnectedComponents(withFaults(tc.spec), g, tc.agg, 64, seed)
+				if err != nil {
+					detected++
+					continue
 				}
-			})
+				if !reflect.DeepEqual(res.Leader, want.Leader) {
+					t.Fatalf("seed %d: SILENT divergence: wrong labeling accepted", seed)
+				}
+				recovered++
+			}
 			t.Logf("%s: %d recovered, %d detected", tc.name, recovered, detected)
 			if recovered < 8 {
 				t.Errorf("only %d/12 seeds recovered at %v — slack copies not absorbing losses", recovered, tc.spec)
@@ -103,21 +97,19 @@ func TestFramedAggSurvivesFaults(t *testing.T) {
 func TestFramedAggStallsOnPoison(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.Gnp(14, 0.3, rng)
-	want, err := ConnectedComponents(g, DirectFramedAgg, 48, 5)
+	want, err := ConnectedComponents(core.Env{}, g, DirectFramedAgg, 48, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withFaults(t, fault.Spec{Drop: 0.10}, func() {
-		for seed := int64(0); seed < 10; seed++ {
-			res, err := ConnectedComponents(g, DirectFramedAgg, 48, seed)
-			if err != nil {
-				continue // detected: acceptable under heavy loss
-			}
-			if !reflect.DeepEqual(res.Leader, want.Leader) {
-				t.Fatalf("seed %d: silent divergence at drop=0.10", seed)
-			}
+	for seed := int64(0); seed < 10; seed++ {
+		res, err := ConnectedComponents(withFaults(fault.Spec{Drop: 0.10}), g, DirectFramedAgg, 48, seed)
+		if err != nil {
+			continue // detected: acceptable under heavy loss
 		}
-	})
+		if !reflect.DeepEqual(res.Leader, want.Leader) {
+			t.Fatalf("seed %d: silent divergence at drop=0.10", seed)
+		}
+	}
 }
 
 // TestFramedAggDeterministicUnderFaults: a faulted framed run replays
@@ -127,17 +119,12 @@ func TestFramedAggDeterministicUnderFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	g := graph.ComponentsGnp(16, 2, 0.3, rng)
 	run := func(par int) (*CCResult, error) {
-		prev := core.DefaultParallelism()
-		core.SetDefaultParallelism(par)
-		defer core.SetDefaultParallelism(prev)
-		return ConnectedComponents(g, LenzenFramedAgg, 64, 3)
+		env := withFaults(fault.Spec{Drop: 0.02, Corrupt: 0.02})
+		env.Parallelism = par
+		return ConnectedComponents(env, g, LenzenFramedAgg, 64, 3)
 	}
-	var seqRes, parRes *CCResult
-	var seqErr, parErr error
-	withFaults(t, fault.Spec{Drop: 0.02, Corrupt: 0.02}, func() {
-		seqRes, seqErr = run(1)
-		parRes, parErr = run(4)
-	})
+	seqRes, seqErr := run(1)
+	parRes, parErr := run(4)
 	if (seqErr == nil) != (parErr == nil) {
 		t.Fatalf("outcome differs across parallelism: seq=%v par=%v", seqErr, parErr)
 	}
@@ -174,19 +161,17 @@ func TestFramedMSTUnderFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := graph.Gnp(14, 0.35, rng)
 	wg := graph.WeightedFromSeed(g, 77, 4)
-	want, err := MST(wg, 4, DirectFramedAgg, 64, 5)
+	want, err := MST(core.Env{}, wg, 4, DirectFramedAgg, 64, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withFaults(t, fault.Spec{Drop: 0.01}, func() {
-		for seed := int64(0); seed < 8; seed++ {
-			res, err := MST(wg, 4, DirectFramedAgg, 64, seed)
-			if err != nil {
-				continue
-			}
-			if res.TotalWeight != want.TotalWeight {
-				t.Fatalf("seed %d: silent MST weight divergence: %d vs %d", seed, res.TotalWeight, want.TotalWeight)
-			}
+	for seed := int64(0); seed < 8; seed++ {
+		res, err := MST(withFaults(fault.Spec{Drop: 0.01}), wg, 4, DirectFramedAgg, 64, seed)
+		if err != nil {
+			continue
 		}
-	})
+		if res.TotalWeight != want.TotalWeight {
+			t.Fatalf("seed %d: silent MST weight divergence: %d vs %d", seed, res.TotalWeight, want.TotalWeight)
+		}
+	}
 }

@@ -40,7 +40,7 @@ func sameLabels(a, b []int) bool {
 func TestConnectedComponentsMatchesReferences(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		for _, agg := range []Aggregation{DirectAgg, LenzenAgg} {
-			res, err := ConnectedComponents(g, agg, 32, 5)
+			res, err := ConnectedComponents(core.Env{}, g, agg, 32, 5)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, agg, err)
 			}
@@ -68,7 +68,7 @@ func TestConnectedComponentsMatchesReferences(t *testing.T) {
 func TestSpanningForestCertificates(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g := graph.ComponentsGnp(24, 3, 0.35, rng)
-	res, err := SpanningForest(g, LenzenAgg, 32, 9)
+	res, err := SpanningForest(core.Env{}, g, LenzenAgg, 32, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestMSTMatchesKruskal(t *testing.T) {
 		g := graph.Gnp(14+trial*3, 0.3, rng)
 		wg := graph.WeightedFromSeed(g, int64(100+trial), maxW)
 		for _, agg := range []Aggregation{DirectAgg, LenzenAgg} {
-			res, err := MST(wg, maxW, agg, 32, int64(7+trial))
+			res, err := MST(core.Env{}, wg, maxW, agg, 32, int64(7+trial))
 			if err != nil {
 				t.Fatalf("trial %d/%v: %v", trial, agg, err)
 			}
@@ -117,14 +117,14 @@ func TestMSTMatchesKruskal(t *testing.T) {
 func TestMSTRejectsOutOfRangeWeights(t *testing.T) {
 	g := graph.Path(4)
 	wg := graph.WeightedFromSeed(g, 1, 10)
-	if _, err := MST(wg, 3, DirectAgg, 32, 1); err == nil {
+	if _, err := MST(core.Env{}, wg, 3, DirectAgg, 32, 1); err == nil {
 		t.Fatal("MST accepted weights above maxClass")
 	}
 }
 
 func TestBroadcastBoruvkaBaseline(t *testing.T) {
 	for name, g := range testGraphs(t) {
-		res, err := BroadcastBoruvka(g, 32, 5)
+		res, err := BroadcastBoruvka(core.Env{}, g, 32, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -144,24 +144,20 @@ func TestProtocolEngineOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	g := graph.ComponentsGnp(20, 2, 0.3, rng)
 	wg := graph.WeightedFromSeed(g, 55, 3)
-	prev := core.DefaultParallelism()
-	defer core.SetDefaultParallelism(prev)
 
-	type run func() (*CCResult, error)
+	type run func(env core.Env) (*CCResult, error)
 	cases := map[string]run{
-		"cc-direct":  func() (*CCResult, error) { return ConnectedComponents(g, DirectAgg, 24, 3) },
-		"cc-lenzen":  func() (*CCResult, error) { return ConnectedComponents(g, LenzenAgg, 24, 3) },
-		"mst-lenzen": func() (*CCResult, error) { return MST(wg, 3, LenzenAgg, 24, 3) },
-		"baseline":   func() (*CCResult, error) { return BroadcastBoruvka(g, 24, 3) },
+		"cc-direct":  func(env core.Env) (*CCResult, error) { return ConnectedComponents(env, g, DirectAgg, 24, 3) },
+		"cc-lenzen":  func(env core.Env) (*CCResult, error) { return ConnectedComponents(env, g, LenzenAgg, 24, 3) },
+		"mst-lenzen": func(env core.Env) (*CCResult, error) { return MST(env, wg, 3, LenzenAgg, 24, 3) },
+		"baseline":   func(env core.Env) (*CCResult, error) { return BroadcastBoruvka(env, g, 24, 3) },
 	}
 	for name, f := range cases {
-		core.SetDefaultParallelism(1)
-		seq, err := f()
+		seq, err := f(core.Env{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s seq: %v", name, err)
 		}
-		core.SetDefaultParallelism(4)
-		par, err := f()
+		par, err := f(core.Env{Parallelism: 4})
 		if err != nil {
 			t.Fatalf("%s par: %v", name, err)
 		}
@@ -173,7 +169,7 @@ func TestProtocolEngineOracle(t *testing.T) {
 
 func TestTrivialSizes(t *testing.T) {
 	for _, n := range []int{0, 1} {
-		res, err := ConnectedComponents(graph.New(n), DirectAgg, 8, 1)
+		res, err := ConnectedComponents(core.Env{}, graph.New(n), DirectAgg, 8, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ import (
 // which can miss 4-cycles through two truncated lists (the detector is
 // then one-sided: a reported C4 is always real). Pass cap = 0 for the
 // uncapped exact algorithm at O(Δ·log n/b) rounds.
-func DetectC4Congest(g *graph.Graph, bandwidth, cap int, seed int64) (*DetectResult, error) {
+func DetectC4Congest(env core.Env, g *graph.Graph, bandwidth, cap int, seed int64) (*DetectResult, error) {
 	n := g.N()
 	views := graph.Distribute(g)
 	if cap <= 0 {
@@ -42,7 +42,7 @@ func DetectC4Congest(g *graph.Graph, bandwidth, cap int, seed int64) (*DetectRes
 	rounds := core.ChunkRounds(cntW+maxLen*idW, bandwidth)
 
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Congest, Topology: g, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		me := p.ID()
 		nbrs := views[me].Neighbors()
 		send := nbrs

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -22,7 +23,7 @@ func TestDetectC4CongestBasic(t *testing.T) {
 		{"C6", graph.Cycle(6), false},
 	}
 	for _, tc := range cases {
-		res, err := DetectC4Congest(tc.g, 16, 0, 3)
+		res, err := DetectC4Congest(core.Env{}, tc.g, 16, 0, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -40,7 +41,7 @@ func TestDetectC4CongestRandom(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		g := graph.Gnp(24, []float64{0.05, 0.1, 0.2}[trial%3], rng)
 		want := graph.ContainsSubgraph(g, graph.Cycle(4))
-		res, err := DetectC4Congest(g, 16, 0, int64(trial))
+		res, err := DetectC4Congest(core.Env{}, g, 16, 0, int64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +54,7 @@ func TestDetectC4CongestRandom(t *testing.T) {
 func TestDetectC4CongestPolarityFree(t *testing.T) {
 	// The polarity graph is the canonical dense C4-free instance.
 	g := mustPolarity(t, 3)
-	res, err := DetectC4Congest(g, 16, 0, 5)
+	res, err := DetectC4Congest(core.Env{}, g, 16, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestDetectC4CongestCappedOneSided(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 8; trial++ {
 		g := graph.Gnp(20, 0.15, rng)
-		res, err := DetectC4Congest(g, 16, 4, int64(trial))
+		res, err := DetectC4Congest(core.Env{}, g, 16, 4, int64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +85,7 @@ func TestDetectC4CongestCapBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.Gnp(36, 0.3, rng)
 	cap := 12 // 2·√36
-	res, err := DetectC4Congest(g, 8, cap, 1)
+	res, err := DetectC4Congest(core.Env{}, g, 8, cap, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestDetectC4CongestRespectsTopology(t *testing.T) {
 	// The engine enforces CONGEST: this just exercises a disconnected
 	// input, where no cross-component chatter is possible.
 	g := graph.DisjointUnion(graph.Cycle(4), graph.Path(5))
-	res, err := DetectC4Congest(g, 16, 0, 9)
+	res, err := DetectC4Congest(core.Env{}, g, 16, 0, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,11 +66,11 @@ type ReconstructResult struct {
 }
 
 // Reconstruct runs algorithm A(G,k) standalone on CLIQUE-BCAST(n,b).
-func Reconstruct(g *graph.Graph, k, bandwidth int, seed int64) (*ReconstructResult, error) {
+func Reconstruct(env core.Env, g *graph.Graph, k, bandwidth int, seed int64) (*ReconstructResult, error) {
 	n := g.N()
 	views := graph.Distribute(g)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		recon, ok, err := RunA(p, views[p.ID()].Neighbors(), n, k)
 		if err != nil {
 			return err
@@ -114,20 +114,20 @@ type DetectResult struct {
 // family with a known ex(n,H) upper bound. If reconstruction with
 // k = 4·ex(n,H)/n succeeds, the (common) reconstructed graph is searched
 // directly; if it fails, Claim 6 already certifies that G contains H.
-func DetectKnownTuran(g *graph.Graph, fam turan.Family, bandwidth int, seed int64) (*DetectResult, error) {
-	return DetectKnownTuranCut(g, fam, bandwidth, seed, nil)
+func DetectKnownTuran(env core.Env, g *graph.Graph, fam turan.Family, bandwidth int, seed int64) (*DetectResult, error) {
+	return DetectKnownTuranCut(env, g, fam, bandwidth, seed, nil)
 }
 
 // DetectKnownTuranCut is DetectKnownTuran with optional cut accounting:
 // when cutSide is non-nil, Stats.CutBits reports the communication
 // crossing the (Alice, Bob) partition — the quantity the Lemma 13
 // reduction converts into a set-disjointness transcript.
-func DetectKnownTuranCut(g *graph.Graph, fam turan.Family, bandwidth int, seed int64, cutSide []bool) (*DetectResult, error) {
+func DetectKnownTuranCut(env core.Env, g *graph.Graph, fam turan.Family, bandwidth int, seed int64, cutSide []bool) (*DetectResult, error) {
 	n := g.N()
 	k := fam.DegeneracyBound(n)
 	views := graph.Distribute(g)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed, CutSide: cutSide}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		recon, ok, err := RunA(p, views[p.ID()].Neighbors(), n, k)
 		if err != nil {
 			return err
@@ -178,7 +178,7 @@ func gatherDetect(res *core.Result, k, guesses int) (*DetectResult, error) {
 // some successfully reconstructed G_j exhibits a copy of H (w.h.p. found
 // when G contains H, by Lemma 8 + Claim 6), or G_0 = G itself is
 // reconstructed and settles the answer exactly.
-func DetectAdaptive(g, h *graph.Graph, bandwidth int, seed int64) (*DetectResult, error) {
+func DetectAdaptive(env core.Env, g, h *graph.Graph, bandwidth int, seed int64) (*DetectResult, error) {
 	n := g.N()
 	views := graph.Distribute(g)
 	ell := 0
@@ -189,7 +189,7 @@ func DetectAdaptive(g, h *graph.Graph, bandwidth int, seed int64) (*DetectResult
 	xw := uintWidth(uint64(bigN - 1))
 
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		// Phase 1: broadcast X_v.
 		x := uint64(p.Rand().Intn(bigN))
 		payload := bits.New(xw)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/turan"
 )
@@ -124,7 +125,7 @@ func TestDecodeQuickProperty(t *testing.T) {
 func TestReconstructProtocol(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.RandomTree(30, rng)
-	res, err := Reconstruct(g, 2, 8, 1)
+	res, err := Reconstruct(core.Env{}, g, 2, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestReconstructProtocol(t *testing.T) {
 
 func TestReconstructDetectsHighDegeneracy(t *testing.T) {
 	g := graph.Complete(12) // degeneracy 11
-	res, err := Reconstruct(g, 3, 16, 2)
+	res, err := Reconstruct(core.Env{}, g, 3, 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestDetectKnownTuranFamilies(t *testing.T) {
 		{"K22 present", turan.BicliqueFamily(2, 2), graph.CompleteBipartite(3, 3), true},
 	}
 	for _, tc := range cases {
-		res, err := DetectKnownTuran(tc.g, tc.fam, 16, 9)
+		res, err := DetectKnownTuran(core.Env{}, tc.g, tc.fam, 16, 9)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -204,7 +205,7 @@ func TestDetectKnownTuranDenseShortcut(t *testing.T) {
 	// answers "found" through Claim 6 without a witness.
 	fam := turan.TreeFamily("P3", graph.Path(3))
 	g := graph.Complete(16)
-	res, err := DetectKnownTuran(g, fam, 16, 3)
+	res, err := DetectKnownTuran(core.Env{}, g, fam, 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestDetectAdaptiveMatchesTruth(t *testing.T) {
 		h := patterns[trial%len(patterns)]
 		g := graph.Gnp(20, []float64{0.05, 0.15, 0.4}[trial%3], rng)
 		want := graph.ContainsSubgraph(g, h)
-		res, err := DetectAdaptive(g, h, 16, int64(trial))
+		res, err := DetectAdaptive(core.Env{}, g, h, 16, int64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +245,7 @@ func TestDetectAdaptiveNeverFalsePositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
 		g := graph.RandomBipartite(8, 8, 0.5, rng)
-		res, err := DetectAdaptive(g, graph.Complete(3), 16, int64(trial))
+		res, err := DetectAdaptive(core.Env{}, g, graph.Complete(3), 16, int64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,12 +46,12 @@ type Result struct {
 // received rows are reassembled into an f2 adjacency matrix and a
 // triangle exists iff some entry of A AND A∘A (Boolean square, computed
 // by the four-Russians multiplier) is set.
-func BroadcastDetect(g *graph.Graph, bandwidth int, seed int64) (*Result, error) {
+func BroadcastDetect(env core.Env, g *graph.Graph, bandwidth int, seed int64) (*Result, error) {
 	n := g.N()
 	views := graph.Distribute(g)
 	rounds := core.ChunkRounds(n, bandwidth)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		payload := core.EncodeAdjacencyRow(views[p.ID()].Row(), n)
 		all, err := core.ExchangeBroadcasts(p, payload, rounds)
 		if err != nil {
@@ -190,7 +190,7 @@ func allTriples(g int) []triple {
 
 // DLPDeterministic runs the deterministic Õ(n^{1/3})-round algorithm of
 // [8] on CLIQUE-UCAST(n, bandwidth).
-func DLPDeterministic(g *graph.Graph, bandwidth int, seed int64) (*Result, error) {
+func DLPDeterministic(env core.Env, g *graph.Graph, bandwidth int, seed int64) (*Result, error) {
 	n := g.N()
 	if n < 2 {
 		return &Result{Found: false}, nil
@@ -208,7 +208,7 @@ func DLPDeterministic(g *graph.Graph, bandwidth int, seed int64) (*Result, error
 	}
 	rt := routing.NewRouter(n)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		found, wit, err := serveAndCheck(p, rt, views[p.ID()], gr, owner)
 		if err != nil {
 			return err
@@ -226,7 +226,7 @@ func DLPDeterministic(g *graph.Graph, bandwidth int, seed int64) (*Result, error
 // samplesPerNode random triples checked by every player (Θ(log n) gives
 // high-probability detection). The answer is one-sided: true only if a
 // checker saw a triangle.
-func DLPRandomized(g *graph.Graph, bandwidth, promisedT, samplesPerNode int, seed int64) (*Result, error) {
+func DLPRandomized(env core.Env, g *graph.Graph, bandwidth, promisedT, samplesPerNode int, seed int64) (*Result, error) {
 	n := g.N()
 	if n < 2 {
 		return &Result{Found: false}, nil
@@ -248,7 +248,7 @@ func DLPRandomized(g *graph.Graph, bandwidth, promisedT, samplesPerNode int, see
 
 	rt := routing.NewRouter(n)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
+	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
 		// Sample and announce triples: 3·samples group ids per node.
 		mine := make([]triple, samplesPerNode)
 		payload := bits.New(3 * samplesPerNode * gw)

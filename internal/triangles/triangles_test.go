@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -17,7 +18,7 @@ func TestBroadcastDetect(t *testing.T) {
 		graph.Gnp(20, 0.5, rng),
 	}
 	for i, g := range cases {
-		res, err := BroadcastDetect(g, 8, int64(i))
+		res, err := BroadcastDetect(core.Env{}, g, 8, int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +31,7 @@ func TestBroadcastDetect(t *testing.T) {
 func TestBroadcastDetectRoundsScaling(t *testing.T) {
 	// Full exchange needs ceil(n/b) broadcast rounds plus nothing else.
 	g := graph.Cycle(32)
-	res, err := BroadcastDetect(g, 8, 0)
+	res, err := BroadcastDetect(core.Env{}, g, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestDLPDeterministicBasic(t *testing.T) {
 		graph.Star(12),
 	}
 	for i, g := range cases {
-		res, err := DLPDeterministic(g, 32, int64(i))
+		res, err := DLPDeterministic(core.Env{}, g, 32, int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func TestDLPDeterministicPlantedSingleTriangle(t *testing.T) {
 		}
 		g.AddEdge(a, c)
 		g.AddEdge(b, c)
-		res, err := DLPDeterministic(g, 32, int64(trial))
+		res, err := DLPDeterministic(core.Env{}, g, 32, int64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestDLPDeterministicNoFalsePositives(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 5; trial++ {
 		g := graph.RandomBipartite(12, 12, 0.4, rng)
-		res, err := DLPDeterministic(g, 32, int64(trial))
+		res, err := DLPDeterministic(core.Env{}, g, 32, int64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func TestDLPRandomizedManyTriangles(t *testing.T) {
 	if T < 100 {
 		t.Fatalf("test graph too sparse: %d triangles", T)
 	}
-	res, err := DLPRandomized(g, 32, T/2, 8, 7)
+	res, err := DLPRandomized(core.Env{}, g, 32, T/2, 8, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestDLPRandomizedOneSided(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 5; trial++ {
 		g := graph.RandomBipartite(10, 10, 0.5, rng)
-		res, err := DLPRandomized(g, 32, 4, 4, int64(trial))
+		res, err := DLPRandomized(core.Env{}, g, 32, 4, 4, int64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,11 +144,11 @@ func TestDLPRandomizedRoundsDropWithT(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := graph.Gnp(64, 0.6, rng)
 	T := g.CountTriangles()
-	lowT, err := DLPRandomized(g, 16, 1, 4, 9)
+	lowT, err := DLPRandomized(core.Env{}, g, 16, 1, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	highT, err := DLPRandomized(g, 16, T, 4, 9)
+	highT, err := DLPRandomized(core.Env{}, g, 16, T, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestDLPDeterministicPerfectCube(t *testing.T) {
 	// n = g³ exactly: one triple per player.
 	rng := rand.New(rand.NewSource(8))
 	g := graph.Gnp(27, 0.4, rng)
-	res, err := DLPDeterministic(g, 32, 11)
+	res, err := DLPDeterministic(core.Env{}, g, 32, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +175,11 @@ func TestDLPDeterministicPerfectCube(t *testing.T) {
 }
 
 func TestTinyGraphs(t *testing.T) {
-	res, err := DLPDeterministic(graph.New(1), 8, 0)
+	res, err := DLPDeterministic(core.Env{}, graph.New(1), 8, 0)
 	if err != nil || res.Found {
 		t.Errorf("single vertex: %v %v", res, err)
 	}
-	res, err = DLPDeterministic(graph.Complete(3), 8, 0)
+	res, err = DLPDeterministic(core.Env{}, graph.Complete(3), 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -11,7 +12,7 @@ func TestDLPWitnessIsRealTriangle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 10; trial++ {
 		g := graph.Gnp(24, 0.3, rng)
-		res, err := DLPDeterministic(g, 32, int64(trial))
+		res, err := DLPDeterministic(core.Env{}, g, 32, int64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +33,7 @@ func TestDLPRandomizedWitness(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := graph.Gnp(32, 0.5, rng)
 	T := g.CountTriangles()
-	res, err := DLPRandomized(g, 32, T/2, 8, 7)
+	res, err := DLPRandomized(core.Env{}, g, 32, T/2, 8, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
