@@ -88,7 +88,7 @@ func record(args []string) int {
 	for _, p := range traceFiles(*dir) {
 		before[p] = true
 	}
-	res := scenario.RunCell(cell, scenario.CellOptions{TraceDir: *dir})
+	res := scenario.RunCell(cell, scenario.CellOptions{TraceDir: *dir}, nil)
 	fmt.Printf("cell %s n=%d %s %s seed=%d: %s (rounds=%d bits=%d)\n",
 		res.Family, res.N, res.Engine, res.Protocol, res.Seed, res.Outcome, res.Rounds, res.TotalBits)
 	wrote := 0

@@ -151,8 +151,8 @@ func worker(args []string) int {
 		cacheDir    = fs.String("cache", "", "content-addressed cache directory shared across workers (\"\" = no cache)")
 		cacheMax    = fs.Int64("cache-max-bytes", 0, "bound the cache directory; puts over the bound evict entries oldest-first (0 = unbounded)")
 		timeout     = fs.Duration("timeout", 0, "per-leg deadline (0 = none)")
-		retries     = fs.Int("retries", 0, "quarantine retries for infra-failed legs")
-		backoff     = fs.Duration("retry-backoff", 0, "base pause before quarantine retries (0 = immediate)")
+		retries     = fs.Int("retries", 0, "retries for infra-failed legs (panic, timeout)")
+		backoff     = fs.Duration("retry-backoff", 0, "base pause before each retry (0 = immediate)")
 		backoffCap  = fs.Duration("retry-backoff-cap", 0, "retry backoff cap (0 = 32x base)")
 		poll        = fs.Duration("poll", 200*time.Millisecond, "lease poll interval when the queue is empty")
 		metricsAddr = fs.String("metrics-addr", "", "serve this worker's /metrics (cache hits/misses) on HOST:PORT (\"\" = off)")

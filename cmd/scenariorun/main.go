@@ -17,7 +17,7 @@
 // Exit codes (DESIGN.md §8): 0 every cell ok; 1 any divergence
 // (including a silent corruption under faults); 2 usage error; 3 only
 // explicitly detected fault failures; 4 infrastructure failures (a leg
-// panicked or timed out even after the quarantine retries).
+// panicked or timed out even after its retries).
 //
 // All flags are documented in DESIGN.md §8.
 package main
@@ -48,9 +48,9 @@ func main() {
 		verbose   = flag.Bool("v", false, "print every cell, not just divergences")
 		faults    = flag.String("faults", "", `fault spec for the engine legs, e.g. "drop=0.02,corrupt=0.01" (keys: drop corrupt delay dup crash maxdelay crashby)`)
 		timeout   = flag.Duration("timeout", 0, "per-leg deadline (0 = none); timed-out cells are classified infra")
-		retries   = flag.Int("retries", 0, "quarantine retries for infra-failed legs (panic, timeout)")
-		rbackoff  = flag.Duration("retry-backoff", 0, "base pause before each quarantine retry, capped exponential with jitter (0 = immediate)")
-		rbackcap  = flag.Duration("retry-backoff-cap", 0, "quarantine retry backoff cap (0 = 32x base)")
+		retries   = flag.Int("retries", 0, "retries for infra-failed legs (panic, timeout)")
+		rbackoff  = flag.Duration("retry-backoff", 0, "base pause before each retry, capped exponential with jitter (0 = immediate)")
+		rbackcap  = flag.Duration("retry-backoff-cap", 0, "retry backoff cap (0 = 32x base)")
 		ledger    = flag.String("ledger", "", "append-only resume ledger path; re-running with the same matrix and flags skips recorded cells")
 		sizes     = flag.String("sizes", "", "comma-separated size override, e.g. 10,16 (default: matrix sizes)")
 		submit    = flag.String("submit", "", "scenariod base URL: submit the matrix to a worker fleet instead of running locally (shards/timeout/retries/ledger then apply server- and worker-side)")
@@ -105,14 +105,16 @@ func main() {
 	}
 
 	rep, err := scenario.RunMatrixOpts(m, scenario.RunOptions{
-		Shards:          *shards,
-		Timeout:         *timeout,
-		Retries:         *retries,
-		RetryBackoff:    *rbackoff,
-		RetryBackoffCap: *rbackcap,
-		Faults:          spec,
-		Ledger:          *ledger,
-		TraceDir:        *traceDir,
+		CellOptions: scenario.CellOptions{
+			Faults:          spec,
+			Timeout:         *timeout,
+			Retries:         *retries,
+			RetryBackoff:    *rbackoff,
+			RetryBackoffCap: *rbackcap,
+			TraceDir:        *traceDir,
+		},
+		Shards: *shards,
+		Ledger: *ledger,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scenariorun: %v\n", err)

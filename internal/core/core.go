@@ -277,37 +277,6 @@ type NodeFunc func(ctx *Ctx, in []*bits.Buffer) (bool, error)
 // Step implements Node.
 func (f NodeFunc) Step(ctx *Ctx, in []*bits.Buffer) (bool, error) { return f(ctx, in) }
 
-// QuietRounds is the optional interface behind the engine's round
-// batching (DESIGN.md §13). A Node that also implements it may promise,
-// before each round, that its next k Step calls stage no messages —
-// locally-compute-heavy stretches such as sketch building or chunk
-// reassembly tails. When every live node promises k ≥ 2 quiet rounds
-// (and no fault plan, pending delivery or quiesce detector is armed,
-// since those need per-round delivery passes), the engine steps each
-// node through min-over-nodes(k) rounds in a single worker-pool dispatch
-// instead of paying a dispatch + collection pass per round. Nodes may
-// still halt mid-batch. A node that breaks its promise by staging a
-// message inside a declared-quiet round fails the run with an error —
-// loudly, never by reordering traffic. Outputs and Stats are unchanged
-// by batching; it is purely a dispatch-count optimization, applied
-// identically at every Parallelism setting.
-type QuietRounds interface {
-	// QuietRounds reports how many consecutive rounds, starting with the
-	// node's next Step call, the node promises to stage nothing. Values
-	// <= 1 promise nothing and never batch.
-	QuietRounds() int
-}
-
-// BatchableNode glues a quiet-round oracle onto an existing Node, for
-// protocols whose step logic and round schedule live in separate places.
-type BatchableNode struct {
-	Node
-	Quiet func() int
-}
-
-// QuietRounds implements the engine's batching probe.
-func (b BatchableNode) QuietRounds() int { return b.Quiet() }
-
 // Ctx is a node's handle onto the network during one round.
 type Ctx struct {
 	id     int
@@ -498,15 +467,7 @@ type engine struct {
 	reclaim     []*bits.Buffer
 	reclaimNext []*bits.Buffer
 
-	// Round batching (QuietRounds): quietNodes caches the per-node
-	// interface upgrade (nil when no node implements it, which switches
-	// the probe off entirely); emptyInbox is the shared all-nil inbox of
-	// inner batched rounds; batchRounds records how many rounds of a
-	// batch each live slot actually stepped.
-	quietNodes  []QuietRounds
-	emptyInbox  []*bits.Buffer
-	batchRounds []int
-	quiesce     int // resolved stall-detector threshold (<= 0: disarmed)
+	quiesce int // resolved stall-detector threshold (<= 0: disarmed)
 
 	// Fault-injection state (all nil/zero when no plan is active).
 	plan    FaultInjector
@@ -559,16 +520,6 @@ func newEngine(cfg *Config, nodes []Node) *engine {
 		}
 		e.inboxes[i] = inboxFlat[i*n : (i+1)*n : (i+1)*n]
 		e.live[i] = i
-	}
-	for i, nd := range nodes {
-		if q, ok := nd.(QuietRounds); ok {
-			if e.quietNodes == nil {
-				e.quietNodes = make([]QuietRounds, n)
-				e.emptyInbox = make([]*bits.Buffer, n)
-				e.batchRounds = make([]int, n)
-			}
-			e.quietNodes[i] = q
-		}
 	}
 	return e
 }
@@ -641,98 +592,6 @@ func (e *engine) compactLive() {
 	}
 	e.stepped = e.live
 	e.live, e.spare = next, e.live
-}
-
-// quietBatch reports how many consecutive rounds, starting at `round`,
-// every live node has promised to stay silent — the width of the next
-// round batch (1 = no batching). Batching needs a per-round delivery
-// pass to be provably redundant, so any fault plan, pending delivery or
-// armed quiesce detector switches it off.
-func (e *engine) quietBatch(round, maxRounds int) int {
-	if e.quietNodes == nil || e.plan != nil || e.quiesce > 0 || len(e.pending) > 0 {
-		return 1
-	}
-	k := maxRounds - round
-	for _, id := range e.live {
-		q := e.quietNodes[id]
-		if q == nil {
-			return 1
-		}
-		qr := q.QuietRounds()
-		if qr <= 1 {
-			return 1
-		}
-		if qr < k {
-			k = qr
-		}
-	}
-	return k
-}
-
-// stepQuiet steps every live node through up to k declared-quiet rounds
-// in one dispatch: the first inner round sees the node's real inbox,
-// later ones the shared empty inbox (nothing can arrive — nobody is
-// sending). It returns the number of rounds actually executed, which is
-// k unless every node halted earlier. A node that stages a message in a
-// promised-quiet round fails the run. Accounting is identical to
-// stepping the same rounds one at a time: no sends means Rounds and the
-// delivery pass are untouched, and Steps advances by the return value.
-func (e *engine) stepQuiet(start, k int) (int, error) {
-	n := len(e.live)
-	body := func(slot int) {
-		id := e.live[slot]
-		ctx := e.ctxs[id]
-		e.errs[slot] = nil
-		e.done[slot] = false
-		for j := 0; j < k; j++ {
-			in := e.emptyInbox
-			if j == 0 {
-				in = e.inboxes[id]
-			}
-			ctx.round = start + j
-			d, err := e.nodes[id].Step(ctx, in)
-			e.batchRounds[slot] = j + 1
-			if err != nil {
-				e.errs[slot] = err
-				return
-			}
-			if len(ctx.sent) != 0 || ctx.bcast != nil {
-				e.errs[slot] = fmt.Errorf("core: node %d staged a message in declared-quiet round %d", id, start+j)
-				return
-			}
-			if d {
-				e.done[slot] = true
-				return
-			}
-		}
-	}
-	if e.pool != nil && n > 1 {
-		e.pool.run(n, body)
-	} else {
-		for slot := 0; slot < n; slot++ {
-			body(slot)
-		}
-	}
-	// Report the earliest failure in (round, node-id) order — the same
-	// error the unbatched engine would have surfaced first.
-	errSlot, errRound := -1, 0
-	for slot := range e.live[:n] {
-		if e.errs[slot] != nil && (errSlot < 0 || e.batchRounds[slot] < errRound) {
-			errSlot, errRound = slot, e.batchRounds[slot]
-		}
-	}
-	if errSlot >= 0 {
-		return 0, fmt.Errorf("core: node %d failed in round %d: %w",
-			e.live[errSlot], start+errRound-1, e.errs[errSlot])
-	}
-	executed := 0
-	for slot := 0; slot < n; slot++ {
-		if e.batchRounds[slot] > executed {
-			executed = e.batchRounds[slot]
-		}
-	}
-	e.compactLive()
-	return executed, nil
 }
 
 // deliver collects the messages staged by this round's stepped nodes,
@@ -965,26 +824,17 @@ func Run(cfg Config, nodes []Node) (*Result, error) {
 			return nil, fmt.Errorf("%w (limit %d)", ErrRoundLimit, maxRounds)
 		}
 		var t0 time.Time
-		start, span := step, 1
 		if e.traceOn {
 			e.beginTrace()
 			t0 = time.Now()
 		}
 		e.stats.Steps = step + 1
-		if k := e.quietBatch(step, maxRounds); k > 1 {
-			executed, err := e.stepQuiet(step, k)
-			if err != nil {
-				return nil, err
-			}
-			e.stats.Steps = step + executed
-			step += executed - 1
-			span = executed
-		} else if err := e.step(step); err != nil {
+		if err := e.step(step); err != nil {
 			return nil, err
 		}
 		e.deliver(step)
 		if e.traceOn {
-			e.emitTrace(start, span, time.Since(t0).Nanoseconds())
+			e.emitTrace(step, time.Since(t0).Nanoseconds())
 		}
 		if e.quiesce > 0 && e.quiet >= e.quiesce {
 			return nil, fmt.Errorf("%w: %d live nodes at step %d", ErrStalled, len(e.live), step)

@@ -3,15 +3,14 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/bits"
 )
 
 // Tests for the multicore scaling pass (DESIGN.md §13): arena messages,
-// quiet-round batching, the delay-fault Rounds accounting fix, and the
-// engine's steady-state allocation behavior.
+// the delay-fault Rounds accounting fix, and the engine's steady-state
+// allocation behavior.
 
 // arenaGossipNodes is gossipEquivNodes with messages drawn from the
 // node's arena (Ctx.Msg) instead of bits.New. Payloads and schedule are
@@ -114,170 +113,6 @@ func TestArenaMessagesMatchOracle(t *testing.T) {
 	bcastOracle := run(1, false)
 	for _, p := range []int{1, 0, 4} {
 		requireIdentical(t, bcastOracle, run(p, true), fmt.Sprintf("arena bcast p=%d", p))
-	}
-}
-
-// quietPhaseNode sends in rounds 0 and quietUntil, staying silent in
-// between — the compute-heavy-stretch shape QuietRounds batches. It
-// tracks the next round it will see so its quiet promise is exact.
-type quietPhaseNode struct {
-	id, n, quietUntil int
-	next              int
-	acc               uint64
-}
-
-func (q *quietPhaseNode) Step(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-	q.next = ctx.Round() + 1
-	var r bits.Reader
-	for _, msg := range in {
-		if msg == nil {
-			continue
-		}
-		r.Reset(msg)
-		v, err := r.ReadUint(20)
-		if err != nil {
-			return false, err
-		}
-		q.acc ^= v
-	}
-	switch round := ctx.Round(); {
-	case round == 0 || round == q.quietUntil:
-		m := ctx.Msg()
-		m.WriteUint(uint64(q.id*8191+round*31)&0xFFFFF, 20)
-		if err := ctx.Send((q.id+1+round)%q.n, m); err != nil {
-			return false, err
-		}
-		return false, nil
-	case round > q.quietUntil:
-		ctx.SetOutput(q.acc)
-		return true, nil
-	default:
-		// Quiet stretch: local work only.
-		q.acc = q.acc*2654435761 + uint64(round)
-		return false, nil
-	}
-}
-
-// quietLeft is the batching promise: inside the quiet stretch
-// [1, quietUntil) it reports the remaining silent rounds.
-func (q *quietPhaseNode) quietLeft() int {
-	if q.next >= 1 && q.next < q.quietUntil {
-		return q.quietUntil - q.next
-	}
-	return 0
-}
-
-func runQuietPhase(t *testing.T, par int, declare bool) *Result {
-	t.Helper()
-	const n, quietUntil = 24, 9
-	nodes := make([]Node, n)
-	for i := 0; i < n; i++ {
-		qn := &quietPhaseNode{id: i, n: n, quietUntil: quietUntil}
-		if declare {
-			nodes[i] = BatchableNode{Node: qn, Quiet: qn.quietLeft}
-		} else {
-			nodes[i] = qn
-		}
-	}
-	cfg := Config{N: n, Bandwidth: 20, Model: Unicast, Seed: 17, Parallelism: par}
-	res, err := Run(cfg, nodes)
-	if err != nil {
-		t.Fatalf("par=%d declare=%v: %v", par, declare, err)
-	}
-	return res
-}
-
-// TestQuietBatchMatchesUnbatched pins round batching as a pure dispatch
-// optimization: declaring quiet rounds changes neither Outputs nor any
-// Stats counter, at any parallelism.
-func TestQuietBatchMatchesUnbatched(t *testing.T) {
-	oracle := runQuietPhase(t, 1, false)
-	if oracle.Stats.Steps != 11 {
-		t.Fatalf("oracle Steps = %d, want 11", oracle.Stats.Steps)
-	}
-	for _, par := range []int{1, 0, 2, 8} {
-		requireIdentical(t, oracle, runQuietPhase(t, par, true),
-			fmt.Sprintf("quiet-batched p=%d", par))
-		requireIdentical(t, oracle, runQuietPhase(t, par, false),
-			fmt.Sprintf("unbatched p=%d", par))
-	}
-}
-
-// TestQuietBatchHaltMidBatch checks a node may halt inside a declared
-// batch without skewing Steps: every node promises a long quiet tail and
-// halts part-way through it, at an id-dependent round.
-func TestQuietBatchHaltMidBatch(t *testing.T) {
-	const n = 12
-	build := func(declare bool) []Node {
-		nodes := make([]Node, n)
-		for i := 0; i < n; i++ {
-			id := i
-			next := 0
-			step := NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-				next = ctx.Round() + 1
-				if ctx.Round() == 0 {
-					m := ctx.Msg()
-					m.WriteUint(uint64(id), 8)
-					return false, ctx.Send((id+1)%n, m)
-				}
-				if ctx.Round() >= 2+id%5 {
-					ctx.SetOutput(id)
-					return true, nil
-				}
-				return false, nil
-			})
-			if declare {
-				nodes[i] = BatchableNode{Node: step, Quiet: func() int {
-					if next >= 1 {
-						return 100 // promises far beyond its own halt round
-					}
-					return 0
-				}}
-			} else {
-				nodes[i] = step
-			}
-		}
-		return nodes
-	}
-	run := func(par int, declare bool) *Result {
-		cfg := Config{N: n, Bandwidth: 8, Model: Unicast, Seed: 23, Parallelism: par}
-		res, err := Run(cfg, build(declare))
-		if err != nil {
-			t.Fatalf("par=%d declare=%v: %v", par, declare, err)
-		}
-		return res
-	}
-	oracle := run(1, false)
-	for _, par := range []int{1, 4} {
-		requireIdentical(t, oracle, run(par, true), fmt.Sprintf("halt-mid-batch p=%d", par))
-	}
-}
-
-// TestQuietViolationFails pins the loud-failure contract: a node that
-// stages a message inside a round it declared quiet errors the run
-// instead of silently reordering traffic.
-func TestQuietViolationFails(t *testing.T) {
-	const n = 4
-	nodes := make([]Node, n)
-	for i := 0; i < n; i++ {
-		id := i
-		step := NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-			if ctx.Round() >= 5 {
-				return true, nil
-			}
-			if ctx.Round() == 2 && id == 1 {
-				m := ctx.Msg() // staged inside a declared-quiet round
-				m.WriteUint(1, 4)
-				return false, ctx.Send(0, m)
-			}
-			return false, nil
-		})
-		nodes[i] = BatchableNode{Node: step, Quiet: func() int { return 10 }}
-	}
-	cfg := Config{N: n, Bandwidth: 4, Model: Unicast, Seed: 1, Parallelism: 2}
-	_, err := Run(cfg, nodes)
-	if err == nil || !strings.Contains(err.Error(), "declared-quiet") {
-		t.Fatalf("quiet violation: got %v, want declared-quiet error", err)
 	}
 }
 

@@ -4,8 +4,7 @@ import "fmt"
 
 // Round-level tracing (DESIGN.md §14). A Sink installed on Config.Sink
 // (directly, or through Env.Sink) receives one RoundTrace record per
-// engine iteration — per round, or per quiet-batch span — emitted from
-// the engine's sequential delivery pass, plus a RunMeta header and a
+// engine round, emitted from the engine's sequential delivery pass, plus a RunMeta header and a
 // RunFooter carrying the final Stats. The tracer is a second,
 // independent auditor of the paper's accounting: summing the records
 // reconciles exactly with Stats (obs.Reconcile pins the identities),
@@ -22,9 +21,7 @@ import "fmt"
 // across Parallelism settings. WallNs is wall time (nondeterministic by
 // nature; obs keeps it out of the deterministic field set). Workers
 // records the per-worker dispatch counts of the round and therefore
-// varies with — and documents — the worker width. Quiet-round batching
-// merges k silent rounds into one record with Span=k; batched and
-// unbatched traces of the same run agree on every accounting sum.
+// varies with — and documents — the worker width.
 
 // Mark is a phase marker stamped by a protocol via Ctx.Annotate: the
 // stamping node, the round of the stamp, and a protocol-chosen name.
@@ -60,8 +57,8 @@ type RunMeta struct {
 //	sum(CutBits)                == Stats.CutBits
 //	sum(per-round fault deltas) == *Result.Faults (field by field)
 type RoundTrace struct {
-	Round int // first engine round this record covers
-	Span  int // rounds covered: 1, or the width of a quiet batch
+	Round int // engine round this record covers
+	Span  int // rounds covered: always 1, so sum(Span) == Stats.Steps
 
 	Sends         int   // messages collected from senders (a broadcast counts once)
 	SentBits      int64 // bits metered as sent (the Stats.TotalBits delta)
@@ -165,13 +162,12 @@ func (e *engine) beginTrace() {
 	e.traceActive = len(e.live)
 }
 
-// emitTrace finalizes the scratch record for the iteration that just
-// delivered and hands it to the sink. span is 1 for a plain round and
-// the executed width of a quiet batch.
-func (e *engine) emitTrace(round, span int, wallNs int64) {
+// emitTrace finalizes the scratch record for the round that just
+// delivered and hands it to the sink.
+func (e *engine) emitTrace(round int, wallNs int64) {
 	rt := &e.rt
 	rt.Round = round
-	rt.Span = span
+	rt.Span = 1
 	rt.SentBits = e.stats.TotalBits - e.prevBits
 	rt.CutBits = e.stats.CutBits - e.prevCut
 	rt.Faults = FaultStats{

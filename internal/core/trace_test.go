@@ -312,60 +312,6 @@ func TestTraceFaultStatsReconcile(t *testing.T) {
 	}
 }
 
-// TestTraceQuietBatchSpans pins the batching contract: a quiet batch
-// produces one record with Span = executed rounds and no traffic, the
-// span total still reconciles with Stats.Steps, and the batched trace
-// agrees with the unbatched trace on every accounting sum.
-func TestTraceQuietBatchSpans(t *testing.T) {
-	const n, quietUntil = 24, 9
-	run := func(par int, declare bool, sink Sink) *Result {
-		nodes := make([]Node, n)
-		for i := 0; i < n; i++ {
-			qn := &quietPhaseNode{id: i, n: n, quietUntil: quietUntil}
-			if declare {
-				nodes[i] = BatchableNode{Node: qn, Quiet: qn.quietLeft}
-			} else {
-				nodes[i] = qn
-			}
-		}
-		cfg := Config{N: n, Bandwidth: 20, Model: Unicast, Seed: 17, Parallelism: par, Sink: sink}
-		res, err := Run(cfg, nodes)
-		if err != nil {
-			t.Fatalf("par=%d declare=%v: %v", par, declare, err)
-		}
-		return res
-	}
-	oracle := run(1, false, nil)
-	for _, par := range []int{1, 4} {
-		batched := &testSink{}
-		res := run(par, true, batched)
-		requireIdentical(t, oracle, res, fmt.Sprintf("traced batched p=%d", par))
-		reconcileTrace(t, batched, res, fmt.Sprintf("batched p=%d", par))
-		wide := 0
-		for _, r := range batched.rounds {
-			if r.Span > 1 {
-				wide++
-				if r.Sends != 0 || r.Delivered != 0 || r.SentBits != 0 {
-					t.Errorf("p=%d: quiet batch record has traffic: %+v", par, r)
-				}
-			}
-		}
-		if wide == 0 {
-			t.Errorf("p=%d: no batched record (Span>1) in a quiet-stretch protocol", par)
-		}
-		plain := &testSink{}
-		resPlain := run(par, false, plain)
-		requireIdentical(t, oracle, resPlain, fmt.Sprintf("traced unbatched p=%d", par))
-		bs, ps := sumTrace(batched.rounds), sumTrace(plain.rounds)
-		if bs != ps {
-			t.Errorf("p=%d: batched sums %+v != unbatched sums %+v", par, bs, ps)
-		}
-		if len(batched.rounds) >= len(plain.rounds) {
-			t.Errorf("p=%d: batching produced %d records, unbatched %d — expected fewer", par, len(batched.rounds), len(plain.rounds))
-		}
-	}
-}
-
 // TestAllocRegressionTrace is the CI alloc guard for the nil-Sink path
 // (satellite 5): with tracing disabled the instrumented engine still
 // allocates ~0 per round — the tracing branch costs one predicted

@@ -102,7 +102,7 @@ func E17FaultInjection(w io.Writer, quick bool, env Env) error {
 			if err != nil {
 				return err
 			}
-			rep, err := scenario.RunMatrixOpts(m, scenario.RunOptions{Shards: 4, Faults: mod.spec(rate)})
+			rep, err := scenario.RunMatrixOpts(m, scenario.RunOptions{CellOptions: scenario.CellOptions{Faults: mod.spec(rate)}, Shards: 4})
 			if err != nil {
 				return fmt.Errorf("E17(b) %s rate=%g: %w", mod.name, rate, err)
 			}
@@ -179,7 +179,7 @@ func E17FaultInjection(w io.Writer, quick bool, env Env) error {
 	if err := mL.FilterProtocols("connectivity,routing"); err != nil {
 		return err
 	}
-	optL := scenario.RunOptions{Shards: 2, Faults: fault.Spec{Drop: 0.02}}
+	optL := scenario.RunOptions{CellOptions: scenario.CellOptions{Faults: fault.Spec{Drop: 0.02}}, Shards: 2}
 	optL.Ledger = filepath.Join(dir, "full.jsonl")
 	full, err := scenario.RunMatrixOpts(mL, optL)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // one engine-trace/v1 NDJSON file named by the run's seed
 // (trace-s<seed>.ndjson, with -<k> suffixes if a seed recurs — e.g. a
 // protocol that drives several engine executions in one leg, or a
-// quarantine retry). Files are created lazily at TraceStart, so a
+// retry). Files are created lazily at TraceStart, so a
 // DirSink costs nothing for code paths that never run the engine. Close flushes and closes
 // every file, reporting the first error; call it only after all traced
 // runs have finished (a leg abandoned by a timeout may still be

@@ -60,7 +60,7 @@ func TestBackoffEdges(t *testing.T) {
 	}
 }
 
-// The quarantine retry loop sleeps exactly the Backoff schedule of the
+// The retry loop sleeps exactly the Backoff schedule of the
 // failing cell — asserted through the injected Sleep hook, no real
 // sleeps anywhere (satellite: fake-clock/injected-sleep coverage).
 func TestRunMatrixOptsRetryBackoffSchedule(t *testing.T) {
@@ -73,11 +73,13 @@ func TestRunMatrixOptsRetryBackoffSchedule(t *testing.T) {
 	var slept []time.Duration
 	base, cp := 10*time.Millisecond, 80*time.Millisecond
 	rep, err := RunMatrixOpts(m, RunOptions{
-		Shards:          1,
-		Retries:         3,
-		RetryBackoff:    base,
-		RetryBackoffCap: cp,
-		Sleep:           func(d time.Duration) { slept = append(slept, d) },
+		CellOptions: CellOptions{
+			Retries:         3,
+			RetryBackoff:    base,
+			RetryBackoffCap: cp,
+			Sleep:           func(d time.Duration) { slept = append(slept, d) },
+		},
+		Shards: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,8 +103,8 @@ func TestRunMatrixOptsRetryBackoffSchedule(t *testing.T) {
 	}
 	// Zero backoff keeps the historical immediate retry: no sleeps.
 	slept = nil
-	if _, err := RunMatrixOpts(m, RunOptions{Shards: 1, Retries: 2,
-		Sleep: func(d time.Duration) { slept = append(slept, d) }}); err != nil {
+	if _, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Retries: 2,
+		Sleep: func(d time.Duration) { slept = append(slept, d) }}, Shards: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if len(slept) != 0 {

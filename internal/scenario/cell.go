@@ -54,58 +54,89 @@ type CachedLeg struct {
 // LegCache is the oracle-leg cache hook of RunCell. Implementations
 // must verify integrity on read (a corrupted entry degrades to a miss
 // and a recompute — never to a wrong oracle); scenariod's
-// content-addressed cache is the standing implementation.
+// content-addressed cache is the standing implementation. A matrix run
+// uses no cache.
 type LegCache interface {
 	GetOracle(c Cell, faulty bool) (CachedLeg, bool)
 	PutOracle(c Cell, faulty bool, leg CachedLeg)
 }
 
-// CellOptions carries the per-cell slice of RunOptions for the
-// single-cell execution path (the scenariod worker). The zero value
-// runs both legs guarded, without deadline, retries, or cache.
+// CellOptions are the options every cell of a run executes under: the
+// matrix runner (RunOptions embeds them) and the scenariod worker pass
+// them to the same per-cell function. The zero value runs both legs
+// guarded, on a clean channel, without deadline, retries or trace.
 type CellOptions struct {
-	Faults          fault.Spec
-	Timeout         time.Duration
-	Retries         int
-	RetryBackoff    time.Duration
+	// Faults is the adversary. When active, every cell runs with
+	// Leg.Faulty set on both legs (hardened protocol variants,
+	// fault-stable outputs) and the plan's factory goes into the engine
+	// leg's Env only; the oracle leg stays clean and defines the
+	// expected outputs.
+	Faults fault.Spec
+	// Timeout is the per-leg deadline; 0 disables it. A timed-out leg's
+	// goroutine is abandoned (the engine has no preemption), so timeouts
+	// classify the cell as infra rather than waiting forever.
+	Timeout time.Duration
+	// Retries is how many times an infra-failed leg (panic, timeout) is
+	// re-run, right after the failed attempt and in the same shard,
+	// before the cell is recorded as infra. A timed-out leg's retry so
+	// runs under full shard load, beside its abandoned first attempt.
+	Retries int
+	// RetryBackoff is the base pause before each retry: attempt a sleeps
+	// Backoff(RetryBackoff, RetryBackoffCap, a, cell seed, cell key) —
+	// capped exponential with deterministic jitter — so retries of a
+	// transiently overloaded box spread out instead of hammering it
+	// immediately. 0 keeps the historical immediate retry.
+	RetryBackoff time.Duration
+	// RetryBackoffCap clamps the retry backoff; 0 = 32·RetryBackoff.
 	RetryBackoffCap time.Duration
-	Sleep           func(time.Duration)
-	Cache           LegCache
-	// TraceDir mirrors RunOptions.TraceDir for the single-cell path:
-	// the engine leg (only) is traced into an engine-trace/v1 NDJSON
-	// file under the directory.
+	// Sleep is the pause hook used by the retry backoff; nil =
+	// time.Sleep. Tests inject a recorder so backoff schedules are
+	// asserted without real sleeps. A matrix run calls it from every
+	// shard, so with Shards > 1 it must be safe for concurrent use.
+	Sleep func(time.Duration)
+	// TraceDir, when non-empty, archives an engine-trace/v1 NDJSON file
+	// per engine-leg run under the directory (obs.DirSink naming:
+	// trace-s<seed>.ndjson). Only the engine legs are traced — the
+	// oracle legs stay untraced, exactly as they stay clean under
+	// faults — and because tracing cannot change Outputs or Stats
+	// (core's traced-vs-untraced invariant), a traced cell classifies
+	// identically to an untraced one.
 	TraceDir string
 }
 
-// RunCell executes one cell's differential pair exactly as
-// RunMatrixOpts would — oracle leg on the sequential scalar engine,
-// engine leg under the cell's configuration, panic/timeout guards,
-// quarantine retries with backoff, the adversary on the engine leg
-// only — and classifies the outcome. With a LegCache, the
-// oracle leg is served from the cache when possible (its wall time is
-// then recorded as 0) and stored after a successful miss. Because every
-// leg is deterministic in the cell coordinates, the resulting
-// CellResult is identical to the one a full matrix run would produce,
-// timings aside — the property the scenariod chaos tests lean on.
-func RunCell(c Cell, opt CellOptions) CellResult {
+// RunCell executes one cell's differential pair — oracle leg on the
+// sequential scalar engine, engine leg under the cell's configuration,
+// panic/timeout guards, retries with backoff, the adversary on the
+// engine leg only — and classifies the outcome. It is the per-cell
+// function RunMatrixOpts runs for every cell, so a cell run alone
+// produces the CellResult a full matrix run records, timings aside —
+// the property the scenariod chaos tests lean on. With a non-nil cache,
+// the oracle leg is served from the cache when possible (its wall time
+// is then recorded as 0) and stored after a successful miss.
+func RunCell(c Cell, opt CellOptions, cache LegCache) CellResult {
+	engineLeg, closeSink := engineLegOf(opt.Faults, opt.TraceDir)
+	defer closeSink()
+	return runCell(c, opt, engineLeg, cache)
+}
+
+// runCell is RunCell with the engine leg built once per run by the
+// caller, so a matrix run shares one trace archive across its cells.
+func runCell(c Cell, opt CellOptions, engineLeg Leg, cache LegCache) CellResult {
 	faulty := opt.Faults.Active()
 	var o legOut
 	cached := false
-	if opt.Cache != nil {
-		if leg, ok := opt.Cache.GetOracle(c, faulty); ok {
+	if cache != nil {
+		if leg, ok := cache.GetOracle(c, faulty); ok {
 			o = legOut{res: &LegResult{Output: leg.Output, Stats: leg.Stats}, edges: leg.Edges, attempts: 1}
 			cached = true
 		}
 	}
 	if !cached {
 		o = runLegRetries(c, oracleLeg(faulty), opt)
-		if opt.Cache != nil && o.err == nil && o.res != nil {
-			opt.Cache.PutOracle(c, faulty, CachedLeg{Output: o.res.Output, Stats: o.res.Stats, Edges: o.edges})
+		if cache != nil && o.err == nil && o.res != nil {
+			cache.PutOracle(c, faulty, CachedLeg{Output: o.res.Output, Stats: o.res.Stats, Edges: o.edges})
 		}
 	}
-
-	engineLeg, closeSink := engineLegOf(opt.Faults, opt.TraceDir)
-	defer closeSink()
 	e := runLegRetries(c, engineLeg, opt)
 	return classify(c, o, e, faulty)
 }
@@ -124,10 +155,10 @@ func engineLegOf(faults fault.Spec, traceDir string) (Leg, func()) {
 	return leg, func() { ds.Close() }
 }
 
-// runLegRetries is the single-cell mirror of runWave's quarantine loop:
-// infra failures (panic, timeout) retry up to opt.Retries times with
-// the capped-backoff pause; protocol errors never retry — they are
-// deterministic by the replay guarantee.
+// runLegRetries is the retry loop of every leg: infra failures (panic,
+// timeout) retry up to opt.Retries times with the capped-backoff pause;
+// protocol errors never retry — they are deterministic by the replay
+// guarantee and belong to the outcome classification.
 func runLegRetries(c Cell, leg Leg, opt CellOptions) legOut {
 	out := runLegGuarded(c, leg, opt.Timeout)
 	sleep := opt.Sleep

@@ -44,8 +44,8 @@ func TestCellFromNames(t *testing.T) {
 	}
 }
 
-// RunCell is the single-cell mirror of the matrix runner: every cell
-// run alone must classify exactly as it does inside the full sweep.
+// RunCell runs the matrix runner's per-cell function: every cell run
+// alone must classify exactly as it does inside the full sweep.
 func TestRunCellMatchesMatrixRun(t *testing.T) {
 	m := tinyMatrix(t)
 	rep, err := RunMatrixOpts(m, RunOptions{Shards: 1})
@@ -53,12 +53,12 @@ func TestRunCellMatchesMatrixRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range m.Expand() {
-		got := RunCell(c, CellOptions{})
+		got := RunCell(c, CellOptions{}, nil)
 		want := rep.Cells[i]
 		got.OracleNs, got.EngineNs = 0, 0
 		want.OracleNs, want.EngineNs = 0, 0
 		if got != want {
-			t.Fatalf("cell %d differs:\n RunCell:   %+v\n RunMatrix: %+v", i, got, want)
+			t.Fatalf("cell %d differs:\n RunCell:       %+v\n RunMatrixOpts: %+v", i, got, want)
 		}
 	}
 }
@@ -86,11 +86,11 @@ func (c *mapCache) PutOracle(cell Cell, faulty bool, leg CachedLeg) {
 func TestRunCellOracleCache(t *testing.T) {
 	cell := tinyMatrix(t).Expand()[0]
 	cache := &mapCache{m: map[string]CachedLeg{}}
-	cold := RunCell(cell, CellOptions{Cache: cache})
+	cold := RunCell(cell, CellOptions{}, cache)
 	if cache.puts != 1 {
 		t.Fatalf("cold run stored %d entries, want 1", cache.puts)
 	}
-	warm := RunCell(cell, CellOptions{Cache: cache})
+	warm := RunCell(cell, CellOptions{}, cache)
 	if cache.puts != 1 {
 		t.Fatalf("warm run stored again (%d puts)", cache.puts)
 	}
@@ -103,7 +103,7 @@ func TestRunCellOracleCache(t *testing.T) {
 	}
 }
 
-// An impossible deadline makes both legs infra; the quarantine retries
+// An impossible deadline makes both legs infra; the retries
 // sleep exactly the backoff schedule through the injected hook.
 func TestRunCellTimeoutRetriesWithBackoff(t *testing.T) {
 	cell := tinyMatrix(t).Expand()[0]
@@ -115,7 +115,7 @@ func TestRunCellTimeoutRetriesWithBackoff(t *testing.T) {
 		RetryBackoff:    base,
 		RetryBackoffCap: cp,
 		Sleep:           func(d time.Duration) { slept = append(slept, d) },
-	})
+	}, nil)
 	if res.Outcome != OutcomeInfra {
 		t.Fatalf("outcome %q, want infra under a 1ns deadline", res.Outcome)
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -30,27 +31,6 @@ func faultTestMatrix(t *testing.T) *Matrix {
 	return m
 }
 
-func TestRunMatrixOptsZeroValueMatchesRunMatrix(t *testing.T) {
-	m := testMatrix(t)
-	m.Protocols = m.Protocols[:2]
-	a := RunMatrix(m, 2)
-	b, err := RunMatrixOpts(m, RunOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Cells) != len(b.Cells) {
-		t.Fatalf("cell counts differ: %d vs %d", len(a.Cells), len(b.Cells))
-	}
-	for i := range a.Cells {
-		ca, cb := a.Cells[i], b.Cells[i]
-		ca.OracleNs, ca.EngineNs = 0, 0
-		cb.OracleNs, cb.EngineNs = 0, 0
-		if ca != cb {
-			t.Fatalf("cell %d differs:\n  RunMatrix:     %+v\n  RunMatrixOpts: %+v", i, ca, cb)
-		}
-	}
-}
-
 // TestFaultSweepSafety is the harness-level safety invariant: under an
 // active adversary every cell must end verified-correct (ok) or
 // explicitly detected — never silently diverged, with zero tolerance.
@@ -60,7 +40,7 @@ func TestFaultSweepSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunMatrixOpts(m, RunOptions{Shards: 4, Faults: spec})
+	rep, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Faults: spec}, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +78,7 @@ func TestFaultSweepDeterministicAcrossShards(t *testing.T) {
 	spec := fault.Spec{Drop: 0.02, Corrupt: 0.01}
 	var reps [2]*Report
 	for i, shards := range []int{1, 4} {
-		rep, err := RunMatrixOpts(m, RunOptions{Shards: shards, Faults: spec})
+		rep, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Faults: spec}, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +108,7 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := []RunOptions{{Shards: 2}, {Shards: 2, Faults: spec}}
+	opts := []RunOptions{{Shards: 2}, {CellOptions: CellOptions{Faults: spec}, Shards: 2}}
 	canonical := func(opt RunOptions) ([]byte, error) {
 		m := DefaultMatrix(true, 7)
 		m.Sizes = []int{16}
@@ -200,7 +180,7 @@ func TestLedgerResume(t *testing.T) {
 	dir := t.TempDir()
 
 	full := filepath.Join(dir, "full.jsonl")
-	want, err := RunMatrixOpts(m, RunOptions{Shards: 2, Faults: spec, Ledger: full})
+	want, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Faults: spec}, Shards: 2, Ledger: full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +201,7 @@ func TestLedgerResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := RunMatrixOpts(m, RunOptions{Shards: 2, Faults: spec, Ledger: partial})
+	got, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Faults: spec}, Shards: 2, Ledger: partial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +229,7 @@ func TestLedgerResume(t *testing.T) {
 
 	// A completed ledger resumes to the same report without running
 	// anything (every cell is recorded).
-	again, err := RunMatrixOpts(m, RunOptions{Shards: 2, Faults: spec, Ledger: full})
+	again, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Faults: spec}, Shards: 2, Ledger: full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +239,37 @@ func TestLedgerResume(t *testing.T) {
 			t.Fatalf("fully-ledgered resume changed cell %d outcome %q -> %q",
 				i, want.Cells[i].Outcome, again.Cells[i].Outcome)
 		}
+	}
+}
+
+// TestLedgerRecordsEachCellAsItCompletes: the ledger records a cell as
+// soon as it completes, not when a whole pass ends. In a four-cell,
+// one-shard run, the last cell's engine leg must already find the
+// other three cells ledgered, so an interrupt there costs one cell.
+func TestLedgerRecordsEachCellAsItCompletes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	var seen atomic.Int32
+	seen.Store(-1)
+	m := syntheticMatrix(func(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult, error) {
+		if !leg.Oracle && g.N() == 7 {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return nil, err
+			}
+			seen.Store(int32(strings.Count(string(data), `"t":"cell"`)))
+		}
+		return &LegResult{Output: "ok"}, nil
+	})
+	m.Sizes = []int{4, 5, 6, 7}
+	rep, err := RunMatrixOpts(m, RunOptions{Shards: 1, Ledger: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := rep.Summary; s.Cells != 4 || s.Divergences+s.Detected+s.Infra != 0 {
+		t.Fatalf("synthetic run summary %+v, want 4 ok cells", s)
+	}
+	if got := seen.Load(); got != 3 {
+		t.Fatalf("last cell's engine leg saw %d ledgered cells, want 3", got)
 	}
 }
 
@@ -274,7 +285,7 @@ func TestLedgerRejectsForeignRun(t *testing.T) {
 	if _, err := RunMatrixOpts(m, RunOptions{Shards: 2, Ledger: path}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunMatrixOpts(m, RunOptions{Shards: 2, Faults: fault.Spec{Drop: 0.5}, Ledger: path}); err == nil {
+	if _, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Faults: fault.Spec{Drop: 0.5}}, Shards: 2, Ledger: path}); err == nil {
 		t.Fatal("ledger accepted a resume under a different fault spec")
 	}
 	m2 := faultTestMatrix(t)
@@ -303,7 +314,7 @@ func syntheticMatrix(run func(g *graph.Graph, bandwidth int, seed int64, leg Leg
 }
 
 // TestGuardedLegCapturesPanic: an adapter panic becomes an infra cell,
-// never a harness crash, and the quarantine retries are recorded.
+// never a harness crash, and the retries are recorded.
 func TestGuardedLegCapturesPanic(t *testing.T) {
 	m := syntheticMatrix(func(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult, error) {
 		if !leg.Oracle {
@@ -311,7 +322,7 @@ func TestGuardedLegCapturesPanic(t *testing.T) {
 		}
 		return &LegResult{Output: "ok"}, nil
 	})
-	rep, err := RunMatrixOpts(m, RunOptions{Shards: 1, Retries: 2})
+	rep, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Retries: 2}, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +334,7 @@ func TestGuardedLegCapturesPanic(t *testing.T) {
 		t.Fatalf("infra error does not name the panic: %q", c.Error)
 	}
 	if c.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3 (wave + 2 quarantine retries)", c.Attempts)
+		t.Fatalf("attempts = %d, want 3 (first attempt + 2 retries)", c.Attempts)
 	}
 	if rep.ExitCode() != 4 {
 		t.Fatalf("infra run exit code %d, want 4", rep.ExitCode())
@@ -341,7 +352,7 @@ func TestGuardedLegTimeout(t *testing.T) {
 		}
 		return &LegResult{Output: "ok"}, nil
 	})
-	rep, err := RunMatrixOpts(m, RunOptions{Shards: 1, Timeout: 50 * time.Millisecond})
+	rep, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Timeout: 50 * time.Millisecond}, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +363,7 @@ func TestGuardedLegTimeout(t *testing.T) {
 }
 
 // TestQuarantineRetryRecovers: a leg that fails transiently (panics on
-// its first attempt only) is healed by the quarantine retry and the cell
+// its first attempt only) is healed by the retry and the cell
 // lands ok with the attempt count recorded.
 func TestQuarantineRetryRecovers(t *testing.T) {
 	var mu sync.Mutex
@@ -369,7 +380,7 @@ func TestQuarantineRetryRecovers(t *testing.T) {
 		}
 		return &LegResult{Output: "ok"}, nil
 	})
-	rep, err := RunMatrixOpts(m, RunOptions{Shards: 1, Retries: 2})
+	rep, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Retries: 2}, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +402,7 @@ func TestDetectedClassification(t *testing.T) {
 		}
 		return &LegResult{Output: "ok"}, nil
 	})
-	rep, err := RunMatrixOpts(m, RunOptions{Shards: 1, Faults: fault.Spec{Drop: 0.01}})
+	rep, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Faults: fault.Spec{Drop: 0.01}}, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +437,7 @@ func TestSilentCorruptionIsDivergence(t *testing.T) {
 		}
 		return &LegResult{Output: "right"}, nil
 	})
-	rep, err := RunMatrixOpts(m, RunOptions{Shards: 1, Faults: fault.Spec{Drop: 0.01}})
+	rep, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Faults: fault.Spec{Drop: 0.01}}, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

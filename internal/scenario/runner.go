@@ -26,8 +26,8 @@ const ReportSchema = "scenarios/v2"
 //   - OutcomeDiverged: the legs disagree, a leg failed without faults to
 //     blame, or — the one unforgivable case — the engine leg ACCEPTED a
 //     wrong answer under faults (a silent corruption).
-//   - OutcomeInfra: a leg panicked or timed out even after the
-//     quarantine retries; the cell says nothing about the protocol.
+//   - OutcomeInfra: a leg panicked or timed out even after its
+//     retries; the cell says nothing about the protocol.
 const (
 	OutcomeOK       = "ok"
 	OutcomeDetected = "detected"
@@ -94,7 +94,7 @@ type Report struct {
 	Cells    []CellResult `json:"cells"`
 }
 
-// legOut is one leg's outcome while the passes are in flight.
+// legOut is one leg's outcome, before classify folds the pair.
 type legOut struct {
 	res      *LegResult
 	edges    int
@@ -151,22 +151,6 @@ func statsDiff(a, b core.Stats) string {
 		}
 	}
 	return ""
-}
-
-// RunMatrix executes every cell of the matrix under both the sequential
-// scalar oracle and the cell's engine configuration, diffs the legs, and
-// returns the aggregated report. Cells are sharded across a
-// core.ParallelFor pool of `shards` workers (0 = GOMAXPROCS). It is the
-// clean-channel compatibility wrapper around RunMatrixOpts; the only
-// error RunMatrixOpts can return is a ledger failure, which cannot
-// happen without a ledger.
-func RunMatrix(m *Matrix, shards int) *Report {
-	rep, err := RunMatrixOpts(m, RunOptions{Shards: shards})
-	if err != nil {
-		// Unreachable without RunOptions.Ledger; keep the signature stable.
-		panic(err)
-	}
-	return rep
 }
 
 // classify folds a cell's two leg outcomes into its CellResult. Under an
@@ -282,10 +266,10 @@ func summarize(rep *Report, m *Matrix) Summary {
 	return s
 }
 
-// BuildReport assembles a Report from externally executed cell results
-// — the scenariod service path, where workers run cells one at a time
-// and the server collects them in matrix-expansion order. faults is the
-// run's fault spec ("", "none" or a Spec string; recorded when active).
+// BuildReport assembles a Report from cell results in matrix-expansion
+// order — RunMatrixOpts's pool, or the scenariod server collecting its
+// workers' cells. faults is the run's fault spec ("", "none" or a Spec
+// string; recorded when active).
 func BuildReport(m *Matrix, cells []CellResult, faults string) *Report {
 	rep := &Report{
 		Schema:   ReportSchema,

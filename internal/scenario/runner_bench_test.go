@@ -22,7 +22,7 @@ func BenchmarkShardScaling(b *testing.B) {
 				if err := m.FilterProtocols("connectivity,triangle"); err != nil {
 					b.Fatal(err)
 				}
-				rep := RunMatrix(m, shards)
+				rep := runMatrix(b, m, shards)
 				if s := rep.Summary; s.Divergences+s.Infra > 0 {
 					b.Fatalf("shards=%d: %d divergences, %d infra failures", shards, s.Divergences, s.Infra)
 				}

@@ -52,7 +52,7 @@ type EngineConfig struct {
 // Leg tells a protocol adapter which side of the differential it is
 // running: the oracle (sequential engine, scalar local evaluation) or the
 // engine configuration under test. Faulty is set on BOTH legs of a
-// faulted cell (RunOptions.Faults active): the adapter must pick its
+// faulted cell (CellOptions.Faults active): the adapter must pick its
 // hardened protocol variant and emit a fault-stable output — one that is
 // invariant under recovery detours (extra Borůvka phases, alternative
 // but equally valid certificates) — while the adversary itself is only

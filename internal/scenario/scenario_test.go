@@ -22,6 +22,17 @@ func testMatrix(t *testing.T) *Matrix {
 	return m
 }
 
+// runMatrix runs m on a clean channel at the given pool width; without
+// a ledger RunMatrixOpts cannot fail.
+func runMatrix(t testing.TB, m *Matrix, shards int) *Report {
+	t.Helper()
+	rep, err := RunMatrixOpts(m, RunOptions{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestQuickMatrixShape(t *testing.T) {
 	m := DefaultMatrix(true, 1)
 	cells := m.Expand()
@@ -49,7 +60,7 @@ func TestQuickMatrixShape(t *testing.T) {
 
 func TestMatrixRunsClean(t *testing.T) {
 	m := testMatrix(t)
-	rep := RunMatrix(m, 0)
+	rep := runMatrix(t, m, 0)
 	if rep.Summary.Cells != len(m.Expand()) {
 		t.Fatalf("summary cells %d != %d", rep.Summary.Cells, len(m.Expand()))
 	}
@@ -70,8 +81,8 @@ func TestMatrixRunsClean(t *testing.T) {
 func TestShardingDoesNotChangeResults(t *testing.T) {
 	m := testMatrix(t)
 	m.Protocols = m.Protocols[:2] // triangle + hdetect keep this fast
-	a := RunMatrix(m, 1)
-	b := RunMatrix(m, 4)
+	a := runMatrix(t, m, 1)
+	b := runMatrix(t, m, 4)
 	if len(a.Cells) != len(b.Cells) {
 		t.Fatalf("cell counts differ: %d vs %d", len(a.Cells), len(b.Cells))
 	}
@@ -99,7 +110,7 @@ func TestRunnerFlagsOutputDivergence(t *testing.T) {
 			return &LegResult{Output: out, Stats: core.Stats{Rounds: 1, TotalBits: 1}}, nil
 		},
 	}}
-	rep := RunMatrix(m, 1)
+	rep := runMatrix(t, m, 1)
 	if len(rep.Divergent()) != len(rep.Cells) {
 		t.Fatalf("divergent output not flagged: %+v", rep.Cells)
 	}
@@ -122,7 +133,7 @@ func TestRunnerFlagsStatsDivergence(t *testing.T) {
 			return &LegResult{Output: "same", Stats: s}, nil
 		},
 	}}
-	rep := RunMatrix(m, 1)
+	rep := runMatrix(t, m, 1)
 	for _, c := range rep.Cells {
 		if !c.Diverged {
 			t.Fatalf("stats divergence not flagged: %+v", c)
@@ -143,7 +154,7 @@ func TestRunnerFlagsLegError(t *testing.T) {
 			return &LegResult{Output: "ok", Stats: core.Stats{Rounds: 1, TotalBits: 1}}, nil
 		},
 	}}
-	rep := RunMatrix(m, 1)
+	rep := runMatrix(t, m, 1)
 	for _, c := range rep.Cells {
 		if !c.Diverged || c.Divergence == "" {
 			t.Fatalf("leg error not surfaced: %+v", c)
@@ -161,7 +172,7 @@ func TestRunnerFlagsNilResult(t *testing.T) {
 			return nil, nil // broken adapter: must flag, not panic
 		},
 	}}
-	rep := RunMatrix(m, 1)
+	rep := runMatrix(t, m, 1)
 	for _, c := range rep.Cells {
 		if !c.Diverged || c.Divergence == "" {
 			t.Fatalf("nil protocol result not flagged: %+v", c)
@@ -173,7 +184,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	m := testMatrix(t)
 	m.Families = m.Families[:2]
 	m.Protocols = m.Protocols[:2]
-	rep := RunMatrix(m, 0)
+	rep := runMatrix(t, m, 0)
 	path, err := rep.WriteJSON(filepath.Join(t.TempDir(), "SCENARIOS_test.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +210,7 @@ func TestWriteAndReport(t *testing.T) {
 	m.Families = m.Families[:1]
 	m.Engines = m.Engines[:1]
 	m.Protocols = m.Protocols[:1]
-	rep := RunMatrix(m, 1)
+	rep := runMatrix(t, m, 1)
 
 	var out, errs strings.Builder
 	path := filepath.Join(t.TempDir(), "clean.json")

@@ -48,7 +48,7 @@ func tinyTraceMatrix(t *testing.T) *Matrix {
 func TestRunMatrixTraceDir(t *testing.T) {
 	m := tinyTraceMatrix(t)
 	dir := t.TempDir()
-	rep, err := RunMatrixOpts(m, RunOptions{Shards: 2, TraceDir: dir})
+	rep, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{TraceDir: dir}, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestRunCellTraceDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	res := RunCell(cell, CellOptions{TraceDir: dir})
+	res := RunCell(cell, CellOptions{TraceDir: dir}, nil)
 	if res.Outcome != OutcomeOK {
 		t.Fatalf("cell outcome %s: %s%s", res.Outcome, res.Error, res.Divergence)
 	}

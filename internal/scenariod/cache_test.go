@@ -149,9 +149,9 @@ func TestRunCellCacheEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := testCell(t)
-	cold := scenario.RunCell(cell, scenario.CellOptions{Cache: c})
-	warm := scenario.RunCell(cell, scenario.CellOptions{Cache: c})
-	bare := scenario.RunCell(cell, scenario.CellOptions{})
+	cold := scenario.RunCell(cell, scenario.CellOptions{}, c)
+	warm := scenario.RunCell(cell, scenario.CellOptions{}, c)
+	bare := scenario.RunCell(cell, scenario.CellOptions{}, nil)
 	for _, r := range []*scenario.CellResult{&cold, &warm, &bare} {
 		r.OracleNs, r.EngineNs = 0, 0
 	}

@@ -184,7 +184,7 @@ func TestFleetSpansSurviveCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(40 * time.Millisecond)
-	res := scenario.RunCell(cell, scenario.CellOptions{})
+	res := scenario.RunCell(cell, scenario.CellOptions{}, nil)
 	if _, err := client1.Result(ResultRequest{
 		RunID: g.RunID, Key: g.Key, LeaseID: g.LeaseID,
 		Worker: "w-lucky", Attempt: g.Attempt, ExecMs: 40, Cell: res,

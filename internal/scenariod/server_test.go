@@ -200,7 +200,7 @@ func TestServerLedgerRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := scenario.RunCell(cell, scenario.CellOptions{})
+	res := scenario.RunCell(cell, scenario.CellOptions{}, nil)
 	if _, err := client1.Result(ResultRequest{RunID: g.RunID, Key: g.Key, LeaseID: g.LeaseID, Worker: "w-before-crash", Attempt: g.Attempt, Cell: res}); err != nil {
 		t.Fatal(err)
 	}

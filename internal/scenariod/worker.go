@@ -22,7 +22,7 @@ type Worker struct {
 	// content-addressed from disk (shared across worker processes).
 	Cache *Cache
 	// CellTimeout/Retries/RetryBackoff/RetryBackoffCap mirror the
-	// scenario.CellOptions quarantine discipline per leg.
+	// scenario.CellOptions retry discipline per leg.
 	CellTimeout     time.Duration
 	Retries         int
 	RetryBackoff    time.Duration
@@ -167,11 +167,12 @@ func (w *Worker) execute(ctx context.Context, g JobGrant) scenario.CellResult {
 		RetryBackoffCap: w.RetryBackoffCap,
 		TraceDir:        w.TraceDir,
 	}
+	var cache scenario.LegCache
 	if w.Cache != nil {
-		opt.Cache = w.Cache
+		cache = w.Cache
 		cell.Family.Gen = w.Cache.CachedGen(cell.Family.Name, cell.Family.Gen)
 	}
-	res := scenario.RunCell(cell, opt)
+	res := scenario.RunCell(cell, opt, cache)
 	stopHB()
 	<-hbDone
 	return res
