@@ -512,19 +512,14 @@ type Reader struct {
 // emptyBuf backs readers over nil buffers; it is never written.
 var emptyBuf = &Buffer{frozen: true}
 
-// readerPool recycles Reader structs handed back via Reader.Release.
-var readerPool = sync.Pool{New: func() interface{} { return new(Reader) }}
-
-// NewReader returns a reader positioned at the start of buf. Reading does
-// not modify buf. Readers are drawn from a pool; hot paths may hand them
-// back (together with the buffer) via Release.
+// NewReader returns a reader positioned at the start of buf (a nil buf
+// reads as empty). Reading does not modify buf. NewReader inlines, so a
+// reader that does not escape its caller lives on the caller's stack.
 func NewReader(buf *Buffer) *Reader {
 	if buf == nil {
 		buf = emptyBuf
 	}
-	r := readerPool.Get().(*Reader)
-	r.buf, r.pos = buf, 0
-	return r
+	return &Reader{buf: buf}
 }
 
 // Reset repoints the reader at the start of buf, allowing a stack- or
@@ -536,14 +531,13 @@ func (r *Reader) Reset(buf *Buffer) {
 	r.buf, r.pos = buf, 0
 }
 
-// Release returns the reader and its underlying buffer to their pools.
-// The caller promises not to read from r (or touch the buffer) again.
+// Release returns the reader's underlying buffer to the package pool and
+// empties the reader. The caller promises not to touch the buffer again.
 func (r *Reader) Release() {
 	b := r.buf
 	r.buf = emptyBuf
 	r.pos = 0
 	b.Release()
-	readerPool.Put(r)
 }
 
 // Remaining reports how many unread bits remain.

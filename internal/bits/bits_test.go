@@ -364,3 +364,29 @@ func TestFromBitsMasksTrailingGarbage(t *testing.T) {
 		t.Errorf("append of masked buffers = %s, want 111111", cat.String())
 	}
 }
+
+// TestAllocRegressionReader pins the pool-free reader: NewReader inlines,
+// so a reader that does not escape lives on the caller's stack and
+// reading a live buffer allocates nothing. A pooled reader that is never
+// handed back costs one heap object per call. Matches the CI
+// alloc-regression pattern (-run AllocRegression).
+func TestAllocRegressionReader(t *testing.T) {
+	buf := New(64)
+	buf.WriteUint(0xA5, 8)
+	buf.WriteUint(0x3C, 8)
+	var sum uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		r := NewReader(buf)
+		v, err := r.ReadUint(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += v
+	})
+	if allocs != 0 {
+		t.Errorf("NewReader+ReadUint allocates %.2f objects per call, want 0", allocs)
+	}
+	if sum != 101*0xA5 {
+		t.Errorf("read sum = %d, want %d", sum, 101*0xA5)
+	}
+}

@@ -10,7 +10,6 @@ import (
 func refBit(t *testing.T, b *Buffer, i int) uint64 {
 	t.Helper()
 	r := NewReader(b)
-	defer readerPool.Put(r)
 	var v uint64
 	for k := 0; k <= i; k++ {
 		var err error

@@ -457,6 +457,8 @@ type engine struct {
 	delivered []delivery // inbox slots filled by the last delivery
 	workers   int
 	pool      *workerPool // resident round pool; nil when workers == 1
+	round     int         // the round being stepped
+	stepSlot  func(k int) // e.stepLive, bound once so rounds allocate nothing
 
 	// Arena recycling (DESIGN.md §13): messages built via Ctx.Msg and
 	// filed this round are queued on reclaimNext; one round later — after
@@ -505,6 +507,7 @@ func newEngine(cfg *Config, nodes []Node) *engine {
 		sink:    cfg.Sink,
 	}
 	e.traceOn = e.sink != nil
+	e.stepSlot = e.stepLive
 	if e.plan != nil {
 		e.crashed = make([]bool, n)
 	}
@@ -524,13 +527,18 @@ func newEngine(cfg *Config, nodes []Node) *engine {
 	return e
 }
 
-// stepOne invokes one node's Step and records its halt flag.
-func (e *engine) stepOne(slot, id, round int) error {
+// stepLive steps the node in slot k of the live list for e.round and
+// records its halt flag and error; a crashed node halts unstepped.
+func (e *engine) stepLive(k int) {
+	id := e.live[k]
+	if e.crashed != nil && e.crashed[id] {
+		e.done[k] = true
+		e.errs[k] = nil
+		return
+	}
 	ctx := e.ctxs[id]
-	ctx.round = round
-	d, err := e.nodes[id].Step(ctx, e.inboxes[id])
-	e.done[slot] = d
-	return err
+	ctx.round = e.round
+	e.done[k], e.errs[k] = e.nodes[id].Step(ctx, e.inboxes[id])
 }
 
 // step runs all live nodes for one round — sequentially, or fanned out
@@ -552,22 +560,14 @@ func (e *engine) step(round int) error {
 			}
 		}
 	}
-	body := func(k int) {
-		id := e.live[k]
-		if e.crashed != nil && e.crashed[id] {
-			e.done[k] = true
-			e.errs[k] = nil
-			return
-		}
-		e.errs[k] = e.stepOne(k, id, round)
-	}
+	e.round = round
 	if e.pool != nil && n > 1 {
-		e.pool.run(n, body)
+		e.pool.run(n, e.stepSlot)
 	} else {
 		// Width-1 (the sequential oracle) and single-node rounds step
-		// inline: no dispatch, no closure fan-out.
+		// inline: no dispatch.
 		for k := 0; k < n; k++ {
-			body(k)
+			e.stepLive(k)
 		}
 	}
 	for k, id := range e.live {

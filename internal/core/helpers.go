@@ -21,31 +21,60 @@ func ChunkRounds(maxBits, b int) int {
 // into chunks of b bits each" pattern (Theorem 7): every node broadcasts
 // its payload over exactly `rounds` rounds and receives every other node's
 // payload, returned indexed by sender (the node's own payload is included
-// at its own index). Payloads may have different lengths but each must fit
-// in rounds*b bits.
+// at its own index, as a copy). Payloads may have different lengths but
+// each must fit in rounds*b bits.
+//
+// The entry of a source that sent nothing is nil; read entries through
+// the nil-safe bits.NewReader, Len or DecodeAdjacencyRow. A single-round
+// exchange broadcasts a frozen view of the payload (of a copy, for an
+// arena payload) and returns the views delivered to this node: they are
+// shared with the other recipients and read-only, but never arena
+// buffers, so a caller may keep them. A multi-round exchange cuts its
+// chunks into arena buffers (Ctx.Msg) and reassembles each sending
+// source into one pool buffer (bits.Get).
 func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buffer, error) {
 	b := p.Bandwidth()
 	if payload.Len() > rounds*b {
 		return nil, fmt.Errorf("core: payload of %d bits exceeds %d rounds * %d bits",
 			payload.Len(), rounds, b)
 	}
-	chunks := payload.Chunks(b)
 	acc := make([]*bits.Buffer, p.N())
-	for i := range acc {
-		acc[i] = bits.New(0)
-	}
-	for r := 0; r < rounds; r++ {
-		if r < len(chunks) {
-			if err := p.Broadcast(chunks[r]); err != nil {
+	if rounds == 1 {
+		if payload.Len() > 0 {
+			msg := payload
+			if msg.FromArena() {
+				msg = msg.Clone() // the engine recycles a sealed arena buffer
+			}
+			if err := p.Broadcast(msg); err != nil {
 				return nil, err
 			}
-			chunks[r].Release() // frozen delivery views keep the bits alive
 		}
-		in := p.Next()
-		for src, msg := range in {
-			if msg != nil {
+		copy(acc, p.Next())
+	} else {
+		err := p.Rounds(rounds, func(r int) error {
+			off := r * b
+			if off >= payload.Len() {
+				return nil
+			}
+			chunk := p.Msg()
+			if err := chunk.AppendRange(payload, off, min(off+b, payload.Len())); err != nil {
+				return err
+			}
+			return p.Broadcast(chunk)
+		}, func(_ int, in []*bits.Buffer) error {
+			for src, msg := range in {
+				if msg == nil {
+					continue
+				}
+				if acc[src] == nil {
+					acc[src] = bits.Get(rounds * b)
+				}
 				acc[src].Append(msg)
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	acc[p.ID()] = payload.Clone()
@@ -62,27 +91,30 @@ func SendChunked(p *Proc, dst int, payload *bits.Buffer, rounds int) error {
 			payload.Len(), rounds, b)
 	}
 	chunks := payload.Chunks(b)
-	for r := 0; r < rounds; r++ {
-		if r < len(chunks) {
-			if err := p.Send(dst, chunks[r]); err != nil {
-				return err
-			}
-			chunks[r].Release() // the frozen delivery view keeps the bits alive
+	return p.Rounds(rounds, func(r int) error {
+		if r >= len(chunks) {
+			return nil
 		}
-		p.Next()
-	}
-	return nil
+		if err := p.Send(dst, chunks[r]); err != nil {
+			return err
+		}
+		chunks[r].Release() // the frozen delivery view keeps the bits alive
+		return nil
+	}, nil)
 }
 
 // RecvChunked collects a payload streamed by src over exactly `rounds`
 // rounds.
 func RecvChunked(p *Proc, src int, rounds int) (*bits.Buffer, error) {
 	acc := bits.New(0)
-	for r := 0; r < rounds; r++ {
-		in := p.Next()
+	err := p.Rounds(rounds, nil, func(_ int, in []*bits.Buffer) error {
 		if msg := in[src]; msg != nil {
 			acc.Append(msg)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return acc, nil
 }

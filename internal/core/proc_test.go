@@ -34,8 +34,8 @@ func goroutinesAfter(ok func(prev, cur int) bool) int {
 }
 
 // TestProcGoroutinesJoined pins the join-on-early-return rule: a run that
-// ends while bodies are parked in Next — a node error, a body panic,
-// ErrRoundLimit, ErrStalled — must unwind every parked body (their
+// ends while bodies are parked in Next or Rounds — a node error, a body
+// panic, ErrRoundLimit, ErrStalled — must unwind every parked body (their
 // deferred calls run) and leave no goroutine behind, at the sequential
 // width and under the worker pool.
 func TestProcGoroutinesJoined(t *testing.T) {
@@ -54,6 +54,24 @@ func TestProcGoroutinesJoined(t *testing.T) {
 					p.Next()
 				}
 				return errors.New("boom")
+			},
+			wantErr: func(err error) bool { return strings.Contains(err.Error(), "node 2") },
+		},
+		{
+			name: "failed-while-parked-in-Rounds",
+			cfg:  Config{N: n, Bandwidth: 8, Model: Unicast},
+			body: func(p *Proc) error {
+				if p.ID() == 2 {
+					for p.Round() < 3 {
+						p.Next()
+					}
+					return errors.New("boom")
+				}
+				return p.Rounds(100, func(r int) error {
+					m := p.Msg()
+					m.WriteUint(uint64(r), 8)
+					return p.Send((p.ID()+1)%p.N(), m)
+				}, nil)
 			},
 			wantErr: func(err error) bool { return strings.Contains(err.Error(), "node 2") },
 		},

@@ -1,0 +1,418 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/bits"
+)
+
+// Tests for Proc.Rounds, the engine-driven fixed schedule (DESIGN.md
+// §16): it must be indistinguishable from the explicit Next loop it
+// replaces — outputs, Stats, fault schedule, trace and error rounds —
+// while its callbacks run on the goroutine that steps the node.
+
+// roundsFunc is the shape of Proc.Rounds, so one body can run either
+// implementation.
+type roundsFunc func(p *Proc, rounds int, stage func(r int) error, recv func(r int, in []*bits.Buffer) error) error
+
+// nextLoop is the explicit Next loop Proc.Rounds is specified to match.
+func nextLoop(p *Proc, rounds int, stage func(r int) error, recv func(r int, in []*bits.Buffer) error) error {
+	for r := 0; r < rounds; r++ {
+		if stage != nil {
+			if err := stage(r); err != nil {
+				return err
+			}
+		}
+		in := p.Next()
+		if recv != nil {
+			if err := recv(r, in); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// hashFaultPlan drops, corrupts and delays a pseudorandom eighth of the
+// messages each, and crash-stops node 5 at round 6.
+type hashFaultPlan struct{}
+
+func (hashFaultPlan) OnMessage(round, src, dst, nbits int) FaultAction {
+	h := uint64(round+1)*0x9E3779B97F4A7C15 ^ uint64(src+1)*0xC2B2AE3D27D4EB4F ^ uint64(dst+1)*0x165667B19E3779F9
+	h ^= h >> 29
+	switch h % 8 {
+	case 0:
+		return FaultAction{Drop: true}
+	case 1:
+		return FaultAction{Corrupt: true, CorruptBit: int(h>>8) % 64}
+	case 2:
+		return FaultAction{Delay: 1 + int(h>>8)%3}
+	}
+	return FaultAction{}
+}
+
+func (hashFaultPlan) CrashRound(id int) int {
+	if id == 5 {
+		return 6
+	}
+	return -1
+}
+
+// scheduleBody runs a sequence of fixed schedules through `run`, with a
+// data-dependent Next between them so nodes enter and leave their
+// schedules in different steps. Schedules of length 0 and 1, nil
+// callbacks and per-node lengths are all covered. Stage sends arena
+// messages (a broadcast in the Broadcast model, two unicasts otherwise)
+// and stamps a trace mark; recv folds every delivery into the output.
+func scheduleBody(run roundsFunc) func(*Proc) error {
+	return func(p *Proc) error {
+		h := uint64(p.ID()) + 1
+		recv := func(r int, in []*bits.Buffer) error {
+			for src, msg := range in {
+				if msg == nil {
+					continue
+				}
+				v, err := bits.NewReader(msg).ReadUint(min(msg.Len(), 16))
+				if err != nil {
+					return err
+				}
+				h = h*1099511628211 ^ (v | uint64(src)<<16 | uint64(r)<<32)
+			}
+			return nil
+		}
+		for phase, rounds := range []int{3, 0, 1, 4 + p.ID()%3, 2, 5} {
+			stage := func(r int) error {
+				if r == 0 {
+					p.Annotatef("phase %d", phase)
+				}
+				if p.Model() == Broadcast {
+					m := p.Msg()
+					m.WriteUint((h^uint64(r))&0xFFFF, 16)
+					return p.Broadcast(m)
+				}
+				for k := 1; k <= 2; k++ {
+					m := p.Msg()
+					m.WriteUint((h+uint64(k*r))&0xFFFF, 16)
+					if err := p.Send((p.ID()+k+r)%p.N(), m); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			st, rc := stage, recv
+			switch phase {
+			case 2:
+				st = nil
+			case 4:
+				rc = nil
+			}
+			if err := run(p, rounds, st, rc); err != nil {
+				return err
+			}
+			if h&1 == 1 {
+				if err := recv(-1, p.Next()); err != nil {
+					return err
+				}
+			}
+		}
+		p.SetOutput(h)
+		return nil
+	}
+}
+
+// TestProcRoundsMatchesNextLoop is Rounds' equivalence contract: the same
+// body run through the explicit Next loop and through Rounds gives
+// identical outputs, Stats, fault counts and deterministic trace fields,
+// at Parallelism 1 and 4, in both clique models, on a clean channel and
+// under a plan that drops, corrupts, delays and crashes.
+func TestProcRoundsMatchesNextLoop(t *testing.T) {
+	const n = 12
+	for _, model := range []Model{Unicast, Broadcast} {
+		for _, faulty := range []bool{false, true} {
+			run := func(impl roundsFunc, par int) (*Result, *testSink) {
+				s := &testSink{}
+				cfg := Config{N: n, Bandwidth: 16, Model: model, Seed: 11, Parallelism: par, Sink: s}
+				if faulty {
+					cfg.FaultPlan = hashFaultPlan{}
+				}
+				res, err := RunProcs(cfg, scheduleBody(impl))
+				if err != nil {
+					t.Fatalf("%v faulty=%v p=%d: %v", model, faulty, par, err)
+				}
+				return res, s
+			}
+			oracle, oracleTrace := run(nextLoop, 1)
+			if faulty && (oracle.Faults.Drops == 0 || oracle.Faults.Corruptions == 0 || oracle.Faults.Delays == 0 || oracle.Faults.Crashes != 1) {
+				t.Fatalf("%v: fault plan too gentle: %+v", model, oracle.Faults)
+			}
+			for _, c := range []struct {
+				name string
+				impl roundsFunc
+				par  int
+			}{{"loop/p=4", nextLoop, 4}, {"rounds/p=1", (*Proc).Rounds, 1}, {"rounds/p=4", (*Proc).Rounds, 4}} {
+				label := fmt.Sprintf("%v faulty=%v %s", model, faulty, c.name)
+				res, trace := run(c.impl, c.par)
+				requireIdentical(t, oracle, res, label)
+				if !reflect.DeepEqual(oracle.Faults, res.Faults) {
+					t.Errorf("%s: Faults %+v, loop %+v", label, res.Faults, oracle.Faults)
+				}
+				if !reflect.DeepEqual(scrubRounds(oracleTrace.rounds), scrubRounds(trace.rounds)) {
+					t.Errorf("%s: deterministic trace fields differ from the Next loop's", label)
+				}
+			}
+		}
+	}
+}
+
+// failingBody runs four warm-up rounds, then a 4-round schedule through
+// `run` in which node 3's stage (or recv) fails in round k.
+func failingBody(run roundsFunc, inRecv bool, k int) func(*Proc) error {
+	return func(p *Proc) error {
+		for i := 0; i < 4; i++ {
+			p.Next()
+		}
+		fail := func(r int) error {
+			if p.ID() == 3 && r == k {
+				return fmt.Errorf("boom in round %d of the schedule", r)
+			}
+			return nil
+		}
+		stage := func(r int) error {
+			m := p.Msg()
+			m.WriteUint(uint64(r), 8)
+			if err := p.Broadcast(m); err != nil {
+				return err
+			}
+			if !inRecv {
+				return fail(r)
+			}
+			return nil
+		}
+		recv := func(r int, _ []*bits.Buffer) error {
+			if inRecv {
+				return fail(r)
+			}
+			return nil
+		}
+		return run(p, 4, stage, recv)
+	}
+}
+
+// TestProcRoundsErrorRound pins error timing: a callback that fails in the
+// k-th round of a schedule fails the node in the same engine round, with
+// the same error, as the explicit Next loop.
+func TestProcRoundsErrorRound(t *testing.T) {
+	for _, inRecv := range []bool{false, true} {
+		for _, k := range []int{0, 1, 3} {
+			for _, par := range []int{1, 4} {
+				cfg := Config{N: 6, Bandwidth: 8, Model: Unicast, Seed: 2, Parallelism: par}
+				_, want := RunProcs(cfg, failingBody(nextLoop, inRecv, k))
+				_, got := RunProcs(cfg, failingBody((*Proc).Rounds, inRecv, k))
+				if want == nil || got == nil || got.Error() != want.Error() {
+					t.Errorf("recv=%v k=%d p=%d: Rounds error %v, loop error %v", inRecv, k, par, got, want)
+				}
+				if got != nil && !strings.Contains(got.Error(), "node 3 failed") {
+					t.Errorf("recv=%v k=%d p=%d: error %v does not name node 3", inRecv, k, par, got)
+				}
+			}
+		}
+	}
+}
+
+// TestProcRoundsCallbackPanic pins panic semantics: a panic in stage — in
+// round 0, which runs in the body, or later, which runs in Step — or in
+// recv fails the node with the "core: node body panic" error, value and
+// stack, and nothing escapes to the caller.
+func TestProcRoundsCallbackPanic(t *testing.T) {
+	cases := []struct {
+		name         string
+		stage        func(r int)
+		recv         func(r int)
+		failingRound int
+	}{
+		{"stage-round-0", func(r int) { panic("boom in stage 0") }, nil, 4},
+		{"stage-round-2", func(r int) {
+			if r == 2 {
+				panic("boom in stage 2")
+			}
+		}, nil, 6},
+		{"recv-round-1", nil, func(r int) {
+			if r == 1 {
+				panic("boom in recv 1")
+			}
+		}, 6},
+	}
+	for _, tc := range cases {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/p=%d", tc.name, par), func(t *testing.T) {
+				cfg := Config{N: 8, Bandwidth: 8, Model: Unicast, Seed: 5, Parallelism: par}
+				var err error
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("RunProcs re-raised %T: %v", r, r)
+						}
+					}()
+					_, err = RunProcs(cfg, func(p *Proc) error {
+						for i := 0; i < 4; i++ {
+							p.Next()
+						}
+						return p.Rounds(5, func(r int) error {
+							if p.ID() == 3 && tc.stage != nil {
+								tc.stage(r)
+							}
+							return nil
+						}, func(r int, _ []*bits.Buffer) error {
+							if p.ID() == 3 && tc.recv != nil {
+								tc.recv(r)
+							}
+							return nil
+						})
+					})
+				}()
+				if err == nil {
+					t.Fatal("RunProcs returned nil, want node 3's panic error")
+				}
+				msg := err.Error()
+				for _, want := range []string{
+					fmt.Sprintf("core: node 3 failed in round %d", tc.failingRound),
+					"core: node body panic: boom in ",
+					"TestProcRoundsCallbackPanic", // the panicking callback's stack
+				} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("error lacks %q:\n%s", want, msg)
+					}
+				}
+				var pe *PanicError
+				if errors.As(err, &pe) {
+					t.Errorf("error wraps a *PanicError; the panic escaped to the worker pool")
+				}
+			})
+		}
+	}
+}
+
+// TestProcRoundsRejectsBarrierInCallback pins the no-nesting rule: a
+// callback that calls Next or Rounds fails its node with an error and
+// never switches the coroutine from outside it.
+func TestProcRoundsRejectsBarrierInCallback(t *testing.T) {
+	cases := map[string]func(p *Proc) error{
+		"Next-in-stage-0": func(p *Proc) error {
+			return p.Rounds(3, func(int) error { p.Next(); return nil }, nil)
+		},
+		"Next-in-stage-1": func(p *Proc) error {
+			return p.Rounds(3, func(r int) error {
+				if r == 1 {
+					p.Next()
+				}
+				return nil
+			}, nil)
+		},
+		"Rounds-in-recv": func(p *Proc) error {
+			return p.Rounds(3, nil, func(int, []*bits.Buffer) error { return p.Rounds(2, nil, nil) })
+		},
+	}
+	for name, body := range cases {
+		for _, par := range []int{1, 4} {
+			cfg := Config{N: 4, Bandwidth: 8, Model: Unicast, Parallelism: par}
+			_, err := RunProcs(cfg, body)
+			if err == nil || !strings.Contains(err.Error(), "called from a Rounds callback") {
+				t.Errorf("%s p=%d: err = %v, want the Rounds-callback error", name, par, err)
+			}
+		}
+	}
+}
+
+// exchangeAllocs returns the objects one single-round ExchangeBroadcasts
+// call allocates per node at size n, beyond the caller's payload: the
+// difference between runs of 40 and 10 calls, per extra call and node.
+func exchangeAllocs(t *testing.T, n int) float64 {
+	run := func(calls int) func() {
+		return func() {
+			cfg := Config{N: n, Bandwidth: 16, Model: Broadcast, Seed: 1, Parallelism: 1}
+			_, err := RunProcs(cfg, func(p *Proc) error {
+				payload := bits.New(16)
+				payload.WriteUint(uint64(p.ID()), 16)
+				for i := 0; i < calls; i++ {
+					got, err := ExchangeBroadcasts(p, payload, 1)
+					if err != nil {
+						return err
+					}
+					if got[(p.ID()+1)%n].Len() != 16 {
+						return fmt.Errorf("call %d: short entry", i)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	short := testing.AllocsPerRun(5, run(10))
+	long := testing.AllocsPerRun(5, run(40))
+	return (long - short) / 30 / float64(n)
+}
+
+// TestAllocRegressionExchange is the allocation gate of the exchange
+// helpers. A single-round ExchangeBroadcasts hands back the delivered
+// frozen views, so its per-node cost does not grow with n (a copy per
+// source made it 21 objects at n=8 and 69 at n=32). A body that spends
+// its rounds inside Rounds allocates nothing per extra round. Matches the
+// CI alloc-regression pattern (-run AllocRegression).
+func TestAllocRegressionExchange(t *testing.T) {
+	small, large := exchangeAllocs(t, 8), exchangeAllocs(t, 32)
+	t.Logf("single-round ExchangeBroadcasts: %.2f objects per call per node at n=8, %.2f at n=32", small, large)
+	if large-small > 0.5 || small-large > 0.5 {
+		t.Errorf("per-node cost grows with n (%.2f at n=8, %.2f at n=32): a per-source copy is back", small, large)
+	}
+	for _, par := range []int{1, 4} {
+		run := func(rounds int) func() {
+			return func() {
+				cfg := Config{N: 24, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: par}
+				if _, err := RunProcs(cfg, roundsRingBody(rounds)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		short := testing.AllocsPerRun(5, run(10))
+		long := testing.AllocsPerRun(5, run(50))
+		perRound := (long - short) / 40
+		t.Logf("Rounds p=%d: 10 rounds %.0f allocs, 50 rounds %.0f (%.2f/extra round)", par, short, long, perRound)
+		if perRound > 0.5 {
+			t.Errorf("p=%d: a Rounds schedule allocates %.2f per extra round, want ~0", par, perRound)
+		}
+	}
+}
+
+// roundsRingBody spends `rounds` rounds inside one Rounds schedule: each
+// round every node sends an arena message one hop further round the
+// ring and XOR-folds its inbox.
+func roundsRingBody(rounds int) func(*Proc) error {
+	return func(p *Proc) error {
+		var acc uint64
+		err := p.Rounds(rounds, func(r int) error {
+			m := p.Msg()
+			m.WriteUint(uint64(p.ID()+r), 32)
+			return p.Send((p.ID()+1+r%(p.N()-1))%p.N(), m)
+		}, func(_ int, in []*bits.Buffer) error {
+			for _, msg := range in {
+				if msg == nil {
+					continue
+				}
+				v, err := bits.NewReader(msg).ReadUint(32)
+				if err != nil {
+					return err
+				}
+				acc ^= v
+			}
+			return nil
+		})
+		p.SetOutput(acc)
+		return err
+	}
+}

@@ -64,7 +64,7 @@ func DecodeFrame(frame *bits.Buffer) (*bits.Buffer, error) {
 		return nil, fmt.Errorf("%w: %d bits is shorter than a frame header", ErrCorruptFrame, frame.Len())
 	}
 	// No r.Release() here: that would return the caller's frame to the
-	// buffer pool along with the reader.
+	// buffer pool.
 	r := bits.NewReader(frame)
 	n, err := r.ReadUint(frameLenBits)
 	if err != nil {

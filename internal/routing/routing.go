@@ -414,37 +414,35 @@ func (s *idxBySrcDst) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
 // ExchangeUnicast sends perDst[d] (nil = nothing) to each d over exactly
 // `rounds` rounds, chunked at the bandwidth, and returns the buffers
-// received, indexed by source. Every node must call it simultaneously with
-// the same round count. The staged buffers are copied at chunking time, so
-// the caller may Release them afterwards; the returned buffers are drawn
-// from the bits pool and may likewise be Released once consumed.
+// received, indexed by source (nil = nothing arrived). Every node must
+// call it simultaneously with the same round count. The staged buffers
+// are copied at chunking time, so the caller may Release them afterwards;
+// the returned buffers are drawn from the bits pool and may likewise be
+// Released once consumed. The engine drives the rounds (core.Proc.Rounds).
 func ExchangeUnicast(p *core.Proc, perDst []*bits.Buffer, rounds int) ([]*bits.Buffer, error) {
 	b := p.Bandwidth()
 	acc := make([]*bits.Buffer, p.N())
-	for r := 0; r < rounds; r++ {
+	err := p.Rounds(rounds, func(r int) error {
 		// Chunks are cut on the fly into arena buffers (Ctx.Msg): staged
 		// in the same Step, sealed by Send, recycled by the engine one
 		// round after delivery — never Released by this sender.
+		off := r * b
 		for d, buf := range perDst {
-			off := r * b
 			if buf == nil || off >= buf.Len() {
 				continue
 			}
-			end := off + b
-			if end > buf.Len() {
-				end = buf.Len()
-			}
 			chunk := p.Msg()
-			if err := chunk.AppendRange(buf, off, end); err != nil {
+			if err := chunk.AppendRange(buf, off, min(off+b, buf.Len())); err != nil {
 				chunk.Release()
-				return nil, err
+				return err
 			}
 			if err := p.Send(d, chunk); err != nil {
 				chunk.Release()
-				return nil, err
+				return err
 			}
 		}
-		in := p.Next()
+		return nil
+	}, func(_ int, in []*bits.Buffer) error {
 		for src, msg := range in {
 			if msg == nil {
 				continue
@@ -456,6 +454,10 @@ func ExchangeUnicast(p *core.Proc, perDst []*bits.Buffer, rounds int) ([]*bits.B
 			}
 			acc[src].Append(msg)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return acc, nil
 }

@@ -17,8 +17,9 @@ type Aggregation int
 
 const (
 	// DirectAgg streams each losing leader's remaining stack to the
-	// winning leader over their single direct link (core.SendChunked
-	// pattern): simple, ceil(stackBits/b) rounds per phase.
+	// winning leader over their single direct link (one
+	// routing.ExchangeUnicast): simple, ceil(stackBits/b) rounds per
+	// phase.
 	DirectAgg Aggregation = iota
 	// LenzenAgg splits each stack into per-copy messages and ships them
 	// through the Lenzen router (internal/routing), spreading the load
@@ -479,58 +480,40 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 // exchangeStatusFramed is the framed aggregations' replacement for the
 // plain status broadcast: the payload travels inside a checksummed frame
 // and the whole broadcast is repeated statusRepeats times, each
-// repetition accumulated separately so a loss in one cannot garble
-// another. A recipient keeps the first repetition that validates; nodes
-// that broadcast nothing (non-leaders, finished leaders, crashed nodes)
-// simply yield nil entries, exactly like core.ExchangeBroadcasts.
+// repetition a separate core.ExchangeBroadcasts so a loss in one cannot
+// garble another. A recipient keeps the first repetition that validates;
+// nodes that broadcast nothing (non-leaders, finished leaders, crashed
+// nodes) simply yield nil entries, exactly like core.ExchangeBroadcasts.
 // Detection is preserved: a corrupted frame never decodes, so a leader
 // whose every repetition was lost shows up as a nil entry the caller
 // rejects — shared state is driven only by validated statuses.
 func exchangeStatusFramed(p *core.Proc, payload *bits.Buffer, propBits int) ([]*bits.Buffer, error) {
-	n, b := p.N(), p.Bandwidth()
-	rounds := core.ChunkRounds(routing.FrameBits(propBits), b)
-	got := make([]*bits.Buffer, n)
-	var chunks []*bits.Buffer
+	n, me := p.N(), p.ID()
+	rounds := core.ChunkRounds(routing.FrameBits(propBits), p.Bandwidth())
+	frame := bits.New(0)
 	if payload.Len() > 0 {
-		frame, err := routing.EncodeFrame(payload)
+		var err error
+		if frame, err = routing.EncodeFrame(payload); err != nil {
+			return nil, err
+		}
+	}
+	got := make([]*bits.Buffer, n)
+	for rep := 0; rep < statusRepeats; rep++ {
+		all, err := core.ExchangeBroadcasts(p, frame, rounds)
 		if err != nil {
 			return nil, err
 		}
-		chunks = frame.Chunks(b)
-	}
-	acc := make([]*bits.Buffer, n)
-	for rep := 0; rep < statusRepeats; rep++ {
-		for i := range acc {
-			acc[i] = nil
-		}
-		for r := 0; r < rounds; r++ {
-			if r < len(chunks) {
-				if err := p.Broadcast(chunks[r].Clone()); err != nil {
-					return nil, err
-				}
-			}
-			in := p.Next()
-			for src, msg := range in {
-				if msg == nil {
-					continue
-				}
-				if acc[src] == nil {
-					acc[src] = bits.New(routing.FrameBits(propBits))
-				}
-				acc[src].Append(msg)
-			}
-		}
-		for src := 0; src < n; src++ {
-			if got[src] != nil || acc[src] == nil {
+		for src, fr := range all {
+			if src == me || got[src] != nil || fr == nil {
 				continue
 			}
-			if pl, err := routing.DecodeFrame(acc[src]); err == nil {
+			if pl, err := routing.DecodeFrame(fr); err == nil {
 				got[src] = pl
 			}
 		}
 	}
 	if payload.Len() > 0 {
-		got[p.ID()] = payload.Clone()
+		got[me] = payload.Clone()
 	}
 	return got, nil
 }
@@ -565,43 +548,30 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 		for w := cls; w < classes; w++ {
 			shipBits += stacks[w].WireBitsFrom(from)
 		}
-		rounds := core.ChunkRounds(shipBits, p.Bandwidth())
-		var chunks []*bits.Buffer
+		perDst := make([]*bits.Buffer, p.N())
 		if iAmLoser {
-			buf := bits.New(shipBits)
+			buf := bits.Get(shipBits)
 			for w := cls; w < classes; w++ {
 				stacks[w].EncodeFrom(buf, from)
 			}
-			chunks = buf.Chunks(p.Bandwidth())
+			perDst[comp[me]] = buf
 		}
-		acc := make(map[int]*bits.Buffer, len(myLosers))
-		for _, l := range myLosers {
-			acc[l] = bits.New(shipBits)
-		}
-		for r := 0; r < rounds; r++ {
-			if iAmLoser && r < len(chunks) {
-				if err := p.Send(comp[me], chunks[r]); err != nil {
-					return err
-				}
-				chunks[r].Release()
-			}
-			in := p.Next()
-			for _, l := range myLosers {
-				if msg := in[l]; msg != nil {
-					acc[l].Append(msg)
-				}
-			}
+		got, err := routing.ExchangeUnicast(p, perDst, core.ChunkRounds(shipBits, p.Bandwidth()))
+		perDst[comp[me]].Release()
+		if err != nil {
+			return err
 		}
 		for _, l := range myLosers {
-			if acc[l].Len() != shipBits {
-				return fmt.Errorf("sketch: winner %d got %d ship bits from %d, want %d", me, acc[l].Len(), l, shipBits)
+			if got[l].Len() != shipBits {
+				return fmt.Errorf("sketch: winner %d got %d ship bits from %d, want %d", me, got[l].Len(), l, shipBits)
 			}
-			rd := bits.NewReader(acc[l])
+			rd := bits.NewReader(got[l])
 			for w := cls; w < classes; w++ {
 				if err := stacks[w].MergeWireFrom(rd, from); err != nil {
 					return err
 				}
 			}
+			got[l].Release()
 		}
 		return nil
 
@@ -691,14 +661,16 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 			a.ZeroExtend(shipBits)
 			acc[l] = a
 		}
-		for r := 0; r < rounds; r++ {
-			if iAmLoser && r < len(chunks) {
-				if err := p.Send(comp[me], chunks[r]); err != nil {
-					return err
-				}
-				chunks[r].Release()
+		err := p.Rounds(rounds, func(r int) error {
+			if r >= len(chunks) {
+				return nil
 			}
-			in := p.Next()
+			if err := p.Send(comp[me], chunks[r]); err != nil {
+				return err
+			}
+			chunks[r].Release()
+			return nil
+		}, func(r int, in []*bits.Buffer) error {
 			for _, l := range myLosers {
 				if msg := in[l]; msg != nil && r*b+msg.Len() <= shipBits {
 					if err := acc[l].OrRange(msg, 0, msg.Len(), r*b); err != nil {
@@ -706,6 +678,10 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 					}
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 		for _, l := range myLosers {
 			k := 0
