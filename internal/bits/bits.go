@@ -415,34 +415,6 @@ func scatterOr64(dst []byte, pos int, w uint64) {
 	dst[i+8] |= byte(w >> (64 - s))
 }
 
-// Chunks splits the buffer into pieces of at most chunkBits bits each,
-// preserving order. An empty buffer yields no chunks. The chunks are
-// drawn from the package pool: callers that stage-and-forget them (the
-// round-helper send loops) Release each chunk once staged, so
-// steady-state chunked exchanges recycle their buffers.
-func (b *Buffer) Chunks(chunkBits int) []*Buffer {
-	if chunkBits <= 0 {
-		panic("bits: chunkBits must be positive")
-	}
-	if b.Len() == 0 {
-		return nil
-	}
-	out := make([]*Buffer, 0, (b.Len()+chunkBits-1)/chunkBits)
-	for off := 0; off < b.Len(); off += chunkBits {
-		end := off + chunkBits
-		if end > b.Len() {
-			end = b.Len()
-		}
-		m := end - off
-		c := Get(m)
-		c.grow((m + 7) / 8)
-		c.n = m
-		copyBits(c.data, b.data, off, m)
-		out = append(out, c)
-	}
-	return out
-}
-
 // String renders the buffer as a 0/1 string, least-significant bit first.
 func (b *Buffer) String() string {
 	out := make([]byte, b.n)

@@ -163,7 +163,7 @@ type FaultStats struct {
 // DefaultQuiesceLimit is the stall detector's threshold when a fault plan
 // is active and Config.QuiesceLimit is 0. It is far above the longest
 // legitimately quiet stretch of any protocol in the repo (idle tails of
-// chunked schedules, reliable-stream backoff windows) yet small enough
+// chunked schedules) yet small enough
 // that a crash-stalled run fails in thousands, not millions, of steps.
 const DefaultQuiesceLimit = 1024
 

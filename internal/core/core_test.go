@@ -332,32 +332,6 @@ func TestExchangeBroadcasts(t *testing.T) {
 	}
 }
 
-func TestSendRecvChunked(t *testing.T) {
-	payload := bits.New(0)
-	for i := 0; i < 10; i++ {
-		payload.WriteUint(uint64(i*13%17), 5)
-	}
-	rounds := ChunkRounds(payload.Len(), 4)
-	cfg := Config{N: 2, Bandwidth: 4, Model: Unicast}
-	res, err := RunProcs(cfg, func(p *Proc) error {
-		if p.ID() == 0 {
-			return SendChunked(p, 1, payload, rounds)
-		}
-		got, err := RecvChunked(p, 0, rounds)
-		if err != nil {
-			return err
-		}
-		p.SetOutput(got.Equal(payload))
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outputs[1] != true {
-		t.Error("chunked payload corrupted in transit")
-	}
-}
-
 func TestAdjacencyRowCodec(t *testing.T) {
 	g := graph.Cycle(70) // spans two words
 	views := graph.Distribute(g)

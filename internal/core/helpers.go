@@ -22,7 +22,8 @@ func ChunkRounds(maxBits, b int) int {
 // its payload over exactly `rounds` rounds and receives every other node's
 // payload, returned indexed by sender (the node's own payload is included
 // at its own index, as a copy). Payloads may have different lengths but
-// each must fit in rounds*b bits.
+// each must fit in rounds*b bits. In the CONGEST model a node broadcasts
+// to, and so hears from, only its topology neighbors.
 //
 // The entry of a source that sent nothing is nil; read entries through
 // the nil-safe bits.NewReader, Len or DecodeAdjacencyRow. A single-round
@@ -78,44 +79,6 @@ func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buff
 		}
 	}
 	acc[p.ID()] = payload.Clone()
-	return acc, nil
-}
-
-// SendChunked streams a long payload to dst over exactly `rounds` rounds
-// (unicast models). Counterpart receivers use RecvChunked with the same
-// round count. Other traffic must not use the same link during these rounds.
-func SendChunked(p *Proc, dst int, payload *bits.Buffer, rounds int) error {
-	b := p.Bandwidth()
-	if payload.Len() > rounds*b {
-		return fmt.Errorf("core: payload of %d bits exceeds %d rounds * %d bits",
-			payload.Len(), rounds, b)
-	}
-	chunks := payload.Chunks(b)
-	return p.Rounds(rounds, func(r int) error {
-		if r >= len(chunks) {
-			return nil
-		}
-		if err := p.Send(dst, chunks[r]); err != nil {
-			return err
-		}
-		chunks[r].Release() // the frozen delivery view keeps the bits alive
-		return nil
-	}, nil)
-}
-
-// RecvChunked collects a payload streamed by src over exactly `rounds`
-// rounds.
-func RecvChunked(p *Proc, src int, rounds int) (*bits.Buffer, error) {
-	acc := bits.New(0)
-	err := p.Rounds(rounds, nil, func(_ int, in []*bits.Buffer) error {
-		if msg := in[src]; msg != nil {
-			acc.Append(msg)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	return acc, nil
 }
 

@@ -34,10 +34,10 @@ func (p *PanicError) Error() string {
 // ParallelFor runs fn(i) for every i in [0, n), fanned out over at most
 // `workers` goroutines in contiguous chunks (worker g owns one chunk, so
 // per-index work is never interleaved within a chunk). workers <= 1 runs
-// the loop inline. It is the engine's round-stepping fan-out, exported so
-// other packages (the scenario runner's cell shards, batched local
-// evaluation) reuse one parallelism primitive instead of growing their
-// own pools.
+// the loop inline. It runs one dispatch on a fresh resident pool, the
+// engine's round fan-out (workerPool), and closes it: right for one-shot
+// fan-outs like the scenario runner's cell shards, where the goroutine
+// spawns are paid once per run.
 //
 // A panicking fn does not kill the process from a bare worker goroutine:
 // the panic is recovered, all workers drain, and the panic of the
@@ -46,53 +46,9 @@ func (p *PanicError) Error() string {
 // panics abandons the rest of its chunk; the indices it skipped are not
 // retried.)
 func ParallelFor(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first *PanicError
-	)
-	chunk := (n + workers - 1) / workers
-	for g := 0; g < workers; g++ {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			i := lo
-			defer func() {
-				if r := recover(); r != nil {
-					pe := &PanicError{Index: i, Value: r, Stack: debug.Stack()}
-					mu.Lock()
-					if first == nil || i < first.Index {
-						first = pe
-					}
-					mu.Unlock()
-				}
-			}()
-			for ; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if first != nil {
-		panic(first)
-	}
+	p := newWorkerPool(max(1, min(workers, n)))
+	defer p.close()
+	p.run(n, fn)
 }
 
 // poolTask is one contiguous chunk of a dispatched loop.
@@ -103,11 +59,8 @@ type poolTask struct {
 
 // workerPool is the engine's resident round pool: workers are spawned
 // once per Run and parked between rounds, so dispatching a round costs
-// one channel send per worker instead of a goroutine spawn (what
-// ParallelFor pays on every call — fine for one-shot fan-outs like the
-// scenario shards, pure overhead when the same loop shape is dispatched
-// thousands of times). Chunk assignment matches ParallelFor: contiguous
-// chunks in index order, and the dispatching goroutine runs chunk 0
+// one channel send per worker instead of a goroutine spawn. Chunks are
+// contiguous in index order, and the dispatching goroutine runs chunk 0
 // itself so a pool of k workers keeps k CPUs busy with k-1 handoffs.
 type workerPool struct {
 	workers int
@@ -132,8 +85,8 @@ func newWorkerPool(workers int) *workerPool {
 	return p
 }
 
-// runChunk executes one chunk under the same panic discipline as
-// ParallelFor: recover, record the lowest failing index, drain.
+// runChunk executes one chunk under the pool's panic discipline:
+// recover, record the lowest failing index, drain.
 func (p *workerPool) runChunk(t poolTask) {
 	i := t.lo
 	defer func() {
@@ -153,9 +106,10 @@ func (p *workerPool) runChunk(t poolTask) {
 }
 
 // run executes fn(i) for every i in [0, n) across the pool and blocks
-// until all chunks finish. Panic semantics are ParallelFor's: the
-// lowest-index worker panic is re-raised on the caller as a *PanicError
-// after every worker drains; the pool stays usable afterwards.
+// until all chunks finish. The lowest-index worker panic is re-raised on
+// the caller as a *PanicError after every worker drains; the pool stays
+// usable afterwards. A pool of one worker, or a loop of one index, runs
+// inline and lets a panic through raw.
 func (p *workerPool) run(n int, fn func(i int)) {
 	workers := p.workers
 	if workers > n {

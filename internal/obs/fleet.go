@@ -1,12 +1,8 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 )
 
@@ -19,10 +15,9 @@ import (
 // Reconcile-style gate (ReconcileFleet) proves the folded spans exactly
 // match the canonical report — same zero-tolerance discipline as the
 // engine trace's trace-vs-Stats gate. The durable encoding is one span
-// event per line: as RecSpan records interleaved with the
+// event per line, as RecSpan records interleaved with the
 // scenario-ledger/v2 stream (so spans survive SIGKILL and rebuild on
-// restart alongside the cells), or as bare NDJSON via
-// WriteFleetEvents/ParseFleetEvents.
+// restart alongside the cells).
 const FleetTraceVersion = "fleet-trace/v1"
 
 // Span event names. The lease-lifecycle ones are spelled identically to
@@ -490,39 +485,4 @@ func CriticalPath(ft *FleetTrace, k int) []*CellSpan {
 		cells = cells[:k]
 	}
 	return cells
-}
-
-// WriteFleetEvents encodes span events as bare NDJSON, one per line.
-func WriteFleetEvents(w io.Writer, evs []SpanEvent) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range evs {
-		if err := enc.Encode(ev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ParseFleetEvents decodes a bare NDJSON span-event stream.
-func ParseFleetEvents(r io.Reader) ([]SpanEvent, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var evs []SpanEvent
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var ev SpanEvent
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return nil, fmt.Errorf("obs: fleet events line %d: %v", line, err)
-		}
-		evs = append(evs, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return evs, nil
 }

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bytes"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -274,34 +272,6 @@ func TestSummarizeAndCriticalPath(t *testing.T) {
 	}
 	if all := CriticalPath(ft, 0); len(all) != 3 {
 		t.Fatalf("unbounded critical path has %d cells", len(all))
-	}
-}
-
-// TestFleetEventsRoundTrip pins the bare-NDJSON encoding.
-func TestFleetEventsRoundTrip(t *testing.T) {
-	evs := []SpanEvent{
-		{TMs: 0, Event: FleetRunEnqueued, Cells: 2},
-		{TMs: 5, Event: FleetGranted, Key: "a", Worker: "w0", Attempt: 1},
-		{TMs: 9, Event: FleetResultSubmitted, Key: "a", Worker: "w0", Attempt: 1, ExecMs: 3},
-		{TMs: 9, Event: FleetCompleted, Key: "a", Outcome: "ok"},
-		{TMs: 12, Event: FleetExpiredQuarantined, Key: "b", Outcome: "infra"},
-	}
-	var buf bytes.Buffer
-	if err := WriteFleetEvents(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"event":"lease_granted"`) {
-		t.Fatalf("encoding: %s", buf.String())
-	}
-	got, err := ParseFleetEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, evs) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, evs)
-	}
-	if _, err := ParseFleetEvents(strings.NewReader("{not json\n")); err == nil {
-		t.Fatal("malformed line parsed")
 	}
 }
 

@@ -3,12 +3,9 @@ package routing
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/bits"
-	"repro/internal/core"
-	"repro/internal/fault"
 )
 
 func framePayload(t *testing.T, data []byte, n int) *bits.Buffer {
@@ -110,162 +107,5 @@ func TestFrameHeavyCorruption(t *testing.T) {
 		if err == nil && !got.Equal(payload) {
 			t.Fatalf("trial %d: corrupted frame decoded to a DIFFERENT payload (silent corruption)", trial)
 		}
-	}
-}
-
-// reliablePair runs a 2-node reliable stream under the given fault spec
-// and returns (sender error, receiver payload, receiver error).
-func reliablePair(t *testing.T, payloadBits, bandwidth int, opt ReliableOpts, spec fault.Spec, seed int64) (error, *bits.Buffer, error) {
-	t.Helper()
-	payload := bits.New(payloadBits)
-	for i := 0; i < payloadBits; i++ {
-		payload.WriteBit(uint64((i * 7) & 1))
-	}
-	rounds := ReliableRounds(payloadBits, bandwidth)
-	var sendErr, recvErr error
-	var got *bits.Buffer
-	var plan core.FaultInjector
-	if spec.Active() {
-		plan = fault.New(spec, seed)
-	}
-	_, err := core.RunProcsEach(core.Config{
-		N: 2, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed,
-		FaultPlan: plan, QuiesceLimit: -1,
-	}, []func(*core.Proc) error{
-		func(p *core.Proc) error {
-			sendErr = SendReliable(p, 1, payload, rounds, opt)
-			return nil
-		},
-		func(p *core.Proc) error {
-			got, recvErr = RecvReliable(p, 0, rounds, opt)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	if recvErr == nil && !got.Equal(payload) {
-		t.Fatal("receiver accepted a payload that differs from the original (silent corruption)")
-	}
-	return sendErr, got, recvErr
-}
-
-func TestReliableCleanChannel(t *testing.T) {
-	sendErr, got, recvErr := reliablePair(t, 200, 32, ReliableOpts{}, fault.Spec{}, 1)
-	if sendErr != nil || recvErr != nil || got == nil {
-		t.Fatalf("clean channel: sendErr=%v recvErr=%v", sendErr, recvErr)
-	}
-}
-
-// TestReliableRecoversFromFaults: at moderate drop/corrupt rates the
-// retransmit schedule delivers the exact payload. Seeds are fixed, so
-// these are deterministic replays, not flaky probes.
-func TestReliableRecoversFromFaults(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		spec fault.Spec
-	}{
-		{"drop", fault.Spec{Drop: 0.15}},
-		{"corrupt", fault.Spec{Corrupt: 0.15}},
-		{"delay", fault.Spec{Delay: 0.15}},
-		{"dup", fault.Spec{Duplicate: 0.2}},
-		{"mixed", fault.Spec{Drop: 0.08, Corrupt: 0.08, Delay: 0.08, Duplicate: 0.08}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sendErr, got, recvErr := reliablePair(t, 200, 32, ReliableOpts{}, tc.spec, 3)
-			if recvErr != nil {
-				t.Fatalf("receiver failed under %v: %v", tc.spec, recvErr)
-			}
-			if got == nil {
-				t.Fatal("no payload")
-			}
-			if sendErr != nil {
-				t.Fatalf("sender unacked under %v: %v", tc.spec, sendErr)
-			}
-		})
-	}
-}
-
-// TestReliableDetectsTotalLoss: a fully lossy link yields explicit
-// errors on both ends — never a hang (fixed schedule) and never a bogus
-// payload.
-func TestReliableDetectsTotalLoss(t *testing.T) {
-	sendErr, got, recvErr := reliablePair(t, 200, 32, ReliableOpts{MaxAttempts: 3}, fault.Spec{Drop: 1}, 5)
-	if !errors.Is(sendErr, ErrUnacked) {
-		t.Errorf("sender err = %v, want ErrUnacked", sendErr)
-	}
-	if !errors.Is(recvErr, ErrCorruptFrame) {
-		t.Errorf("receiver err = %v, want ErrCorruptFrame", recvErr)
-	}
-	if got != nil {
-		t.Error("receiver produced a payload from a fully lossy link")
-	}
-}
-
-// TestReliableDeterministicAcrossParallelism: the full exchange replays
-// bit-for-bit under different engine worker counts.
-func TestReliableDeterministicAcrossParallelism(t *testing.T) {
-	run := func(par int) (*core.Result, error) {
-		payload := bits.New(120)
-		for i := 0; i < 120; i++ {
-			payload.WriteBit(uint64(i & 1))
-		}
-		rounds := ReliableRounds(120, 16)
-		return core.RunProcsEach(core.Config{
-			N: 2, Bandwidth: 16, Model: core.Unicast, Seed: 9,
-			Parallelism: par, QuiesceLimit: -1,
-			FaultPlan: fault.New(fault.Spec{Drop: 0.1, Corrupt: 0.1}, 9),
-		}, []func(*core.Proc) error{
-			func(p *core.Proc) error { return SendReliable(p, 1, payload, rounds, ReliableOpts{}) },
-			func(p *core.Proc) error {
-				_, err := RecvReliable(p, 0, rounds, ReliableOpts{})
-				return err
-			},
-		})
-	}
-	seq, err := run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := run(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Stats, par.Stats) {
-		t.Errorf("stats differ:\n seq %+v\n par %+v", seq.Stats, par.Stats)
-	}
-	if !reflect.DeepEqual(seq.Faults, par.Faults) {
-		t.Errorf("fault stats differ:\n seq %+v\n par %+v", seq.Faults, par.Faults)
-	}
-}
-
-// TestReliableBitsScaleWithFaultRate pins the recovery-overhead story:
-// a faultier link costs more bits (retransmissions) while the round
-// schedule stays fixed.
-func TestReliableBitsScaleWithFaultRate(t *testing.T) {
-	cost := func(spec fault.Spec) int64 {
-		payload := bits.New(240)
-		payload.ZeroExtend(240)
-		rounds := ReliableRounds(240, 24)
-		var plan core.FaultInjector
-		if spec.Active() {
-			plan = fault.New(spec, 13)
-		}
-		res, err := core.RunProcsEach(core.Config{
-			N: 2, Bandwidth: 24, Model: core.Unicast, Seed: 13,
-			FaultPlan: plan, QuiesceLimit: -1,
-		}, []func(*core.Proc) error{
-			func(p *core.Proc) error { SendReliable(p, 1, payload, rounds, ReliableOpts{}); return nil },
-			func(p *core.Proc) error { RecvReliable(p, 0, rounds, ReliableOpts{}); return nil },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats.TotalBits
-	}
-	clean := cost(fault.Spec{})
-	lossy := cost(fault.Spec{Drop: 0.3})
-	if lossy <= clean {
-		t.Errorf("TotalBits %d at drop=0.3 not above clean %d (no retransmissions?)", lossy, clean)
 	}
 }

@@ -11,8 +11,7 @@ import (
 // capped exponential — base·2^(attempt-1), clamped to cap — scaled by a
 // deterministic jitter factor in [0.5, 1.0] derived from (seed, key,
 // attempt). The jitter spreads a fleet of workers retrying the same
-// transiently overloaded box instead of hammering it in lockstep (the
-// routing.ReliableStream backoff discipline, lifted to wall time), and
+// transiently overloaded box instead of hammering it in lockstep, and
 // it is a pure function of its arguments — no shared rng, no real
 // randomness — so schedules replay bit-for-bit and unit tests pin them
 // with a fake sleep. base <= 0 disables backoff entirely; cap <= 0

@@ -155,7 +155,7 @@ func statsDiff(a, b core.Stats) string {
 
 // classify folds a cell's two leg outcomes into its CellResult. Under an
 // active fault plan the engine leg's Stats legitimately differ from the
-// oracle's (retransmissions, burned sketch copies), so the stats diff
+// oracle's (burned sketch copies, extra phases), so the stats diff
 // only gates clean cells; outputs must match exactly either way — a
 // faulted engine leg that returns success with a different output is a
 // silent corruption, the one outcome the whole subsystem exists to rule

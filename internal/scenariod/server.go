@@ -34,18 +34,10 @@ type Config struct {
 	MaxQueuedCells int
 	// Queue is the lease/retry discipline shared by every run.
 	Queue QueueConfig
-	// HeartbeatEvery is the interval advertised to workers; default
-	// LeaseTTL/3 (three missed heartbeats lose the lease).
-	HeartbeatEvery time.Duration
 	// Clock is injectable for tests; nil = wall clock.
 	Clock Clock
 	// Logf sinks operational messages; nil = log.Printf.
 	Logf func(format string, args ...any)
-	// Metrics is the registry /metrics renders; nil builds a private
-	// one, reachable via Server.Metrics (pass a shared registry when
-	// embedding the server next to in-process workers so cache counters
-	// land on the same scrape).
-	Metrics *obs.Registry
 	// Events, if non-nil, receives one structured NDJSON object per
 	// lease-lifecycle transition (QueueEvent: ts, event, run, cell key,
 	// worker, attempt) — the replacement for bare sweep log strings.
@@ -104,9 +96,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.MaxQueuedCells = 100000
 	}
 	cfg.Queue = cfg.Queue.withDefaults()
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = cfg.Queue.LeaseTTL / 3
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = realClock{}
@@ -116,11 +105,7 @@ func New(cfg Config) (*Server, error) {
 		logf = log.Printf
 	}
 	s := &Server{cfg: cfg, clock: clock, logf: logf, events: cfg.Events, runs: map[string]*run{}}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	s.metrics = newServerMetrics(reg, s, time.Now())
+	s.metrics = newServerMetrics(obs.NewRegistry(), s, time.Now())
 	if cfg.LedgerDir != "" {
 		if err := os.MkdirAll(cfg.LedgerDir, 0o755); err != nil {
 			return nil, fmt.Errorf("scenariod: ledger dir: %w", err)
@@ -579,18 +564,19 @@ func (s *Server) Lease(worker string) LeaseResponse {
 			continue
 		}
 		return LeaseResponse{Status: LeaseJob, Job: &JobGrant{
-			RunID:       r.id,
-			Key:         j.Key,
-			Family:      j.Cell.Family.Name,
-			N:           j.Cell.N,
-			Engine:      j.Cell.Engine.Name,
-			Protocol:    j.Cell.Protocol.Name,
-			Seed:        j.Cell.Seed,
-			Faults:      r.spec.Faults,
-			LeaseID:     j.LeaseID,
-			Attempt:     j.Attempts,
-			LeaseTTLMs:  s.cfg.Queue.LeaseTTL.Milliseconds(),
-			HeartbeatMs: s.cfg.HeartbeatEvery.Milliseconds(),
+			RunID:      r.id,
+			Key:        j.Key,
+			Family:     j.Cell.Family.Name,
+			N:          j.Cell.N,
+			Engine:     j.Cell.Engine.Name,
+			Protocol:   j.Cell.Protocol.Name,
+			Seed:       j.Cell.Seed,
+			Faults:     r.spec.Faults,
+			LeaseID:    j.LeaseID,
+			Attempt:    j.Attempts,
+			LeaseTTLMs: s.cfg.Queue.LeaseTTL.Milliseconds(),
+			// Three missed heartbeats lose the lease.
+			HeartbeatMs: (s.cfg.Queue.LeaseTTL / 3).Milliseconds(),
 		}}
 	}
 	return LeaseResponse{Status: LeaseEmpty}

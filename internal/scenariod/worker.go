@@ -9,6 +9,10 @@ import (
 	"repro/internal/scenario"
 )
 
+// maxLeaseErrors bounds consecutive failed lease calls before a worker
+// gives up on the server.
+const maxLeaseErrors = 25
+
 // Worker is one shard of a scenariod fleet: it leases cells, runs each
 // differential pair through scenario.RunCell (with the shared
 // content-addressed cache when configured), heartbeats while computing,
@@ -34,9 +38,6 @@ type Worker struct {
 	TraceDir string
 	// PollEvery paces lease polls when the queue is empty; default 200ms.
 	PollEvery time.Duration
-	// MaxLeaseErrors bounds consecutive failed lease calls before the
-	// worker gives up on the server; default 25.
-	MaxLeaseErrors int
 	// Logf sinks progress lines; nil = silent.
 	Logf func(format string, args ...any)
 }
@@ -48,15 +49,11 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 // Run leases and executes cells until the server drains, ctx is
-// cancelled, or the server stays unreachable for MaxLeaseErrors polls.
+// cancelled, or the server stays unreachable for maxLeaseErrors polls.
 func (w *Worker) Run(ctx context.Context) error {
 	poll := w.PollEvery
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
-	}
-	maxErrs := w.MaxLeaseErrors
-	if maxErrs <= 0 {
-		maxErrs = 25
 	}
 	errs := 0
 	for {
@@ -66,7 +63,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		resp, err := w.Client.Lease(w.Name)
 		if err != nil {
 			errs++
-			if errs >= maxErrs {
+			if errs >= maxLeaseErrors {
 				return fmt.Errorf("scenariod: worker %s: server unreachable: %w", w.Name, err)
 			}
 			w.sleep(ctx, poll)

@@ -639,9 +639,9 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 		shipBits := nrec * fBits
 		b := p.Bandwidth()
 		rounds := core.ChunkRounds(shipBits, b)
-		var chunks []*bits.Buffer
+		var stream *bits.Buffer
 		if iAmLoser {
-			buf := bits.New(shipBits)
+			stream = bits.New(shipBits)
 			for q := from; q < copies; q++ {
 				for w := cls; w < classes; w++ {
 					rec := encodeShipRecord(stacks, poisoned, w, q, clsW, qW, recBits)
@@ -650,10 +650,9 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 					if err != nil {
 						return err
 					}
-					buf.Append(fr)
+					stream.Append(fr)
 				}
 			}
-			chunks = buf.Chunks(b)
 		}
 		acc := make(map[int]*bits.Buffer, len(myLosers))
 		for _, l := range myLosers {
@@ -662,14 +661,17 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 			acc[l] = a
 		}
 		err := p.Rounds(rounds, func(r int) error {
-			if r >= len(chunks) {
+			// An arena chunk (Ctx.Msg) is safe: the winner ORs it into
+			// its stream in the round it arrives and keeps no reference.
+			off := r * b
+			if stream == nil || off >= stream.Len() {
 				return nil
 			}
-			if err := p.Send(comp[me], chunks[r]); err != nil {
+			chunk := p.Msg()
+			if err := chunk.AppendRange(stream, off, min(off+b, stream.Len())); err != nil {
 				return err
 			}
-			chunks[r].Release()
-			return nil
+			return p.Send(comp[me], chunk)
 		}, func(r int, in []*bits.Buffer) error {
 			for _, l := range myLosers {
 				if msg := in[l]; msg != nil && r*b+msg.Len() <= shipBits {
@@ -692,7 +694,7 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 					ok := false
 					if err == nil {
 						if rec, derr := routing.DecodeFrame(fr); derr == nil {
-							ok = mergeShipRecordAt(rec, stacks, poisoned, w, q, clsW, qW)
+							ok = mergeShipRecord(rec, stacks, poisoned, clsW, qW, shipTags{w0: w, w1: w + 1, q0: q, q1: q + 1})
 						}
 					}
 					if !ok {
@@ -757,7 +759,7 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 			if err != nil {
 				continue
 			}
-			mergeShipRecord(rec, stacks, poisoned, cls, from, clsW, qW, seen)
+			mergeShipRecord(rec, stacks, poisoned, clsW, qW, shipTags{w0: cls, w1: classes, q0: from, q1: copies, seen: seen})
 		}
 		for _, l := range myLosers {
 			seen := seenBy[l]
@@ -802,51 +804,29 @@ func encodeShipRecord(stacks []*Stack, poisoned [][]bool, w, q, clsW, qW, recBit
 	return rec
 }
 
-// mergeShipRecord applies one CRC-validated ship record on the winner:
-// a clean record XOR-merges into the stack, a poison marker propagates
-// the loser's poison, and a record that is out of range, duplicated, or
-// fails to parse is dropped (its absence from `seen` poisons the copy
-// afterwards). A record whose sampler merge fails midway poisons the
-// copy directly — the partial XOR already garbled it.
-func mergeShipRecord(rec *bits.Buffer, stacks []*Stack, poisoned [][]bool, cls, from, clsW, qW int, seen [][]bool) (int, int, bool) {
-	classes := len(stacks)
-	copies := len(stacks[0].Samplers)
-	rd := bits.NewReader(rec)
-	w64, err := rd.ReadUint(clsW)
-	if err != nil {
-		return 0, 0, false
-	}
-	q64, err := rd.ReadUint(qW)
-	if err != nil {
-		return 0, 0, false
-	}
-	pois, err := rd.ReadBool()
-	if err != nil {
-		return 0, 0, false
-	}
-	w, q := int(w64), int(q64)
-	if w < cls || w >= classes || q < from || q >= copies || seen[w-cls][q-from] {
-		return 0, 0, false
-	}
-	seen[w-cls][q-from] = true
-	if pois {
-		poisoned[w][q] = true
-		return w, q, true
-	}
-	if err := stacks[w].Samplers[q].mergeFromWire(rd); err != nil {
-		poisoned[w][q] = true
-	}
-	return w, q, true
+// shipTags is the block of (class, copy) tags a winner accepts for a
+// ship record: classes [w0, w1) × copies [q0, q1). When seen is non-nil
+// it marks the tags of the block already merged, indexed from the
+// block's corner, and a repeat is rejected.
+type shipTags struct {
+	w0, w1, q0, q1 int
+	seen           [][]bool
 }
 
-// mergeShipRecordAt applies one CRC-validated ship record whose stream
-// position already determines which (class, copy) it must carry — the
-// fixed-size-record layout of DirectFramedAgg. The embedded coordinate
-// tags are cross-checked against that expectation (a delayed chunk that
-// happens to re-validate an old frame in the wrong window fails here),
-// and a sampler whose merge fails midway poisons the copy directly.
-// Returns whether the record was applied.
-func mergeShipRecordAt(rec *bits.Buffer, stacks []*Stack, poisoned [][]bool, wantW, wantQ, clsW, qW int) bool {
+// mergeShipRecord applies one CRC-validated ship record on the winner and
+// reports whether it was accepted. A record that fails to parse, or
+// whose tag is outside want or already seen, is rejected untouched: the
+// caller poisons the copy it stood for (directly, or through its absence
+// from seen). An accepted poison marker propagates the loser's poison,
+// and an accepted clean record XOR-merges into the stack; if that merge
+// fails midway the copy is poisoned directly, since the partial XOR
+// already garbled it.
+//
+// DirectFramedAgg's stream position fixes the one tag a record may carry
+// (a delayed chunk that re-validates an old frame in the wrong window
+// fails here); LenzenFramedAgg's routed records arrive in any order, so
+// it accepts any unseen tag of the loser's block.
+func mergeShipRecord(rec *bits.Buffer, stacks []*Stack, poisoned [][]bool, clsW, qW int, want shipTags) bool {
 	rd := bits.NewReader(rec)
 	w64, err := rd.ReadUint(clsW)
 	if err != nil {
@@ -860,15 +840,20 @@ func mergeShipRecordAt(rec *bits.Buffer, stacks []*Stack, poisoned [][]bool, wan
 	if err != nil {
 		return false
 	}
-	if int(w64) != wantW || int(q64) != wantQ {
+	w, q := int(w64), int(q64)
+	if w < want.w0 || w >= want.w1 || q < want.q0 || q >= want.q1 {
 		return false
 	}
-	if pois {
-		poisoned[wantW][wantQ] = true
-		return true
+	if want.seen != nil {
+		if want.seen[w-want.w0][q-want.q0] {
+			return false
+		}
+		want.seen[w-want.w0][q-want.q0] = true
 	}
-	if err := stacks[wantW].Samplers[wantQ].mergeFromWire(rd); err != nil {
-		poisoned[wantW][wantQ] = true
+	if pois {
+		poisoned[w][q] = true
+	} else if err := stacks[w].Samplers[q].mergeFromWire(rd); err != nil {
+		poisoned[w][q] = true
 	}
 	return true
 }

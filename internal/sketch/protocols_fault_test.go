@@ -1,10 +1,12 @@
 package sketch
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/bits"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -173,5 +175,116 @@ func TestFramedMSTUnderFaults(t *testing.T) {
 		if res.TotalWeight != want.TotalWeight {
 			t.Fatalf("seed %d: silent MST weight divergence: %d vs %d", seed, res.TotalWeight, want.TotalWeight)
 		}
+	}
+}
+
+// TestMergeShipRecordGuards feeds hand-built ship records to the framed
+// aggregations' merge, one guard per case (DESIGN.md §11): a frame that
+// passed its CRC can still carry a tag the winner must not accept, and a
+// clean record can still fail to parse. Rejected records must leave every
+// sampler, poison flag and seen mark untouched.
+func TestMergeShipRecordGuards(t *testing.T) {
+	const classes, copies, universe = 3, 3, 64
+	clsW := bits.UintWidth(uint64(classes - 1))
+	qW := bits.UintWidth(uint64(copies - 1))
+	newStacks := func(items ...uint64) []*Stack {
+		stacks := make([]*Stack, classes)
+		for w := range stacks {
+			stacks[w] = NewStack(universe, DefaultFpBits, copies, 11, uint64(w))
+			for _, it := range items {
+				stacks[w].Toggle(it)
+			}
+		}
+		return stacks
+	}
+	loser := newStacks(3, 17, 40)
+	record := func(w, q int, pois bool) *bits.Buffer {
+		rec := bits.New(0)
+		rec.WriteUint(uint64(w), clsW)
+		rec.WriteUint(uint64(q), qW)
+		rec.WriteBool(pois)
+		if !pois {
+			loser[w%classes].Samplers[q%copies].Encode(rec)
+		}
+		return rec
+	}
+	truncated := func(rec *bits.Buffer, drop int) *bits.Buffer {
+		short, err := rec.Slice(0, rec.Len()-drop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return short
+	}
+	// The stream window DirectFramedAgg expects at one position, and the
+	// block LenzenFramedAgg accepts from one loser after phase 1.
+	window := func() shipTags { return shipTags{w0: 1, w1: 2, q0: 2, q1: 3} }
+	block := func() shipTags {
+		return shipTags{w0: 1, w1: classes, q0: 1, q1: copies, seen: newSeen(classes-1, copies-1)}
+	}
+
+	const (
+		rejected = iota
+		merged
+		poisonedOnly // a poison marker: the sampler is left as it was
+		garbled      // a merge that failed midway: poisoned, sampler undefined
+	)
+	for _, tc := range []struct {
+		name   string
+		rec    *bits.Buffer
+		want   shipTags
+		w, q   int  // the copy the record names
+		dup    bool // the block has already seen (w, q)
+		effect int
+	}{
+		{"clean record in its window", record(1, 2, false), window(), 1, 2, false, merged},
+		{"clean record in the block", record(2, 1, false), block(), 2, 1, false, merged},
+		{"valid record in the wrong window", record(2, 1, false), window(), 2, 1, false, rejected},
+		{"class below the block", record(0, 2, false), block(), 0, 2, false, rejected},
+		{"class above the block", record(3, 2, false), block(), 3, 2, false, rejected},
+		{"copy below the block", record(2, 0, false), block(), 2, 0, false, rejected},
+		{"copy above the block", record(2, 3, false), block(), 2, 3, false, rejected},
+		{"duplicate", record(2, 2, false), block(), 2, 2, true, rejected},
+		{"poison marker", record(1, 2, true), window(), 1, 2, false, poisonedOnly},
+		{"truncated sampler bits", truncated(record(1, 2, false), 5), window(), 1, 2, false, garbled},
+		{"truncated header", truncated(record(1, 2, true), 1), window(), 1, 2, false, rejected},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stacks := newStacks(5, 17)
+			wantStacks := newStacks(5, 17)
+			poisoned := newSeen(classes, copies)
+			if tc.dup {
+				tc.want.seen[tc.w-tc.want.w0][tc.q-tc.want.q0] = true
+			}
+			seenBefore := fmt.Sprint(tc.want.seen)
+
+			ok := mergeShipRecord(tc.rec, stacks, poisoned, clsW, qW, tc.want)
+			if ok != (tc.effect != rejected) {
+				t.Fatalf("accepted = %v, want %v", ok, tc.effect != rejected)
+			}
+			if tc.effect == merged {
+				wantStacks[tc.w].Samplers[tc.q].Merge(loser[tc.w].Samplers[tc.q])
+			}
+			for w := range stacks {
+				for q, s := range stacks[w].Samplers {
+					named := w == tc.w && q == tc.q
+					if !(tc.effect == garbled && named) && !s.Equal(wantStacks[w].Samplers[q]) {
+						t.Errorf("sampler (class %d, copy %d) differs from the expected state", w, q)
+					}
+					wantPois := named && (tc.effect == poisonedOnly || tc.effect == garbled)
+					if poisoned[w][q] != wantPois {
+						t.Errorf("poisoned (class %d, copy %d) = %v, want %v", w, q, poisoned[w][q], wantPois)
+					}
+				}
+			}
+			if tc.want.seen != nil {
+				if tc.effect == rejected {
+					if got := fmt.Sprint(tc.want.seen); got != seenBefore {
+						t.Errorf("seen changed by a rejected record: %s, was %s", got, seenBefore)
+					}
+				} else if !tc.want.seen[tc.w-tc.want.w0][tc.q-tc.want.q0] {
+					t.Errorf("accepted tag (%d, %d) not marked seen", tc.w, tc.q)
+				}
+			}
+		})
 	}
 }

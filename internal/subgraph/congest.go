@@ -54,30 +54,16 @@ func DetectC4Congest(env core.Env, g *graph.Graph, bandwidth, cap int, seed int6
 		for _, u := range send {
 			payload.WriteUint(uint64(u), idW)
 		}
-		chunks := payload.Chunks(p.Bandwidth())
-		acc := make(map[int]*bits.Buffer, len(nbrs))
-		for r := 0; r < rounds; r++ {
-			if r < len(chunks) {
-				for _, u := range nbrs {
-					if err := p.Send(u, chunks[r]); err != nil {
-						return err
-					}
-				}
-			}
-			in := p.Next()
-			for src, msg := range in {
-				if msg == nil {
-					continue
-				}
-				if acc[src] == nil {
-					acc[src] = bits.New(0)
-				}
-				acc[src].Append(msg)
-			}
+		got, err := core.ExchangeBroadcasts(p, payload, rounds)
+		if err != nil {
+			return err
 		}
 		// Decode neighbor lists.
-		lists := make(map[int][]int, len(acc))
-		for src, buf := range acc {
+		lists := make(map[int][]int, len(nbrs))
+		for src, buf := range got {
+			if buf == nil || src == me {
+				continue
+			}
 			rd := bits.NewReader(buf)
 			cnt, err := rd.ReadUint(cntW)
 			if err != nil {
