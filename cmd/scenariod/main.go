@@ -10,8 +10,12 @@
 // socket is bound (with -addr :0 the kernel picks the port), sweeps
 // expired leases on a ticker, and on SIGTERM/SIGINT drains: new runs
 // and leases are refused, in-flight leases get up to -drain-grace to
-// deliver, ledgers are flushed, then the process exits. workers exit on
-// their own when told the server is draining.
+// deliver, ledgers are flushed, then the process exits. Each run's
+// ledger holds its fleet-trace/v1 span records (cliquetrace fleet reads
+// them). A worker runs each leased cell once; an infra result goes back
+// to the server, which requeues the cell behind -backoff, up to
+// -max-attempts grants. workers exit on their own when told the server
+// is draining.
 package main
 
 import (
@@ -50,9 +54,9 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   scenariod serve  [-addr HOST:PORT] [-ledger-dir DIR] [-lease-ttl D] [-max-attempts N]
                    [-backoff D] [-backoff-cap D] [-max-queued N] [-sweep-every D] [-drain-grace D]
-                   [-events PATH] [-pprof]
+                   [-pprof]
   scenariod worker [-server URL] [-name ID] [-cache DIR] [-cache-max-bytes N] [-timeout D]
-                   [-retries N] [-poll D] [-metrics-addr HOST:PORT] [-pprof] [-trace-dir DIR]`)
+                   [-poll D] [-metrics-addr HOST:PORT] [-pprof] [-trace-dir DIR]`)
 }
 
 func serve(args []string) int {
@@ -61,27 +65,15 @@ func serve(args []string) int {
 		addr        = fs.String("addr", "127.0.0.1:8437", "listen address (use :0 for an ephemeral port)")
 		ledgerDir   = fs.String("ledger-dir", "", "per-run ledger directory; runs found here are resumed on startup (\"\" = in-memory only)")
 		leaseTTL    = fs.Duration("lease-ttl", 15*time.Second, "lease lifetime without a heartbeat")
-		maxAttempts = fs.Int("max-attempts", 3, "lease grants per cell before quarantine as infra")
+		maxAttempts = fs.Int("max-attempts", 3, "lease grants per cell: an expired lease or infra result requeues the cell until then, then it is recorded as infra")
 		backoff     = fs.Duration("backoff", 250*time.Millisecond, "base requeue backoff (capped exponential with jitter)")
 		backoffCap  = fs.Duration("backoff-cap", 8*time.Second, "requeue backoff cap")
 		maxQueued   = fs.Int("max-queued", 100000, "bound on unfinished cells across runs; submissions over it are shed with 503")
 		sweepEvery  = fs.Duration("sweep-every", time.Second, "lease-expiry sweep interval")
 		drainGrace  = fs.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight leases before shutting down")
-		eventsPath  = fs.String("events", "", "append structured NDJSON lease-lifecycle events to this file (\"\" = off)")
 		pprofOn     = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the server handler")
 	)
 	fs.Parse(args)
-
-	var events *obs.EventLog
-	if *eventsPath != "" {
-		f, err := os.OpenFile(*eventsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scenariod: events: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		events = obs.NewEventLog(f)
-	}
 
 	s, err := scenariod.New(scenariod.Config{
 		LedgerDir:      *ledgerDir,
@@ -92,7 +84,6 @@ func serve(args []string) int {
 			BackoffBase: *backoff,
 			BackoffCap:  *backoffCap,
 		},
-		Events:      events,
 		EnablePprof: *pprofOn,
 	})
 	if err != nil {
@@ -150,10 +141,7 @@ func worker(args []string) int {
 		name        = fs.String("name", "", "worker id (default host-pid)")
 		cacheDir    = fs.String("cache", "", "content-addressed cache directory shared across workers (\"\" = no cache)")
 		cacheMax    = fs.Int64("cache-max-bytes", 0, "bound the cache directory; puts over the bound evict entries oldest-first (0 = unbounded)")
-		timeout     = fs.Duration("timeout", 0, "per-leg deadline (0 = none)")
-		retries     = fs.Int("retries", 0, "retries for infra-failed legs (panic, timeout)")
-		backoff     = fs.Duration("retry-backoff", 0, "base pause before each retry (0 = immediate)")
-		backoffCap  = fs.Duration("retry-backoff-cap", 0, "retry backoff cap (0 = 32x base)")
+		timeout     = fs.Duration("timeout", 0, "per-leg deadline (0 = none); a timed-out cell goes back to the server as infra, which requeues it")
 		poll        = fs.Duration("poll", 200*time.Millisecond, "lease poll interval when the queue is empty")
 		metricsAddr = fs.String("metrics-addr", "", "serve this worker's /metrics (cache hits/misses) on HOST:PORT (\"\" = off)")
 		traceDir    = fs.String("trace-dir", "", "archive an engine-trace/v1 NDJSON trace per engine-leg run under this directory (\"\" = off)")
@@ -209,15 +197,12 @@ func worker(args []string) int {
 	}()
 
 	w := &scenariod.Worker{
-		Client:          scenariod.NewClient(*server),
-		Name:            *name,
-		Cache:           cache,
-		CellTimeout:     *timeout,
-		TraceDir:        *traceDir,
-		Retries:         *retries,
-		RetryBackoff:    *backoff,
-		RetryBackoffCap: *backoffCap,
-		PollEvery:       *poll,
+		Client:      scenariod.NewClient(*server),
+		Name:        *name,
+		Cache:       cache,
+		CellTimeout: *timeout,
+		TraceDir:    *traceDir,
+		PollEvery:   *poll,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", a...)
 		},

@@ -11,13 +11,13 @@
 //	scenariorun -engines par4-batch-b64
 //	scenariorun -seed 7 -shards 4 -out /tmp/scen.json
 //	scenariorun -quick -faults drop=0.02,corrupt=0.01
-//	scenariorun -timeout 30s -retries 2 -retry-backoff 250ms -ledger run.jsonl
+//	scenariorun -timeout 30s -retries 2 -ledger run.jsonl
 //	scenariorun -quick -submit http://127.0.0.1:8437   # run on a scenariod fleet
 //
 // Exit codes (DESIGN.md §8): 0 every cell ok; 1 any divergence
 // (including a silent corruption under faults); 2 usage error; 3 only
 // explicitly detected fault failures; 4 infrastructure failures (a leg
-// panicked or timed out even after its retries).
+// panicked or timed out even after its retries, which run at once).
 //
 // All flags are documented in DESIGN.md §8.
 package main
@@ -48,12 +48,10 @@ func main() {
 		verbose   = flag.Bool("v", false, "print every cell, not just divergences")
 		faults    = flag.String("faults", "", `fault spec for the engine legs, e.g. "drop=0.02,corrupt=0.01" (keys: drop corrupt delay dup crash maxdelay crashby)`)
 		timeout   = flag.Duration("timeout", 0, "per-leg deadline (0 = none); timed-out cells are classified infra")
-		retries   = flag.Int("retries", 0, "retries for infra-failed legs (panic, timeout)")
-		rbackoff  = flag.Duration("retry-backoff", 0, "base pause before each retry, capped exponential with jitter (0 = immediate)")
-		rbackcap  = flag.Duration("retry-backoff-cap", 0, "retry backoff cap (0 = 32x base)")
+		retries   = flag.Int("retries", 0, "retries for infra-failed legs (panic, timeout), run at once")
 		ledger    = flag.String("ledger", "", "append-only resume ledger path; re-running with the same matrix and flags skips recorded cells")
 		sizes     = flag.String("sizes", "", "comma-separated size override, e.g. 10,16 (default: matrix sizes)")
-		submit    = flag.String("submit", "", "scenariod base URL: submit the matrix to a worker fleet instead of running locally (shards/timeout/retries/ledger then apply server- and worker-side)")
+		submit    = flag.String("submit", "", "scenariod base URL: submit the matrix to a worker fleet instead of running locally (-shards, -timeout, -retries, -ledger and -trace-dir are then ignored: the fleet uses its workers' -timeout and -trace-dir and the server's ledger, and requeues infra cells up to the server's -max-attempts)")
 		traceDir  = flag.String("trace-dir", "", "archive an engine-trace/v1 NDJSON file per engine-leg run under this directory (cliquetrace reads them)")
 	)
 	flag.Parse()
@@ -106,12 +104,10 @@ func main() {
 
 	rep, err := scenario.RunMatrixOpts(m, scenario.RunOptions{
 		CellOptions: scenario.CellOptions{
-			Faults:          spec,
-			Timeout:         *timeout,
-			Retries:         *retries,
-			RetryBackoff:    *rbackoff,
-			RetryBackoffCap: *rbackcap,
-			TraceDir:        *traceDir,
+			Faults:   spec,
+			Timeout:  *timeout,
+			Retries:  *retries,
+			TraceDir: *traceDir,
 		},
 		Shards: *shards,
 		Ledger: *ledger,

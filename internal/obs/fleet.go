@@ -20,9 +20,8 @@ import (
 // restart alongside the cells).
 const FleetTraceVersion = "fleet-trace/v1"
 
-// Span event names. The lease-lifecycle ones are spelled identically to
-// the scenariod queue-event names so one stream serves the event log,
-// the metrics labels, and the span model.
+// Span event names. The scenariod queue emits the lease-lifecycle ones
+// directly, and they double as the event labels of its lease metrics.
 const (
 	FleetRunEnqueued        = "run_enqueued"              // run admitted; Cells declares the cell count
 	FleetRunResumed         = "run_resumed"               // server restart reloaded the run; open attempts are void

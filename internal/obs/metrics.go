@@ -10,8 +10,8 @@ import (
 )
 
 // A dependency-free metrics registry rendering Prometheus text
-// exposition format 0.0.4 — counters, gauges, gauge functions and
-// histograms, all safe for concurrent use. Metric names may carry
+// exposition format 0.0.4 — counters, gauge functions and histograms,
+// all safe for concurrent use. Metric names may carry
 // constant labels inline (`foo_total{event="expired"}`); series sharing
 // a base name share one HELP/TYPE header, exactly as Prometheus
 // expects.
@@ -95,37 +95,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}
 	r.register(name, help, c)
 	return c
-}
-
-// Gauge is a float64 that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d (compare-and-swap loop; fine at scrape-scale contention).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-func (g *Gauge) metricType() string { return "gauge" }
-func (g *Gauge) sample() string     { return formatFloat(g.Value()) }
-
-// Gauge registers and returns a new gauge series.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, g)
-	return g
 }
 
 // gaugeFunc evaluates a callback at scrape time — for values that

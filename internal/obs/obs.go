@@ -2,9 +2,10 @@
 // engine-trace/v1 NDJSON codec and in-memory recorder for core's
 // round-level traces, trace analysis (reconciliation against Stats,
 // per-phase profiles, run diffs, hot-spot ranking), a dependency-free
-// Prometheus-text metrics registry for scenariod, and a structured
-// NDJSON event log. Everything here is pull: a run that attaches no
-// Sink and a server that registers no metrics pay nothing.
+// Prometheus-text metrics registry for scenariod, and the
+// fleet-trace/v1 span model of scenariod runs. Everything here is pull:
+// a run that attaches no Sink and a server that registers no metrics
+// pay nothing.
 package obs
 
 import (

@@ -261,7 +261,7 @@ func (m multiSink) TraceEnd(f *core.RunFooter) {
 }
 
 // TestRegistryPrometheusText pins the exposition format: counters,
-// gauges, gauge funcs, labeled series sharing one header, and histogram
+// gauge funcs, labeled series sharing one header, and histogram
 // bucket/sum/count rendering.
 func TestRegistryPrometheusText(t *testing.T) {
 	r := NewRegistry()
@@ -272,9 +272,7 @@ func TestRegistryPrometheusText(t *testing.T) {
 	req := r.Counter(`d_lease_events_total{event="requeued"}`, "lease lifecycle events")
 	exp.Inc()
 	req.Add(2)
-	g := r.Gauge("d_queue_depth", "jobs queued")
-	g.Set(7)
-	g.Add(-2)
+	r.GaugeFunc("d_queue_depth", "jobs queued", func() float64 { return 5 })
 	r.GaugeFunc("d_workers", "live workers", func() float64 { return 3 })
 	h := r.Histogram("d_cell_seconds", "cell wall time", []float64{0.1, 1})
 	h.Observe(0.05)
@@ -307,31 +305,6 @@ d_cell_seconds_count 3
 `
 	if got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-// TestEventLog checks NDJSON event emission and the free nil no-op.
-func TestEventLog(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewEventLog(&buf)
-	type ev struct {
-		Event string `json:"event"`
-		Key   string `json:"key"`
-		N     int    `json:"attempt"`
-	}
-	l.Emit(ev{"lease_expired", "cell/a", 1})
-	l.Emit(ev{"lease_requeued", "cell/a", 2})
-	if err := l.Err(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 || !strings.Contains(lines[0], `"event":"lease_expired"`) || !strings.Contains(lines[1], `"attempt":2`) {
-		t.Errorf("events = %q", lines)
-	}
-	var nilLog *EventLog = NewEventLog(nil)
-	nilLog.Emit(ev{"ignored", "", 0}) // must not panic
-	if err := nilLog.Err(); err != nil {
-		t.Fatal(err)
 	}
 }
 

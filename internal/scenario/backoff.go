@@ -10,12 +10,13 @@ import (
 // Backoff returns the pause before retry attempt `attempt` (1-based):
 // capped exponential — base·2^(attempt-1), clamped to cap — scaled by a
 // deterministic jitter factor in [0.5, 1.0] derived from (seed, key,
-// attempt). The jitter spreads a fleet of workers retrying the same
-// transiently overloaded box instead of hammering it in lockstep, and
-// it is a pure function of its arguments — no shared rng, no real
-// randomness — so schedules replay bit-for-bit and unit tests pin them
-// with a fake sleep. base <= 0 disables backoff entirely; cap <= 0
-// defaults to 32·base.
+// attempt). It paces scenariod's requeue of a cell whose lease expired
+// or whose worker reported infra; local leg retries run at once. The
+// jitter spreads a fleet's requeued cells instead of re-leasing them in
+// lockstep, and it is a pure function of its arguments — no shared rng,
+// no real randomness — so schedules replay bit-for-bit under a fake
+// clock. base <= 0 disables backoff entirely; cap <= 0 defaults to
+// 32·base.
 func Backoff(base, cap time.Duration, attempt int, seed int64, key string) time.Duration {
 	if base <= 0 || attempt <= 0 {
 		return 0

@@ -44,7 +44,8 @@ func CellFromNames(family string, n int, engine, protocol string, seed int64) (C
 // needs from the oracle side of a cell. The oracle leg is a pure
 // function of (family, n, seed, protocol, bandwidth, faulty) — it always
 // runs the sequential scalar engine — which is what makes it
-// content-addressable across engine configurations and across runs.
+// content-addressable: a re-run of the cell (a requeued attempt, a
+// resubmitted run) reads it back instead of recomputing it.
 type CachedLeg struct {
 	Output string     `json:"output"`
 	Stats  core.Stats `json:"stats"`
@@ -77,23 +78,11 @@ type CellOptions struct {
 	// classify the cell as infra rather than waiting forever.
 	Timeout time.Duration
 	// Retries is how many times an infra-failed leg (panic, timeout) is
-	// re-run, right after the failed attempt and in the same shard,
-	// before the cell is recorded as infra. A timed-out leg's retry so
-	// runs under full shard load, beside its abandoned first attempt.
+	// re-run, at once, in the same shard, before the cell is recorded
+	// as infra. A timed-out leg's retry so runs under full shard load,
+	// beside its abandoned first attempt. scenariod workers leave it 0:
+	// on a fleet, the queue's requeue is the retry.
 	Retries int
-	// RetryBackoff is the base pause before each retry: attempt a sleeps
-	// Backoff(RetryBackoff, RetryBackoffCap, a, cell seed, cell key) —
-	// capped exponential with deterministic jitter — so retries of a
-	// transiently overloaded box spread out instead of hammering it
-	// immediately. 0 keeps the historical immediate retry.
-	RetryBackoff time.Duration
-	// RetryBackoffCap clamps the retry backoff; 0 = 32·RetryBackoff.
-	RetryBackoffCap time.Duration
-	// Sleep is the pause hook used by the retry backoff; nil =
-	// time.Sleep. Tests inject a recorder so backoff schedules are
-	// asserted without real sleeps. A matrix run calls it from every
-	// shard, so with Shards > 1 it must be safe for concurrent use.
-	Sleep func(time.Duration)
 	// TraceDir, when non-empty, archives an engine-trace/v1 NDJSON file
 	// per engine-leg run under the directory (obs.DirSink naming:
 	// trace-s<seed>.ndjson). Only the engine legs are traced — the
@@ -106,8 +95,8 @@ type CellOptions struct {
 
 // RunCell executes one cell's differential pair — oracle leg on the
 // sequential scalar engine, engine leg under the cell's configuration,
-// panic/timeout guards, retries with backoff, the adversary on the
-// engine leg only — and classifies the outcome. It is the per-cell
+// panic/timeout guards, retries, the adversary on the engine leg only —
+// and classifies the outcome. It is the per-cell
 // function RunMatrixOpts runs for every cell, so a cell run alone
 // produces the CellResult a full matrix run records, timings aside —
 // the property the scenariod chaos tests lean on. With a non-nil cache,
@@ -156,19 +145,12 @@ func engineLegOf(faults fault.Spec, traceDir string) (Leg, func()) {
 }
 
 // runLegRetries is the retry loop of every leg: infra failures (panic,
-// timeout) retry up to opt.Retries times with the capped-backoff pause;
-// protocol errors never retry — they are deterministic by the replay
-// guarantee and belong to the outcome classification.
+// timeout) re-run at once, up to opt.Retries times; protocol errors
+// never retry — they are deterministic by the replay guarantee and
+// belong to the outcome classification.
 func runLegRetries(c Cell, leg Leg, opt CellOptions) legOut {
 	out := runLegGuarded(c, leg, opt.Timeout)
-	sleep := opt.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
 	for attempt := 1; attempt <= opt.Retries && out.infra; attempt++ {
-		if d := Backoff(opt.RetryBackoff, opt.RetryBackoffCap, attempt, c.Seed, cellKey(c)); d > 0 {
-			sleep(d)
-		}
 		r := runLegGuarded(c, leg, opt.Timeout)
 		r.attempts = attempt + 1
 		out = r

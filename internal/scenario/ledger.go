@@ -15,21 +15,23 @@ import (
 // extension of the v1 append-only JSONL format: a checksummed header
 // line binding the file to one (matrix, options) run, then one
 // checksummed, typed record per line — completed cells (the v1 payload)
-// plus the lease/heartbeat/spec lifecycle records of the scenariod
-// service (DESIGN.md §12). Appends are whole lines and every line
-// carries a truncated SHA-256 of its own canonical JSON, so the only
+// plus the spec and span records of the scenariod service (DESIGN.md
+// §12). Appends are whole lines and every line carries a truncated
+// SHA-256 of its own canonical JSON, so the only
 // thing torn or corrupted bytes can ever cost is re-running cells:
 // resume verifies each line and stops at the first damaged one
 // (FuzzLedgerResume pins this — a corrupted ledger must never resume to
 // a wrong report).
 const LedgerSchema = "scenario-ledger/v2"
 
-// Ledger record types (LedgerRecord.T).
+// Ledger record types (LedgerRecord.T). The lease and hb types are
+// legacy: older scenariod servers wrote them, this code writes neither,
+// and every reader skips them.
 const (
 	RecCell      = "cell"  // a completed cell: the unit of resume
 	RecSpec      = "spec"  // scenariod: the submitted run spec, for server reload
-	RecLease     = "lease" // scenariod: a lease grant to a worker (superseded by span records)
-	RecHeartbeat = "hb"    // scenariod: a worker heartbeat on a live lease
+	RecLease     = "lease" // legacy scenariod: a lease grant (span records replaced it)
+	RecHeartbeat = "hb"    // legacy scenariod: a worker heartbeat on a live lease
 	RecSpan      = "span"  // scenariod: a fleet-trace/v1 cell-lifecycle span event (DESIGN.md §15)
 )
 
@@ -52,14 +54,22 @@ type ledgerHeader struct {
 }
 
 // LedgerRecord is one post-header line. Only the fields of its type are
-// populated: cell records carry Key+Cell, lease records Key+Worker+
-// Attempt+DeadlineMs, heartbeats Key+Worker, spec records Spec.
+// populated: cell records carry Key+Cell, spec records Spec, span
+// records the span fields below, and the legacy lease records Key+
+// Worker+Attempt+DeadlineMs, heartbeats Key+Worker.
+//
+// No field may be removed, even one nothing writes any more: a line's
+// checksum is taken over the record re-marshaled from this struct, so a
+// line carrying a dropped field fails verification, and OpenLedger
+// truncates the ledger at the first line that fails — losing every
+// record after it.
 type LedgerRecord struct {
 	T    string      `json:"t"`
 	Key  string      `json:"key,omitempty"`
 	Cell *CellResult `json:"cell,omitempty"`
 
-	// Lease/heartbeat bookkeeping (scenariod).
+	// Worker and Attempt name the lease holder on span records and the
+	// legacy lease/heartbeat records; DeadlineMs is legacy lease only.
 	Worker     string `json:"worker,omitempty"`
 	Attempt    int    `json:"attempt,omitempty"`
 	DeadlineMs int64  `json:"deadline_ms,omitempty"`
@@ -163,10 +173,10 @@ type Ledger struct {
 
 // OpenLedger opens (or creates) a resume ledger at path, bound to info.
 // It returns the append handle, the cells already completed by a
-// previous run, and the other verified records (lease/heartbeat/spec
-// bookkeeping, for the scenariod reload path). A torn or corrupted tail
-// is truncated away so subsequent appends start on a clean line
-// boundary; every line lost that way merely re-runs its cell.
+// previous run, and the other verified records (spec, span and legacy
+// records, for the scenariod reload path). A torn or corrupted tail is
+// truncated away so subsequent appends start on a clean line boundary;
+// every line lost that way merely re-runs its cell.
 func OpenLedger(path string, info LedgerInfo) (*Ledger, map[string]CellResult, []LedgerRecord, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {

@@ -393,6 +393,31 @@ func TestQuarantineRetryRecovers(t *testing.T) {
 	}
 }
 
+// TestRunMatrixOptsRetryAttempts: an always-failing engine leg runs
+// Retries+1 times and the cell records that many attempts, while the
+// oracle leg, which succeeded, runs once.
+func TestRunMatrixOptsRetryAttempts(t *testing.T) {
+	var oracleCalls, engineCalls atomic.Int32
+	m := syntheticMatrix(func(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult, error) {
+		if leg.Oracle {
+			oracleCalls.Add(1)
+			return &LegResult{Output: "ok"}, nil
+		}
+		engineCalls.Add(1)
+		panic("always failing")
+	})
+	rep, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{Retries: 3}, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := rep.Cells[0]; c.Outcome != OutcomeInfra || c.Attempts != 4 {
+		t.Fatalf("cell: outcome=%q attempts=%d, want infra after 4 attempts", c.Outcome, c.Attempts)
+	}
+	if o, e := oracleCalls.Load(), engineCalls.Load(); o != 1 || e != 4 {
+		t.Fatalf("oracle leg ran %d times, engine leg %d; want 1 and 4", o, e)
+	}
+}
+
 // TestDetectedClassification: an engine-leg protocol error under an
 // active fault plan is the detected outcome (exit 3), not a divergence.
 func TestDetectedClassification(t *testing.T) {

@@ -18,6 +18,9 @@ type serverMetrics struct {
 	reg     *obs.Registry
 	started time.Time
 	byEvent map[string]*obs.Counter
+	// heartbeatsLost counts heartbeats answered 410; a lost lease is no
+	// lifecycle transition, so the handler counts it, not the queue.
+	heartbeatsLost *obs.Counter
 
 	cellsCompleted *obs.Counter
 	backoffRetries *obs.Counter
@@ -41,12 +44,13 @@ type serverMetrics struct {
 func newServerMetrics(reg *obs.Registry, s *Server, started time.Time) *serverMetrics {
 	m := &serverMetrics{reg: reg, started: started, byEvent: map[string]*obs.Counter{}, workers: map[string]*obs.Counter{}}
 	for _, ev := range []string{
-		EvGranted, EvHeartbeatLost, EvExpiredRequeued, EvExpiredQuarantined, EvInfraRequeued, EvCompleted,
+		obs.FleetGranted, "heartbeat_lost", obs.FleetExpiredRequeued, obs.FleetExpiredQuarantined, obs.FleetInfraRequeued, obs.FleetCompleted,
 	} {
 		m.byEvent[ev] = reg.Counter(
 			fmt.Sprintf("scenariod_lease_events_total{event=%q}", ev),
 			"lease-lifecycle transitions by type")
 	}
+	m.heartbeatsLost = m.byEvent["heartbeat_lost"]
 	m.cellsCompleted = reg.Counter("scenariod_cells_completed_total",
 		"cells that reached a final result (including quarantined)")
 	m.backoffRetries = reg.Counter("scenariod_backoff_retries_total",
@@ -155,14 +159,14 @@ func (m *serverMetrics) workerBusy(worker string, ms int64) {
 }
 
 // observe folds one queue transition into the counters.
-func (m *serverMetrics) observe(ev QueueEvent) {
+func (m *serverMetrics) observe(ev obs.SpanEvent) {
 	if c := m.byEvent[ev.Event]; c != nil {
 		c.Inc()
 	}
 	switch ev.Event {
-	case EvCompleted, EvExpiredQuarantined:
+	case obs.FleetCompleted, obs.FleetExpiredQuarantined:
 		m.cellsCompleted.Inc()
-	case EvExpiredRequeued, EvInfraRequeued:
+	case obs.FleetExpiredRequeued, obs.FleetInfraRequeued:
 		m.backoffRetries.Inc()
 	}
 }

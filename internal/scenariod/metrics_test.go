@@ -1,8 +1,6 @@
 package scenariod
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -42,16 +40,14 @@ func requireLine(t *testing.T, text, line string) {
 }
 
 // TestMetricsExpiredThenRequeuedLease drives a lease through
-// grant → expiry → requeue → regrant against a FakeClock and asserts
-// the transitions land in /metrics and as structured NDJSON events
-// with the run id, cell key, and attempt number.
+// grant → expiry → requeue → regrant against a FakeClock, then sends a
+// heartbeat for the superseded first lease through the HTTP API, and
+// asserts the transitions and the 410 land in /metrics.
 func TestMetricsExpiredThenRequeuedLease(t *testing.T) {
-	var events bytes.Buffer
 	clock := NewFakeClock(time.Unix(1_700_000_000, 0))
 	s, err := New(Config{
-		Clock:  clock,
-		Events: obs.NewEventLog(&events),
-		Queue:  QueueConfig{LeaseTTL: time.Second, MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffCap: time.Millisecond},
+		Clock: clock,
+		Queue: QueueConfig{LeaseTTL: time.Second, MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffCap: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,8 +55,7 @@ func TestMetricsExpiredThenRequeuedLease(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	sub, err := s.Submit(tinySpec())
-	if err != nil {
+	if _, err := s.Submit(tinySpec()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,43 +77,21 @@ func TestMetricsExpiredThenRequeuedLease(t *testing.T) {
 		t.Fatalf("regrant = %+v, want attempt 2 of %s", grant2.Job, key)
 	}
 
+	// The first worker, unaware, heartbeats its superseded lease.
+	err = NewClient(ts.URL).Heartbeat(grant.Job.RunID, key, grant.Job.LeaseID)
+	if se, ok := err.(*StatusError); !ok || se.Status != http.StatusGone {
+		t.Fatalf("superseded heartbeat: %v, want 410", err)
+	}
+
 	text := scrape(t, ts.URL)
 	requireLine(t, text, `scenariod_lease_events_total{event="lease_granted"} 2`)
+	requireLine(t, text, `scenariod_lease_events_total{event="heartbeat_lost"} 1`)
 	requireLine(t, text, `scenariod_lease_events_total{event="lease_expired_requeued"} 1`)
 	requireLine(t, text, `scenariod_lease_events_total{event="lease_expired_quarantined"} 0`)
 	requireLine(t, text, `scenariod_backoff_retries_total 1`)
 	requireLine(t, text, `scenariod_cells_completed_total 0`)
 	requireLine(t, text, `scenariod_queue_depth 2`)
 	requireLine(t, text, `scenariod_runs_active 1`)
-
-	// The event log carries the same story, structured: run id, cell
-	// key, worker, attempt — one JSON object per line.
-	var seen []QueueEvent
-	for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
-		var ev QueueEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("bad event line %q: %v", line, err)
-		}
-		seen = append(seen, ev)
-	}
-	want := []struct {
-		event, worker string
-		attempt       int
-	}{
-		{EvGranted, "w0", 1},
-		{EvExpiredRequeued, "w0", 1},
-		{EvGranted, "w1", 2},
-	}
-	if len(seen) != len(want) {
-		t.Fatalf("got %d events %+v, want %d", len(seen), seen, len(want))
-	}
-	for i, w := range want {
-		ev := seen[i]
-		if ev.Event != w.event || ev.Worker != w.worker || ev.Attempt != w.attempt ||
-			ev.Run != sub.RunID || ev.Key != key || ev.TS == "" {
-			t.Errorf("event %d = %+v, want %s by %s attempt %d on run %s", i, ev, w.event, w.worker, w.attempt, sub.RunID)
-		}
-	}
 }
 
 // TestMetricsPprofGate checks /debug/pprof is absent by default and

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
@@ -37,36 +38,6 @@ var ErrLeaseLost = errors.New("scenariod: lease lost")
 
 // ErrUnknownJob is returned for operations on keys the queue never issued.
 var ErrUnknownJob = errors.New("scenariod: unknown job")
-
-// Queue event names: every lease-lifecycle transition the queue
-// observes. These are the `event` values of the server's structured
-// NDJSON event log and the label values of its lease metrics.
-const (
-	EvGranted            = "lease_granted"
-	EvHeartbeatLost      = "heartbeat_lost"
-	EvExpiredRequeued    = "lease_expired_requeued"
-	EvExpiredQuarantined = "lease_expired_quarantined"
-	EvInfraRequeued      = "infra_requeued"
-	EvCompleted          = "cell_completed"
-)
-
-// QueueEvent is one structured lease-lifecycle transition: which cell,
-// which worker held (or was granted) it, and the attempt number. TS and
-// Run are stamped by the server before the event reaches the log — the
-// queue itself is run-agnostic. TMs is the queue-clock instant of the
-// transition (epoch ms, deterministic under a FakeClock) and Outcome
-// the terminal cell outcome on completion/quarantine events — the
-// fields the fleet-trace/v1 span stream (DESIGN.md §15) is built from.
-type QueueEvent struct {
-	TS      string `json:"ts,omitempty"`
-	Event   string `json:"event"`
-	Run     string `json:"run,omitempty"`
-	Key     string `json:"key"`
-	Worker  string `json:"worker,omitempty"`
-	Attempt int    `json:"attempt"`
-	TMs     int64  `json:"t_ms,omitempty"`
-	Outcome string `json:"outcome,omitempty"`
-}
 
 // Job is one durable per-cell unit of work.
 type Job struct {
@@ -142,11 +113,11 @@ type Queue struct {
 	// onDone, if set, fires exactly once per job as it completes.
 	onDone func(*Job)
 
-	// onEvent, if set, observes every lease-lifecycle transition
-	// (QueueEvent); like onDone it fires outside the lock, in
-	// transition order.
-	onEvent func(QueueEvent)
-	events  []QueueEvent
+	// onEvent, if set, observes every lease-lifecycle transition as its
+	// fleet-trace/v1 span event; like onDone it fires outside the lock,
+	// in transition order.
+	onEvent func(obs.SpanEvent)
+	events  []obs.SpanEvent
 }
 
 // NewQueue decomposes cells (in matrix-expansion order) into jobs.
@@ -168,8 +139,8 @@ func NewQueue(cells []scenario.Cell, cfg QueueConfig, clock Clock) *Queue {
 func (q *Queue) SetOnDone(fn func(*Job)) { q.onDone = fn }
 
 // SetOnEvent installs the lease-lifecycle observer (the server's
-// metrics + event log). Must be set before workers start.
-func (q *Queue) SetOnEvent(fn func(QueueEvent)) { q.onEvent = fn }
+// metrics and span stream). Must be set before workers start.
+func (q *Queue) SetOnEvent(fn func(obs.SpanEvent)) { q.onEvent = fn }
 
 // eventLocked queues a transition for delivery after the lock drops,
 // stamped with the transition instant. Terminal transitions (the job
@@ -178,7 +149,7 @@ func (q *Queue) eventLocked(event string, j *Job, now time.Time) {
 	if q.onEvent == nil {
 		return
 	}
-	ev := QueueEvent{Event: event, Key: j.Key, Worker: j.Worker, Attempt: j.Attempts, TMs: now.UnixMilli()}
+	ev := obs.SpanEvent{TMs: now.UnixMilli(), Event: event, Key: j.Key, Worker: j.Worker, Attempt: j.Attempts}
 	if j.State == JobDone && j.Result != nil {
 		ev.Outcome = j.Result.Outcome
 	}
@@ -186,14 +157,14 @@ func (q *Queue) eventLocked(event string, j *Job, now time.Time) {
 }
 
 // takeEventsLocked drains the pending transition list.
-func (q *Queue) takeEventsLocked() []QueueEvent {
+func (q *Queue) takeEventsLocked() []obs.SpanEvent {
 	evs := q.events
 	q.events = nil
 	return evs
 }
 
 // emit delivers queued transitions outside the lock.
-func (q *Queue) emit(evs []QueueEvent) {
+func (q *Queue) emit(evs []obs.SpanEvent) {
 	for _, ev := range evs {
 		q.onEvent(ev)
 	}
@@ -238,7 +209,7 @@ func (q *Queue) Lease(worker string) (Job, bool) {
 		q.seq++
 		j.LeaseID = fmt.Sprintf("%s#%d", worker, q.seq)
 		j.Deadline = now.Add(q.cfg.LeaseTTL)
-		q.eventLocked(EvGranted, j, now)
+		q.eventLocked(obs.FleetGranted, j, now)
 		grant, ok = *j, true
 		break
 	}
@@ -251,26 +222,20 @@ func (q *Queue) Lease(worker string) (Job, bool) {
 
 // Heartbeat extends the deadline of a live lease. A heartbeat carrying
 // a stale lease ID (the lease expired and the job moved on) gets
-// ErrLeaseLost.
+// ErrLeaseLost. It emits no event: neither outcome is a lifecycle
+// transition (the server counts lost heartbeats itself).
 func (q *Queue) Heartbeat(key, leaseID string) error {
-	q.emitMu.Lock()
-	defer q.emitMu.Unlock()
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	j, ok := q.byKey[key]
 	if !ok {
-		q.mu.Unlock()
 		return ErrUnknownJob
 	}
 	now := q.clock.Now()
 	if j.State != JobLeased || j.LeaseID != leaseID || j.Deadline.Before(now) {
-		q.eventLocked(EvHeartbeatLost, j, now)
-		evs := q.takeEventsLocked()
-		q.mu.Unlock()
-		q.emit(evs)
 		return ErrLeaseLost
 	}
 	j.Deadline = now.Add(q.cfg.LeaseTTL)
-	q.mu.Unlock()
 	return nil
 }
 
@@ -300,7 +265,7 @@ func (q *Queue) Complete(key, leaseID string, res scenario.CellResult) (bool, er
 	case j.State == JobDone:
 		// idempotent duplicate
 	case res.Outcome == scenario.OutcomeInfra && j.Attempts < q.cfg.MaxAttempts:
-		q.eventLocked(EvInfraRequeued, j, now)
+		q.eventLocked(obs.FleetInfraRequeued, j, now)
 		q.requeueLocked(j, now)
 	default:
 		res2 := res
@@ -308,7 +273,7 @@ func (q *Queue) Complete(key, leaseID string, res scenario.CellResult) (bool, er
 		j.State = JobDone
 		j.LeaseID = leaseID
 		q.done++
-		q.eventLocked(EvCompleted, j, now)
+		q.eventLocked(obs.FleetCompleted, j, now)
 		finished = append(finished, j)
 		recorded = true
 	}
@@ -350,11 +315,11 @@ func (q *Queue) expireLocked(now time.Time) []*Job {
 			q.done++
 			// Result and state first: the quarantine event is terminal,
 			// so it must carry the (infra) outcome.
-			q.eventLocked(EvExpiredQuarantined, j, now)
+			q.eventLocked(obs.FleetExpiredQuarantined, j, now)
 			finished = append(finished, j)
 			continue
 		}
-		q.eventLocked(EvExpiredRequeued, j, now)
+		q.eventLocked(obs.FleetExpiredRequeued, j, now)
 		q.requeueLocked(j, now)
 	}
 	return finished
@@ -454,15 +419,4 @@ func (q *Queue) Results() ([]scenario.CellResult, bool) {
 		out[i] = *j.Result
 	}
 	return out, true
-}
-
-// Jobs returns a snapshot of every job (tests and status endpoints).
-func (q *Queue) Jobs() []Job {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]Job, len(q.jobs))
-	for i, j := range q.jobs {
-		out[i] = *j
-	}
-	return out
 }

@@ -3,6 +3,7 @@ package scenariod
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -22,7 +23,7 @@ import (
 // Config tunes the server.
 type Config struct {
 	// LedgerDir is where per-run ledgers (run-<id>.jsonl, ledger v2 with
-	// lease/heartbeat records) live. Existing ledgers are reloaded on
+	// spec, span and cell records) live. Existing ledgers are reloaded on
 	// startup — completed cells stay completed, outstanding leases are
 	// void — so a restarted server resumes every interrupted run. ""
 	// keeps runs in memory only.
@@ -38,11 +39,6 @@ type Config struct {
 	Clock Clock
 	// Logf sinks operational messages; nil = log.Printf.
 	Logf func(format string, args ...any)
-	// Events, if non-nil, receives one structured NDJSON object per
-	// lease-lifecycle transition (QueueEvent: ts, event, run, cell key,
-	// worker, attempt) — the replacement for bare sweep log strings.
-	// nil disables event logging at zero cost.
-	Events *obs.EventLog
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// server's handler — off by default, a flag on cmd/scenariod.
 	EnablePprof bool
@@ -56,7 +52,6 @@ type Server struct {
 	clock   Clock
 	logf    func(string, ...any)
 	metrics *serverMetrics
-	events  *obs.EventLog
 
 	mu       sync.Mutex
 	runs     map[string]*run
@@ -104,7 +99,7 @@ func New(cfg Config) (*Server, error) {
 	if logf == nil {
 		logf = log.Printf
 	}
-	s := &Server{cfg: cfg, clock: clock, logf: logf, events: cfg.Events, runs: map[string]*run{}}
+	s := &Server{cfg: cfg, clock: clock, logf: logf, runs: map[string]*run{}}
 	s.metrics = newServerMetrics(obs.NewRegistry(), s, time.Now())
 	if cfg.LedgerDir != "" {
 		if err := os.MkdirAll(cfg.LedgerDir, 0o755); err != nil {
@@ -235,35 +230,16 @@ func (s *Server) newRun(id string, spec RunSpec, m *scenario.Matrix, led *scenar
 		subs:  map[int]chan StreamEvent{},
 	}
 	r.queue.SetOnDone(func(j *Job) { s.jobDone(r, j) })
-	r.queue.SetOnEvent(func(ev QueueEvent) { s.queueEvent(r, ev) })
+	r.queue.SetOnEvent(func(ev obs.SpanEvent) {
+		s.metrics.observe(ev)
+		s.spanEvent(r, ev, true)
+	})
 	s.metrics.registerRun(r)
 	return r
 }
 
 // Metrics returns the server's registry — the one /metrics renders.
 func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
-
-// queueEvent is the lease-lifecycle observer: fold the transition into
-// the metrics, append it to the run's fleet-trace/v1 span stream
-// (ledger + in-memory builder), stamp it with the run id and a
-// timestamp, and emit it as one structured NDJSON line.
-func (s *Server) queueEvent(r *run, ev QueueEvent) {
-	s.metrics.observe(ev)
-	if ev.Event != EvHeartbeatLost {
-		// Every queue transition except heartbeat loss (a diagnostic,
-		// not a state change) is a span event; the names coincide by
-		// construction.
-		s.spanEvent(r, obs.SpanEvent{
-			TMs: ev.TMs, Event: ev.Event, Key: ev.Key,
-			Worker: ev.Worker, Attempt: ev.Attempt, Outcome: ev.Outcome,
-		}, true)
-	}
-	if s.events != nil {
-		ev.Run = r.id
-		ev.TS = s.clock.Now().UTC().Format(time.RFC3339Nano)
-		s.events.Emit(ev)
-	}
-}
 
 // spanEventEnds maps a span event to the attempt end state it seals —
 // the guard that keeps a worker's lease time from being folded twice
@@ -556,9 +532,8 @@ func (s *Server) Lease(worker string) LeaseResponse {
 	}
 	s.mu.Unlock()
 	for _, r := range runs {
-		// The grant's span record (lease_granted: worker, attempt,
-		// instant) is appended by the queue-event observer, replacing
-		// the old RecLease bookkeeping line.
+		// The queue's observer appends the grant's lease_granted span
+		// record (worker, attempt, instant) to the ledger.
 		j, ok := r.queue.Lease(worker)
 		if !ok {
 			continue
@@ -653,13 +628,11 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		if err := run.queue.Heartbeat(req.Key, req.LeaseID); err != nil {
+			if errors.Is(err, ErrLeaseLost) {
+				s.metrics.heartbeatsLost.Inc()
+			}
 			writeErr(w, &apiError{http.StatusGone, err.Error()})
 			return
-		}
-		if run.led != nil {
-			if err := run.led.Append(scenario.LedgerRecord{T: scenario.RecHeartbeat, Key: req.Key, Worker: req.LeaseID}); err != nil {
-				s.logf("scenariod: run %s: %v", run.id, err)
-			}
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})

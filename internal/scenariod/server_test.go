@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -180,7 +181,9 @@ func TestServerShedsOverCellBound(t *testing.T) {
 
 // A restarted server rebuilds runs from their ledgers: completed cells
 // stay completed (not re-leased), the rest finish, and the final report
-// matches the direct run byte-for-byte.
+// matches the direct run byte-for-byte. The ledger also carries the
+// heartbeat and lease lines that older servers wrote: they must verify,
+// so the records after them survive the reload.
 func TestServerLedgerRecovery(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec()
@@ -198,6 +201,29 @@ func TestServerLedgerRecovery(t *testing.T) {
 	g := lease.Job
 	cell, err := scenario.CellFromNames(g.Family, g.N, g.Engine, g.Protocol, g.Seed)
 	if err != nil {
+		t.Fatal(err)
+	}
+	// Interleave the legacy records an older server appended for this
+	// lease, through a second append handle on the run ledger.
+	path := filepath.Join(dir, "run-"+sub.RunID+".jsonl")
+	m, err := spec.Matrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := scenario.LedgerInfo{BaseSeed: spec.BaseSeed, Faults: spec.FaultSpec().String(), Cells: len(m.Expand())}
+	legacy, _, _, err := scenario.OpenLedger(path, info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []scenario.LedgerRecord{
+		{T: scenario.RecLease, Key: g.Key, Worker: "w-before-crash", Attempt: g.Attempt, DeadlineMs: 1_700_000_015_000},
+		{T: scenario.RecHeartbeat, Key: g.Key, Worker: g.LeaseID},
+	} {
+		if err := legacy.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := legacy.Close(); err != nil {
 		t.Fatal(err)
 	}
 	res := scenario.RunCell(cell, scenario.CellOptions{}, nil)

@@ -14,23 +14,22 @@ import (
 const maxLeaseErrors = 25
 
 // Worker is one shard of a scenariod fleet: it leases cells, runs each
-// differential pair through scenario.RunCell (with the shared
+// differential pair once through scenario.RunCell (with the shared
 // content-addressed cache when configured), heartbeats while computing,
 // and submits results. Several worker processes pointed at one server
 // shard a matrix between them; killing any of them costs only its
 // currently leased cells, which the server requeues at the next sweep.
+// The queue's requeue is the fleet's only retry: an infra result goes
+// back to the queue, which leases the cell again after its backoff.
 type Worker struct {
 	Client *Client
 	Name   string
 	// Cache, if non-nil, serves oracle legs and generated graphs
 	// content-addressed from disk (shared across worker processes).
 	Cache *Cache
-	// CellTimeout/Retries/RetryBackoff/RetryBackoffCap mirror the
-	// scenario.CellOptions retry discipline per leg.
-	CellTimeout     time.Duration
-	Retries         int
-	RetryBackoff    time.Duration
-	RetryBackoffCap time.Duration
+	// CellTimeout is the per-leg deadline (scenario
+	// CellOptions.Timeout); a timed-out leg makes the cell infra.
+	CellTimeout time.Duration
 	// TraceDir, when non-empty, archives an engine-trace/v1 NDJSON
 	// trace per engine-leg run under the directory (scenario
 	// CellOptions.TraceDir; files are named by cell seed, so a shared
@@ -156,14 +155,7 @@ func (w *Worker) execute(ctx context.Context, g JobGrant) scenario.CellResult {
 		}
 	}()
 
-	opt := scenario.CellOptions{
-		Faults:          spec,
-		Timeout:         w.CellTimeout,
-		Retries:         w.Retries,
-		RetryBackoff:    w.RetryBackoff,
-		RetryBackoffCap: w.RetryBackoffCap,
-		TraceDir:        w.TraceDir,
-	}
+	opt := scenario.CellOptions{Faults: spec, Timeout: w.CellTimeout, TraceDir: w.TraceDir}
 	var cache scenario.LegCache
 	if w.Cache != nil {
 		cache = w.Cache
