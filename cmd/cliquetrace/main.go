@@ -21,7 +21,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -264,9 +263,11 @@ func diff(args []string) int {
 
 // fleet folds a completed scenariod run ledger's fleet-trace/v1 span
 // records, prints the throughput accounting and critical path, and
-// reconciles the spans against the run's canonical report — rebuilt
-// from the same ledger, so the check needs no live server. Exits 1 on
-// an incomplete run, a span-stream violation, or a reconcile failure.
+// reconciles the spans against the outcomes of the run's canonical
+// report — read from the same ledger, so the check needs no live
+// server. The accounting is obs.Summarize, the function the server's
+// /metrics reads live. Exits 1 on an incomplete run, a span-stream
+// violation, or a reconcile failure.
 func fleet(args []string) int {
 	fs := flag.NewFlagSet("cliquetrace fleet", flag.ExitOnError)
 	top := fs.Int("top", 5, "how many critical-path cells to render")
@@ -276,66 +277,11 @@ func fleet(args []string) int {
 		return 2
 	}
 	path := fs.Arg(0)
-	_, recs, err := scenario.LoadLedger(path)
+	ft, outcomes, err := scenariod.ReadRunLedger(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cliquetrace: %v\n", err)
 		return 1
 	}
-
-	// Rebuild the canonical report the way the server does: spec record
-	// → matrix, cell records → results in matrix-expansion order.
-	var spec scenariod.RunSpec
-	haveSpec := false
-	results := map[string]scenario.CellResult{}
-	b := obs.NewFleetBuilder()
-	for _, rec := range recs {
-		switch rec.T {
-		case scenario.RecSpec:
-			if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-				fmt.Fprintf(os.Stderr, "cliquetrace: bad spec record: %v\n", err)
-				return 1
-			}
-			haveSpec = true
-		case scenario.RecCell:
-			if rec.Cell != nil {
-				results[rec.Key] = *rec.Cell
-			}
-		case scenario.RecSpan:
-			if err := b.Observe(obs.SpanEvent{
-				TMs: rec.TMs, Event: rec.Event, Key: rec.Key, Worker: rec.Worker,
-				Attempt: rec.Attempt, Outcome: rec.Outcome, ExecMs: rec.ExecMs, Cells: rec.Cells,
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "cliquetrace: span stream: %v\n", err)
-				return 1
-			}
-		}
-	}
-	if !haveSpec {
-		fmt.Fprintln(os.Stderr, "cliquetrace: ledger has no spec record (not a scenariod run ledger)")
-		return 1
-	}
-	m, err := spec.Matrix()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cliquetrace: %v\n", err)
-		return 1
-	}
-	cells := m.Expand()
-	ordered := make([]scenario.CellResult, 0, len(cells))
-	var outcomes []obs.CellOutcome
-	for _, c := range cells {
-		cr, ok := results[c.Key()]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "cliquetrace: run incomplete: cell %s has no result (%d/%d done)\n",
-				c.Key(), len(results), len(cells))
-			return 1
-		}
-		ordered = append(ordered, cr)
-		outcomes = append(outcomes, obs.CellOutcome{Key: c.Key(), Outcome: cr.Outcome})
-	}
-	rep := scenario.BuildReport(m, ordered, spec.FaultSpec().String())
-	rep.Canonicalize()
-
-	ft := b.Fleet()
 	sum := obs.Summarize(ft)
 	fmt.Printf("fleet: %s (%s)\n", path, obs.FleetTraceVersion)
 	fmt.Printf("run: cells=%d attempts=%d requeues=%d quarantines=%d abandoned=%d resumes=%d\n",

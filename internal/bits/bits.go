@@ -593,16 +593,3 @@ func UintWidth(maxVal uint64) int {
 	}
 	return w
 }
-
-// Concat returns a fresh buffer holding all arguments in order.
-func Concat(bufs ...*Buffer) *Buffer {
-	total := 0
-	for _, b := range bufs {
-		total += b.Len()
-	}
-	out := New(total)
-	for _, b := range bufs {
-		out.Append(b)
-	}
-	return out
-}

@@ -107,7 +107,10 @@ func TestSliceAndChunks(t *testing.T) {
 	if len(chunks) != 15 { // ceil(100/7)
 		t.Fatalf("got %d chunks, want 15", len(chunks))
 	}
-	recon := Concat(chunks...)
+	var recon Buffer
+	for _, c := range chunks {
+		recon.Append(c)
+	}
 	if !recon.Equal(&b) {
 		t.Error("concat of chunks != original")
 	}
@@ -128,11 +131,13 @@ func TestAppendConcat(t *testing.T) {
 	var a, b Buffer
 	a.WriteUint(9, 5)
 	b.WriteUint(1023, 10)
-	c := Concat(&a, &b)
+	var c Buffer
+	c.Append(&a)
+	c.Append(&b)
 	if c.Len() != 15 {
 		t.Fatalf("Len = %d, want 15", c.Len())
 	}
-	r := NewReader(c)
+	r := NewReader(&c)
 	if v, _ := r.ReadUint(5); v != 9 {
 		t.Errorf("first part = %d, want 9", v)
 	}

@@ -263,28 +263,13 @@ func (pn *procNode) run(yield func(struct{}) bool) {
 // failed run leaves no goroutine behind.
 func RunProcs(cfg Config, body func(*Proc) error) (*Result, error) {
 	pns := make([]procNode, cfg.N)
+	nodes := make([]Node, cfg.N)
 	for i := range pns {
 		pns[i].body = body
-	}
-	return runProcNodes(cfg, pns)
-}
-
-// RunProcsEach runs a distinct body per node; see RunProcs.
-func RunProcsEach(cfg Config, bodies []func(*Proc) error) (*Result, error) {
-	pns := make([]procNode, len(bodies))
-	for i, b := range bodies {
-		pns[i].body = b
-	}
-	return runProcNodes(cfg, pns)
-}
-
-// runProcNodes runs the adapted bodies and then stops every started
-// coroutine; stopping one that already returned is a no-op.
-func runProcNodes(cfg Config, pns []procNode) (*Result, error) {
-	nodes := make([]Node, len(pns))
-	for i := range pns {
 		nodes[i] = &pns[i]
 	}
+	// Stop every started coroutine; stopping one that already returned
+	// is a no-op.
 	defer func() {
 		for i := range pns {
 			if pns[i].stop != nil {

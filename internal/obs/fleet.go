@@ -116,7 +116,8 @@ type FleetTrace struct {
 	StartMs int64 // earliest event
 	EndMs   int64 // latest event
 	Spans   map[string]*CellSpan
-	Keys    []string // cell keys in first-grant order
+	Keys    []string       // cell keys in first-grant order
+	Events  map[string]int // folded events by name
 }
 
 // FleetBuilder folds span events, in stream order, into a FleetTrace.
@@ -134,7 +135,7 @@ type FleetBuilder struct {
 // NewFleetBuilder returns an empty builder.
 func NewFleetBuilder() *FleetBuilder {
 	return &FleetBuilder{
-		ft:    FleetTrace{Spans: map[string]*CellSpan{}},
+		ft:    FleetTrace{Spans: map[string]*CellSpan{}, Events: map[string]int{}},
 		ready: map[string]int64{},
 	}
 }
@@ -157,8 +158,17 @@ func closeAttempt(a *AttemptSpan, end string, tMs int64) {
 	}
 }
 
-// Observe folds one span event.
+// Observe folds one span event and, unless it is refused, tallies it
+// by name.
 func (b *FleetBuilder) Observe(ev SpanEvent) error {
+	if err := b.fold(ev); err != nil {
+		return err
+	}
+	b.ft.Events[ev.Event]++
+	return nil
+}
+
+func (b *FleetBuilder) fold(ev SpanEvent) error {
 	if !b.haveFirst || ev.TMs < b.ft.StartMs {
 		b.ft.StartMs = ev.TMs
 		b.haveFirst = true

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"errors"
+	"maps"
 	"strings"
 	"testing"
 
@@ -37,6 +38,10 @@ func TestFleetBuilderLifecycle(t *testing.T) {
 	ft := b.Fleet()
 	if ft.Cells != 2 || ft.Grants != 3 || ft.Resumes != 0 {
 		t.Fatalf("trace counts: %+v", ft)
+	}
+	wantEvents := map[string]int{FleetRunEnqueued: 1, FleetGranted: 3, FleetResultSubmitted: 2, FleetCompleted: 2, FleetExpiredRequeued: 1}
+	if !maps.Equal(ft.Events, wantEvents) {
+		t.Fatalf("event tally %v, want %v", ft.Events, wantEvents)
 	}
 	if ft.StartMs != 1000 || ft.EndMs != 2600 {
 		t.Fatalf("window [%d,%d], want [1000,2600]", ft.StartMs, ft.EndMs)
@@ -149,13 +154,22 @@ func TestFleetBuilderViolations(t *testing.T) {
 	} {
 		b := NewFleetBuilder()
 		var err error
+		accepted := 0
 		for _, ev := range tc.evs {
 			if err = b.Observe(ev); err != nil {
 				break
 			}
+			accepted++
 		}
 		if err == nil {
 			t.Errorf("%s: stream accepted", tc.name)
+		}
+		tallied := 0
+		for _, n := range b.Fleet().Events {
+			tallied += n
+		}
+		if tallied != accepted {
+			t.Errorf("%s: %d events tallied, %d accepted", tc.name, tallied, accepted)
 		}
 	}
 

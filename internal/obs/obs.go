@@ -1,10 +1,13 @@
-// Package obs is the repo's observability layer (DESIGN.md §14): the
+// Package obs is the repo's observability layer (DESIGN.md §14–15): the
 // engine-trace/v1 NDJSON codec and in-memory recorder for core's
 // round-level traces, trace analysis (reconciliation against Stats,
-// per-phase profiles, run diffs, hot-spot ranking), a dependency-free
-// Prometheus-text metrics registry for scenariod, and the
-// fleet-trace/v1 span model of scenariod runs. Everything here is pull:
-// a run that attaches no Sink and a server that registers no metrics
+// per-phase profiles, run diffs, hot-spot ranking), the fleet-trace/v1
+// span model of scenariod runs with its throughput accounting
+// (Summarize), and a dependency-free Prometheus-text registry of
+// counters, gauge functions and scrape-time families. scenariod's
+// /metrics reads Summarize of each run's span fold at scrape time, the
+// same function cliquetrace applies to a ledger offline. Everything
+// here is pull: a run that attaches no Sink and a server nobody scrapes
 // pay nothing.
 package obs
 

@@ -261,8 +261,8 @@ func (m multiSink) TraceEnd(f *core.RunFooter) {
 }
 
 // TestRegistryPrometheusText pins the exposition format: counters,
-// gauge funcs, labeled series sharing one header, and histogram
-// bucket/sum/count rendering.
+// gauge funcs, labeled series sharing one header, and a scrape-time
+// family's labeled, suffixed and unlabeled series.
 func TestRegistryPrometheusText(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("d_cells_total", "cells completed")
@@ -274,10 +274,15 @@ func TestRegistryPrometheusText(t *testing.T) {
 	req.Add(2)
 	r.GaugeFunc("d_queue_depth", "jobs queued", func() float64 { return 5 })
 	r.GaugeFunc("d_workers", "live workers", func() float64 { return 3 })
-	h := r.Histogram("d_cell_seconds", "cell wall time", []float64{0.1, 1})
-	h.Observe(0.05)
-	h.Observe(0.5)
-	h.Observe(5)
+	r.Family("d_cell_seconds", "summary", "cell wall time", func() []Sample {
+		return []Sample{
+			{Labels: `run="0",quantile="0.5"`, Value: 0.5},
+			{Suffix: "_count", Labels: `run="0"`, Value: 3},
+		}
+	})
+	r.Family("d_cells_done_total", "counter", "cells done", func() []Sample {
+		return []Sample{{Value: 7}}
+	})
 
 	var b strings.Builder
 	r.WritePrometheus(&b)
@@ -296,12 +301,12 @@ d_queue_depth 5
 # TYPE d_workers gauge
 d_workers 3
 # HELP d_cell_seconds cell wall time
-# TYPE d_cell_seconds histogram
-d_cell_seconds_bucket{le="0.1"} 1
-d_cell_seconds_bucket{le="1"} 2
-d_cell_seconds_bucket{le="+Inf"} 3
-d_cell_seconds_sum 5.55
-d_cell_seconds_count 3
+# TYPE d_cell_seconds summary
+d_cell_seconds{run="0",quantile="0.5"} 0.5
+d_cell_seconds_count{run="0"} 3
+# HELP d_cells_done_total cells done
+# TYPE d_cells_done_total counter
+d_cells_done_total 7
 `
 	if got != want {
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)

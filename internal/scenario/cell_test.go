@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func tinyMatrix(t *testing.T) *Matrix {
@@ -148,7 +150,8 @@ func TestBuildReportCanonicalize(t *testing.T) {
 }
 
 // LoadLedger reads back everything Append recorded — header binding,
-// bookkeeping records, cell results — and Sync is safe to interleave.
+// bookkeeping records, span events, cell results — and Sync is safe to
+// interleave.
 func TestLedgerAppendLoadRoundtrip(t *testing.T) {
 	m := tinyMatrix(t)
 	cells := m.Expand()
@@ -171,6 +174,11 @@ func TestLedgerAppendLoadRoundtrip(t *testing.T) {
 	if err := led.Append(LedgerRecord{T: RecHeartbeat, Key: cells[0].Key(), Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
+	span := obs.SpanEvent{TMs: 1700000000123, Event: obs.FleetCompleted, Key: cells[0].Key(), Worker: "w1",
+		Attempt: 2, Outcome: OutcomeOK, ExecMs: 40, Cells: len(cells)}
+	if err := led.Append(SpanRecord(span)); err != nil {
+		t.Fatal(err)
+	}
 	cr := CellResult{Family: cells[0].Family.Name, N: cells[0].N, Engine: cells[0].Engine.Name,
 		Protocol: cells[0].Protocol.Name, Seed: cells[0].Seed, Output: "out", Outcome: OutcomeOK}
 	if err := led.AppendCell(cells[0].Key(), cr); err != nil {
@@ -190,8 +198,11 @@ func TestLedgerAppendLoadRoundtrip(t *testing.T) {
 	types := map[string]int{}
 	for _, rec := range recs {
 		types[rec.T]++
+		if rec.T == RecSpan && rec.SpanEvent() != span {
+			t.Fatalf("span record reads back as %+v, want %+v", rec.SpanEvent(), span)
+		}
 	}
-	for _, tt := range []string{RecSpec, RecLease, RecHeartbeat, RecCell} {
+	for _, tt := range []string{RecSpec, RecLease, RecHeartbeat, RecSpan, RecCell} {
 		if types[tt] != 1 {
 			t.Fatalf("record types %v, want one of each", types)
 		}

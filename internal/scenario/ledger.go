@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"os"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // LedgerSchema names the resume-ledger layout (DESIGN.md §11). v2 is an
@@ -91,6 +93,23 @@ type LedgerRecord struct {
 	Spec json.RawMessage `json:"spec,omitempty"`
 
 	Sum string `json:"sum,omitempty"`
+}
+
+// SpanRecord is the ledger line that stores a fleet-trace/v1 span event.
+func SpanRecord(ev obs.SpanEvent) LedgerRecord {
+	return LedgerRecord{
+		T: RecSpan, Key: ev.Key, Worker: ev.Worker, Attempt: ev.Attempt,
+		Event: ev.Event, TMs: ev.TMs, Outcome: ev.Outcome, ExecMs: ev.ExecMs, Cells: ev.Cells,
+	}
+}
+
+// SpanEvent is the span event a RecSpan record stores; SpanRecord's
+// inverse.
+func (r LedgerRecord) SpanEvent() obs.SpanEvent {
+	return obs.SpanEvent{
+		TMs: r.TMs, Event: r.Event, Key: r.Key, Worker: r.Worker,
+		Attempt: r.Attempt, Outcome: r.Outcome, ExecMs: r.ExecMs, Cells: r.Cells,
+	}
 }
 
 // lineSum is the per-line checksum: truncated SHA-256 over the line's

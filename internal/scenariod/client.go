@@ -130,9 +130,12 @@ func (c *Client) Drain() error {
 }
 
 // Stream consumes a run's event stream, invoking fn per event until the
-// done event, stream end, or a callback error.
+// done event, stream end, or a callback error. The stream lasts as long
+// as the run, so it is read without the client's request timeout.
 func (c *Client) Stream(runID string, fn func(StreamEvent) error) error {
-	resp, err := c.http.Get(c.base + "/v1/runs/" + runID + "/events")
+	untimed := *c.http
+	untimed.Timeout = 0
+	resp, err := untimed.Get(c.base + "/v1/runs/" + runID + "/events")
 	if err != nil {
 		return err
 	}

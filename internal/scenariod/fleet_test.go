@@ -1,14 +1,16 @@
 package scenariod
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -21,50 +23,56 @@ import (
 // exactly what `cliquetrace fleet` does.
 func foldLedgerSpans(t *testing.T, path string) (*obs.FleetTrace, []obs.CellOutcome) {
 	t.Helper()
-	_, recs, err := scenario.LoadLedger(path)
+	ft, outcomes, err := ReadRunLedger(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spec RunSpec
-	results := map[string]scenario.CellResult{}
-	b := obs.NewFleetBuilder()
-	for _, rec := range recs {
-		switch rec.T {
-		case scenario.RecSpec:
-			if err := json.Unmarshal(rec.Spec, &spec); err != nil {
-				t.Fatalf("spec record: %v", err)
-			}
-		case scenario.RecCell:
-			results[rec.Key] = *rec.Cell
-		case scenario.RecSpan:
-			if err := b.Observe(obs.SpanEvent{
-				TMs: rec.TMs, Event: rec.Event, Key: rec.Key, Worker: rec.Worker,
-				Attempt: rec.Attempt, Outcome: rec.Outcome, ExecMs: rec.ExecMs, Cells: rec.Cells,
-			}); err != nil {
-				t.Fatalf("span stream violation: %v", err)
-			}
+	return ft, outcomes
+}
+
+// requireScrapeMatchesLedger scrapes /metrics and checks that the live
+// server reports the accounting obs.Summarize derives offline from the
+// run's ledger: lease grants, every leg population, completed cells,
+// throughput and each worker's utilization. The server holds this one
+// run only, so its server-wide totals are the run's.
+func requireScrapeMatchesLedger(t *testing.T, url, runID string, sum obs.FleetSummary) {
+	t.Helper()
+	got := map[string]float64{}
+	for _, line := range strings.Split(scrape(t, url), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		got[line[:i]] = v
+	}
+	run := fmt.Sprintf("run=%q", runID)
+	want := map[string]float64{
+		`scenariod_lease_events_total{event="lease_granted"}`: float64(sum.Attempts),
+		"scenariod_cells_completed_total":                     float64(sum.Cells),
+		"scenariod_cell_queue_wait_ms_count{" + run + "}":     float64(sum.QueueWait.Count),
+		"scenariod_cell_execute_ms_count{" + run + "}":        float64(sum.Exec.Count),
+		"scenariod_cell_e2e_ms_count{" + run + "}":            float64(sum.EndToEnd.Count),
+		"scenariod_run_cells_per_second{" + run + "}":         sum.CellsPerSec,
+	}
+	for _, w := range sum.Workers {
+		want[fmt.Sprintf("scenariod_worker_utilization{%s,worker=%q}", run, w.Worker)] = w.Utilization
+	}
+	for series, v := range want {
+		if g, ok := got[series]; !ok || g != v {
+			t.Errorf("/metrics %s = %v (present: %v), ledger summary says %v", series, g, ok, v)
 		}
 	}
-	m, err := spec.Matrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var outcomes []obs.CellOutcome
-	for _, c := range m.Expand() {
-		cr, ok := results[c.Key()]
-		if !ok {
-			t.Fatalf("ledger incomplete: no result for %s", c.Key())
-		}
-		outcomes = append(outcomes, obs.CellOutcome{Key: c.Key(), Outcome: cr.Outcome})
-	}
-	return b.Fleet(), outcomes
 }
 
 // TestFleetSpansReconcileEndToEnd runs a full matrix through the
 // service and proves the durable span stream is a faithful second
 // account: rebuilt from the ledger alone, it reconciles exactly against
-// the canonical report, and the span-derived latency histograms land on
-// a real /metrics scrape.
+// the canonical report, and a real /metrics scrape reports the same
+// summary.
 func TestFleetSpansReconcileEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Config{LedgerDir: dir})
@@ -119,37 +127,8 @@ func TestFleetSpansReconcileEndToEnd(t *testing.T) {
 		t.Fatalf("live spans: %v", liveErr)
 	}
 
-	// Real scrape: the span-derived series are on /metrics. The
-	// execute histogram only sees attempts whose measured execution
-	// was >= 1ms — on a fast machine that can be fewer than the cell
-	// count, so the expectation comes from the spans themselves.
-	execLegs := 0
-	for _, cs := range ft.Spans {
-		for _, a := range cs.Attempts {
-			if a.ExecMs > 0 {
-				execLegs++
-			}
-		}
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(body)
-	for _, want := range []string{
-		"scenariod_cell_queue_wait_ms_count 2",
-		"scenariod_cell_e2e_ms_count 2",
-		fmt.Sprintf("scenariod_cell_execute_ms_count %d", execLegs),
-		`scenariod_worker_busy_ms_total{worker="w-fleet"}`,
-		`scenariod_worker_utilization{worker="w-fleet"}`,
-		`scenariod_run_cells_per_second{run="` + sub.RunID + `"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
+	// Real scrape: /metrics reads the same summary from the live fold.
+	requireScrapeMatchesLedger(t, ts.URL, sub.RunID, sum)
 }
 
 // TestFleetSpansSurviveCrash is the SIGKILL-equivalent chaos test for
@@ -257,12 +236,71 @@ func TestFleetSpansSurviveCrash(t *testing.T) {
 		t.Fatalf("doomed attempt: %+v", doomed)
 	}
 
-	// The resumed server's live builder reconciles too.
+	// The resumed server's live builder reconciles too, and its
+	// /metrics covers the whole run, replayed spans included.
 	r := s2.getRun(sub.RunID)
 	r.fleetMu.Lock()
 	liveErr := obs.ReconcileFleet(r.fleet.Fleet(), outcomes)
 	r.fleetMu.Unlock()
 	if liveErr != nil {
 		t.Fatalf("resumed live spans: %v", liveErr)
+	}
+	requireScrapeMatchesLedger(t, ts2.URL, sub.RunID, sum)
+}
+
+// TestSubmitRacesScrape submits runs while /metrics is scraped: neither
+// may wait on a lock the other holds. The watchdog turns a deadlock
+// into a failure instead of a hung test binary.
+func TestSubmitRacesScrape(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	spec, err := json.Marshal(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func(method, path string, body []byte) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec.Code
+	}
+	const rounds = 100
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < rounds; i++ {
+					if code := call(http.MethodPost, "/v1/runs", spec); code != http.StatusOK {
+						t.Errorf("submit: status %d", code)
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < rounds; i++ {
+					if code := call(http.MethodGet, "/metrics", nil); code != http.StatusOK {
+						t.Errorf("scrape: status %d", code)
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}()
+	select {
+	case <-finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Submit and a /metrics scrape deadlocked")
 	}
 }

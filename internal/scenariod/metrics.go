@@ -2,59 +2,83 @@ package scenariod
 
 import (
 	"fmt"
-	"sync"
-	"time"
+	"maps"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
-// serverMetrics is the scenariod metrics inventory (DESIGN.md §14–15):
-// lease-lifecycle counters labeled by transition, completed-cell and
-// backoff-retry totals, scrape-time gauges for queue depth, active runs
-// and average throughput, and the span-derived latency histograms and
-// worker-utilization series of the fleet trace. Registered on an
-// obs.Registry and served as Prometheus text at /metrics.
+// serverMetrics is the scenariod metrics inventory (DESIGN.md §14–15),
+// served as Prometheus text at /metrics. Every cell-lifecycle series is
+// read at scrape time from the runs' span folds through obs.Summarize —
+// the accounting `cliquetrace fleet` prints from a ledger — so a
+// resumed run's series cover its replayed spans too. Every series is
+// registered here, once, so nothing registers under a server or run
+// lock.
 type serverMetrics struct {
-	reg     *obs.Registry
-	started time.Time
-	byEvent map[string]*obs.Counter
+	reg *obs.Registry
 	// heartbeatsLost counts heartbeats answered 410; a lost lease is no
-	// lifecycle transition, so the handler counts it, not the queue.
-	heartbeatsLost *obs.Counter
-
-	cellsCompleted *obs.Counter
-	backoffRetries *obs.Counter
-
-	// Span-derived latency histograms (fleet-trace/v1 legs, not
-	// wall-clock sampling): pending wait before each grant, the
-	// worker-reported executing leg, and enqueue-to-terminal per cell.
-	queueWait *obs.Histogram
-	execute   *obs.Histogram
-	e2e       *obs.Histogram
-
-	// Per-worker lease-time accounting, registered lazily as workers
-	// first appear (the registry panics on duplicates, so the map
-	// tracks what exists).
-	workerMu sync.Mutex
-	workers  map[string]*obs.Counter
+	// lifecycle transition and has no span event, so the handler counts it.
+	heartbeatsLost atomic.Int64
 }
 
-// newServerMetrics registers the inventory. The gauges read live server
-// state at scrape time; started anchors the cells-per-second average.
-func newServerMetrics(reg *obs.Registry, s *Server, started time.Time) *serverMetrics {
-	m := &serverMetrics{reg: reg, started: started, byEvent: map[string]*obs.Counter{}, workers: map[string]*obs.Counter{}}
-	for _, ev := range []string{
-		obs.FleetGranted, "heartbeat_lost", obs.FleetExpiredRequeued, obs.FleetExpiredQuarantined, obs.FleetInfraRequeued, obs.FleetCompleted,
-	} {
-		m.byEvent[ev] = reg.Counter(
-			fmt.Sprintf("scenariod_lease_events_total{event=%q}", ev),
-			"lease-lifecycle transitions by type")
+const heartbeatLost = "heartbeat_lost"
+
+// leaseEvents labels scenariod_lease_events_total, in exposition order.
+var leaseEvents = []string{
+	obs.FleetGranted, heartbeatLost, obs.FleetExpiredRequeued, obs.FleetExpiredQuarantined, obs.FleetInfraRequeued, obs.FleetCompleted,
+}
+
+// runAccount is one run's fleet accounting, read from its span fold.
+type runAccount struct {
+	id     string
+	events map[string]int // the fold's tally of span events by name
+	sum    obs.FleetSummary
+}
+
+// accounts summarizes every run's span fold, in submission order.
+func (s *Server) accounts() []runAccount {
+	runs := s.runList()
+	out := make([]runAccount, len(runs))
+	for i, r := range runs {
+		r.fleetMu.Lock()
+		ft := r.fleet.Fleet()
+		out[i] = runAccount{id: r.id, events: maps.Clone(ft.Events), sum: obs.Summarize(ft)}
+		r.fleetMu.Unlock()
 	}
-	m.heartbeatsLost = m.byEvent["heartbeat_lost"]
-	m.cellsCompleted = reg.Counter("scenariod_cells_completed_total",
-		"cells that reached a final result (including quarantined)")
-	m.backoffRetries = reg.Counter("scenariod_backoff_retries_total",
-		"jobs returned to the pending pool behind a backoff gate (expiry or infra)")
+	return out
+}
+
+// newServerMetrics registers the inventory on a fresh registry.
+func newServerMetrics(s *Server) *serverMetrics {
+	m := &serverMetrics{reg: obs.NewRegistry()}
+	reg := m.reg
+	reg.Family("scenariod_lease_events_total", "counter", "lease-lifecycle transitions by type", func() []obs.Sample {
+		total := map[string]int{heartbeatLost: int(m.heartbeatsLost.Load())}
+		for _, a := range s.accounts() {
+			for ev, n := range a.events {
+				total[ev] += n
+			}
+		}
+		out := make([]obs.Sample, len(leaseEvents))
+		for i, ev := range leaseEvents {
+			out[i] = obs.Sample{Labels: fmt.Sprintf("event=%q", ev), Value: float64(total[ev])}
+		}
+		return out
+	})
+	total := func(name, help string, field func(obs.FleetSummary) int) {
+		reg.Family(name, "counter", help, func() []obs.Sample {
+			n := 0
+			for _, a := range s.accounts() {
+				n += field(a.sum)
+			}
+			return []obs.Sample{{Value: float64(n)}}
+		})
+	}
+	total("scenariod_cells_completed_total", "cells that reached a final result (including quarantined)",
+		func(sum obs.FleetSummary) int { return sum.Cells })
+	total("scenariod_backoff_retries_total", "jobs returned to the pending pool behind a backoff gate (expiry or infra)",
+		func(sum obs.FleetSummary) int { return sum.Requeues })
 	reg.GaugeFunc("scenariod_queue_depth", "unfinished cells across all runs", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -71,102 +95,43 @@ func newServerMetrics(reg *obs.Registry, s *Server, started time.Time) *serverMe
 		}
 		return float64(active)
 	})
-	reg.GaugeFunc("scenariod_cells_per_second", "completed cells per second of uptime (lifetime average)", func() float64 {
-		up := time.Since(started).Seconds()
-		if up <= 0 {
-			return 0
+	reg.Family("scenariod_run_cells_per_second", "gauge", "per-run terminal cells per second over the run's span window", func() []obs.Sample {
+		var out []obs.Sample
+		for _, a := range s.accounts() {
+			out = append(out, obs.Sample{Labels: fmt.Sprintf("run=%q", a.id), Value: a.sum.CellsPerSec})
 		}
-		return float64(m.cellsCompleted.Value()) / up
+		return out
 	})
-	latencyMs := []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, 60000, 300000}
-	m.queueWait = reg.Histogram("scenariod_cell_queue_wait_ms",
-		"per-attempt pending wait (incl. backoff) before a lease grant, span-derived", latencyMs)
-	m.execute = reg.Histogram("scenariod_cell_execute_ms",
-		"worker-reported executing leg per attempt of a terminal cell, span-derived", latencyMs)
-	m.e2e = reg.Histogram("scenariod_cell_e2e_ms",
-		"enqueue-to-terminal latency per cell, span-derived", latencyMs)
-	return m
-}
-
-// registerRun adds the per-run throughput gauge, derived from the run's
-// folded spans (terminal cells over the span window).
-func (m *serverMetrics) registerRun(r *run) {
-	m.reg.GaugeFunc(fmt.Sprintf("scenariod_run_cells_per_second{run=%q}", r.id),
-		"per-run completed cells per second over the run's span window", func() float64 {
-			r.fleetMu.Lock()
-			defer r.fleetMu.Unlock()
-			ft := r.fleet.Fleet()
-			terminal := 0
-			for _, key := range ft.Keys {
-				if ft.Spans[key].Outcome != "" {
-					terminal++
+	latency := func(name, help string, leg func(obs.FleetSummary) obs.DurationStats) {
+		reg.Family(name, "summary", help, func() []obs.Sample {
+			var out []obs.Sample
+			for _, a := range s.accounts() {
+				d, run := leg(a.sum), fmt.Sprintf("run=%q", a.id)
+				if d.Count > 0 {
+					out = append(out,
+						obs.Sample{Labels: run + `,quantile="0.5"`, Value: float64(d.P50Ms)},
+						obs.Sample{Labels: run + `,quantile="0.9"`, Value: float64(d.P90Ms)},
+						obs.Sample{Labels: run + `,quantile="0.99"`, Value: float64(d.P99Ms)})
 				}
+				out = append(out, obs.Sample{Suffix: "_count", Labels: run, Value: float64(d.Count)})
 			}
-			wall := float64(ft.EndMs-ft.StartMs) / 1000
-			if wall <= 0 {
-				return 0
-			}
-			return float64(terminal) / wall
+			return out
 		})
-}
-
-// observeSpan folds the latency/utilization observations one span
-// event implies: a grant's queued leg, a sealed attempt's lease time
-// attributed to its worker, and — once a cell is terminal — its
-// executing legs and end-to-end latency. Nil arguments mean the event
-// implied nothing for that series.
-func (m *serverMetrics) observeSpan(granted, sealed *obs.AttemptSpan, terminal *obs.CellSpan) {
-	if granted != nil {
-		m.queueWait.Observe(float64(granted.QueuedMs))
 	}
-	if sealed != nil && sealed.Worker != "" && sealed.EndMs > sealed.GrantMs {
-		m.workerBusy(sealed.Worker, sealed.EndMs-sealed.GrantMs)
-	}
-	if terminal != nil {
-		m.e2e.Observe(float64(terminal.E2EMs()))
-		for _, a := range terminal.Attempts {
-			if a.ExecMs > 0 {
-				m.execute.Observe(float64(a.ExecMs))
+	latency("scenariod_cell_queue_wait_ms", "per-run pending wait (incl. backoff) before each lease grant",
+		func(sum obs.FleetSummary) obs.DurationStats { return sum.QueueWait })
+	latency("scenariod_cell_execute_ms", "per-run worker-reported executing leg of each attempt",
+		func(sum obs.FleetSummary) obs.DurationStats { return sum.Exec })
+	latency("scenariod_cell_e2e_ms", "per-run enqueue-to-terminal latency of each cell",
+		func(sum obs.FleetSummary) obs.DurationStats { return sum.EndToEnd })
+	reg.Family("scenariod_worker_utilization", "gauge", "per-run fraction of the run's span window each worker held leases", func() []obs.Sample {
+		var out []obs.Sample
+		for _, a := range s.accounts() {
+			for _, w := range a.sum.Workers {
+				out = append(out, obs.Sample{Labels: fmt.Sprintf("run=%q,worker=%q", a.id, w.Worker), Value: w.Utilization})
 			}
 		}
-	}
-}
-
-// workerBusy accumulates lease time for one worker, registering its
-// busy-time counter and utilization gauge on first sight.
-func (m *serverMetrics) workerBusy(worker string, ms int64) {
-	m.workerMu.Lock()
-	c, ok := m.workers[worker]
-	if !ok {
-		c = m.reg.Counter(fmt.Sprintf("scenariod_worker_busy_ms_total{worker=%q}", worker),
-			"lease time held per worker (ms), span-derived")
-		m.workers[worker] = c
-		m.reg.GaugeFunc(fmt.Sprintf("scenariod_worker_utilization{worker=%q}", worker),
-			"fraction of server uptime the worker spent holding leases", func() float64 {
-				up := time.Since(m.started).Milliseconds()
-				if up <= 0 {
-					return 0
-				}
-				u := float64(c.Value()) / float64(up)
-				if u > 1 {
-					u = 1
-				}
-				return u
-			})
-	}
-	m.workerMu.Unlock()
-	c.Add(ms)
-}
-
-// observe folds one queue transition into the counters.
-func (m *serverMetrics) observe(ev obs.SpanEvent) {
-	if c := m.byEvent[ev.Event]; c != nil {
-		c.Inc()
-	}
-	switch ev.Event {
-	case obs.FleetCompleted, obs.FleetExpiredQuarantined:
-		m.cellsCompleted.Inc()
-	case obs.FleetExpiredRequeued, obs.FleetInfraRequeued:
-		m.backoffRetries.Inc()
-	}
+		return out
+	})
+	return m
 }

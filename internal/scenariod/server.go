@@ -69,11 +69,11 @@ type run struct {
 	led    *scenario.Ledger // nil when ephemeral
 	cells  int
 
-	// fleet folds the run's span stream (fleet-trace/v1) in memory:
-	// the source of the span-derived latency histograms, the per-run
-	// cells/sec gauge, and worker-utilization accounting. Guarded by
-	// fleetMu (the builder is not concurrency-safe); events arrive in
-	// committed order thanks to the queue's emitMu.
+	// fleet folds the run's span stream (fleet-trace/v1) in memory,
+	// replayed spans included: the source of every cell-lifecycle
+	// series on /metrics. Guarded by fleetMu (the builder is not
+	// concurrency-safe); events arrive in committed order thanks to the
+	// queue's emitMu.
 	fleetMu sync.Mutex
 	fleet   *obs.FleetBuilder
 
@@ -100,7 +100,7 @@ func New(cfg Config) (*Server, error) {
 		logf = log.Printf
 	}
 	s := &Server{cfg: cfg, clock: clock, logf: logf, runs: map[string]*run{}}
-	s.metrics = newServerMetrics(obs.NewRegistry(), s, time.Now())
+	s.metrics = newServerMetrics(s)
 	if cfg.LedgerDir != "" {
 		if err := os.MkdirAll(cfg.LedgerDir, 0o755); err != nil {
 			return nil, fmt.Errorf("scenariod: ledger dir: %w", err)
@@ -188,13 +188,9 @@ func (s *Server) loadRun(id, path string) (*run, error) {
 	// re-declares the cell count, closing the crash window between the
 	// spec record and the run_enqueued span.
 	for _, rec := range others {
-		if rec.T != scenario.RecSpan {
-			continue
+		if rec.T == scenario.RecSpan {
+			s.spanEvent(r, rec.SpanEvent(), false)
 		}
-		s.spanEvent(r, obs.SpanEvent{
-			TMs: rec.TMs, Event: rec.Event, Key: rec.Key, Worker: rec.Worker,
-			Attempt: rec.Attempt, Outcome: rec.Outcome, ExecMs: rec.ExecMs, Cells: rec.Cells,
-		}, false)
 	}
 	s.spanEvent(r, obs.SpanEvent{
 		TMs: s.clock.Now().UnixMilli(), Event: obs.FleetRunResumed, Cells: len(cells),
@@ -208,6 +204,58 @@ func (s *Server) loadRun(id, path string) (*run, error) {
 	}
 	r.finishIfDone()
 	return r, nil
+}
+
+// ReadRunLedger reads a completed run's ledger for offline accounting
+// (`cliquetrace fleet`): the spec record orders the cells, the cell
+// records give their outcomes in that order — the canonical report's
+// rows — and the span records fold into the run's fleet trace. It
+// fails on a ledger without a spec record, a span stream the fold
+// refuses, or a cell without a result.
+func ReadRunLedger(path string) (*obs.FleetTrace, []obs.CellOutcome, error) {
+	_, recs, err := scenario.LoadLedger(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	var spec RunSpec
+	haveSpec := false
+	outcomes := map[string]string{}
+	b := obs.NewFleetBuilder()
+	for _, rec := range recs {
+		switch rec.T {
+		case scenario.RecSpec:
+			if err := json.Unmarshal(rec.Spec, &spec); err != nil {
+				return nil, nil, fmt.Errorf("scenariod: ledger %s: bad spec record: %v", path, err)
+			}
+			haveSpec = true
+		case scenario.RecCell:
+			if rec.Cell != nil {
+				outcomes[rec.Key] = rec.Cell.Outcome
+			}
+		case scenario.RecSpan:
+			if err := b.Observe(rec.SpanEvent()); err != nil {
+				return nil, nil, fmt.Errorf("scenariod: ledger %s: span stream: %w", path, err)
+			}
+		}
+	}
+	if !haveSpec {
+		return nil, nil, fmt.Errorf("scenariod: ledger %s has no spec record (not a scenariod run ledger)", path)
+	}
+	m, err := spec.Matrix()
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenariod: ledger %s: %w", path, err)
+	}
+	cells := m.Expand()
+	rows := make([]obs.CellOutcome, len(cells))
+	for i, c := range cells {
+		outcome, ok := outcomes[c.Key()]
+		if !ok {
+			return nil, nil, fmt.Errorf("scenariod: ledger %s: run incomplete: cell %s has no result (%d/%d done)",
+				path, c.Key(), len(outcomes), len(cells))
+		}
+		rows[i] = obs.CellOutcome{Key: c.Key(), Outcome: outcome}
+	}
+	return b.Fleet(), rows, nil
 }
 
 // newRun wires a run's queue to the server's completion pipeline.
@@ -230,66 +278,25 @@ func (s *Server) newRun(id string, spec RunSpec, m *scenario.Matrix, led *scenar
 		subs:  map[int]chan StreamEvent{},
 	}
 	r.queue.SetOnDone(func(j *Job) { s.jobDone(r, j) })
-	r.queue.SetOnEvent(func(ev obs.SpanEvent) {
-		s.metrics.observe(ev)
-		s.spanEvent(r, ev, true)
-	})
-	s.metrics.registerRun(r)
+	r.queue.SetOnEvent(func(ev obs.SpanEvent) { s.spanEvent(r, ev, true) })
 	return r
 }
 
-// Metrics returns the server's registry — the one /metrics renders.
-func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
-
-// spanEventEnds maps a span event to the attempt end state it seals —
-// the guard that keeps a worker's lease time from being folded twice
-// (a cell completed by a stale result has no attempt sealed by the
-// completion event; its last attempt was already folded at requeue).
-var spanEventEnds = map[string]string{
-	obs.FleetExpiredRequeued:    obs.EndExpiredRequeued,
-	obs.FleetInfraRequeued:      obs.EndInfraRequeued,
-	obs.FleetExpiredQuarantined: obs.EndExpiredQuarantined,
-	obs.FleetCompleted:          obs.EndCompleted,
-}
-
-// spanEvent folds one fleet-trace/v1 event into the run's span builder,
-// derives the latency/utilization observations it implies, and — when
-// persist is set — appends it to the run ledger interleaved with the
-// resume records (the replay path passes persist=false: those events
-// are already durable). Builder refusals are logged, never fatal: a
-// broken span stream must not take the queue down, and the reconcile
-// gate will surface it.
+// spanEvent folds one fleet-trace/v1 event into the run's span builder
+// and — when persist is set — appends it to the run ledger interleaved
+// with the resume records (the replay path passes persist=false: those
+// events are already durable). Builder refusals are logged, never
+// fatal: a broken span stream must not take the queue down, and the
+// reconcile gate will surface it.
 func (s *Server) spanEvent(r *run, ev obs.SpanEvent, persist bool) {
 	r.fleetMu.Lock()
 	err := r.fleet.Observe(ev)
-	var granted, sealed *obs.AttemptSpan
-	var terminal *obs.CellSpan
-	if err == nil && ev.Key != "" {
-		if sp := r.fleet.Span(ev.Key); sp != nil && len(sp.Attempts) > 0 {
-			last := sp.Attempts[len(sp.Attempts)-1]
-			switch {
-			case ev.Event == obs.FleetGranted:
-				granted = &last
-			case last.End != "" && last.End == spanEventEnds[ev.Event]:
-				sealed = &last
-			}
-			if sp.Outcome != "" && spanEventEnds[ev.Event] != "" {
-				snap := *sp
-				snap.Attempts = append([]obs.AttemptSpan(nil), sp.Attempts...)
-				terminal = &snap
-			}
-		}
-	}
 	r.fleetMu.Unlock()
 	if err != nil {
 		s.logf("scenariod: run %s: span %s: %v", r.id, ev.Event, err)
 	}
-	s.metrics.observeSpan(granted, sealed, terminal)
 	if persist && r.led != nil {
-		if lerr := r.led.Append(scenario.LedgerRecord{
-			T: scenario.RecSpan, Key: ev.Key, Worker: ev.Worker, Attempt: ev.Attempt,
-			Event: ev.Event, TMs: ev.TMs, Outcome: ev.Outcome, ExecMs: ev.ExecMs, Cells: ev.Cells,
-		}); lerr != nil {
+		if lerr := r.led.Append(scenario.SpanRecord(ev)); lerr != nil {
 			s.logf("scenariod: run %s: %v", r.id, lerr)
 		}
 	}
@@ -381,17 +388,22 @@ func (r *run) subscribe() (<-chan StreamEvent, func()) {
 	}
 }
 
-// Sweep expires overdue leases on every run (requeue or quarantine),
-// returning how many jobs were finalized (quarantined) by this pass.
-func (s *Server) Sweep() int {
+// runList returns the runs in submission order.
+func (s *Server) runList() []*run {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	runs := make([]*run, 0, len(s.order))
 	for _, id := range s.order {
 		runs = append(runs, s.runs[id])
 	}
-	s.mu.Unlock()
+	return runs
+}
+
+// Sweep expires overdue leases on every run (requeue or quarantine),
+// returning how many jobs were finalized (quarantined) by this pass.
+func (s *Server) Sweep() int {
 	total := 0
-	for _, r := range runs {
+	for _, r := range s.runList() {
 		total += r.queue.Sweep()
 	}
 	return total
@@ -521,17 +533,10 @@ func (s *Server) Submit(spec RunSpec) (*SubmitResponse, error) {
 
 // Lease grants the next eligible cell across runs, oldest run first.
 func (s *Server) Lease(worker string) LeaseResponse {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if s.Draining() {
 		return LeaseResponse{Status: LeaseDrain}
 	}
-	runs := make([]*run, 0, len(s.order))
-	for _, id := range s.order {
-		runs = append(runs, s.runs[id])
-	}
-	s.mu.Unlock()
-	for _, r := range runs {
+	for _, r := range s.runList() {
 		// The queue's observer appends the grant's lease_granted span
 		// record (worker, attempt, instant) to the ledger.
 		j, ok := r.queue.Lease(worker)
@@ -629,7 +634,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		if err := run.queue.Heartbeat(req.Key, req.LeaseID); err != nil {
 			if errors.Is(err, ErrLeaseLost) {
-				s.metrics.heartbeatsLost.Inc()
+				s.metrics.heartbeatsLost.Add(1)
 			}
 			writeErr(w, &apiError{http.StatusGone, err.Error()})
 			return
@@ -666,14 +671,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
 		s.Sweep()
-		s.mu.Lock()
-		resp := StatusResponse{Draining: s.draining}
-		runs := make([]*run, 0, len(s.order))
-		for _, id := range s.order {
-			runs = append(runs, s.runs[id])
-		}
-		s.mu.Unlock()
-		for _, r := range runs {
+		resp := StatusResponse{Draining: s.Draining()}
+		for _, r := range s.runList() {
 			pending, leased, done := r.queue.Counts()
 			resp.Runs = append(resp.Runs, RunStatus{
 				RunID: r.id, Spec: r.spec, Cells: r.cells,
@@ -711,6 +710,10 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		flusher, _ := w.(http.Flusher)
+		// Send the headers now: the first cell may be minutes away.
+		if flusher != nil {
+			flusher.Flush()
+		}
 		enc := json.NewEncoder(w)
 		for {
 			select {

@@ -283,3 +283,47 @@ func TestServerRejectsBadSpec(t *testing.T) {
 		t.Fatalf("bad spec: %v, want 400", err)
 	}
 }
+
+// TestStreamOutlivesClientTimeout streams a run whose first cell lands
+// after the client's request timeout has passed: the stream must
+// neither time out waiting for the response headers nor while reading
+// the body.
+func TestStreamOutlivesClientTimeout(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	client := NewClient(ts.URL)
+	client.http.Timeout = 300 * time.Millisecond
+	sub, err := client.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	time.AfterFunc(600*time.Millisecond, func() {
+		w := &Worker{Client: NewClient(ts.URL), Name: "w-late", PollEvery: 5 * time.Millisecond}
+		done <- w.Run(ctx)
+	})
+	cells := 0
+	if err := client.Stream(sub.RunID, func(ev StreamEvent) error {
+		if ev.Type == EventCell {
+			cells++
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("stream: %v (after %d cells)", err, cells)
+	}
+	if cells != sub.Cells {
+		t.Fatalf("streamed %d cells, want %d", cells, sub.Cells)
+	}
+	if err := client.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

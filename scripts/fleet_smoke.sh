@@ -6,8 +6,10 @@
 # which exits nonzero unless the spans reconcile exactly against the
 # canonical report (per-cell outcomes, attempt counts, lease grants —
 # DESIGN.md §15) — and prints the throughput accounting and critical
-# path it derives on the way. The in-process twin is
-# internal/scenariod/fleet_test.go; CI runs both.
+# path it derives on the way. The live server's /metrics must agree
+# with that offline account: its lease_granted count must equal the
+# attempts cliquetrace fleet reads from the ledger. The in-process twin
+# is internal/scenariod/fleet_test.go; CI runs both.
 #
 #   scripts/fleet_smoke.sh
 set -euo pipefail
@@ -46,7 +48,15 @@ done
   -protocols triangle,connectivity -engines par4 -sizes 16,24 \
   -submit "$url" -out "$tmp/report.json" >/dev/null
 
+granted="$(curl -fsS "$url/metrics" |
+  awk '$1 == "scenariod_lease_events_total{event=\"lease_granted\"}" { print $2 }')"
+
 ledger="$(ls "$tmp"/led/run-*.jsonl)"
 echo "== cliquetrace fleet $ledger"
-"$tmp/cliquetrace" fleet "$ledger"
-echo "fleet smoke ok: spans reconciled against the canonical report"
+"$tmp/cliquetrace" fleet "$ledger" | tee "$tmp/fleet.txt"
+attempts="$(sed -n 's/^run: .* attempts=\([0-9]*\) .*/\1/p' "$tmp/fleet.txt")"
+if [[ -z "$granted" || "$granted" != "$attempts" ]]; then
+  echo "live /metrics lease_granted=${granted:-missing}, ledger attempts=${attempts:-missing}"
+  exit 1
+fi
+echo "fleet smoke ok: spans reconciled against the canonical report; /metrics lease_granted=$granted matches"
