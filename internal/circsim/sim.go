@@ -271,7 +271,7 @@ func stageDirect(p *core.Proc, plan *Plan, r int, st *simState) error {
 	}
 	if plan.maxDir[r] > 0 {
 		rounds := core.ChunkRounds(plan.maxDir[r], p.Bandwidth())
-		got, err := routing.ExchangeUnicast(p, st.perDst, rounds)
+		got, err := core.ExchangeUnicast(p, st.perDst, rounds)
 		st.releaseBufs()
 		if err != nil {
 			return err

@@ -33,13 +33,17 @@ func ChunkRounds(maxBits, b int) int {
 // buffers, so a caller may keep them. A multi-round exchange cuts its
 // chunks into arena buffers (Ctx.Msg) and reassembles each sending
 // source into one pool buffer (bits.Get).
+//
+// The returned slice belongs to the Proc and is valid until the node's
+// next ExchangeBroadcasts or ExchangeUnicast call, which reuses it; the
+// buffers in it stay the caller's, so copy out the entries to keep one
+// past that call.
 func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buffer, error) {
-	b := p.Bandwidth()
-	if payload.Len() > rounds*b {
+	if payload.Len() > rounds*p.Bandwidth() {
 		return nil, fmt.Errorf("core: payload of %d bits exceeds %d rounds * %d bits",
-			payload.Len(), rounds, b)
+			payload.Len(), rounds, p.Bandwidth())
 	}
-	acc := make([]*bits.Buffer, p.N())
+	x := p.exchange(rounds)
 	if rounds == 1 {
 		if payload.Len() > 0 {
 			msg := payload
@@ -50,36 +54,125 @@ func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buff
 				return nil, err
 			}
 		}
-		copy(acc, p.Next())
+		copy(x.acc, p.Next())
 	} else {
-		err := p.Rounds(rounds, func(r int) error {
-			off := r * b
-			if off >= payload.Len() {
-				return nil
-			}
-			chunk := p.Msg()
-			if err := chunk.AppendRange(payload, off, min(off+b, payload.Len())); err != nil {
-				return err
-			}
-			return p.Broadcast(chunk)
-		}, func(_ int, in []*bits.Buffer) error {
-			for src, msg := range in {
-				if msg == nil {
-					continue
-				}
-				if acc[src] == nil {
-					acc[src] = bits.Get(rounds * b)
-				}
-				acc[src].Append(msg)
-			}
-			return nil
-		})
+		x.payload = payload
+		err := p.Rounds(rounds, x.stageBroadcast, x.recv)
+		x.payload = nil
 		if err != nil {
 			return nil, err
 		}
 	}
-	acc[p.ID()] = payload.Clone()
-	return acc, nil
+	x.acc[p.ID()] = payload.Clone()
+	return x.acc, nil
+}
+
+// ExchangeUnicast sends perDst[d] (nil = nothing) to each d over exactly
+// `rounds` rounds, chunked at the bandwidth, and returns the buffers
+// received, indexed by source (nil = nothing arrived). Every node must
+// call it simultaneously with the same round count. The staged buffers
+// are copied at chunking time, so the caller may Release them afterwards;
+// the returned buffers are drawn from the bits pool and may likewise be
+// Released once consumed. The engine drives the rounds (Proc.Rounds).
+//
+// As with ExchangeBroadcasts, the returned slice belongs to the Proc and
+// is valid until the node's next ExchangeBroadcasts or ExchangeUnicast
+// call; the buffers in it stay the caller's.
+func ExchangeUnicast(p *Proc, perDst []*bits.Buffer, rounds int) ([]*bits.Buffer, error) {
+	x := p.exchange(rounds)
+	for d, buf := range perDst {
+		if buf.Len() > 0 {
+			x.live = append(x.live, d)
+		}
+	}
+	x.perDst = perDst
+	err := p.Rounds(rounds, x.stageUnicast, x.recv)
+	x.perDst, x.live = nil, x.live[:0]
+	if err != nil {
+		return nil, err
+	}
+	return x.acc, nil
+}
+
+// exchangeState is what ExchangeBroadcasts and ExchangeUnicast keep on a
+// Proc across calls: the accumulator they return, the payloads of the
+// call in progress, and the Proc.Rounds callbacks, bound once per Proc,
+// so a call allocates neither a closure nor an accumulator.
+type exchangeState struct {
+	acc    []*bits.Buffer // received payloads by source; the return value
+	rounds int            // round count of the call in progress
+
+	payload *bits.Buffer   // ExchangeBroadcasts' payload
+	perDst  []*bits.Buffer // ExchangeUnicast's payloads by destination
+	live    []int          // ascending destinations with bits left to send
+
+	stageBroadcast, stageUnicast func(r int) error
+	recv                         func(r int, in []*bits.Buffer) error
+}
+
+// exchange readies the Proc's exchange state for a call of `rounds`
+// rounds, binding the callbacks on the first call.
+func (p *Proc) exchange(rounds int) *exchangeState {
+	x := p.x
+	if x == nil {
+		x = &exchangeState{acc: make([]*bits.Buffer, p.N())}
+		x.stageBroadcast = func(r int) error {
+			// Chunks are cut on the fly into arena buffers (Ctx.Msg):
+			// staged in the same Step, sealed by Broadcast/Send, recycled
+			// by the engine one round after delivery — never Released by
+			// the sender.
+			off := r * p.Bandwidth()
+			if off >= x.payload.Len() {
+				return nil
+			}
+			chunk := p.Msg()
+			if err := chunk.AppendRange(x.payload, off, min(off+p.Bandwidth(), x.payload.Len())); err != nil {
+				return err
+			}
+			return p.Broadcast(chunk)
+		}
+		x.stageUnicast = func(r int) error {
+			b := p.Bandwidth()
+			off := r * b
+			live := x.live[:0]
+			for _, d := range x.live {
+				buf := x.perDst[d]
+				chunk := p.Msg()
+				if err := chunk.AppendRange(buf, off, min(off+b, buf.Len())); err != nil {
+					chunk.Release()
+					return err
+				}
+				if err := p.Send(d, chunk); err != nil {
+					chunk.Release()
+					return err
+				}
+				if off+b < buf.Len() {
+					live = append(live, d)
+				}
+			}
+			x.live = live
+			return nil
+		}
+		x.recv = func(_ int, in []*bits.Buffer) error {
+			for src, msg := range in {
+				if msg == nil {
+					continue
+				}
+				if x.acc[src] == nil {
+					// A link carries at most rounds*b bits, so one
+					// hint-sized grab avoids regrowth as chunks append.
+					x.acc[src] = bits.Get(x.rounds * p.Bandwidth())
+				}
+				x.acc[src].Append(msg)
+			}
+			return nil
+		}
+		p.x = x
+	} else {
+		clear(x.acc)
+	}
+	x.rounds = rounds
+	return x
 }
 
 // EncodeAdjacencyRow writes a node's adjacency bitset (n bits) into a

@@ -50,6 +50,8 @@ type Proc struct {
 	stage  func(r int) error
 	recv   func(r int, in []*bits.Buffer) error
 	err    error
+
+	x *exchangeState // ExchangeBroadcasts/ExchangeUnicast state, built on first use
 }
 
 // ID returns the node identifier.

@@ -327,23 +327,139 @@ func TestProcRoundsRejectsBarrierInCallback(t *testing.T) {
 	}
 }
 
-// exchangeAllocs returns the objects one single-round ExchangeBroadcasts
-// call allocates per node at size n, beyond the caller's payload: the
-// difference between runs of 40 and 10 calls, per extra call and node.
-func exchangeAllocs(t *testing.T, n int) float64 {
+// interleaveBody has each node alternate, three times over, a
+// multi-round ExchangeBroadcasts, a plain Next round, an ExchangeUnicast
+// and a single-round ExchangeBroadcasts, with per-node payload lengths.
+// Every exchange reuses the Proc's exchange state, so the body checks
+// that the buffers each exchange returned are bit for bit what they were
+// after the next exchange ran, and folds everything it received into its
+// output.
+func interleaveBody(p *Proc) error {
+	n, me := p.N(), p.ID()
+	h := uint64(me) + 1
+	fold := func(got []*bits.Buffer) []*bits.Buffer {
+		kept := make([]*bits.Buffer, len(got))
+		for src, b := range got {
+			if b == nil {
+				continue
+			}
+			kept[src] = b.Clone()
+			for r := bits.NewReader(b); r.Remaining() > 0; {
+				v, _ := r.ReadUint(min(r.Remaining(), 16))
+				h = h*1099511628211 ^ (v | uint64(src)<<16)
+			}
+			h = h*1099511628211 ^ uint64(b.Len())
+		}
+		return kept
+	}
+	intact := func(what string, got, kept []*bits.Buffer) error {
+		for src := range got {
+			if (got[src] == nil) != (kept[src] == nil) || got[src] != nil && !got[src].Equal(kept[src]) {
+				return fmt.Errorf("node %d: %s entry from %d changed by a later exchange", me, what, src)
+			}
+		}
+		return nil
+	}
+	payload := func(nbits, salt int) *bits.Buffer {
+		b := bits.New(nbits)
+		for i := 0; i < nbits; i++ {
+			b.WriteBit(uint64((i*31 + salt) >> 2 & 1))
+		}
+		return b
+	}
+	for k := 0; k < 3; k++ {
+		multi, err := ExchangeBroadcasts(p, payload(5+(me*7+k*3)%40, me+k), 3)
+		if err != nil {
+			return err
+		}
+		multi = append([]*bits.Buffer(nil), multi...)
+		keptMulti := fold(multi)
+
+		m := p.Msg()
+		m.WriteUint(uint64(me*8+k), 16)
+		if err := p.Send((me+1+k)%n, m); err != nil {
+			return err
+		}
+		fold(p.Next())
+
+		perDst := make([]*bits.Buffer, n)
+		for d := range perDst {
+			if d != me {
+				perDst[d] = payload((me*3+d*5+k)%48, me*n+d)
+			}
+		}
+		uni, err := ExchangeUnicast(p, perDst, 3)
+		if err != nil {
+			return err
+		}
+		uni = append([]*bits.Buffer(nil), uni...)
+		keptUni := fold(uni)
+		if err := intact("multi-round broadcast", multi, keptMulti); err != nil {
+			return err
+		}
+
+		single, err := ExchangeBroadcasts(p, payload(1+(me+k)%16, k), 1)
+		if err != nil {
+			return err
+		}
+		fold(single)
+		if err := intact("unicast", uni, keptUni); err != nil {
+			return err
+		}
+	}
+	p.SetOutput(h)
+	return nil
+}
+
+// TestExchangeInterleave pins the per-Proc exchange state's contracts:
+// a node that interleaves ExchangeBroadcasts, ExchangeUnicast and Next
+// keeps every buffer an exchange returned intact across the next one,
+// and its outputs and Stats at Parallelism 4 equal those at 1, on a
+// clean channel and under a plan that drops, corrupts, delays and
+// crashes. Pool workers drive the exchange state through Proc.Rounds,
+// so CI repeats this test under the race detector.
+func TestExchangeInterleave(t *testing.T) {
+	for _, faulty := range []bool{false, true} {
+		run := func(par int) *Result {
+			cfg := Config{N: 12, Bandwidth: 16, Model: Unicast, Seed: 11, Parallelism: par}
+			if faulty {
+				cfg.FaultPlan = hashFaultPlan{}
+			}
+			res, err := RunProcs(cfg, interleaveBody)
+			if err != nil {
+				t.Fatalf("faulty=%v p=%d: %v", faulty, par, err)
+			}
+			return res
+		}
+		oracle := run(1)
+		if faulty && (oracle.Faults.Drops == 0 || oracle.Faults.Corruptions == 0 || oracle.Faults.Delays == 0) {
+			t.Fatalf("fault plan too gentle: %+v", oracle.Faults)
+		}
+		got := run(4)
+		requireIdentical(t, oracle, got, fmt.Sprintf("faulty=%v p=4", faulty))
+		if !reflect.DeepEqual(oracle.Faults, got.Faults) {
+			t.Errorf("faulty=%v: Faults %+v at p=4, %+v at p=1", faulty, got.Faults, oracle.Faults)
+		}
+	}
+}
+
+// raceDetector is set under -race (race_test.go), where sync.Pool drops
+// a quarter of its Puts and pooled allocation counts mean nothing.
+var raceDetector bool
+
+// exchangeAllocs returns the objects one exchange call allocates per node
+// at size n, beyond the set-up newCall does: the difference between runs
+// of 40 and 10 calls, per extra call and node. newCall builds a node's
+// call once, before the calls begin.
+func exchangeAllocs(t *testing.T, n int, model Model, newCall func(p *Proc) func() error) float64 {
 	run := func(calls int) func() {
 		return func() {
-			cfg := Config{N: n, Bandwidth: 16, Model: Broadcast, Seed: 1, Parallelism: 1}
+			cfg := Config{N: n, Bandwidth: 16, Model: model, Seed: 1, Parallelism: 1}
 			_, err := RunProcs(cfg, func(p *Proc) error {
-				payload := bits.New(16)
-				payload.WriteUint(uint64(p.ID()), 16)
+				call := newCall(p)
 				for i := 0; i < calls; i++ {
-					got, err := ExchangeBroadcasts(p, payload, 1)
-					if err != nil {
-						return err
-					}
-					if got[(p.ID()+1)%n].Len() != 16 {
-						return fmt.Errorf("call %d: short entry", i)
+					if err := call(); err != nil {
+						return fmt.Errorf("call %d: %w", i, err)
 					}
 				}
 				return nil
@@ -358,17 +474,103 @@ func exchangeAllocs(t *testing.T, n int) float64 {
 	return (long - short) / 30 / float64(n)
 }
 
+// broadcastCall is one ExchangeBroadcasts of an nbits-bit payload over
+// ceil(nbits/16) rounds. The caller releases what it received, as Route
+// does, so the pool serves the next call's buffers.
+func broadcastCall(nbits int) func(p *Proc) func() error {
+	return func(p *Proc) func() error {
+		payload := bits.New(nbits)
+		payload.ZeroExtend(nbits)
+		rounds := ChunkRounds(nbits, p.Bandwidth())
+		return func() error {
+			got, err := ExchangeBroadcasts(p, payload, rounds)
+			if err != nil {
+				return err
+			}
+			if got[(p.ID()+1)%p.N()].Len() != nbits {
+				return fmt.Errorf("short entry")
+			}
+			if rounds > 1 {
+				for _, b := range got {
+					b.Release()
+				}
+			}
+			return nil
+		}
+	}
+}
+
+// unicastCall is one ExchangeUnicast of an nbits-bit payload to every
+// other node over ceil(nbits/16) rounds, releasing what it received.
+func unicastCall(nbits int) func(p *Proc) func() error {
+	return func(p *Proc) func() error {
+		perDst := make([]*bits.Buffer, p.N())
+		for d := range perDst {
+			if d != p.ID() {
+				perDst[d] = bits.New(nbits)
+				perDst[d].ZeroExtend(nbits)
+			}
+		}
+		rounds := ChunkRounds(nbits, p.Bandwidth())
+		return func() error {
+			got, err := ExchangeUnicast(p, perDst, rounds)
+			if err != nil {
+				return err
+			}
+			if got[(p.ID()+1)%p.N()].Len() != nbits {
+				return fmt.Errorf("short entry")
+			}
+			for _, b := range got {
+				b.Release()
+			}
+			return nil
+		}
+	}
+}
+
 // TestAllocRegressionExchange is the allocation gate of the exchange
 // helpers. A single-round ExchangeBroadcasts hands back the delivered
 // frozen views, so its per-node cost does not grow with n (a copy per
-// source made it 21 objects at n=8 and 69 at n=32). A body that spends
-// its rounds inside Rounds allocates nothing per extra round. Matches the
-// CI alloc-regression pattern (-run AllocRegression).
+// source made it 21 objects at n=8 and 69 at n=32). A multi-round
+// ExchangeBroadcasts and an ExchangeUnicast run on their Proc's exchange
+// state: a call costs only the copy of the node's own payload (the
+// broadcast) or nothing (the unicast), at every n and round count,
+// beyond the received buffers the caller releases. (A per-call
+// accumulator and two Rounds closures made them 5 and 3 objects.) A
+// body that spends its rounds inside Rounds allocates nothing per extra
+// round. Matches the CI alloc-regression pattern (-run AllocRegression).
+// Under the race detector sync.Pool drops a quarter of its Puts, so the
+// cases that recycle received buffers skip there.
 func TestAllocRegressionExchange(t *testing.T) {
-	small, large := exchangeAllocs(t, 8), exchangeAllocs(t, 32)
+	small, large := exchangeAllocs(t, 8, Broadcast, broadcastCall(16)), exchangeAllocs(t, 32, Broadcast, broadcastCall(16))
 	t.Logf("single-round ExchangeBroadcasts: %.2f objects per call per node at n=8, %.2f at n=32", small, large)
 	if large-small > 0.5 || small-large > 0.5 {
 		t.Errorf("per-node cost grows with n (%.2f at n=8, %.2f at n=32): a per-source copy is back", small, large)
+	}
+	if !raceDetector {
+		for _, c := range []struct {
+			name   string
+			model  Model
+			call   func(nbits int) func(p *Proc) func() error
+			budget float64 // objects per call per node
+		}{
+			{"multi-round ExchangeBroadcasts", Broadcast, broadcastCall, 2.5},
+			{"ExchangeUnicast", Unicast, unicastCall, 0.5},
+		} {
+			small, large := exchangeAllocs(t, 8, c.model, c.call(64)), exchangeAllocs(t, 32, c.model, c.call(64))
+			long := exchangeAllocs(t, 8, c.model, c.call(256))
+			perRound := (long - small) / 12
+			t.Logf("%s: %.2f objects per call per node at n=8, %.2f at n=32; %.3f per extra round", c.name, small, large, perRound)
+			if small > c.budget || large > c.budget {
+				t.Errorf("%s: %.2f objects per call per node at n=8, %.2f at n=32, budget %.1f", c.name, small, large, c.budget)
+			}
+			if large-small > 0.5 || small-large > 0.5 {
+				t.Errorf("%s: per-node cost grows with n (%.2f at n=8, %.2f at n=32)", c.name, small, large)
+			}
+			if perRound > 0.05 {
+				t.Errorf("%s: %.3f objects per extra round per node, want ~0", c.name, perRound)
+			}
+		}
 	}
 	for _, par := range []int{1, 4} {
 		run := func(rounds int) func() {

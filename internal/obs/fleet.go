@@ -173,6 +173,7 @@ func (b *FleetBuilder) fold(ev SpanEvent) error {
 		b.ft.StartMs = ev.TMs
 		b.haveFirst = true
 	}
+	lastMs := b.ft.EndMs // the run's latest record before this event
 	if ev.TMs > b.ft.EndMs {
 		b.ft.EndMs = ev.TMs
 	}
@@ -194,11 +195,14 @@ func (b *FleetBuilder) fold(ev SpanEvent) error {
 			b.ft.Resumes++
 			// A restart voids every outstanding lease: the queue rebuilt
 			// from the ledger has no memory of them, so the next grant
-			// (if any) opens a fresh attempt.
+			// (if any) opens a fresh attempt. The voided attempt ends at
+			// the run's last record before the resume, the last instant
+			// the server is known to have been up, so the downtime is
+			// billed to no worker.
 			for _, key := range b.ft.Keys {
 				sp := b.ft.Spans[key]
 				if a := sp.open(); a != nil {
-					closeAttempt(a, EndAbandoned, ev.TMs)
+					closeAttempt(a, EndAbandoned, lastMs)
 					b.ready[key] = ev.TMs
 				}
 			}

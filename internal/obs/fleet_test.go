@@ -90,6 +90,11 @@ func TestFleetBuilderResume(t *testing.T) {
 	if sp := b.Span("b"); sp.open() != nil || sp.Attempts[0].End != EndAbandoned {
 		t.Fatalf("b after resume: %+v", sp)
 	}
+	// The voided lease ends at the last record before the resume (its
+	// own grant), not at the resume: the downtime is no worker's.
+	if end := b.Span("b").Attempts[0].EndMs; end != 60 {
+		t.Fatalf("b's abandoned attempt ends at %d, want 60 (the last record before the resume)", end)
+	}
 	// "a" may be re-granted (terminal before the resume)...
 	if err := b.Observe(SpanEvent{TMs: 510, Event: FleetGranted, Key: "a", Worker: "w1"}); err != nil {
 		t.Fatal(err)

@@ -84,7 +84,7 @@ func FuzzChunkReassembly(f *testing.F) {
 }
 
 // FuzzExchangeUnicast pushes fuzz-chosen per-destination payloads through
-// the real chunked exchange on a 4-node clique and checks every receiver
+// the real chunked exchange (core.ExchangeUnicast) on a 4-node clique and checks every receiver
 // got exactly the sender's bits.
 func FuzzExchangeUnicast(f *testing.F) {
 	f.Add([]byte{0xaa, 0xbb, 0xcc}, 5)
@@ -173,7 +173,7 @@ func FuzzFaultFrame(f *testing.F) {
 	})
 }
 
-// runFuzzExchange runs ExchangeUnicast on an n-clique where node u ships
+// runFuzzExchange runs core.ExchangeUnicast on an n-clique where node u ships
 // payload(u, v) to every v != u, and asserts exact delivery. Node bodies
 // run on engine worker goroutines, so failures propagate as errors.
 func runFuzzExchange(t *testing.T, n, bandwidth, rounds int, payload func(u, v int) (*bits.Buffer, error)) {
@@ -190,7 +190,7 @@ func runFuzzExchange(t *testing.T, n, bandwidth, rounds int, payload func(u, v i
 				}
 			}
 		}
-		got, err := ExchangeUnicast(p, perDst, rounds)
+		got, err := core.ExchangeUnicast(p, perDst, rounds)
 		if err != nil {
 			return err
 		}

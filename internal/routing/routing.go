@@ -193,7 +193,7 @@ func (rt *Router) Route(p *core.Proc, out []Msg, maxPayloadBits int) ([]Msg, err
 			buf.Append(m.Payload)
 			perDst[inter] = buf
 		}
-		got, err := ExchangeUnicast(p, perDst, chunk)
+		got, err := core.ExchangeUnicast(p, perDst, chunk)
 		for _, b := range perDst {
 			b.Release()
 		}
@@ -258,7 +258,7 @@ func (rt *Router) Route(p *core.Proc, out []Msg, maxPayloadBits int) ([]Msg, err
 			}
 			perDst[m.Dst] = buf
 		}
-		got, err := ExchangeUnicast(p, perDst, chunk)
+		got, err := core.ExchangeUnicast(p, perDst, chunk)
 		for _, b := range perDst {
 			b.Release()
 		}
@@ -411,53 +411,3 @@ func (s *idxBySrcDst) Less(a, b int) bool {
 	return ma.Dst < mb.Dst
 }
 func (s *idxBySrcDst) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
-
-// ExchangeUnicast sends perDst[d] (nil = nothing) to each d over exactly
-// `rounds` rounds, chunked at the bandwidth, and returns the buffers
-// received, indexed by source (nil = nothing arrived). Every node must
-// call it simultaneously with the same round count. The staged buffers
-// are copied at chunking time, so the caller may Release them afterwards;
-// the returned buffers are drawn from the bits pool and may likewise be
-// Released once consumed. The engine drives the rounds (core.Proc.Rounds).
-func ExchangeUnicast(p *core.Proc, perDst []*bits.Buffer, rounds int) ([]*bits.Buffer, error) {
-	b := p.Bandwidth()
-	acc := make([]*bits.Buffer, p.N())
-	err := p.Rounds(rounds, func(r int) error {
-		// Chunks are cut on the fly into arena buffers (Ctx.Msg): staged
-		// in the same Step, sealed by Send, recycled by the engine one
-		// round after delivery — never Released by this sender.
-		off := r * b
-		for d, buf := range perDst {
-			if buf == nil || off >= buf.Len() {
-				continue
-			}
-			chunk := p.Msg()
-			if err := chunk.AppendRange(buf, off, min(off+b, buf.Len())); err != nil {
-				chunk.Release()
-				return err
-			}
-			if err := p.Send(d, chunk); err != nil {
-				chunk.Release()
-				return err
-			}
-		}
-		return nil
-	}, func(_ int, in []*bits.Buffer) error {
-		for src, msg := range in {
-			if msg == nil {
-				continue
-			}
-			if acc[src] == nil {
-				// A link carries at most rounds*b bits, so one hint-sized
-				// grab avoids regrowth as chunks append.
-				acc[src] = bits.Get(rounds * b)
-			}
-			acc[src].Append(msg)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return acc, nil
-}

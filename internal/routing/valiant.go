@@ -71,7 +71,7 @@ func (rt *Router) RouteValiant(p *core.Proc, out []Msg, maxPayloadBits int) ([]M
 			buf.Append(m.Payload)
 			perDst[i] = buf
 		}
-		got, err := ExchangeUnicast(p, perDst, chunk)
+		got, err := core.ExchangeUnicast(p, perDst, chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +119,7 @@ func (rt *Router) RouteValiant(p *core.Proc, out []Msg, maxPayloadBits int) ([]M
 			buf.Append(m.Payload)
 			perDst[d] = buf
 		}
-		got, err := ExchangeUnicast(p, perDst, chunk)
+		got, err := core.ExchangeUnicast(p, perDst, chunk)
 		if err != nil {
 			return nil, err
 		}
@@ -170,7 +170,7 @@ func agreeMax(p *core.Proc, local int) (int, error) {
 		buf.WriteUint(uint64(local), loadWidth)
 		perDst[0] = buf
 	}
-	got, err := ExchangeUnicast(p, perDst, rounds)
+	got, err := core.ExchangeUnicast(p, perDst, rounds)
 	if err != nil {
 		return 0, err
 	}
@@ -198,7 +198,7 @@ func agreeMax(p *core.Proc, local int) (int, error) {
 			perDst[d] = buf
 		}
 	}
-	got, err = ExchangeUnicast(p, perDst, rounds)
+	got, err = core.ExchangeUnicast(p, perDst, rounds)
 	if err != nil {
 		return 0, err
 	}

@@ -235,6 +235,21 @@ func TestFleetSpansSurviveCrash(t *testing.T) {
 	if doomed == nil || doomed.End != obs.EndAbandoned {
 		t.Fatalf("doomed attempt: %+v", doomed)
 	}
+	// The doomed lease was the last record before the crash, so it ends
+	// at its own grant: the 5 s the server was down are no worker's
+	// busy time, in the ledger summary or on the resumed /metrics.
+	if doomed.EndMs != doomed.GrantMs {
+		t.Errorf("doomed attempt ends %d ms after its grant, want 0 (the server was down)", doomed.EndMs-doomed.GrantMs)
+	}
+	for _, w := range sum.Workers {
+		if w.Worker == "w-doomed" && (w.BusyMs != 0 || w.Utilization != 0) {
+			t.Errorf("w-doomed busy %d ms, utilization %.2f: the downtime is billed to it", w.BusyMs, w.Utilization)
+		}
+	}
+	doomedSeries := fmt.Sprintf("scenariod_worker_utilization{run=%q,worker=%q} ", sub.RunID, "w-doomed")
+	if !strings.Contains(scrape(t, ts2.URL), "\n"+doomedSeries+"0\n") {
+		t.Errorf("resumed /metrics does not read %s0", doomedSeries)
+	}
 
 	// The resumed server's live builder reconciles too, and its
 	// /metrics covers the whole run, replayed spans included.

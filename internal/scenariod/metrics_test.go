@@ -1,14 +1,18 @@
 package scenariod
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
 // scrape fetches /metrics and returns the exposition text.
@@ -139,4 +143,127 @@ func TestCacheMetrics(t *testing.T) {
 	if hits.Value() != 1 || misses.Value() != 1 {
 		t.Errorf("hits=%d misses=%d, want 1/1", hits.Value(), misses.Value())
 	}
+}
+
+// completeLeasedCell runs a leased cell and submits its result.
+func completeLeasedCell(t *testing.T, client *Client, worker string, lease LeaseResponse) {
+	t.Helper()
+	g := lease.Job
+	cell, err := scenario.CellFromNames(g.Family, g.N, g.Engine, g.Protocol, g.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Result(ResultRequest{
+		RunID: g.RunID, Key: g.Key, LeaseID: g.LeaseID, Worker: worker, Attempt: g.Attempt,
+		Cell: scenario.RunCell(cell, scenario.CellOptions{}, nil),
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// scrapeValue returns the value of one series in a scrape.
+func scrapeValue(t *testing.T, text, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("/metrics line %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no series %s:\n%s", series, text)
+	return 0
+}
+
+// TestMetricsScrapeReadsRunsOnce: a scrape summarizes each run at most
+// once for all its families — an active run once per scrape that
+// follows a span event, a finished run only on the first — and the
+// families of one scrape read one instant, so the granted and completed
+// counts agree even while a worker runs.
+func TestMetricsScrapeReadsRunsOnce(t *testing.T) {
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer s.Close()
+	client := NewClient(ts.URL)
+	lease := func() LeaseResponse {
+		l, err := client.Lease("w-manual")
+		if err != nil || l.Status != LeaseJob {
+			t.Fatalf("lease: %v %+v", err, l)
+		}
+		return l
+	}
+
+	// Run A finishes; run B has one cell leased.
+	subA, err := client.Submit(tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		completeLeasedCell(t, client, "w-manual", lease())
+	}
+	if _, err := client.Report(subA.RunID); err != nil {
+		t.Fatalf("run A not finished: %v", err)
+	}
+	specB := tinySpec()
+	specB.BaseSeed = 8
+	subB, err := client.Submit(specB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leased := lease()
+
+	var calls atomic.Int64
+	summarize = func(ft *obs.FleetTrace) obs.FleetSummary {
+		calls.Add(1)
+		return obs.Summarize(ft)
+	}
+	t.Cleanup(func() { summarize = obs.Summarize })
+	countScrape := func(what string, want int64) string {
+		t.Helper()
+		calls.Store(0)
+		text := scrape(t, ts.URL)
+		if got := calls.Load(); got != want {
+			t.Errorf("%s: %d Summarize calls in one scrape, want %d", what, got, want)
+		}
+		return text
+	}
+	text := countScrape("first scrape of a finished and an active run", 2)
+	granted := scrapeValue(t, text, `scenariod_lease_events_total{event="lease_granted"}`)
+	completed := scrapeValue(t, text, "scenariod_cells_completed_total")
+	if granted != 3 || completed != 2 {
+		t.Errorf("granted %v, completed %v; want 3 and 2", granted, completed)
+	}
+	completeLeasedCell(t, client, "w-manual", leased)
+	countScrape("scrape after an event on the active run", 1)
+	countScrape("scrape after no event", 0)
+
+	// A worker finishes run B while the scrapes go on: one worker holds
+	// at most one lease, so every scrape reads 0 or 1 granted-but-not-
+	// completed cells.
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		w := &Worker{Client: client, Name: "w-bg", PollEvery: time.Millisecond}
+		done <- w.Run(ctx)
+	}()
+	for {
+		_, reportErr := client.Report(subB.RunID)
+		text := scrape(t, ts.URL)
+		granted := scrapeValue(t, text, `scenariod_lease_events_total{event="lease_granted"}`)
+		completed := scrapeValue(t, text, "scenariod_cells_completed_total")
+		if d := granted - completed; d < 0 || d > 1 {
+			t.Fatalf("one scrape reads %v granted and %v completed", granted, completed)
+		}
+		if reportErr == nil {
+			break
+		}
+	}
+	cancel()
+	<-done
 }

@@ -76,6 +76,9 @@ type run struct {
 	// queue's emitMu.
 	fleetMu sync.Mutex
 	fleet   *obs.FleetBuilder
+	// acct is the run's /metrics account, dropped by every folded
+	// event; guarded by fleetMu.
+	acct *runAccount
 
 	mu        sync.Mutex
 	log       []StreamEvent // completed cells in completion order, then done
@@ -291,6 +294,7 @@ func (s *Server) newRun(id string, spec RunSpec, m *scenario.Matrix, led *scenar
 func (s *Server) spanEvent(r *run, ev obs.SpanEvent, persist bool) {
 	r.fleetMu.Lock()
 	err := r.fleet.Observe(ev)
+	r.acct = nil
 	r.fleetMu.Unlock()
 	if err != nil {
 		s.logf("scenariod: run %s: span %s: %v", r.id, ev.Event, err)
@@ -739,7 +743,7 @@ func (s *Server) Handler() http.Handler {
 		s.Drain()
 		writeJSON(w, http.StatusOK, map[string]string{"status": "draining"})
 	})
-	mux.Handle("GET /metrics", s.metrics.reg.Handler())
+	mux.Handle("GET /metrics", s.metrics)
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

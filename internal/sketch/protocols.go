@@ -18,7 +18,7 @@ type Aggregation int
 const (
 	// DirectAgg streams each losing leader's remaining stack to the
 	// winning leader over their single direct link (one
-	// routing.ExchangeUnicast): simple, ceil(stackBits/b) rounds per
+	// core.ExchangeUnicast): simple, ceil(stackBits/b) rounds per
 	// phase.
 	DirectAgg Aggregation = iota
 	// LenzenAgg splits each stack into per-copy messages and ships them
@@ -239,6 +239,7 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 		// seeds are shared across players (derived from the protocol
 		// seed), which is what makes the per-copy samplers mergeable.
 		stacks := make([]*Stack, classes)
+		defer releaseStacks(stacks)
 		for w := range stacks {
 			stacks[w] = NewStack(universe, DefaultFpBits, copies, seed, 0x8bb84b93962eacc9*uint64(w+1))
 		}
@@ -279,6 +280,16 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 		cls := 0
 		phases := 0
 
+		// Per-phase scratch, reused across phases: the merge resolution's
+		// union-find, the phase's proposals and the leaders it absorbed.
+		type prop struct {
+			leader int
+			edge   uint64
+		}
+		uf := &unionFind{parent: make([]int, n)}
+		var props []prop
+		var losers []int
+
 		for phase := 0; ; phase++ {
 			if phase >= copies {
 				return fmt.Errorf("sketch: stack exhausted after %d phases (class %d/%d)", phase, cls+1, classes)
@@ -304,7 +315,7 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 					// Burn the phase and retry on the next copy.
 					status = statusStalled
 				} else {
-					s := stacks[cls].Samplers[phase]
+					s := &stacks[cls].Samplers[phase]
 					switch {
 					case s.IsZero():
 						status = statusFinished
@@ -342,12 +353,8 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 			// 3. Everybody resolves the merges locally and identically:
 			// proposals processed in ascending leader id over a shared
 			// union-by-min structure.
-			uf := &unionFind{parent: append([]int(nil), comp...)}
-			type prop struct {
-				leader int
-				edge   uint64
-			}
-			var props []prop
+			copy(uf.parent, comp)
+			props = props[:0]
 			allFinished := true
 			anyStalled := false
 			for l := 0; l < n; l++ {
@@ -384,7 +391,7 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 				}
 			}
 			merged := false
-			var losers []int // old leaders absorbed this phase, ascending
+			losers = losers[:0] // old leaders absorbed this phase, ascending
 			apply := func(pr prop) {
 				u, v := EdgeEndpoints(n, pr.edge)
 				if !uf.union(u, v) {
@@ -556,7 +563,7 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 			}
 			perDst[comp[me]] = buf
 		}
-		got, err := routing.ExchangeUnicast(p, perDst, core.ChunkRounds(shipBits, p.Bandwidth()))
+		got, err := core.ExchangeUnicast(p, perDst, core.ChunkRounds(shipBits, p.Bandwidth()))
 		perDst[comp[me]].Release()
 		if err != nil {
 			return err
@@ -581,9 +588,10 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 		maxPayload := clsW + qW + sampleBits
 		var out []routing.Msg
 		if iAmLoser {
+			out = make([]routing.Msg, 0, (classes-cls)*(copies-from))
 			for w := cls; w < classes; w++ {
 				for q := from; q < copies; q++ {
-					buf := bits.New(maxPayload)
+					buf := bits.Get(maxPayload)
 					buf.WriteUint(uint64(w), clsW)
 					buf.WriteUint(uint64(q), qW)
 					stacks[w].Samplers[q].Encode(buf)
@@ -592,6 +600,11 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 			}
 		}
 		in, err := rt.Route(p, out, maxPayload)
+		// Route copied the records into its relay frames (none is
+		// self-addressed: a loser's leader is another node).
+		for _, m := range out {
+			m.Payload.Release()
+		}
 		if err != nil {
 			return err
 		}
@@ -620,6 +633,7 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 			if err := stacks[w].Samplers[q].mergeFromWire(rd); err != nil {
 				return err
 			}
+			m.Payload.Release()
 		}
 		return nil
 
@@ -775,6 +789,16 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 
 	default:
 		return fmt.Errorf("sketch: unknown aggregation %d", int(agg))
+	}
+}
+
+// releaseStacks returns a node's stacks to the pool when its body
+// returns, unwound bodies included.
+func releaseStacks(stacks []*Stack) {
+	for _, st := range stacks {
+		if st != nil {
+			st.release()
+		}
 	}
 }
 

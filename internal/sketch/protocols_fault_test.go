@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bits"
@@ -262,12 +263,12 @@ func TestMergeShipRecordGuards(t *testing.T) {
 				t.Fatalf("accepted = %v, want %v", ok, tc.effect != rejected)
 			}
 			if tc.effect == merged {
-				wantStacks[tc.w].Samplers[tc.q].Merge(loser[tc.w].Samplers[tc.q])
+				wantStacks[tc.w].Samplers[tc.q].Merge(&loser[tc.w].Samplers[tc.q])
 			}
 			for w := range stacks {
-				for q, s := range stacks[w].Samplers {
+				for q := range stacks[w].Samplers {
 					named := w == tc.w && q == tc.q
-					if !(tc.effect == garbled && named) && !s.Equal(wantStacks[w].Samplers[q]) {
+					if !(tc.effect == garbled && named) && !stacks[w].Samplers[q].Equal(&wantStacks[w].Samplers[q]) {
 						t.Errorf("sampler (class %d, copy %d) differs from the expected state", w, q)
 					}
 					wantPois := named && (tc.effect == poisonedOnly || tc.effect == garbled)
@@ -286,5 +287,39 @@ func TestMergeShipRecordGuards(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// shipDrops drops every message longer than 16 bits. At n = 24 and
+// b = 32 a status broadcast is 11 bits, so only ship traffic is lost:
+// the first phase that merges fails in the winner's ship check while the
+// other nodes are parked in the ship's exchange.
+type shipDrops struct{}
+
+func (shipDrops) OnMessage(_, _, _, nbits int) core.FaultAction {
+	return core.FaultAction{Drop: nbits > 16}
+}
+
+func (shipDrops) CrashRound(int) int { return -1 }
+
+// TestFailedShipReturnsStacks: a run that fails mid-ship returns every
+// node's sketch stacks to the pool — the failing node's through its
+// error return, the parked nodes' through the unwinding — at the
+// sequential width and under the worker pool.
+func TestFailedShipReturnsStacks(t *testing.T) {
+	g := graph.ComponentsGnp(24, 2, 0.25, rand.New(rand.NewSource(24)))
+	env := core.Env{Faults: func(int64) core.FaultInjector { return shipDrops{} }}
+	for _, agg := range []Aggregation{DirectAgg, LenzenAgg} {
+		for _, par := range []int{1, 4} {
+			env.Parallelism = par
+			before := stacksOut.Load()
+			_, err := ConnectedComponents(env, g, agg, 32, 5)
+			if err == nil || !strings.Contains(err.Error(), "winner") {
+				t.Fatalf("%v p=%d: err = %v, want a winner's ship-check failure", agg, par, err)
+			}
+			if d := stacksOut.Load() - before; d != 0 {
+				t.Errorf("%v p=%d: %d stacks not returned after a failed ship", agg, par, d)
+			}
+		}
 	}
 }

@@ -178,3 +178,51 @@ func TestTrivialSizes(t *testing.T) {
 		}
 	}
 }
+
+// raceDetector is set under -race (race_test.go), where sync.Pool drops
+// a quarter of its Puts and pooled allocation counts mean nothing.
+var raceDetector bool
+
+// TestAllocRegressionSketchRun is the allocation gate of the sketch
+// protocols' message path: objects allocated per run of
+// ConnectedComponents (DirectAgg) and of SpanningForest and MST
+// (LenzenAgg) on a 24-player, two-component instance, at the sequential
+// width and under the worker pool. The budgets sit about 25% above the
+// readings with pooled stacks and records, the per-Proc exchange state
+// and hoisted phase scratch (2.4k, 4.6k and 5.7k); before them the same
+// runs read 5.9k, 11.9k and 36.9k objects. Matches the CI
+// alloc-regression pattern (-run AllocRegression). Under the race
+// detector sync.Pool drops a quarter of its Puts, so the gate skips
+// there.
+func TestAllocRegressionSketchRun(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	g := graph.ComponentsGnp(24, 2, 0.25, rand.New(rand.NewSource(24)))
+	wg := graph.WeightedFromSeed(g, 24, 4)
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		run    func(env core.Env) (*CCResult, error)
+	}{
+		{"cc-direct", 3000, func(env core.Env) (*CCResult, error) { return ConnectedComponents(env, g, DirectAgg, 32, 5) }},
+		{"forest-lenzen", 5800, func(env core.Env) (*CCResult, error) { return SpanningForest(env, g, LenzenAgg, 32, 5) }},
+		{"mst-lenzen", 7200, func(env core.Env) (*CCResult, error) { return MST(env, wg, 4, LenzenAgg, 32, 5) }},
+	} {
+		for _, par := range []int{1, 4} {
+			env := core.Env{Parallelism: par}
+			if _, err := tc.run(env); err != nil { // warm the pools
+				t.Fatalf("%s p=%d: %v", tc.name, par, err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := tc.run(env); err != nil {
+					t.Fatalf("%s p=%d: %v", tc.name, par, err)
+				}
+			})
+			t.Logf("%s p=%d: %.0f objects per run (budget %.0f)", tc.name, par, allocs, tc.budget)
+			if allocs > tc.budget {
+				t.Errorf("%s p=%d: %.0f objects per run, budget %.0f", tc.name, par, allocs, tc.budget)
+			}
+		}
+	}
+}

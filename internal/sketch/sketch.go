@@ -15,6 +15,8 @@ package sketch
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bits"
 )
@@ -79,15 +81,29 @@ func IDBits(u int) int {
 // fingerprint width, seeded so that samplers built from the same
 // (universe, fpBits, seed) anywhere in the system are mergeable.
 func NewSampler(universe, fpBits int, seed uint64) *Sampler {
+	levels := checkSampler(universe, fpBits)
+	s := samplerOver(make([]uint64, 3*levels), universe, fpBits, seed)
+	return &s
+}
+
+// checkSampler validates a sampler's parameters and returns its level
+// count.
+func checkSampler(universe, fpBits int) int {
 	if universe < 1 {
 		panic(fmt.Sprintf("sketch: universe %d < 1", universe))
 	}
 	if fpBits < 1 || fpBits > 64 {
 		panic(fmt.Sprintf("sketch: fingerprint width %d outside [1,64]", fpBits))
 	}
-	levels := SamplerLevels(universe)
-	words := make([]uint64, 3*levels)
-	return &Sampler{
+	return SamplerLevels(universe)
+}
+
+// samplerOver returns a sampler whose cells are words, which must hold
+// 3·SamplerLevels(universe) zero words: the parities, then the id XORs,
+// then the fingerprint XORs, one word per level each.
+func samplerOver(words []uint64, universe, fpBits int, seed uint64) Sampler {
+	levels := len(words) / 3
+	return Sampler{
 		universe: universe,
 		levels:   levels,
 		fpBits:   fpBits,
@@ -282,10 +298,21 @@ func (s *Sampler) mergeFromWire(rd *bits.Reader) error {
 // Stack is a node's sketch stack: `copies` independent samplers of the
 // same set, one consumed per protocol phase so that every recovery query
 // sees randomness independent of the merges it caused (the standard AGM
-// fresh-sketch-per-phase scheme).
+// fresh-sketch-per-phase scheme). The cells of every copy live in one
+// word slab, copy q at words [3·levels·q, 3·levels·(q+1)), so a stack is
+// two allocations whatever its depth, and the protocols recycle both
+// through a package pool (see release).
 type Stack struct {
-	Samplers []*Sampler
+	Samplers []Sampler
+	words    []uint64
 }
+
+// stackPool recycles stacks, with their slabs, between protocol runs.
+var stackPool sync.Pool
+
+// stacksOut counts the stacks NewStack has handed out that release has
+// not taken back; tests read it to check that a run returns its slabs.
+var stacksOut atomic.Int64
 
 // copySeed derives the shared seed of copy q from the protocol seed: all
 // players must build copy q from the same hash functions for merging to
@@ -296,19 +323,43 @@ func copySeed(seed int64, salt uint64, q int) uint64 {
 
 // NewStack builds an empty stack of `copies` samplers over [0, universe),
 // with per-copy seeds derived from (seed, salt). Protocols use distinct
-// salts for distinct logical vectors (e.g. one per weight class).
+// salts for distinct logical vectors (e.g. one per weight class). The
+// stack reuses a released one's storage when the pool has one, zeroed.
 func NewStack(universe, fpBits, copies int, seed int64, salt uint64) *Stack {
-	st := &Stack{Samplers: make([]*Sampler, copies)}
+	levels := checkSampler(universe, fpBits)
+	st, _ := stackPool.Get().(*Stack)
+	if st == nil {
+		st = new(Stack)
+	}
+	stacksOut.Add(1)
+	cells := 3 * levels
+	if need := cells * copies; cap(st.words) < need {
+		st.words = make([]uint64, need)
+	} else {
+		st.words = st.words[:need]
+		clear(st.words)
+	}
+	if cap(st.Samplers) < copies {
+		st.Samplers = make([]Sampler, copies)
+	}
+	st.Samplers = st.Samplers[:copies]
 	for q := range st.Samplers {
-		st.Samplers[q] = NewSampler(universe, fpBits, copySeed(seed, salt, q))
+		st.Samplers[q] = samplerOver(st.words[q*cells:(q+1)*cells:(q+1)*cells], universe, fpBits, copySeed(seed, salt, q))
 	}
 	return st
 }
 
+// release returns the stack to the pool. Neither it nor its samplers may
+// be used afterwards.
+func (st *Stack) release() {
+	stacksOut.Add(-1)
+	stackPool.Put(st)
+}
+
 // Toggle flips item in every copy.
 func (st *Stack) Toggle(item uint64) {
-	for _, s := range st.Samplers {
-		s.Toggle(item)
+	for q := range st.Samplers {
+		st.Samplers[q].Toggle(item)
 	}
 }
 

@@ -251,11 +251,55 @@ func TestStackShipRoundTrip(t *testing.T) {
 	for q := 0; q < 8; q++ {
 		want := replayB.Samplers[q].Clone()
 		if q >= from {
-			want.Merge(replayA.Samplers[q])
+			want.Merge(&replayA.Samplers[q])
 		}
 		if !b.Samplers[q].Equal(want) {
 			t.Fatalf("copy %d: wire merge state wrong (from=%d)", q, from)
 		}
+	}
+}
+
+// TestStackReusesReleasedSlab: a stack built over a released stack's
+// storage — deeper or shallower than the new one, holding other items —
+// is zeroed first, so after the same toggles it equals samplers built
+// from scratch, copy by copy.
+func TestStackReusesReleasedSlab(t *testing.T) {
+	const universe, seed, salt = 300, 9, 4
+	rng := rand.New(rand.NewSource(12))
+	items := make([]uint64, 40)
+	for i := range items {
+		items[i] = uint64(rng.Intn(universe))
+	}
+	reused := 0
+	for _, prevCopies := range []int{12, 6, 6, 3} {
+		for try := 0; try < 8; try++ {
+			old := NewStack(universe, DefaultFpBits, prevCopies, seed+1, salt+1)
+			for _, it := range items[:25] {
+				old.Toggle((it + 1) % universe)
+			}
+			slab := &old.words[0]
+			old.release()
+			st := NewStack(universe, DefaultFpBits, 6, seed, salt)
+			if &st.words[0] == slab {
+				reused++
+			}
+			for _, it := range items {
+				st.Toggle(it)
+			}
+			for q := range st.Samplers {
+				fresh := NewSampler(universe, DefaultFpBits, copySeed(seed, salt, q))
+				for _, it := range items {
+					fresh.Toggle(it)
+				}
+				if !st.Samplers[q].Equal(fresh) {
+					t.Fatalf("copy %d of a stack over a released %d-copy slab differs from a fresh sampler", q, prevCopies)
+				}
+			}
+			st.release()
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no stack reused a released slab; the test compared fresh stacks only")
 	}
 }
 

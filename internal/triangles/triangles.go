@@ -410,7 +410,7 @@ func agree(p *core.Proc, found bool, wit [3]int) error {
 		buf.WriteBool(found)
 		perDst[0] = buf
 	}
-	got, err := routing.ExchangeUnicast(p, perDst, 1)
+	got, err := core.ExchangeUnicast(p, perDst, 1)
 	if err != nil {
 		return err
 	}
@@ -435,7 +435,7 @@ func agree(p *core.Proc, found bool, wit [3]int) error {
 			perDst[d] = buf
 		}
 	}
-	got, err = routing.ExchangeUnicast(p, perDst, 1)
+	got, err = core.ExchangeUnicast(p, perDst, 1)
 	if err != nil {
 		return err
 	}
