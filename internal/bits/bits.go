@@ -4,12 +4,12 @@
 // granularity; the round engine enforces the per-link bandwidth b against
 // Buffer.Len.
 //
-// Buffers support zero-copy delivery: Freeze returns an immutable view
-// that shares the buffer's storage, and the original transparently copies
-// on its next write (copy-on-write). The round engine freezes a message
-// once at stage time and hands the same frozen view to every recipient, so
-// a broadcast costs one snapshot instead of N-1 deep copies. A package
-// pool (Get/Release) recycles Buffer structs across rounds.
+// Freeze seals a buffer in place, so that any later write panics. The
+// round engine copies each staged message into a buffer the sender owns
+// (NewRow carves a node's message buffers from one slab), seals it, and
+// hands that one buffer to every recipient; the sender refills it with
+// Refill once no recipient can still read it. A package pool
+// (Get/Release) recycles Buffer structs across rounds.
 package bits
 
 import (
@@ -31,11 +31,8 @@ var ErrShortBuffer = errors.New("bits: read past end of buffer")
 // fast paths in Append, WriteUint and Equal.
 type Buffer struct {
 	data   []byte
-	n      int    // number of valid bits in data
-	frozen bool   // immutable view produced by Freeze; writers panic
-	cow    bool   // storage is shared with a frozen view; copy before write
-	arena  *Arena // owning arena (nil for ordinary buffers); see arena.go
-	queued bool   // arena buffer already on an engine reclaim list
+	n      int  // number of valid bits in data
+	frozen bool // sealed by Freeze; writers panic
 }
 
 // New returns an empty buffer with capacity for sizeHint bits.
@@ -76,60 +73,56 @@ func (b *Buffer) Clone() *Buffer {
 	return &Buffer{data: cp, n: b.n}
 }
 
-// Freeze returns an immutable view of b's current contents that shares
-// b's storage — no bits are copied. The view panics on any mutation; b
-// itself stays writable, transparently copying its storage on the next
-// write so the view is never disturbed (copy-on-write). Freezing an
-// already-frozen buffer returns it unchanged.
-//
-// This is the engine's zero-copy delivery primitive: one frozen view of a
-// staged message is shared by every recipient.
-//
-// Arena buffers (Arena.Get) are sealed in place instead: Freeze returns b
-// itself marked immutable, allocating nothing. The arena contract is
-// stage-once — the producer must not write the buffer after staging, and
-// sealing turns any such write into a panic rather than a corruption.
+// Freeze seals b in place and returns it: every later write panics,
+// while reads stay free. Nothing is copied, so a sealed buffer must stay
+// unchanged for as long as anyone reads it; only its owner may reuse it,
+// through Refill. Freezing a sealed buffer does nothing.
 func (b *Buffer) Freeze() *Buffer {
-	if b.frozen {
-		return b
-	}
-	if b.arena != nil {
-		b.frozen = true
-		return b
-	}
-	b.cow = true
-	return &Buffer{data: b.data, n: b.n, frozen: true}
+	b.frozen = true
+	return b
 }
 
-// Frozen reports whether the buffer is an immutable Freeze view.
+// Frozen reports whether the buffer is sealed (see Freeze).
 func (b *Buffer) Frozen() bool { return b.frozen }
 
-// beforeWrite enforces immutability of frozen views and detaches shared
-// storage before the first write after a Freeze.
+// Refill overwrites b, sealed or not, with a copy of src's bits, seals it
+// and returns it. It reuses b's storage when that holds src, so a buffer
+// refilled with messages of at most its capacity never allocates. Only
+// b's owner may call it, once no reader can still hold b.
+func (b *Buffer) Refill(src *Buffer) *Buffer {
+	b.frozen = false
+	b.Reset()
+	b.Append(src)
+	return b.Freeze()
+}
+
+// NewRow returns n empty buffers with room for sizeHint bits each, carved
+// from one slab: two allocations for the whole row. A buffer that grows
+// past sizeHint moves to storage of its own and leaves its neighbours
+// alone.
+func NewRow(n, sizeHint int) []Buffer {
+	w := (sizeHint + 7) / 8
+	slab := make([]byte, n*w)
+	row := make([]Buffer, n)
+	for i := range row {
+		row[i].data = slab[i*w : i*w : (i+1)*w]
+	}
+	return row
+}
+
+// beforeWrite enforces the seal of frozen buffers.
 func (b *Buffer) beforeWrite() {
 	if b.frozen {
 		panic("bits: write to frozen buffer (message buffers received from the engine are read-only)")
 	}
-	if b.cow {
-		cp := make([]byte, len(b.data), cap(b.data))
-		copy(cp, b.data)
-		b.data = cp
-		b.cow = false
-	}
 }
 
-// Reset truncates the buffer to zero bits. Storage shared with a frozen
-// view is abandoned to the view; otherwise capacity is retained.
+// Reset truncates the buffer to zero bits, keeping its capacity.
 func (b *Buffer) Reset() {
 	if b.frozen {
 		panic("bits: reset of frozen buffer")
 	}
-	if b.cow {
-		b.data = nil
-		b.cow = false
-	} else {
-		b.data = b.data[:0]
-	}
+	b.data = b.data[:0]
 	b.n = 0
 }
 
@@ -192,7 +185,7 @@ func (b *Buffer) grow(need int) {
 }
 
 // FlipBit inverts bit i in place — the fault injector's corruption
-// primitive. The buffer must be writable (Clone a frozen view first) and
+// primitive. The buffer must be writable (Clone a frozen buffer first) and
 // i must be in [0, Len).
 func (b *Buffer) FlipBit(i int) {
 	if i < 0 || i >= b.n {
@@ -442,14 +435,13 @@ func (b *Buffer) bit(i int) uint64 {
 	return uint64(b.data[i/8]>>uint(i%8)) & 1
 }
 
-// bufPool recycles Buffer structs between rounds. Only storage that is
-// not shared with a frozen view is reused.
+// bufPool recycles Buffer structs and their storage between rounds.
 var bufPool = sync.Pool{New: func() interface{} { return new(Buffer) }}
 
 // Get returns an empty buffer from the package pool with capacity for
 // sizeHint bits. Pair with Release when the buffer's contents are no
-// longer needed (staged messages may be Released after the round: their
-// frozen views keep the delivered bits alive).
+// longer needed (a message may be Released as soon as Send returns: the
+// engine has copied it).
 func Get(sizeHint int) *Buffer {
 	b := bufPool.Get().(*Buffer)
 	if cap(b.data) < (sizeHint+7)/8 {
@@ -458,17 +450,11 @@ func Get(sizeHint int) *Buffer {
 	return b
 }
 
-// Release resets b and returns it to the package pool. Frozen views are
-// never pooled (recipients may still hold them); storage shared with a
-// frozen view is abandoned to the view and only the struct is recycled.
-// An unstaged arena buffer goes back to its own arena instead (only its
-// owner may call this). Release of nil is a no-op.
+// Release resets b and returns it to the package pool. Frozen buffers
+// are never pooled (readers may still hold them). Release of nil is a
+// no-op.
 func (b *Buffer) Release() {
 	if b == nil || b.frozen {
-		return
-	}
-	if b.arena != nil {
-		b.Recycle()
 		return
 	}
 	b.Reset()

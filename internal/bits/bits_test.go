@@ -215,47 +215,6 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-func TestFreezeSharesAndProtects(t *testing.T) {
-	var a Buffer
-	a.WriteUint(0xAB, 8)
-	v := a.Freeze()
-	if !v.Frozen() {
-		t.Fatal("view not frozen")
-	}
-	if &a.data[0] != &v.data[0] {
-		t.Error("Freeze copied storage; want shared")
-	}
-	// Mutating the original copies-on-write and leaves the view intact.
-	a.WriteUint(0xFF, 8)
-	if v.Len() != 8 {
-		t.Fatalf("view length changed to %d", v.Len())
-	}
-	if got, _ := NewReader(v).ReadUint(8); got != 0xAB {
-		t.Errorf("view reads %#x after original mutated, want 0xab", got)
-	}
-	if got, _ := NewReader(&a).ReadUint(8); got != 0xAB {
-		t.Errorf("original corrupted: %#x", got)
-	}
-	if a.Len() != 16 {
-		t.Errorf("original len = %d, want 16", a.Len())
-	}
-	// Freezing a frozen view is the identity.
-	if v2 := v.Freeze(); v2 != v {
-		t.Error("Freeze of frozen view returned a new buffer")
-	}
-}
-
-func TestFreezeResetDetaches(t *testing.T) {
-	var a Buffer
-	a.WriteUint(0x3C, 7)
-	v := a.Freeze()
-	a.Reset()
-	a.WriteUint(0x7F, 7)
-	if got, _ := NewReader(v).ReadUint(7); got != 0x3C {
-		t.Errorf("view reads %#x after original Reset+rewrite, want 0x3c", got)
-	}
-}
-
 func TestFrozenWritePanics(t *testing.T) {
 	var a Buffer
 	a.WriteBit(1)
@@ -272,9 +231,9 @@ func TestPoolRoundTrip(t *testing.T) {
 	b := Get(64)
 	b.WriteUint(123, 32)
 	v := b.Freeze()
-	b.Release() // storage is shared with v: must be abandoned, not reused
+	b.Release() // b is sealed: Release must leave it alone
 	if got, _ := NewReader(v).ReadUint(32); got != 123 {
-		t.Errorf("frozen view corrupted by Release: %d", got)
+		t.Errorf("frozen buffer corrupted by Release: %d", got)
 	}
 	c := Get(16)
 	c.WriteUint(9, 16)
@@ -282,10 +241,10 @@ func TestPoolRoundTrip(t *testing.T) {
 		t.Errorf("pooled buffer reads %d, want 9", got)
 	}
 	if got, _ := NewReader(v).ReadUint(32); got != 123 {
-		t.Errorf("frozen view corrupted by pooled reuse: %d", got)
+		t.Errorf("frozen buffer corrupted by pooled reuse: %d", got)
 	}
 	c.Release()
-	v.Release() // no-op on frozen views
+	v.Release() // no-op on frozen buffers
 	var nilBuf *Buffer
 	nilBuf.Release() // no-op on nil
 }

@@ -27,20 +27,20 @@ func (m naiveBits) readUint(pos, width int) uint64 {
 }
 
 // FuzzReaderWriter round-trips a fuzz-chosen program of WriteUint /
-// WriteBit / Append / Slice / Freeze operations against the naive model:
+// WriteBit / Append / Slice / Clone operations against the naive model:
 // after every program the buffer must read back exactly the model's bits
 // through ReadUint/ReadBit, Slice must match the model's subrange, and a
-// Freeze view taken mid-program must still hold the bits from its
-// snapshot point after the original keeps writing (copy-on-write).
+// Clone taken mid-program must still hold the bits from its snapshot
+// point after the original keeps writing.
 func FuzzReaderWriter(f *testing.F) {
 	f.Add([]byte{3, 0xff, 64, 7, 1, 12, 0xab}, uint8(2))
 	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3, 4, 4}, uint8(5))
 	f.Add([]byte{9, 200, 13, 66, 40, 1}, uint8(0))
-	f.Fuzz(func(t *testing.T, program []byte, freezeAt uint8) {
+	f.Fuzz(func(t *testing.T, program []byte, snapAt uint8) {
 		buf := New(0)
 		var model naiveBits
-		var frozen *Buffer
-		var frozenWant naiveBits
+		var snap *Buffer
+		var snapWant naiveBits
 
 		// Interpret the byte stream as (width, value) pairs; a width byte
 		// of 255 is a WriteBit, width is otherwise taken mod 65.
@@ -60,9 +60,9 @@ func FuzzReaderWriter(f *testing.F) {
 				}
 				model = model.writeUint(val, width)
 			}
-			if int(freezeAt) == i/2 {
-				frozen = buf.Freeze()
-				frozenWant = append(naiveBits(nil), model...)
+			if int(snapAt) == i/2 {
+				snap = buf.Clone()
+				snapWant = append(naiveBits(nil), model...)
 			}
 		}
 
@@ -96,7 +96,7 @@ func FuzzReaderWriter(f *testing.F) {
 
 		// Slice against the model's subrange.
 		if n := len(model); n > 0 {
-			from := int(freezeAt) % n
+			from := int(snapAt) % n
 			to := from + (n-from)/2
 			sl, err := buf.Slice(from, to)
 			if err != nil {
@@ -115,19 +115,19 @@ func FuzzReaderWriter(f *testing.F) {
 			sl.Release()
 		}
 
-		// The mid-program freeze view must be unchanged by later writes.
-		if frozen != nil {
-			if frozen.Len() != len(frozenWant) {
-				t.Fatalf("frozen Len = %d, want %d", frozen.Len(), len(frozenWant))
+		// The mid-program snapshot must be unchanged by later writes.
+		if snap != nil {
+			if snap.Len() != len(snapWant) {
+				t.Fatalf("snapshot Len = %d, want %d", snap.Len(), len(snapWant))
 			}
-			fr := NewReader(frozen)
-			for pos := range frozenWant {
-				got, err := fr.ReadBit()
+			sr := NewReader(snap)
+			for pos := range snapWant {
+				got, err := sr.ReadBit()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if (got != 0) != frozenWant[pos] {
-					t.Fatalf("frozen bit %d = %d, want %v (COW violated)", pos, got, frozenWant[pos])
+				if (got != 0) != snapWant[pos] {
+					t.Fatalf("snapshot bit %d = %d, want %v", pos, got, snapWant[pos])
 				}
 			}
 		}

@@ -109,54 +109,91 @@ func TestRangeErrors(t *testing.T) {
 	}
 }
 
-// The arena contract: Get hands out writable buffers, Freeze seals in
-// place without a copy-on-write view, MarkReclaim deduplicates the
-// reclaim list, and Recycle returns struct + storage for reuse.
-func TestArenaLifecycle(t *testing.T) {
-	var a Arena
-	b := a.Get(64)
-	if !b.FromArena() || b.Frozen() {
-		t.Fatalf("fresh arena buffer: fromArena=%v frozen=%v", b.FromArena(), b.Frozen())
+// TestFreezeSealsInPlaceAndRefill pins the send-buffer primitives:
+// Freeze seals a buffer in place (the same buffer comes back, writes and
+// Reset panic, a second Freeze does nothing), and Refill overwrites a
+// sealed buffer with a copy of its source in the same storage, seals it
+// again and leaves the source the caller's.
+func TestFreezeSealsInPlaceAndRefill(t *testing.T) {
+	var b, one Buffer
+	b.WriteUint(0xAB, 8)
+	one.WriteBit(1)
+	if v := b.Freeze(); v != &b || !b.Frozen() || b.Freeze() != &b {
+		t.Fatal("Freeze did not seal the buffer in place")
 	}
-	plain := New(8)
-	if plain.FromArena() {
-		t.Fatal("pool buffer claims an arena")
+	for name, write := range map[string]func(){
+		"WriteBit": func() { b.WriteBit(1) },
+		"Reset":    b.Reset,
+		"Append":   func() { b.Append(&one) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a sealed buffer did not panic", name)
+				}
+			}()
+			write()
+		}()
 	}
-	if plain.MarkReclaim() {
-		t.Fatal("non-arena buffer accepted a reclaim mark")
-	}
-	plain.Release()
 
-	b.WriteUint(0xbeef, 16)
-	if got := b.Freeze(); got != b {
-		t.Fatal("Freeze of an arena buffer allocated a view")
+	src := New(16)
+	src.WriteUint(0x1234, 13)
+	storage := &b.data[:1][0]
+	if got := b.Refill(src); got != &b || !b.Frozen() || !b.Equal(src) {
+		t.Fatalf("Refill: same=%v frozen=%v bits=%s, want %s", got == &b, b.Frozen(), b.String(), src.String())
 	}
-	if !b.MarkReclaim() {
-		t.Fatal("first reclaim mark refused")
+	if &b.data[0] != storage {
+		t.Error("Refill moved storage that held the source")
 	}
-	if b.MarkReclaim() {
-		t.Fatal("duplicate reclaim mark accepted (broadcast would double-free)")
+	src.WriteBit(1)
+	if b.Len() != 13 || src.Frozen() {
+		t.Errorf("source and refilled buffer not separate: len %d, source frozen %v", b.Len(), src.Frozen())
 	}
-	data := &b.data[0]
-	b.Recycle()
+	// A shorter refill leaves no stale bits behind (Equal compares bytes).
+	short := New(3)
+	short.WriteUint(5, 3)
+	if !b.Refill(short).Equal(short) {
+		t.Errorf("short refill reads %s, want %s", b.String(), short.String())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Refill(src) }); allocs != 0 {
+		t.Errorf("Refill within capacity allocates %.1f objects", allocs)
+	}
+}
 
-	// Reuse: same struct and storage come back, empty and writable.
-	r := a.Get(16)
-	if r != b || r.Len() != 0 || r.Frozen() {
-		t.Fatalf("recycled buffer not reused: same=%v len=%d frozen=%v", r == b, r.Len(), r.Frozen())
+// TestNewRowCarvesOneSlab pins the buffer row: n empty, writable buffers
+// with room for sizeHint bits each, in two allocations whatever n is;
+// filling every buffer to sizeHint keeps each one's bits apart, and a
+// buffer that outgrows its share moves out without touching a neighbour.
+func TestNewRowCarvesOneSlab(t *testing.T) {
+	for _, n := range []int{1, 5, 64} {
+		if allocs := testing.AllocsPerRun(10, func() { NewRow(n, 12) }); allocs != 2 {
+			t.Errorf("NewRow(%d, 12) allocates %.0f objects, want 2", n, allocs)
+		}
 	}
-	r.WriteUint(1, 8)
-	if &r.data[0] != data {
-		t.Fatal("recycled buffer regrew its storage")
+	const n, hint = 5, 12
+	row := NewRow(n, hint)
+	for i := range row {
+		if row[i].Len() != 0 || row[i].Frozen() || cap(row[i].data) != 2 {
+			t.Fatalf("buffer %d: len %d frozen %v cap %d, want an empty writable 2-byte share",
+				i, row[i].Len(), row[i].Frozen(), cap(row[i].data))
+		}
 	}
-	// A larger hint regrows storage instead of overflowing.
-	r.Recycle()
-	big := a.Get(1 << 12)
-	if big != r || cap(big.data) < 1<<9 {
-		t.Fatalf("regrow on larger hint: same=%v cap=%d", big == r, cap(big.data))
+	want := func(i int) uint64 { return uint64(0xFFF - 257*i) }
+	for i := range row {
+		fill := func() {
+			row[i].Reset()
+			row[i].WriteUint(want(i), hint)
+		}
+		if allocs := testing.AllocsPerRun(1, fill); allocs != 0 {
+			t.Errorf("buffer %d: filling %d bits allocates %.0f objects", i, hint, allocs)
+		}
 	}
-	// Recycling a non-arena buffer is a harmless no-op.
-	New(4).Recycle()
+	row[2].WriteUint(0x3F, 6) // past its share: moves out
+	for i := range row {
+		if got, _ := NewReader(&row[i]).ReadUint(hint); got != want(i) {
+			t.Errorf("buffer %d reads %#x, want %#x", i, got, want(i))
+		}
+	}
 }
 
 func TestWordKernels(t *testing.T) {

@@ -26,11 +26,13 @@
 // parallelism setting; Parallelism=1 keeps the legacy sequential path as
 // the determinism oracle.
 //
-// Delivery is zero-copy: a staged message is frozen once
-// (bits.Buffer.Freeze) and the same immutable view is shared by all
-// recipients, so a unicast broadcast costs one snapshot instead of N-1
-// deep copies. Received buffers are therefore read-only; mutating one
-// panics.
+// Send and Broadcast copy a message into a buffer the sending node owns
+// (one per message it stages in a round, reused every other round), seal
+// it (bits.Buffer.Freeze) and deliver that buffer itself to every
+// recipient, so the caller keeps its own buffer and a unicast broadcast
+// costs one copy instead of N-1. Received buffers are therefore
+// read-only (mutating one panics) and valid only until the recipient's
+// next round, when their sender may refill them.
 package core
 
 import (
@@ -77,7 +79,7 @@ var (
 	ErrSelfMessage  = errors.New("core: node may not message itself")
 	ErrUnknownNode  = errors.New("core: destination out of range")
 	ErrAfterBarrier = errors.New("core: send after node halted")
-	ErrStalled      = errors.New("core: protocol stalled (no traffic for QuiesceLimit steps; crashed or deadlocked nodes)")
+	ErrStalled      = errors.New("core: protocol stalled (no traffic for DefaultQuiesceLimit steps; crashed or deadlocked nodes)")
 )
 
 // Config describes a run of the model.
@@ -102,15 +104,9 @@ type Config struct {
 	// decisions are applied during sequential delivery, so a given plan
 	// produces a bit-identical fault schedule under every Parallelism
 	// setting. Protocols that build their own Config get it from the
-	// caller's Env.Faults.
+	// caller's Env.Faults. An active plan also arms the stall detector
+	// (DefaultQuiesceLimit).
 	FaultPlan FaultInjector
-
-	// QuiesceLimit aborts the run with ErrStalled after this many
-	// consecutive steps in which no message was sent and nothing was
-	// delivered while nodes remain live — the engine's crash/deadlock
-	// detector. 0 picks the default: DefaultQuiesceLimit when a fault
-	// plan is active, disabled otherwise; negative disables it always.
-	QuiesceLimit int
 
 	// Sink receives the run's round-level trace (see trace.go and
 	// DESIGN.md §14); nil leaves the run untraced, at zero cost.
@@ -160,11 +156,13 @@ type FaultStats struct {
 	Crashes     int `json:"crashes"`
 }
 
-// DefaultQuiesceLimit is the stall detector's threshold when a fault plan
-// is active and Config.QuiesceLimit is 0. It is far above the longest
-// legitimately quiet stretch of any protocol in the repo (idle tails of
-// chunked schedules) yet small enough
-// that a crash-stalled run fails in thousands, not millions, of steps.
+// DefaultQuiesceLimit is the stall detector's threshold, armed whenever a
+// fault plan is active: a run fails with ErrStalled after this many
+// consecutive steps in which no message was sent and nothing was
+// delivered while nodes remain live (crashed or deadlocked nodes). It is
+// far above the longest legitimately quiet stretch of any protocol in
+// the repo (idle tails of chunked schedules) yet small enough that a
+// crash-stalled run fails in thousands, not millions, of steps.
 const DefaultQuiesceLimit = 1024
 
 // DefaultMaxRounds bounds runaway protocols.
@@ -263,8 +261,10 @@ type Result struct {
 // previous round. Step reports done=true when the node has halted; halted
 // nodes are not stepped again.
 //
-// Received buffers are immutable views shared with other recipients;
-// treat them as read-only (mutating one panics). Distinct nodes may be
+// Received buffers are sealed buffers of their senders, shared with other
+// recipients: they are read-only (mutating one panics) and valid only
+// during this Step, since a sender refills its buffer two rounds after
+// staging it. Copy out what must outlive the round. Distinct nodes may be
 // stepped concurrently, so state shared between nodes outside the model's
 // messages must be read-only or synchronized.
 type Node interface {
@@ -277,16 +277,26 @@ type NodeFunc func(ctx *Ctx, in []*bits.Buffer) (bool, error)
 // Step implements Node.
 func (f NodeFunc) Step(ctx *Ctx, in []*bits.Buffer) (bool, error) { return f(ctx, in) }
 
-// Ctx is a node's handle onto the network during one round.
+// Ctx is a node's handle onto the network during one round. It owns the
+// buffers that Send and Broadcast copy the node's messages into, which
+// the node's recipients read in the next round.
 type Ctx struct {
-	id     int
-	cfg    *Config
-	rng    *rand.Rand // built by Rand on first use
-	round  int
-	out    []*bits.Buffer // staged unicast messages, indexed by destination
-	sent   []int          // destinations staged this round
-	bcast  *bits.Buffer   // staged broadcast
-	arena  bits.Arena     // per-node message arena, recycled by the engine
+	id    int
+	cfg   *Config
+	rng   *rand.Rand // built by Rand on first use
+	round int
+	out   []*bits.Buffer // staged unicast messages, indexed by destination
+	sent  []int          // destinations staged this round
+	bcast *bits.Buffer   // staged broadcast
+
+	// The node's own message buffers, which Send and Broadcast copy
+	// into: per round parity, a row carved from one slab whose buffer k
+	// carries the node's k-th Send of the round, and a broadcast buffer.
+	// A message staged in round r is read by its recipients in round
+	// r+1, so its buffer is free to refill in round r+2.
+	rows   [2][]bits.Buffer
+	bcasts [2]bits.Buffer
+
 	output interface{}
 	halted bool
 	traced bool   // a trace sink is attached; Annotate is live
@@ -320,24 +330,6 @@ func (c *Ctx) Rand() *rand.Rand {
 
 // SetOutput records the node's final (or running) output value.
 func (c *Ctx) SetOutput(v interface{}) { c.output = v }
-
-// Msg returns an empty message buffer from the node's private arena —
-// the zero-steady-state-allocation way to build messages (DESIGN.md
-// §13). The contract is stage-once: fill the buffer and Send/Broadcast
-// it within the current Step call. Staging seals it in place (no
-// copy-on-write view is allocated; later writes panic), and the engine
-// recycles struct and storage one round after delivery, once every
-// recipient's inbox slot has been cleared. Consequently recipients must
-// not retain a Msg-built message beyond the Step that delivers it —
-// protocols that stash received buffers across rounds must build those
-// messages with bits.New instead. A drawn buffer that ends up not being
-// staged may be handed back with Release (or simply dropped). Under an
-// active fault plan messages may stay in flight arbitrarily long
-// (delays, duplicates), so the engine disables recycling — Msg still
-// works, it just allocates.
-func (c *Ctx) Msg() *bits.Buffer {
-	return c.arena.Get(c.cfg.Bandwidth)
-}
 
 // checkSend validates a unicast staging against the model's constraints.
 func (c *Ctx) checkSend(dst int, msg *bits.Buffer) error {
@@ -375,21 +367,32 @@ func (c *Ctx) stage(dst int, frozen *bits.Buffer) {
 // Send stages msg for delivery to dst at the start of the next round.
 // It enforces the model's constraints: unicast only in UCAST/CONGEST, at
 // most one message per link per round, at most Bandwidth bits, and in the
-// CONGEST model dst must be a topology neighbor. The message is frozen in
-// place (no copy); the caller's buffer stays writable via copy-on-write.
+// CONGEST model dst must be a topology neighbor. The message is copied
+// into one of this node's buffers, so the caller keeps msg and may reuse
+// it at once.
 func (c *Ctx) Send(dst int, msg *bits.Buffer) error {
 	if err := c.checkSend(dst, msg); err != nil {
 		return err
 	}
-	c.stage(dst, msg.Freeze())
+	row := &c.rows[c.round&1]
+	k := len(c.sent)
+	if k == len(*row) {
+		// More Sends than this parity's row holds: move to a row twice
+		// as long (at least 32), but never longer than the N-1 messages
+		// a node can send in a round. The old row's buffers staged this
+		// round stay with their readers.
+		*row = bits.NewRow(min(max(2*k, 32), c.cfg.N-1), c.cfg.Bandwidth)
+	}
+	c.stage(dst, (*row)[k].Refill(msg))
 	return nil
 }
 
 // Broadcast stages msg for delivery to every other node next round. In the
 // UCAST model it is sugar for sending the same message on every link (as
 // the paper notes, unicast subsumes broadcast); in the BCAST model it is
-// the only way to communicate. All recipients share a single frozen view
-// of msg — staging costs O(1) copies regardless of fan-out.
+// the only way to communicate. The message is copied once, into this
+// node's broadcast buffer, which every recipient then reads, so staging
+// costs one copy regardless of fan-out; the caller keeps msg.
 func (c *Ctx) Broadcast(msg *bits.Buffer) error {
 	if c.halted {
 		return ErrAfterBarrier
@@ -403,27 +406,33 @@ func (c *Ctx) Broadcast(msg *bits.Buffer) error {
 		if c.bcast != nil {
 			return fmt.Errorf("%w: second broadcast by node %d", ErrDoubleSend, c.id)
 		}
-		c.bcast = msg.Freeze()
+		c.bcast = c.bcasts[c.round&1].Refill(msg)
 		return nil
 	case Unicast:
-		frozen := msg.Freeze()
+		// Check every link before the refill: a rejected second
+		// Broadcast must not rewrite the buffer the first one staged.
 		for dst := 0; dst < c.cfg.N; dst++ {
-			if dst == c.id {
-				continue
-			}
-			if c.out[dst] != nil {
+			if dst != c.id && c.out[dst] != nil {
 				return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, c.id, dst)
 			}
-			c.stage(dst, frozen)
+		}
+		sealed := c.bcasts[c.round&1].Refill(msg)
+		for dst := 0; dst < c.cfg.N; dst++ {
+			if dst != c.id {
+				c.stage(dst, sealed)
+			}
 		}
 		return nil
 	case Congest:
-		frozen := msg.Freeze()
-		for _, dst := range c.cfg.Topology.Neighbors(c.id) {
+		nbrs := c.cfg.Topology.Neighbors(c.id)
+		for _, dst := range nbrs {
 			if c.out[dst] != nil {
 				return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, c.id, dst)
 			}
-			c.stage(dst, frozen)
+		}
+		sealed := c.bcasts[c.round&1].Refill(msg)
+		for _, dst := range nbrs {
+			c.stage(dst, sealed)
 		}
 		return nil
 	default:
@@ -459,17 +468,6 @@ type engine struct {
 	pool      *workerPool // resident round pool; nil when workers == 1
 	round     int         // the round being stepped
 	stepSlot  func(k int) // e.stepLive, bound once so rounds allocate nothing
-
-	// Arena recycling (DESIGN.md §13): messages built via Ctx.Msg and
-	// filed this round are queued on reclaimNext; one round later — after
-	// the recipients' Step calls have run and their inbox slots are
-	// cleared — the previous round's queue (reclaim) returns them to
-	// their owners' arenas. Disabled under a fault plan, where messages
-	// can stay in flight past their delivery round.
-	reclaim     []*bits.Buffer
-	reclaimNext []*bits.Buffer
-
-	quiesce int // resolved stall-detector threshold (<= 0: disarmed)
 
 	// Fault-injection state (all nil/zero when no plan is active).
 	plan    FaultInjector
@@ -608,16 +606,6 @@ func (e *engine) deliver(round int) {
 	}
 	e.delivered = e.delivered[:0]
 
-	// Arena messages filed one round ago have now been read (the
-	// recipients' Step calls ran between the two deliver passes) and
-	// their inbox slots are cleared above — hand them back to their
-	// owners' arenas.
-	for i, b := range e.reclaim {
-		b.Recycle()
-		e.reclaim[i] = nil
-	}
-	e.reclaim = e.reclaim[:0]
-
 	// Delayed and duplicated messages due this round land first: they
 	// were on the wire before anything staged now.
 	delivered := false
@@ -642,9 +630,6 @@ func (e *engine) deliver(round int) {
 		if msg := ctx.bcast; msg != nil {
 			ctx.bcast = nil
 			sentAny = true
-			if e.plan == nil && msg.MarkReclaim() {
-				e.reclaimNext = append(e.reclaimNext, msg)
-			}
 			ln := msg.Len()
 			e.stats.TotalBits += int64(ln)
 			e.stats.NodeSentBits[i] += int64(ln)
@@ -678,11 +663,6 @@ func (e *engine) deliver(round int) {
 		for _, dst := range ctx.sent {
 			msg := ctx.out[dst]
 			ctx.out[dst] = nil
-			// A unicast-model Broadcast stages one frozen buffer once per
-			// link; MarkReclaim dedups so it is queued exactly once.
-			if e.plan == nil && msg.MarkReclaim() {
-				e.reclaimNext = append(e.reclaimNext, msg)
-			}
 			ln := msg.Len()
 			e.stats.TotalBits += int64(ln)
 			e.stats.NodeSentBits[i] += int64(ln)
@@ -717,15 +697,13 @@ func (e *engine) deliver(round int) {
 	} else {
 		e.quiet++
 	}
-
-	// Swap the reclaim queues: what was filed this round is recycled at
-	// the top of the next delivery pass.
-	e.reclaim, e.reclaimNext = e.reclaimNext, e.reclaim
 }
 
 // file routes one metered message through the fault plan (if any) and
 // into dst's inbox slot for src. It reports whether anything actually
-// landed in an inbox this round.
+// landed in an inbox this round. A message the plan delays or duplicates
+// is cloned first: it is read after its sender refills the buffer it was
+// staged in.
 func (e *engine) file(round, src, dst int, msg *bits.Buffer) bool {
 	if e.plan == nil {
 		e.inboxes[dst][src] = msg
@@ -750,6 +728,8 @@ func (e *engine) file(round, src, dst int, msg *bits.Buffer) bool {
 		cp := msg.Clone()
 		cp.FlipBit(bit)
 		msg = cp.Freeze()
+	} else if a.Delay > 0 || a.Duplicate {
+		msg = msg.Clone().Freeze()
 	}
 	if a.Duplicate {
 		e.faults.Duplicates++
@@ -798,10 +778,6 @@ func Run(cfg Config, nodes []Node) (*Result, error) {
 		maxRounds = DefaultMaxRounds
 	}
 	e := newEngine(&cfg, nodes)
-	e.quiesce = cfg.QuiesceLimit
-	if e.quiesce == 0 && e.plan != nil {
-		e.quiesce = DefaultQuiesceLimit
-	}
 	if e.workers > 1 {
 		// Resident round pool: spawned once here, parked between rounds.
 		// Width 1 (the sequential oracle) keeps pool == nil and steps
@@ -836,7 +812,7 @@ func Run(cfg Config, nodes []Node) (*Result, error) {
 		if e.traceOn {
 			e.emitTrace(step, time.Since(t0).Nanoseconds())
 		}
-		if e.quiesce > 0 && e.quiet >= e.quiesce {
+		if e.plan != nil && e.quiet >= DefaultQuiesceLimit {
 			return nil, fmt.Errorf("%w: %d live nodes at step %d", ErrStalled, len(e.live), step)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/bits"
@@ -329,6 +330,33 @@ func TestExchangeBroadcasts(t *testing.T) {
 	}
 	if res.Stats.MaxLinkBits > 3 {
 		t.Errorf("MaxLinkBits = %d exceeds bandwidth", res.Stats.MaxLinkBits)
+	}
+}
+
+// TestExchangeUnicastRejectsOversizedPayload pins ExchangeUnicast's size
+// check: a payload longer than rounds*b fails the call before anything is
+// staged, as in ExchangeBroadcasts, instead of arriving cut to its first
+// rounds*b bits.
+func TestExchangeUnicastRejectsOversizedPayload(t *testing.T) {
+	cfg := Config{N: 3, Bandwidth: 8, Model: Unicast}
+	res, err := RunProcs(cfg, func(p *Proc) error {
+		perDst := make([]*bits.Buffer, p.N())
+		if p.ID() == 0 {
+			perDst[1] = bits.New(20)
+			perDst[1].ZeroExtend(20)
+		}
+		got, err := ExchangeUnicast(p, perDst, 1)
+		if err != nil {
+			return err
+		}
+		p.SetOutput(got[0].Len())
+		return nil
+	})
+	if err == nil {
+		t.Fatalf("20-bit payload over 1 round of 8 bits accepted; node 1 received %v bits", res.Outputs[1])
+	}
+	if !strings.Contains(err.Error(), "node 0 failed in round 0: core: payload of 20 bits exceeds 1 rounds * 8 bits") {
+		t.Errorf("err = %v, want node 0's payload rejected in round 0", err)
 	}
 }
 

@@ -27,11 +27,13 @@ import (
 // `rounds` rounds, sends a Bandwidth-bit message to `fanout` pseudorandom
 // destinations and XOR-folds everything it receives. Per-node work is
 // independent, so it exposes the stepping overhead of the round loop.
-// Messages come from the node's arena (Ctx.Msg) and reads go through a
-// stack Reader, so the steady state of the loop allocates nothing.
+// Each node builds its messages in one reused buffer (Send copies it) and
+// reads through a stack Reader, so the steady state of the loop allocates
+// nothing.
 func gossipNodes(n, rounds, fanout int) []Node {
 	nodes := make([]Node, n)
 	for i := 0; i < n; i++ {
+		var m bits.Buffer
 		nodes[i] = NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
 			var acc uint64
 			var r bits.Reader
@@ -55,9 +57,9 @@ func gossipNodes(n, rounds, fanout int) []Node {
 				if dst == ctx.ID() || ctx.out[dst] != nil {
 					continue // collision with an earlier draw this round
 				}
-				m := ctx.Msg()
+				m.Reset()
 				m.WriteUint(uint64(ctx.ID())<<16^uint64(ctx.Round()+k), 32)
-				if err := ctx.Send(dst, m); err != nil {
+				if err := ctx.Send(dst, &m); err != nil {
 					return false, err
 				}
 			}
@@ -69,19 +71,20 @@ func gossipNodes(n, rounds, fanout int) []Node {
 
 // bcastNodes builds an N-node unicast protocol in which every node
 // broadcasts a Bandwidth-bit message each round — the clone-heavy shape:
-// the seed engine deep-copied each broadcast N-1 times, the zero-copy
-// engine freezes the arena buffer in place.
+// the seed engine deep-copied each broadcast N-1 times, the engine now
+// copies it once into the node's broadcast buffer.
 func bcastNodes(n, rounds int) []Node {
 	nodes := make([]Node, n)
 	for i := 0; i < n; i++ {
+		var m bits.Buffer
 		nodes[i] = NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
 			if ctx.Round() >= rounds {
 				ctx.SetOutput(ctx.Round())
 				return true, nil
 			}
-			m := ctx.Msg()
+			m.Reset()
 			m.WriteUint(uint64(ctx.ID())*31+uint64(ctx.Round()), 32)
-			return false, ctx.Broadcast(m)
+			return false, ctx.Broadcast(&m)
 		})
 	}
 	return nodes
@@ -180,10 +183,11 @@ func BenchmarkRunProcsGossip(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_, err := RunProcs(cfg, func(p *Proc) error {
+					var m bits.Buffer
 					for r := 0; r < rounds; r++ {
-						m := p.Msg()
+						m.Reset()
 						m.WriteUint(uint64(p.ID()+r), 32)
-						if err := p.Broadcast(m); err != nil {
+						if err := p.Broadcast(&m); err != nil {
 							return err
 						}
 						p.Next()

@@ -203,9 +203,10 @@ func TestWorkerPoolRace(t *testing.T) {
 	}
 }
 
-// TestZeroCopyIsolation pins the copy-on-write contract at the engine
-// level: a sender reusing (appending to) its buffer after Send/Broadcast
-// must not corrupt what recipients observe.
+// TestZeroCopyIsolation pins the isolation of zero-copy delivery from the
+// sender's buffer: recipients read the sender's sealed send buffer in
+// place, and since Send/Broadcast copy into it, a sender reusing its own
+// buffer after staging must not change what recipients observe.
 func TestZeroCopyIsolation(t *testing.T) {
 	const n = 4
 	cfg := Config{N: n, Bandwidth: 8, Model: Unicast, Seed: 1, Parallelism: 2}
@@ -240,7 +241,8 @@ func TestZeroCopyIsolation(t *testing.T) {
 }
 
 // TestReceivedBufferIsReadOnly pins the receiver-side contract: delivered
-// buffers are frozen views and writes to them panic.
+// buffers are their senders' sealed send buffers and writes to them
+// panic.
 func TestReceivedBufferIsReadOnly(t *testing.T) {
 	cfg := Config{N: 2, Bandwidth: 8, Model: Unicast, Seed: 1, Parallelism: 1}
 	_, err := RunProcs(cfg, func(p *Proc) error {

@@ -8,17 +8,19 @@ import (
 	"repro/internal/bits"
 )
 
-// Tests for the multicore scaling pass (DESIGN.md §13): arena messages,
-// the delay-fault Rounds accounting fix, and the engine's steady-state
+// Tests for the multicore scaling pass (DESIGN.md §13) and the message
+// buffers Send copies into (§3): reused message buffers, the delay-fault
+// Rounds accounting fix, late fault copies, and the engine's steady-state
 // allocation behavior.
 
-// arenaGossipNodes is gossipEquivNodes with messages drawn from the
-// node's arena (Ctx.Msg) instead of bits.New. Payloads and schedule are
-// identical, so its Results must be bit-identical to the bits.New
-// variant under every parallelism setting.
-func arenaGossipNodes(n int) []Node {
+// reusedGossipNodes is gossipEquivNodes with every node building its
+// messages in one reused buffer instead of a bits.New per message.
+// Payloads and schedule are identical, so its Results must be
+// bit-identical to the bits.New variant under every parallelism setting.
+func reusedGossipNodes(n int) []Node {
 	nodes := make([]Node, n)
 	for i := 0; i < n; i++ {
+		var m bits.Buffer
 		nodes[i] = NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
 			var acc uint64
 			var r bits.Reader
@@ -42,9 +44,9 @@ func arenaGossipNodes(n int) []Node {
 				if dst == ctx.ID() || ctx.out[dst] != nil {
 					continue
 				}
-				m := ctx.Msg()
+				m.Reset()
 				m.WriteUint(uint64(ctx.ID()*131071+ctx.Round()*8191+k)&0xFFFFFF, 24)
-				if err := ctx.Send(dst, m); err != nil {
+				if err := ctx.Send(dst, &m); err != nil {
 					return false, err
 				}
 			}
@@ -54,27 +56,29 @@ func arenaGossipNodes(n int) []Node {
 	return nodes
 }
 
-// TestArenaMessagesMatchOracle pins the arena path against both oracles:
-// the bits.New variant of the same protocol (allocation strategy must
-// not leak into Results) and the sequential engine (parallelism must
-// not either), including broadcasts, whose shared buffer exercises the
-// MarkReclaim dedup.
-func TestArenaMessagesMatchOracle(t *testing.T) {
+// TestReusedMessageBufferMatchesOracle pins the copy at Send against
+// both oracles: the bits.New variant of the same protocol (a sender
+// reusing its buffer must not leak into Results) and the sequential
+// engine (parallelism must not either), including broadcasts, whose
+// broadcast buffer is filed N-1 times per round and refilled every
+// other round.
+func TestReusedMessageBufferMatchesOracle(t *testing.T) {
 	const n = 48
 	oracle := runGossipEquiv(t, n, 1) // bits.New, sequential
 	for _, p := range []int{1, 0, 2, 8, 64} {
 		cfg := Config{N: n, Bandwidth: 24, Model: Unicast, Seed: 42, Parallelism: p}
-		res, err := Run(cfg, arenaGossipNodes(n))
+		res, err := Run(cfg, reusedGossipNodes(n))
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}
-		requireIdentical(t, oracle, res, fmt.Sprintf("arena gossip p=%d", p))
+		requireIdentical(t, oracle, res, fmt.Sprintf("reused gossip p=%d", p))
 	}
 
-	// Broadcast fan-out: one arena buffer filed N-1 times per round.
-	run := func(par int, arena bool) *Result {
+	// Broadcast fan-out: one broadcast buffer filed N-1 times per round.
+	run := func(par int, reuse bool) *Result {
 		nodes := make([]Node, 16)
 		for i := range nodes {
+			var reused bits.Buffer
 			nodes[i] = NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
 				var sum uint64
 				var r bits.Reader
@@ -94,8 +98,9 @@ func TestArenaMessagesMatchOracle(t *testing.T) {
 					return true, nil
 				}
 				var m *bits.Buffer
-				if arena {
-					m = ctx.Msg()
+				if reuse {
+					reused.Reset()
+					m = &reused
 				} else {
 					m = bits.New(16)
 				}
@@ -106,13 +111,13 @@ func TestArenaMessagesMatchOracle(t *testing.T) {
 		cfg := Config{N: 16, Bandwidth: 16, Model: Unicast, Seed: 8, Parallelism: par}
 		res, err := Run(cfg, nodes)
 		if err != nil {
-			t.Fatalf("bcast par=%d arena=%v: %v", par, arena, err)
+			t.Fatalf("bcast par=%d reuse=%v: %v", par, reuse, err)
 		}
 		return res
 	}
 	bcastOracle := run(1, false)
 	for _, p := range []int{1, 0, 4} {
-		requireIdentical(t, bcastOracle, run(p, true), fmt.Sprintf("arena bcast p=%d", p))
+		requireIdentical(t, bcastOracle, run(p, true), fmt.Sprintf("reused bcast p=%d", p))
 	}
 }
 
@@ -127,6 +132,80 @@ func (p delayPlan) OnMessage(round, src, dst, nbits int) FaultAction {
 	return FaultAction{}
 }
 func (delayPlan) CrashRound(int) int { return -1 }
+
+// idlePlan is a fault plan that never acts: it puts a run on the
+// engine's fault path (and arms the stall detector) on a clean channel.
+type idlePlan struct{}
+
+func (idlePlan) OnMessage(round, src, dst, nbits int) FaultAction { return FaultAction{} }
+func (idlePlan) CrashRound(int) int                               { return -1 }
+
+// lateCopyPlan delays every message sent in a round ≡ 0 (mod 4) by three
+// rounds and duplicates every one sent in a round ≡ 1 (mod 4) three
+// rounds late; the rest it delivers on time.
+type lateCopyPlan struct{}
+
+func (lateCopyPlan) OnMessage(round, src, dst, nbits int) FaultAction {
+	switch round % 4 {
+	case 0:
+		return FaultAction{Delay: 3}
+	case 1:
+		return FaultAction{Duplicate: true, DupDelay: 3}
+	}
+	return FaultAction{}
+}
+func (lateCopyPlan) CrashRound(int) int { return -1 }
+
+// TestLateCopiesKeepTheirBits pins the clone of a late copy in
+// engine.file: node 0 sends its round number to node 1 every round from
+// one reused buffer, and the engine refills node 0's send buffer two
+// rounds after staging it, while lateCopyPlan holds delayed and
+// duplicated copies for three. Every message node 1 reads must be one the
+// plan delivers in that round: the previous round's on-time message, or
+// a late copy that still carries the bits it was sent with.
+func TestLateCopiesKeepTheirBits(t *testing.T) {
+	const rounds = 24
+	for _, par := range []int{1, 4} {
+		var delayed, duplicated int // late copies node 1 read
+		var m bits.Buffer
+		nodes := []Node{
+			NodeFunc(func(ctx *Ctx, _ []*bits.Buffer) (bool, error) {
+				m.Reset()
+				m.WriteUint(uint64(ctx.Round()), 16)
+				return ctx.Round() == rounds-1, ctx.Send(1, &m)
+			}),
+			NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
+				if in[0] != nil {
+					v, err := bits.NewReader(in[0]).ReadUint(16)
+					if err != nil {
+						return false, err
+					}
+					sent, filed := int(v), ctx.Round()-1
+					a := lateCopyPlan{}.OnMessage(sent, 0, 1, 16)
+					switch {
+					case a.Delay == 0 && sent == filed:
+					case a.Delay > 0 && sent+a.Delay == filed:
+						delayed++
+					case a.Duplicate && sent+a.DupDelay == filed:
+						duplicated++
+					default:
+						return false, fmt.Errorf("round %d read the bits sent in round %d, which the plan does not deliver then", ctx.Round(), sent)
+					}
+				}
+				return ctx.Round() >= rounds+4, nil
+			}),
+		}
+		cfg := Config{N: 2, Bandwidth: 16, Model: Unicast, Seed: 1, Parallelism: par, FaultPlan: lateCopyPlan{}}
+		res, err := Run(cfg, nodes)
+		if err != nil {
+			t.Fatalf("p=%d: %v", par, err)
+		}
+		t.Logf("p=%d: %d delayed and %d duplicated copies read; %+v", par, delayed, duplicated, *res.Faults)
+		if delayed == 0 || duplicated == 0 {
+			t.Errorf("p=%d: read %d delayed and %d duplicated copies, want some of each", par, delayed, duplicated)
+		}
+	}
+}
 
 // TestDelayOnlyRoundCounted pins the Stats.Rounds accounting fix: a
 // round in which the only traffic is a fault-delayed message landing in
@@ -188,9 +267,9 @@ func TestDelayOnlyRoundCounted(t *testing.T) {
 	}
 }
 
-// TestAllocRegressionEngine pins the arena claim: once warm, the round
-// loop allocates nothing per round, so total allocations are (nearly)
-// independent of how many rounds a protocol runs. It covers both
+// TestAllocRegressionEngine pins the send-buffer claim: once warm, the
+// round loop allocates nothing per round, so total allocations are
+// (nearly) independent of how many rounds a protocol runs. It covers both
 // programming surfaces: Node steps through Run, and Proc bodies through
 // RunProcs, whose per-round coroutine switch must not allocate either,
 // at the sequential width and under the worker pool, whose per-round
@@ -231,11 +310,12 @@ func TestAllocRegressionEngine(t *testing.T) {
 					t.Logf("allocs: 10 rounds %.0f, 50 rounds %.0f (%.2f/extra round)", short, long, perRound)
 					// Steady state adds ~0 allocs/round; the slack covers
 					// the occasional slice regrowth. One closure per round
-					// (the step function) reads 1.00, and anything per
-					// message (the pre-arena engine paid ~4 allocs per
-					// message) far more.
+					// (the step function) reads 1.00, buffers grown one per
+					// new link 11-25, and anything per message (the
+					// copy-on-write engine paid ~4 allocs per message) far
+					// more.
 					if perRound > 0.5 {
-						t.Errorf("engine allocates %.2f/round in steady state, want ~0 (arena regression)", perRound)
+						t.Errorf("engine allocates %.2f/round in steady state, want ~0 (send-buffer regression)", perRound)
 					}
 				})
 			}

@@ -27,30 +27,24 @@ func ChunkRounds(maxBits, b int) int {
 //
 // The entry of a source that sent nothing is nil; read entries through
 // the nil-safe bits.NewReader, Len or DecodeAdjacencyRow. A single-round
-// exchange broadcasts a frozen view of the payload (of a copy, for an
-// arena payload) and returns the views delivered to this node: they are
-// shared with the other recipients and read-only, but never arena
-// buffers, so a caller may keep them. A multi-round exchange cuts its
-// chunks into arena buffers (Ctx.Msg) and reassembles each sending
-// source into one pool buffer (bits.Get).
+// exchange returns the buffers delivered to this node: they are read-only
+// and, like every received buffer, valid only until the node's next round
+// (see Node), so read them before the next exchange or Next. A
+// multi-round exchange cuts its chunks into one reused scratch buffer
+// (Broadcast copies each) and reassembles each sending source into one
+// pool buffer (bits.Get), which the caller may keep or Release.
 //
 // The returned slice belongs to the Proc and is valid until the node's
-// next ExchangeBroadcasts or ExchangeUnicast call, which reuses it; the
-// buffers in it stay the caller's, so copy out the entries to keep one
-// past that call.
+// next ExchangeBroadcasts or ExchangeUnicast call, which reuses it; copy
+// out the entries to keep one past that call.
 func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buffer, error) {
-	if payload.Len() > rounds*p.Bandwidth() {
-		return nil, fmt.Errorf("core: payload of %d bits exceeds %d rounds * %d bits",
-			payload.Len(), rounds, p.Bandwidth())
+	if err := checkPayload(p, payload, rounds); err != nil {
+		return nil, err
 	}
 	x := p.exchange(rounds)
 	if rounds == 1 {
 		if payload.Len() > 0 {
-			msg := payload
-			if msg.FromArena() {
-				msg = msg.Clone() // the engine recycles a sealed arena buffer
-			}
-			if err := p.Broadcast(msg); err != nil {
+			if err := p.Broadcast(payload); err != nil {
 				return nil, err
 			}
 		}
@@ -70,8 +64,9 @@ func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buff
 // ExchangeUnicast sends perDst[d] (nil = nothing) to each d over exactly
 // `rounds` rounds, chunked at the bandwidth, and returns the buffers
 // received, indexed by source (nil = nothing arrived). Every node must
-// call it simultaneously with the same round count. The staged buffers
-// are copied at chunking time, so the caller may Release them afterwards;
+// call it simultaneously with the same round count, and each payload must
+// fit in rounds*b bits. Each chunk is cut into one reused scratch buffer
+// and copied by Send, so the caller may Release its payloads afterwards;
 // the returned buffers are drawn from the bits pool and may likewise be
 // Released once consumed. The engine drives the rounds (Proc.Rounds).
 //
@@ -79,6 +74,11 @@ func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buff
 // is valid until the node's next ExchangeBroadcasts or ExchangeUnicast
 // call; the buffers in it stay the caller's.
 func ExchangeUnicast(p *Proc, perDst []*bits.Buffer, rounds int) ([]*bits.Buffer, error) {
+	for _, buf := range perDst {
+		if err := checkPayload(p, buf, rounds); err != nil {
+			return nil, err
+		}
+	}
 	x := p.exchange(rounds)
 	for d, buf := range perDst {
 		if buf.Len() > 0 {
@@ -94,10 +94,21 @@ func ExchangeUnicast(p *Proc, perDst []*bits.Buffer, rounds int) ([]*bits.Buffer
 	return x.acc, nil
 }
 
+// checkPayload rejects a payload that does not fit in `rounds` rounds of
+// the node's bandwidth.
+func checkPayload(p *Proc, payload *bits.Buffer, rounds int) error {
+	if payload.Len() > rounds*p.Bandwidth() {
+		return fmt.Errorf("core: payload of %d bits exceeds %d rounds * %d bits",
+			payload.Len(), rounds, p.Bandwidth())
+	}
+	return nil
+}
+
 // exchangeState is what ExchangeBroadcasts and ExchangeUnicast keep on a
 // Proc across calls: the accumulator they return, the payloads of the
-// call in progress, and the Proc.Rounds callbacks, bound once per Proc,
-// so a call allocates neither a closure nor an accumulator.
+// call in progress, the chunk scratch and the Proc.Rounds callbacks,
+// bound once per Proc, so a call allocates neither a closure nor an
+// accumulator.
 type exchangeState struct {
 	acc    []*bits.Buffer // received payloads by source; the return value
 	rounds int            // round count of the call in progress
@@ -105,6 +116,7 @@ type exchangeState struct {
 	payload *bits.Buffer   // ExchangeBroadcasts' payload
 	perDst  []*bits.Buffer // ExchangeUnicast's payloads by destination
 	live    []int          // ascending destinations with bits left to send
+	chunk   bits.Buffer    // the chunk being staged; Send and Broadcast copy it
 
 	stageBroadcast, stageUnicast func(r int) error
 	recv                         func(r int, in []*bits.Buffer) error
@@ -117,19 +129,15 @@ func (p *Proc) exchange(rounds int) *exchangeState {
 	if x == nil {
 		x = &exchangeState{acc: make([]*bits.Buffer, p.N())}
 		x.stageBroadcast = func(r int) error {
-			// Chunks are cut on the fly into arena buffers (Ctx.Msg):
-			// staged in the same Step, sealed by Broadcast/Send, recycled
-			// by the engine one round after delivery — never Released by
-			// the sender.
 			off := r * p.Bandwidth()
 			if off >= x.payload.Len() {
 				return nil
 			}
-			chunk := p.Msg()
-			if err := chunk.AppendRange(x.payload, off, min(off+p.Bandwidth(), x.payload.Len())); err != nil {
+			x.chunk.Reset()
+			if err := x.chunk.AppendRange(x.payload, off, min(off+p.Bandwidth(), x.payload.Len())); err != nil {
 				return err
 			}
-			return p.Broadcast(chunk)
+			return p.Broadcast(&x.chunk)
 		}
 		x.stageUnicast = func(r int) error {
 			b := p.Bandwidth()
@@ -137,13 +145,11 @@ func (p *Proc) exchange(rounds int) *exchangeState {
 			live := x.live[:0]
 			for _, d := range x.live {
 				buf := x.perDst[d]
-				chunk := p.Msg()
-				if err := chunk.AppendRange(buf, off, min(off+b, buf.Len())); err != nil {
-					chunk.Release()
+				x.chunk.Reset()
+				if err := x.chunk.AppendRange(buf, off, min(off+b, buf.Len())); err != nil {
 					return err
 				}
-				if err := p.Send(d, chunk); err != nil {
-					chunk.Release()
+				if err := p.Send(d, &x.chunk); err != nil {
 					return err
 				}
 				if off+b < buf.Len() {

@@ -24,8 +24,9 @@ import (
 // distinct nodes may run truly concurrently within a round, so any state
 // a body shares with other bodies outside the model's messages must be
 // read-only or synchronized (see routing.Router for the canonical
-// pattern). Received buffers are frozen views shared with other
-// recipients; treat them as read-only.
+// pattern). Received buffers are read-only and valid only until the
+// body's next round, when their senders may refill them (see Node): read
+// or copy them out before calling Next or Rounds again.
 //
 // A body that panics fails its node with a "core: node body panic" error
 // carrying the panic value and stack; the panic never reaches the engine.
@@ -75,12 +76,6 @@ func (p *Proc) Round() int { return p.ctx.Round() }
 // SetOutput records the node's output value.
 func (p *Proc) SetOutput(v interface{}) { p.ctx.SetOutput(v) }
 
-// Msg returns an empty message buffer from the node's private arena; see
-// Ctx.Msg for the stage-once contract and recycling lifecycle. Safe here
-// because a Proc body runs only inside its step window, bounded by the
-// round barrier.
-func (p *Proc) Msg() *bits.Buffer { return p.ctx.Msg() }
-
 // Annotate stamps a phase marker into the run's trace; see Ctx.Annotate.
 func (p *Proc) Annotate(name string) { p.ctx.Annotate(name) }
 
@@ -90,10 +85,11 @@ func (p *Proc) Annotatef(format string, args ...interface{}) { p.ctx.Annotatef(f
 // Traced reports whether the run has a trace sink attached.
 func (p *Proc) Traced() bool { return p.ctx.Traced() }
 
-// Send stages a unicast message for the current round.
+// Send stages a copy of msg for dst in the current round; see Ctx.Send.
 func (p *Proc) Send(dst int, msg *bits.Buffer) error { return p.ctx.Send(dst, msg) }
 
-// Broadcast stages a broadcast message for the current round.
+// Broadcast stages a copy of msg for every other node in the current
+// round; see Ctx.Broadcast.
 func (p *Proc) Broadcast(msg *bits.Buffer) error { return p.ctx.Broadcast(msg) }
 
 // Next commits the staged messages, waits for the round barrier, and

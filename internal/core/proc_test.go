@@ -67,10 +67,11 @@ func TestProcGoroutinesJoined(t *testing.T) {
 					}
 					return errors.New("boom")
 				}
+				var m bits.Buffer
 				return p.Rounds(100, func(r int) error {
-					m := p.Msg()
+					m.Reset()
 					m.WriteUint(uint64(r), 8)
-					return p.Send((p.ID()+1)%p.N(), m)
+					return p.Send((p.ID()+1)%p.N(), &m)
 				}, nil)
 			},
 			wantErr: func(err error) bool { return strings.Contains(err.Error(), "node 2") },
@@ -90,10 +91,11 @@ func TestProcGoroutinesJoined(t *testing.T) {
 			name: "round-limited",
 			cfg:  Config{N: n, Bandwidth: 8, Model: Unicast, MaxRounds: 6},
 			body: func(p *Proc) error {
+				var m bits.Buffer
 				for {
-					m := p.Msg()
+					m.Reset()
 					m.WriteUint(uint64(p.ID()), 8)
-					if err := p.Broadcast(m); err != nil {
+					if err := p.Broadcast(&m); err != nil {
 						return err
 					}
 					p.Next()
@@ -103,7 +105,7 @@ func TestProcGoroutinesJoined(t *testing.T) {
 		},
 		{
 			name: "stalled",
-			cfg:  Config{N: n, Bandwidth: 8, Model: Unicast, QuiesceLimit: 8},
+			cfg:  Config{N: n, Bandwidth: 8, Model: Unicast, FaultPlan: idlePlan{}},
 			body: func(p *Proc) error {
 				for {
 					p.Next()
@@ -160,13 +162,14 @@ func TestProcBodyPanic(t *testing.T) {
 					}
 				}()
 				_, err = RunProcs(cfg, func(p *Proc) error {
+					var m bits.Buffer
 					for r := 0; r < 10; r++ {
 						if p.ID() == 3 && p.Round() == 3 {
 							panic("boom at round 3")
 						}
-						m := p.Msg()
+						m.Reset()
 						m.WriteUint(uint64(p.Round()), 8)
-						if err := p.Broadcast(m); err != nil {
+						if err := p.Broadcast(&m); err != nil {
 							return err
 						}
 						p.Next()
@@ -196,22 +199,24 @@ func TestProcBodyPanic(t *testing.T) {
 }
 
 // procGossipBody is gossipNodes as a Proc body: for `rounds` rounds each
-// node sends arena messages to `fanout` pseudorandom destinations, then
-// XOR-folds its inbox through a stack Reader. Once warm, a round of it
-// allocates nothing, so it isolates the cost of the Proc barrier itself.
+// node sends messages built in one reused buffer to `fanout` pseudorandom
+// destinations, then XOR-folds its inbox through a stack Reader. Once
+// warm, a round of it allocates nothing, so it isolates the cost of the
+// Proc barrier itself.
 func procGossipBody(rounds, fanout int) func(*Proc) error {
 	return func(p *Proc) error {
 		var acc uint64
 		var rd bits.Reader
+		var m bits.Buffer
 		for r := 0; r < rounds; r++ {
 			for k := 0; k < fanout; k++ {
 				dst := p.Rand().Intn(p.N())
 				if dst == p.ID() || p.ctx.out[dst] != nil {
 					continue
 				}
-				m := p.Msg()
+				m.Reset()
 				m.WriteUint(uint64(p.ID())<<16^uint64(r+k), 32)
-				if err := p.Send(dst, m); err != nil {
+				if err := p.Send(dst, &m); err != nil {
 					return err
 				}
 			}

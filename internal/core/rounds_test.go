@@ -65,12 +65,14 @@ func (hashFaultPlan) CrashRound(id int) int {
 // scheduleBody runs a sequence of fixed schedules through `run`, with a
 // data-dependent Next between them so nodes enter and leave their
 // schedules in different steps. Schedules of length 0 and 1, nil
-// callbacks and per-node lengths are all covered. Stage sends arena
-// messages (a broadcast in the Broadcast model, two unicasts otherwise)
-// and stamps a trace mark; recv folds every delivery into the output.
+// callbacks and per-node lengths are all covered. Stage sends messages
+// built in one reused buffer (a broadcast in the Broadcast model, two
+// unicasts otherwise) and stamps a trace mark; recv folds every delivery
+// into the output.
 func scheduleBody(run roundsFunc) func(*Proc) error {
 	return func(p *Proc) error {
 		h := uint64(p.ID()) + 1
+		var m bits.Buffer
 		recv := func(r int, in []*bits.Buffer) error {
 			for src, msg := range in {
 				if msg == nil {
@@ -90,14 +92,14 @@ func scheduleBody(run roundsFunc) func(*Proc) error {
 					p.Annotatef("phase %d", phase)
 				}
 				if p.Model() == Broadcast {
-					m := p.Msg()
+					m.Reset()
 					m.WriteUint((h^uint64(r))&0xFFFF, 16)
-					return p.Broadcast(m)
+					return p.Broadcast(&m)
 				}
 				for k := 1; k <= 2; k++ {
-					m := p.Msg()
+					m.Reset()
 					m.WriteUint((h+uint64(k*r))&0xFFFF, 16)
-					if err := p.Send((p.ID()+k+r)%p.N(), m); err != nil {
+					if err := p.Send((p.ID()+k+r)%p.N(), &m); err != nil {
 						return err
 					}
 				}
@@ -181,10 +183,11 @@ func failingBody(run roundsFunc, inRecv bool, k int) func(*Proc) error {
 			}
 			return nil
 		}
+		var m bits.Buffer
 		stage := func(r int) error {
-			m := p.Msg()
+			m.Reset()
 			m.WriteUint(uint64(r), 8)
-			if err := p.Broadcast(m); err != nil {
+			if err := p.Broadcast(&m); err != nil {
 				return err
 			}
 			if !inRecv {
@@ -375,9 +378,9 @@ func interleaveBody(p *Proc) error {
 		multi = append([]*bits.Buffer(nil), multi...)
 		keptMulti := fold(multi)
 
-		m := p.Msg()
+		var m bits.Buffer
 		m.WriteUint(uint64(me*8+k), 16)
-		if err := p.Send((me+1+k)%n, m); err != nil {
+		if err := p.Send((me+1+k)%n, &m); err != nil {
 			return err
 		}
 		fold(p.Next())
@@ -530,13 +533,17 @@ func unicastCall(nbits int) func(p *Proc) func() error {
 
 // TestAllocRegressionExchange is the allocation gate of the exchange
 // helpers. A single-round ExchangeBroadcasts hands back the delivered
-// frozen views, so its per-node cost does not grow with n (a copy per
-// source made it 21 objects at n=8 and 69 at n=32). A multi-round
+// buffers themselves, so its per-node cost does not grow with n (a copy
+// per source made it 21 objects at n=8 and 69 at n=32). A multi-round
 // ExchangeBroadcasts and an ExchangeUnicast run on their Proc's exchange
 // state: a call costs only the copy of the node's own payload (the
 // broadcast) or nothing (the unicast), at every n and round count,
 // beyond the received buffers the caller releases. (A per-call
 // accumulator and two Rounds closures made them 5 and 3 objects.) A
+// chunked ExchangeUnicast under a fault plan that never acts allocates
+// nothing per extra round either: its chunks go through the same link
+// buffers as on a clean channel (message arenas that stopped recycling
+// under a fault plan cost 64 objects per extra round on that shape). A
 // body that spends its rounds inside Rounds allocates nothing per extra
 // round. Matches the CI alloc-regression pattern (-run AllocRegression).
 // Under the race detector sync.Pool drops a quarter of its Puts, so the
@@ -571,6 +578,13 @@ func TestAllocRegressionExchange(t *testing.T) {
 				t.Errorf("%s: %.3f objects per extra round per node, want ~0", c.name, perRound)
 			}
 		}
+		short := testing.AllocsPerRun(5, faultedUnicastRun(t, 64))
+		long := testing.AllocsPerRun(5, faultedUnicastRun(t, 320))
+		perRound := (long - short) / 16
+		t.Logf("faulted ExchangeUnicast: 4 rounds %.0f allocs, 20 rounds %.0f (%.2f/extra round)", short, long, perRound)
+		if perRound > 0.05 {
+			t.Errorf("faulted ExchangeUnicast allocates %.2f objects per extra round, want ~0", perRound)
+		}
 	}
 	for _, par := range []int{1, 4} {
 		run := func(rounds int) func() {
@@ -591,16 +605,45 @@ func TestAllocRegressionExchange(t *testing.T) {
 	}
 }
 
+// faultedUnicastRun is one run of 16 nodes under idlePlan in which every
+// node sends an nbits-bit payload to each of its next two nodes with one
+// ExchangeUnicast, chunked at b = 16, and releases what it received.
+func faultedUnicastRun(t *testing.T, nbits int) func() {
+	return func() {
+		cfg := Config{N: 16, Bandwidth: 16, Model: Unicast, Seed: 1, Parallelism: 1, FaultPlan: idlePlan{}}
+		_, err := RunProcs(cfg, func(p *Proc) error {
+			perDst := make([]*bits.Buffer, p.N())
+			for k := 1; k <= 2; k++ {
+				d := (p.ID() + k) % p.N()
+				perDst[d] = bits.New(nbits)
+				perDst[d].ZeroExtend(nbits)
+			}
+			got, err := ExchangeUnicast(p, perDst, ChunkRounds(nbits, p.Bandwidth()))
+			if err != nil {
+				return err
+			}
+			for _, b := range got {
+				b.Release()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // roundsRingBody spends `rounds` rounds inside one Rounds schedule: each
-// round every node sends an arena message one hop further round the
-// ring and XOR-folds its inbox.
+// round every node sends a message, built in one reused buffer, one hop
+// further round the ring and XOR-folds its inbox.
 func roundsRingBody(rounds int) func(*Proc) error {
 	return func(p *Proc) error {
 		var acc uint64
+		var m bits.Buffer
 		err := p.Rounds(rounds, func(r int) error {
-			m := p.Msg()
+			m.Reset()
 			m.WriteUint(uint64(p.ID()+r), 32)
-			return p.Send((p.ID()+1+r%(p.N()-1))%p.N(), m)
+			return p.Send((p.ID()+1+r%(p.N()-1))%p.N(), &m)
 		}, func(_ int, in []*bits.Buffer) error {
 			for _, msg := range in {
 				if msg == nil {

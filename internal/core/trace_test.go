@@ -143,7 +143,7 @@ func TestTracedMatchesUntracedExact(t *testing.T) {
 	const n = 48
 	run := func(par int, sink Sink) *Result {
 		cfg := Config{N: n, Bandwidth: 24, Model: Unicast, Seed: 42, Parallelism: par, Sink: sink}
-		res, err := Run(cfg, arenaGossipNodes(n))
+		res, err := Run(cfg, reusedGossipNodes(n))
 		if err != nil {
 			t.Fatalf("par=%d traced=%v: %v", par, sink != nil, err)
 		}
@@ -179,6 +179,7 @@ func TestTraceMergeOrderParallel(t *testing.T) {
 	build := func() []Node {
 		nodes := make([]Node, n)
 		for i := range nodes {
+			var m bits.Buffer
 			nodes[i] = NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
 				ctx.Annotatef("enter:%d", ctx.ID())
 				ctx.Annotate("work")
@@ -186,9 +187,9 @@ func TestTraceMergeOrderParallel(t *testing.T) {
 					ctx.SetOutput(ctx.ID())
 					return true, nil
 				}
-				m := ctx.Msg()
+				m.Reset()
 				m.WriteUint(uint64(ctx.ID()), 8)
-				return false, ctx.Send((ctx.ID()+1)%n, m)
+				return false, ctx.Send((ctx.ID()+1)%n, &m)
 			})
 		}
 		return nodes

@@ -205,8 +205,9 @@ func TestFaultStatsCounting(t *testing.T) {
 	}
 }
 
-// TestStallDetection: a node waiting on a crashed peer trips ErrStalled
-// instead of spinning to the round limit.
+// TestStallDetection: a node waiting on a crashed peer trips ErrStalled,
+// which the fault plan arms at DefaultQuiesceLimit, instead of spinning
+// to the round limit.
 func TestStallDetection(t *testing.T) {
 	n := 4
 	nodes := make([]core.Node, n)
@@ -224,12 +225,11 @@ func TestStallDetection(t *testing.T) {
 		})
 	}
 	_, err := core.Run(core.Config{
-		N:            n,
-		Bandwidth:    8,
-		Model:        core.Unicast,
-		Seed:         1,
-		QuiesceLimit: 64,
-		FaultPlan:    New(Spec{Crash: 1, CrashBy: 1}, 1),
+		N:         n,
+		Bandwidth: 8,
+		Model:     core.Unicast,
+		Seed:      1,
+		FaultPlan: New(Spec{Crash: 1, CrashBy: 1}, 1),
 	}, nodes)
 	if !errors.Is(err, core.ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)

@@ -21,6 +21,7 @@ func gossipNodes(n, rounds, fanout int) []core.Node {
 	nodes := make([]core.Node, n)
 	for i := 0; i < n; i++ {
 		id := i
+		var m bits.Buffer
 		nodes[i] = core.NodeFunc(func(ctx *core.Ctx, in []*bits.Buffer) (bool, error) {
 			if id == 0 {
 				switch ctx.Round() {
@@ -31,11 +32,11 @@ func gossipNodes(n, rounds, fanout int) []core.Node {
 				}
 			}
 			var acc uint64
-			for _, m := range in {
-				if m == nil {
+			for _, msg := range in {
+				if msg == nil {
 					continue
 				}
-				v, err := bits.NewReader(m).ReadUint(24)
+				v, err := bits.NewReader(msg).ReadUint(24)
 				if err != nil {
 					return false, err
 				}
@@ -50,9 +51,9 @@ func gossipNodes(n, rounds, fanout int) []core.Node {
 				if dst == id {
 					continue
 				}
-				m := ctx.Msg()
+				m.Reset()
 				m.WriteUint(uint64(id*131+ctx.Round()*31+k)&0xFFFFFF, 24)
-				if err := ctx.Send(dst, m); err != nil {
+				if err := ctx.Send(dst, &m); err != nil {
 					return false, err
 				}
 			}

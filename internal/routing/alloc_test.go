@@ -42,9 +42,10 @@ func routeChunkedOnce(tb testing.TB, n, bandwidth, payloadBits int) {
 	}
 }
 
-// TestAllocRegressionRouting pins ExchangeUnicast's arena migration:
-// chunk buffers come from Ctx.Msg, so streaming more chunks per message
-// must not add per-chunk allocations. Same two-scale shape as the
+// TestAllocRegressionRouting pins ExchangeUnicast's chunk sender: each
+// chunk is cut into one reused scratch buffer that Send copies into one
+// of the sender's own buffers, so streaming more chunks per message must
+// not add per-chunk allocations. Same two-scale shape as the
 // engine's TestAllocRegressionEngine — the fixed epoch setup cancels in
 // the delta, leaving the per-extra-chunk cost. Matches the CI
 // alloc-regression pattern (-run AllocRegression).
@@ -59,10 +60,10 @@ func TestAllocRegressionRouting(t *testing.T) {
 	t.Logf("allocs: 1-chunk %.0f, 9-chunk %.0f (%.1f/extra chunk round)", short, long, perChunkRound)
 	// The pooled-buffer sender paid ~2 allocs per relay send (frozen
 	// view + pool churn) — hundreds per extra chunk round on this shape.
-	// The arena sender pays ~0; allow slack for buffer regrowth on the
+	// The scratch chunk pays ~0; allow slack for buffer regrowth on the
 	// receive side.
 	if perChunkRound > 40 {
-		t.Errorf("routing allocates %.1f per extra chunk round, want ~0 (arena regression)", perChunkRound)
+		t.Errorf("routing allocates %.1f per extra chunk round, want ~0 (chunk-sender regression)", perChunkRound)
 	}
 }
 

@@ -674,19 +674,20 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 			a.ZeroExtend(shipBits)
 			acc[l] = a
 		}
+		var chunk bits.Buffer // one scratch for every round: Send copies it
 		err := p.Rounds(rounds, func(r int) error {
-			// An arena chunk (Ctx.Msg) is safe: the winner ORs it into
-			// its stream in the round it arrives and keeps no reference.
 			off := r * b
 			if stream == nil || off >= stream.Len() {
 				return nil
 			}
-			chunk := p.Msg()
+			chunk.Reset()
 			if err := chunk.AppendRange(stream, off, min(off+b, stream.Len())); err != nil {
 				return err
 			}
-			return p.Send(comp[me], chunk)
+			return p.Send(comp[me], &chunk)
 		}, func(r int, in []*bits.Buffer) error {
+			// Each chunk is ORed into its stream in the round it arrives,
+			// while the received buffer is still valid.
 			for _, l := range myLosers {
 				if msg := in[l]; msg != nil && r*b+msg.Len() <= shipBits {
 					if err := acc[l].OrRange(msg, 0, msg.Len(), r*b); err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/graph"
 )
 
@@ -190,35 +191,58 @@ var raceDetector bool
 // width and under the worker pool. The budgets sit about 25% above the
 // readings with pooled stacks and records, the per-Proc exchange state
 // and hoisted phase scratch (2.4k, 4.6k and 5.7k); before them the same
-// runs read 5.9k, 11.9k and 36.9k objects. Matches the CI
-// alloc-regression pattern (-run AllocRegression). Under the race
-// detector sync.Pool drops a quarter of its Puts, so the gate skips
-// there.
+// runs read 5.9k, 11.9k and 36.9k objects, and with messages copied at
+// Send they read 2.3k, 2.6k and 3.5k. The framed aggregations
+// (ConnectedComponents with DirectFramedAgg and LenzenFramedAgg) are
+// gated too, on a clean channel and under drop=0.01,corrupt=0.005 (CI's
+// fault slice and perfbench's fleet-faults spec), where this seed's runs
+// end detected. Their budgets sit about 25% above the readings with
+// messages copied into the sender's buffers at Send (27.7k and 29.3k
+// clean, 19.0k and 22.5k faulted); message arenas that stopped
+// recycling under a fault plan read 27.5k, 31.2k, 25.7k and 36.9k.
+// Matches the CI alloc-regression pattern (-run AllocRegression). Under
+// the race detector sync.Pool drops a quarter of its Puts, so the gate
+// skips there.
 func TestAllocRegressionSketchRun(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	g := graph.ComponentsGnp(24, 2, 0.25, rand.New(rand.NewSource(24)))
 	wg := graph.WeightedFromSeed(g, 24, 4)
+	faults := fault.Spec{Drop: 0.01, Corrupt: 0.005}.Factory()
 	for _, tc := range []struct {
 		name   string
 		budget float64
+		faults func(seed int64) core.FaultInjector // nil: a clean channel
 		run    func(env core.Env) (*CCResult, error)
 	}{
-		{"cc-direct", 3000, func(env core.Env) (*CCResult, error) { return ConnectedComponents(env, g, DirectAgg, 32, 5) }},
-		{"forest-lenzen", 5800, func(env core.Env) (*CCResult, error) { return SpanningForest(env, g, LenzenAgg, 32, 5) }},
-		{"mst-lenzen", 7200, func(env core.Env) (*CCResult, error) { return MST(env, wg, 4, LenzenAgg, 32, 5) }},
+		{"cc-direct", 3000, nil, func(env core.Env) (*CCResult, error) { return ConnectedComponents(env, g, DirectAgg, 32, 5) }},
+		{"forest-lenzen", 5800, nil, func(env core.Env) (*CCResult, error) { return SpanningForest(env, g, LenzenAgg, 32, 5) }},
+		{"mst-lenzen", 7200, nil, func(env core.Env) (*CCResult, error) { return MST(env, wg, 4, LenzenAgg, 32, 5) }},
+		{"cc-direct-framed", 34600, nil, func(env core.Env) (*CCResult, error) {
+			return ConnectedComponents(env, g, DirectFramedAgg, 32, 5)
+		}},
+		{"cc-lenzen-framed", 36600, nil, func(env core.Env) (*CCResult, error) {
+			return ConnectedComponents(env, g, LenzenFramedAgg, 32, 5)
+		}},
+		{"cc-direct-framed-faulted", 23800, faults, func(env core.Env) (*CCResult, error) {
+			return ConnectedComponents(env, g, DirectFramedAgg, 32, 5)
+		}},
+		{"cc-lenzen-framed-faulted", 28100, faults, func(env core.Env) (*CCResult, error) {
+			return ConnectedComponents(env, g, LenzenFramedAgg, 32, 5)
+		}},
 	} {
 		for _, par := range []int{1, 4} {
-			env := core.Env{Parallelism: par}
-			if _, err := tc.run(env); err != nil { // warm the pools
-				t.Fatalf("%s p=%d: %v", tc.name, par, err)
-			}
-			allocs := testing.AllocsPerRun(10, func() {
-				if _, err := tc.run(env); err != nil {
-					t.Fatalf("%s p=%d: %v", tc.name, par, err)
+			env := core.Env{Parallelism: par, Faults: tc.faults}
+			// A faulted run must end detected, as it does on this seed:
+			// a run that ended elsewhere would count other work.
+			run := func() {
+				if _, err := tc.run(env); (err != nil) != (tc.faults != nil) {
+					t.Fatalf("%s p=%d: err = %v, want an error exactly under faults", tc.name, par, err)
 				}
-			})
+			}
+			run() // warm the pools
+			allocs := testing.AllocsPerRun(10, run)
 			t.Logf("%s p=%d: %.0f objects per run (budget %.0f)", tc.name, par, allocs, tc.budget)
 			if allocs > tc.budget {
 				t.Errorf("%s p=%d: %.0f objects per run, budget %.0f", tc.name, par, allocs, tc.budget)
