@@ -49,14 +49,14 @@ func ExactCC(f [][]bool) (int, error) {
 		best := 1 << 30
 		// Alice splits the rows: any proper nonempty sub-mask.
 		for s := (rm - 1) & rm; s != 0; s = (s - 1) & rm {
-			c := 1 + maxInt(solve(s, cm), solve(rm&^s, cm))
+			c := 1 + max(solve(s, cm), solve(rm&^s, cm))
 			if c < best {
 				best = c
 			}
 		}
 		// Bob splits the columns.
 		for s := (cm - 1) & cm; s != 0; s = (s - 1) & cm {
-			c := 1 + maxInt(solve(rm, s), solve(rm, cm&^s))
+			c := 1 + max(solve(rm, s), solve(rm, cm&^s))
 			if c < best {
 				best = c
 			}
@@ -103,11 +103,4 @@ func DisjMatrix(m int) ([][]bool, error) {
 		}
 	}
 	return f, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

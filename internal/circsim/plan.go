@@ -256,18 +256,6 @@ func (p *Plan) Depth() int { return p.Circ.Depth() }
 // SeparabilityWidth returns the maximum b over all gates in the circuit.
 func (p *Plan) SeparabilityWidth() int { return p.sepMax }
 
-// MaxLightLoad returns, for reporting, the largest per-pair light bundle
-// over all stages.
-func (p *Plan) MaxLightLoad() int {
-	max := 0
-	for _, v := range p.maxLight {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // LightWeightCap returns the per-player light-weight bound 4n·s.
 func (p *Plan) LightWeightCap() int { return 4 * p.N * p.S }
 

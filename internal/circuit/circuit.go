@@ -95,9 +95,6 @@ func (c *Circuit) InputGate(i int) int { return int(c.inputs[i]) }
 // Kind returns the kind of gate g.
 func (c *Circuit) Kind(g int) Kind { return c.kind[g] }
 
-// Param returns the modulus (Mod) or threshold (Threshold) of gate g.
-func (c *Circuit) Param(g int) int { return int(c.param[g]) }
-
 // Inputs returns the in-wires of gate g. The caller must not modify it.
 func (c *Circuit) Inputs(g int) []int32 { return c.inList[c.inStart[g]:c.inStart[g+1]] }
 

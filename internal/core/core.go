@@ -68,6 +68,21 @@ func (m Model) String() string {
 	}
 }
 
+// MarshalText encodes the model by its name, the spelling trace headers
+// carry.
+func (m Model) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText decodes a model name written by MarshalText.
+func (m *Model) UnmarshalText(text []byte) error {
+	for _, c := range []Model{Unicast, Broadcast, Congest} {
+		if string(text) == c.String() {
+			*m = c
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown model %q", text)
+}
+
 // Errors reported by the engine.
 var (
 	ErrBandwidth    = errors.New("core: message exceeds bandwidth")
@@ -296,6 +311,7 @@ type Ctx struct {
 	// r+1, so its buffer is free to refill in round r+2.
 	rows   [2][]bits.Buffer
 	bcasts [2]bits.Buffer
+	nbrs   []int // topology neighbors, listed on the first CONGEST Broadcast
 
 	output interface{}
 	halted bool
@@ -424,14 +440,16 @@ func (c *Ctx) Broadcast(msg *bits.Buffer) error {
 		}
 		return nil
 	case Congest:
-		nbrs := c.cfg.Topology.Neighbors(c.id)
-		for _, dst := range nbrs {
+		if c.nbrs == nil {
+			c.nbrs = c.cfg.Topology.Neighbors(c.id)
+		}
+		for _, dst := range c.nbrs {
 			if c.out[dst] != nil {
 				return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, c.id, dst)
 			}
 		}
 		sealed := c.bcasts[c.round&1].Refill(msg)
-		for _, dst := range nbrs {
+		for _, dst := range c.nbrs {
 			c.stage(dst, sealed)
 		}
 		return nil

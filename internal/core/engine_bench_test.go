@@ -182,19 +182,7 @@ func BenchmarkRunProcsGossip(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, err := RunProcs(cfg, func(p *Proc) error {
-					var m bits.Buffer
-					for r := 0; r < rounds; r++ {
-						m.Reset()
-						m.WriteUint(uint64(p.ID()+r), 32)
-						if err := p.Broadcast(&m); err != nil {
-							return err
-						}
-						p.Next()
-					}
-					return nil
-				})
-				if err != nil {
+				if _, err := RunProcs(cfg, procBroadcastBody(rounds)); err != nil {
 					b.Fatal(err)
 				}
 			}

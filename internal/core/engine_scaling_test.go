@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bits"
+	"repro/internal/graph"
 )
 
 // Tests for the multicore scaling pass (DESIGN.md §13) and the message
@@ -277,6 +278,7 @@ func TestDelayOnlyRoundCounted(t *testing.T) {
 // Matches the CI alloc-regression pattern (-run AllocRegression).
 func TestAllocRegressionEngine(t *testing.T) {
 	const fanout = 4
+	ring := graph.Cycle(64)
 	cases := []struct {
 		name string
 		run  func(par, rounds int) error
@@ -290,6 +292,13 @@ func TestAllocRegressionEngine(t *testing.T) {
 		{"RunProcs/N=24", func(par, rounds int) error {
 			cfg := Config{N: 24, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: par}
 			_, err := RunProcs(cfg, procGossipBody(rounds, fanout))
+			return err
+		}},
+		// A CONGEST Broadcast stages to the node's topology neighbors,
+		// listed once per run rather than on every call.
+		{"RunProcs/Congest/N=64", func(par, rounds int) error {
+			cfg := Config{N: 64, Bandwidth: 32, Model: Congest, Topology: ring, Seed: 7, Parallelism: par}
+			_, err := RunProcs(cfg, procBroadcastBody(rounds))
 			return err
 		}},
 	}

@@ -198,6 +198,24 @@ func TestProcBodyPanic(t *testing.T) {
 	}
 }
 
+// procBroadcastBody has every node broadcast 32 bits built in one
+// reused buffer in each of `rounds` rounds, ignoring its inbox: under
+// CONGEST it isolates the cost of a Broadcast to topology neighbors.
+func procBroadcastBody(rounds int) func(*Proc) error {
+	return func(p *Proc) error {
+		var m bits.Buffer
+		for r := 0; r < rounds; r++ {
+			m.Reset()
+			m.WriteUint(uint64(p.ID()+r), 32)
+			if err := p.Broadcast(&m); err != nil {
+				return err
+			}
+			p.Next()
+		}
+		return nil
+	}
+}
+
 // procGossipBody is gossipNodes as a Proc body: for `rounds` rounds each
 // node sends messages built in one reused buffer to `fanout` pseudorandom
 // destinations, then XOR-folds its inbox through a stack Reader. Once

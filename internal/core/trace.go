@@ -11,6 +11,15 @@ import "fmt"
 // and a nil Sink costs nothing — zero allocations per round, no
 // tracing work on the hot path (TestAllocRegressionTrace).
 //
+// # Wire names
+//
+// The json tags on Mark, RunMeta, RoundTrace, RunFooter and FaultStats
+// (with Stats' untagged field names and Model's text encoding) are the
+// field names of the engine-trace/v1 NDJSON stream, written down here
+// and nowhere else: obs frames each record with its line type and
+// encodes and decodes the record itself (its TestTraceWireFormat pins
+// the bytes). A new trace field is one tagged field here.
+//
 // # Determinism contract
 //
 // Every RoundTrace field except WallNs and Workers is a pure function
@@ -28,20 +37,20 @@ import "fmt"
 // Analysis (internal/obs) treats marks as phase boundaries for
 // per-phase rounds·bits profiles.
 type Mark struct {
-	Node  int
-	Round int
-	Name  string
+	Node  int    `json:"node"`
+	Round int    `json:"round"`
+	Name  string `json:"name"`
 }
 
 // RunMeta describes the run a trace belongs to; it is the header record
 // of an engine-trace/v1 stream.
 type RunMeta struct {
-	N           int
-	Bandwidth   int
-	Model       Model
-	Seed        int64
-	Parallelism int  // resolved worker count of this run
-	Faulty      bool // a fault plan is active
+	N           int   `json:"n"`
+	Bandwidth   int   `json:"bandwidth"`
+	Model       Model `json:"model"`
+	Seed        int64 `json:"seed"`
+	Parallelism int   `json:"parallelism"`      // resolved worker count of this run
+	Faulty      bool  `json:"faulty,omitempty"` // a fault plan is active
 }
 
 // RoundTrace is one record of the round-level trace. The engine reuses
@@ -57,38 +66,38 @@ type RunMeta struct {
 //	sum(CutBits)                == Stats.CutBits
 //	sum(per-round fault deltas) == *Result.Faults (field by field)
 type RoundTrace struct {
-	Round int // engine round this record covers
-	Span  int // rounds covered: always 1, so sum(Span) == Stats.Steps
+	Round int `json:"round"` // engine round this record covers
+	Span  int `json:"span"`  // rounds covered: always 1, so sum(Span) == Stats.Steps
 
-	Sends         int   // messages collected from senders (a broadcast counts once)
-	SentBits      int64 // bits metered as sent (the Stats.TotalBits delta)
-	Delivered     int   // messages that landed in inboxes this round
-	DeliveredBits int64 // bits that landed (per recipient; a broadcast counts per inbox)
-	MaxLinkBits   int   // max bits on one directed link within this record
-	CutBits       int64 // bits crossing Config.CutSide this record
+	Sends         int   `json:"sends"`              // messages collected from senders (a broadcast counts once)
+	SentBits      int64 `json:"sent_bits"`          // bits metered as sent (the Stats.TotalBits delta)
+	Delivered     int   `json:"delivered"`          // messages that landed in inboxes this round
+	DeliveredBits int64 `json:"delivered_bits"`     // bits that landed (per recipient; a broadcast counts per inbox)
+	MaxLinkBits   int   `json:"max_link_bits"`      // max bits on one directed link within this record
+	CutBits       int64 `json:"cut_bits,omitempty"` // bits crossing Config.CutSide this record
 
-	Active int // live nodes stepped at the start of the record
-	Halted int // nodes that halted during the record
+	Active int `json:"active"`           // live nodes stepped at the start of the record
+	Halted int `json:"halted,omitempty"` // nodes that halted during the record
 
 	// Faults holds the adversary's intervention deltas for this record
 	// (all zero without a plan); summing over records reproduces
 	// Result.Faults exactly.
-	Faults FaultStats
+	Faults FaultStats `json:"faults,omitzero"`
 
 	// Workers is the per-worker dispatch count of the record's step
 	// fan-out: Workers[g] nodes were stepped by worker g. Deterministic
 	// given (live set, worker width) but — deliberately — not across
 	// widths; it is how a trace documents its engine configuration.
-	Workers []int
+	Workers []int `json:"workers,omitempty"`
 
 	// Marks are the phase markers stamped during the record, merged in
 	// ascending node id, stamp order within a node.
-	Marks []Mark
+	Marks []Mark `json:"marks,omitempty"`
 
 	// WallNs is the wall time of the record's step+delivery. It is the
 	// only nondeterministic field besides Workers; analysis excludes it
 	// from every determinism check.
-	WallNs int64
+	WallNs int64 `json:"wall_ns"`
 }
 
 // RunFooter closes a trace: the run's final Stats, the adversary's
@@ -96,9 +105,9 @@ type RoundTrace struct {
 // duplicated messages were still in flight when the run halted (their
 // bits were metered as sent but never delivered).
 type RunFooter struct {
-	Stats   Stats
-	Faults  *FaultStats
-	Pending int
+	Stats   Stats       `json:"stats"`
+	Faults  *FaultStats `json:"faults,omitempty"`
+	Pending int         `json:"pending,omitempty"`
 }
 
 // Sink receives the round-level trace of a run. All three methods are

@@ -357,3 +357,22 @@ func TestTraceAnnotateUntracedFree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestModelText checks the name encoding trace headers carry: every
+// model round-trips through its name, and an unknown name is refused.
+func TestModelText(t *testing.T) {
+	for _, m := range []Model{Unicast, Broadcast, Congest} {
+		text, err := m.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Model
+		if err := got.UnmarshalText(text); err != nil || got != m {
+			t.Errorf("%v: decoded %v, %v", m, got, err)
+		}
+	}
+	var m Model
+	if err := m.UnmarshalText([]byte("CLIQUE-MULTICAST")); err == nil {
+		t.Errorf("unknown model name decoded as %v", m)
+	}
+}

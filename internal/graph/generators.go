@@ -246,13 +246,3 @@ func PlantCopy(g, h *Graph, rng *rand.Rand) []int {
 	}
 	return perm
 }
-
-// PlantTriangles adds t vertex-random triangles to g and returns the actual
-// triangle count of the resulting graph (planting may create extras).
-func PlantTriangles(g *Graph, t int, rng *rand.Rand) int {
-	tri := Complete(3)
-	for i := 0; i < t; i++ {
-		PlantCopy(g, tri, rng)
-	}
-	return g.CountTriangles()
-}

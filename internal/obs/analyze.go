@@ -42,31 +42,34 @@ type Totals struct {
 	Faults        core.FaultStats
 }
 
+// add folds one record into t: the one place a record's fields are
+// accumulated, for whole runs (Sum) and phases (Phases) alike.
+func (t *Totals) add(r *core.RoundTrace) {
+	t.Records++
+	t.Steps += r.Span
+	if r.Sends > 0 || r.Delivered > 0 {
+		t.Rounds++
+	}
+	t.Sends += r.Sends
+	t.Delivered += r.Delivered
+	t.SentBits += r.SentBits
+	t.DeliveredBits += r.DeliveredBits
+	t.CutBits += r.CutBits
+	t.MaxLinkBits = max(t.MaxLinkBits, r.MaxLinkBits)
+	t.WallNs += r.WallNs
+	t.Faults.Drops += r.Faults.Drops
+	t.Faults.Corruptions += r.Faults.Corruptions
+	t.Faults.Delays += r.Faults.Delays
+	t.Faults.Duplicates += r.Faults.Duplicates
+	t.Faults.Collisions += r.Faults.Collisions
+	t.Faults.Crashes += r.Faults.Crashes
+}
+
 // Sum folds a trace's records into Totals.
 func Sum(tr *Trace) Totals {
 	var t Totals
 	for i := range tr.Rounds {
-		r := &tr.Rounds[i]
-		t.Records++
-		t.Steps += r.Span
-		if r.Sends > 0 || r.Delivered > 0 {
-			t.Rounds++
-		}
-		t.Sends += r.Sends
-		t.Delivered += r.Delivered
-		t.SentBits += r.SentBits
-		t.DeliveredBits += r.DeliveredBits
-		t.CutBits += r.CutBits
-		if r.MaxLinkBits > t.MaxLinkBits {
-			t.MaxLinkBits = r.MaxLinkBits
-		}
-		t.WallNs += r.WallNs
-		t.Faults.Drops += r.Faults.Drops
-		t.Faults.Corruptions += r.Faults.Corruptions
-		t.Faults.Delays += r.Faults.Delays
-		t.Faults.Duplicates += r.Faults.Duplicates
-		t.Faults.Collisions += r.Faults.Collisions
-		t.Faults.Crashes += r.Faults.Crashes
+		t.add(&tr.Rounds[i])
 	}
 	return t
 }
@@ -112,17 +115,11 @@ func Reconcile(tr *Trace) error {
 // carrying a node-0 mark (the repo's convention for global phase
 // boundaries — node 0 is crash-exempt under every fault plan) and runs
 // until the next boundary. Records before the first boundary form the
-// implicit "start" phase.
+// implicit "start" phase. Its Totals fold the segment's records.
 type Phase struct {
-	Name          string
-	StartRound    int
-	Records       int
-	Steps         int
-	Rounds        int // communication rounds
-	SentBits      int64
-	DeliveredBits int64
-	MaxLinkBits   int
-	WallNs        int64
+	Name       string
+	StartRound int
+	Totals
 }
 
 // Phases splits a trace into its annotated phases. A trace with no
@@ -130,34 +127,18 @@ type Phase struct {
 // trace with none at all still profiles, it just cannot be broken down.
 func Phases(tr *Trace) []Phase {
 	var phases []Phase
-	cur := -1
-	ensure := func(name string, startRound int) {
-		phases = append(phases, Phase{Name: name, StartRound: startRound})
-		cur = len(phases) - 1
-	}
 	for i := range tr.Rounds {
 		r := &tr.Rounds[i]
 		for _, m := range r.Marks {
 			if m.Node == 0 {
-				ensure(m.Name, r.Round)
+				phases = append(phases, Phase{Name: m.Name, StartRound: r.Round})
 				break // one boundary per record: sub-record splits don't exist
 			}
 		}
-		if cur < 0 {
-			ensure("start", r.Round)
+		if len(phases) == 0 {
+			phases = append(phases, Phase{Name: "start", StartRound: r.Round})
 		}
-		p := &phases[cur]
-		p.Records++
-		p.Steps += r.Span
-		if r.Sends > 0 || r.Delivered > 0 {
-			p.Rounds++
-		}
-		p.SentBits += r.SentBits
-		p.DeliveredBits += r.DeliveredBits
-		if r.MaxLinkBits > p.MaxLinkBits {
-			p.MaxLinkBits = r.MaxLinkBits
-		}
-		p.WallNs += r.WallNs
+		phases[len(phases)-1].add(r)
 	}
 	return phases
 }

@@ -1,7 +1,9 @@
 // Package obs is the repo's observability layer (DESIGN.md §14–15): the
-// engine-trace/v1 NDJSON codec and in-memory recorder for core's
-// round-level traces, trace analysis (reconciliation against Stats,
-// per-phase profiles, run diffs, hot-spot ranking), the fleet-trace/v1
+// engine-trace/v1 NDJSON framing and in-memory recorder for core's
+// round-level traces (the records and their wire field names are core's;
+// obs only tags each line with its type), trace analysis
+// (reconciliation against Stats, per-phase profiles, run diffs,
+// hot-spot ranking, all folded by one Totals.add), the fleet-trace/v1
 // span model of scenariod runs with its throughput accounting
 // (Summarize), and a dependency-free Prometheus-text registry of
 // counters, gauge functions and scrape-time families. scenariod's
@@ -72,71 +74,35 @@ func (r *Recorder) TraceEnd(f *core.RunFooter) {
 // returned pointer aliases the recorder's storage.
 func (r *Recorder) Trace() *Trace { return &r.trace }
 
-// The wire records. Field names are part of the engine-trace/v1
-// contract; wall_ns and workers are the documented nondeterministic
-// fields (core/trace.go), everything else is a pure function of the
-// run's protocol and Config-minus-Parallelism.
+// The engine-trace/v1 lines: a type tag, then the core record itself,
+// whose json tags are the wire's field names (core/trace.go); the start
+// line also carries the stream version.
 
-type startRecord struct {
-	Type        string `json:"type"`
-	Version     string `json:"version"`
-	N           int    `json:"n"`
-	Bandwidth   int    `json:"bandwidth"`
-	Model       string `json:"model"`
-	Seed        int64  `json:"seed"`
-	Parallelism int    `json:"parallelism"`
-	Faulty      bool   `json:"faulty,omitempty"`
+type startLine struct {
+	Type    string `json:"type"`
+	Version string `json:"version"`
+	core.RunMeta
 }
 
-type markRecord struct {
-	Node  int    `json:"node"`
-	Round int    `json:"round"`
-	Name  string `json:"name"`
+type roundLine struct {
+	Type string `json:"type"`
+	*core.RoundTrace
 }
 
-type roundRecord struct {
-	Type          string           `json:"type"`
-	Round         int              `json:"round"`
-	Span          int              `json:"span"`
-	Sends         int              `json:"sends"`
-	SentBits      int64            `json:"sent_bits"`
-	Delivered     int              `json:"delivered"`
-	DeliveredBits int64            `json:"delivered_bits"`
-	MaxLinkBits   int              `json:"max_link_bits"`
-	CutBits       int64            `json:"cut_bits,omitempty"`
-	Active        int              `json:"active"`
-	Halted        int              `json:"halted,omitempty"`
-	Faults        *core.FaultStats `json:"faults,omitempty"`
-	Workers       []int            `json:"workers,omitempty"`
-	Marks         []markRecord     `json:"marks,omitempty"`
-	WallNs        int64            `json:"wall_ns"`
-}
-
-type endRecord struct {
-	Type    string           `json:"type"`
-	Stats   core.Stats       `json:"stats"`
-	Faults  *core.FaultStats `json:"faults,omitempty"`
-	Pending int              `json:"pending,omitempty"`
-}
-
-// modelNames maps the wire spelling both ways; core.Model.String is the
-// canonical form.
-var modelNames = map[string]core.Model{
-	core.Unicast.String():   core.Unicast,
-	core.Broadcast.String(): core.Broadcast,
-	core.Congest.String():   core.Congest,
+type endLine struct {
+	Type string `json:"type"`
+	*core.RunFooter
 }
 
 // TraceWriter streams a trace as engine-trace/v1 NDJSON. It implements
 // core.Sink; encode errors are sticky and reported by Err (the engine's
 // Sink interface has no error channel — a run is never failed by its
-// tracer).
+// tracer). Each round record is encoded in place, through one reused
+// round line, so tracing to a writer copies nothing per round.
 type TraceWriter struct {
-	enc *json.Encoder
-	err error
-
-	scratch roundRecord
-	marks   []markRecord
+	enc   *json.Encoder
+	err   error
+	round roundLine
 }
 
 // NewTraceWriter returns a TraceWriter emitting to w. The caller owns
@@ -150,50 +116,18 @@ func (t *TraceWriter) Err() error { return t.err }
 
 // TraceStart implements core.Sink.
 func (t *TraceWriter) TraceStart(m core.RunMeta) {
-	t.emit(startRecord{
-		Type:        "start",
-		Version:     TraceVersion,
-		N:           m.N,
-		Bandwidth:   m.Bandwidth,
-		Model:       m.Model.String(),
-		Seed:        m.Seed,
-		Parallelism: m.Parallelism,
-		Faulty:      m.Faulty,
-	})
+	t.emit(startLine{Type: "start", Version: TraceVersion, RunMeta: m})
 }
 
 // TraceRound implements core.Sink.
 func (t *TraceWriter) TraceRound(r *core.RoundTrace) {
-	t.marks = t.marks[:0]
-	for _, m := range r.Marks {
-		t.marks = append(t.marks, markRecord(m))
-	}
-	t.scratch = roundRecord{
-		Type:          "round",
-		Round:         r.Round,
-		Span:          r.Span,
-		Sends:         r.Sends,
-		SentBits:      r.SentBits,
-		Delivered:     r.Delivered,
-		DeliveredBits: r.DeliveredBits,
-		MaxLinkBits:   r.MaxLinkBits,
-		CutBits:       r.CutBits,
-		Active:        r.Active,
-		Halted:        r.Halted,
-		Workers:       r.Workers,
-		Marks:         t.marks,
-		WallNs:        r.WallNs,
-	}
-	if r.Faults != (core.FaultStats{}) {
-		f := r.Faults
-		t.scratch.Faults = &f
-	}
-	t.emit(&t.scratch)
+	t.round = roundLine{Type: "round", RoundTrace: r}
+	t.emit(&t.round)
 }
 
 // TraceEnd implements core.Sink.
 func (t *TraceWriter) TraceEnd(f *core.RunFooter) {
-	t.emit(endRecord{Type: "end", Stats: f.Stats, Faults: f.Faults, Pending: f.Pending})
+	t.emit(endLine{Type: "end", RunFooter: f})
 }
 
 func (t *TraceWriter) emit(v interface{}) {
@@ -288,9 +222,10 @@ func (s *FileSink) Err() error {
 	return nil
 }
 
-// Load reads an engine-trace/v1 stream. A missing "end" record is not
-// an error — it yields a Trace with a nil Footer (a truncated trace);
-// a missing or malformed "start" record is.
+// Load reads an engine-trace/v1 stream, decoding each line's record
+// straight into its core type. A missing "end" record is not an error —
+// it yields a Trace with a nil Footer (a truncated trace); a missing or
+// malformed "start" record is.
 func Load(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -309,62 +244,25 @@ func Load(r io.Reader) (*Trace, error) {
 		if err := json.Unmarshal(raw, &probe); err != nil {
 			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
+		var err error
 		switch probe.Type {
 		case "start":
-			var s startRecord
-			if err := json.Unmarshal(raw, &s); err != nil {
-				return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
+			var s startLine
+			if err = json.Unmarshal(raw, &s); err == nil && s.Version != TraceVersion {
+				err = fmt.Errorf("version %q, want %q", s.Version, TraceVersion)
 			}
-			if s.Version != TraceVersion {
-				return nil, fmt.Errorf("obs: trace line %d: version %q, want %q", line, s.Version, TraceVersion)
-			}
-			model, ok := modelNames[s.Model]
-			if !ok {
-				return nil, fmt.Errorf("obs: trace line %d: unknown model %q", line, s.Model)
-			}
-			tr.Meta = core.RunMeta{
-				N:           s.N,
-				Bandwidth:   s.Bandwidth,
-				Model:       model,
-				Seed:        s.Seed,
-				Parallelism: s.Parallelism,
-				Faulty:      s.Faulty,
-			}
-			started = true
+			tr.Meta, started = s.RunMeta, true
 		case "round":
-			var rr roundRecord
-			if err := json.Unmarshal(raw, &rr); err != nil {
-				return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-			}
-			rt := core.RoundTrace{
-				Round:         rr.Round,
-				Span:          rr.Span,
-				Sends:         rr.Sends,
-				SentBits:      rr.SentBits,
-				Delivered:     rr.Delivered,
-				DeliveredBits: rr.DeliveredBits,
-				MaxLinkBits:   rr.MaxLinkBits,
-				CutBits:       rr.CutBits,
-				Active:        rr.Active,
-				Halted:        rr.Halted,
-				Workers:       rr.Workers,
-				WallNs:        rr.WallNs,
-			}
-			if rr.Faults != nil {
-				rt.Faults = *rr.Faults
-			}
-			for _, m := range rr.Marks {
-				rt.Marks = append(rt.Marks, core.Mark(m))
-			}
-			tr.Rounds = append(tr.Rounds, rt)
+			tr.Rounds = append(tr.Rounds, core.RoundTrace{})
+			err = json.Unmarshal(raw, &roundLine{RoundTrace: &tr.Rounds[len(tr.Rounds)-1]})
 		case "end":
-			var e endRecord
-			if err := json.Unmarshal(raw, &e); err != nil {
-				return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-			}
-			tr.Footer = &core.RunFooter{Stats: e.Stats, Faults: e.Faults, Pending: e.Pending}
+			tr.Footer = &core.RunFooter{}
+			err = json.Unmarshal(raw, &endLine{RunFooter: tr.Footer})
 		default:
-			return nil, fmt.Errorf("obs: trace line %d: unknown record type %q", line, probe.Type)
+			err = fmt.Errorf("unknown record type %q", probe.Type)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -176,11 +176,6 @@ func NewTripartite(n int) (*Tripartite, error) {
 	return t, nil
 }
 
-// Parts returns the vertex ranges of A, B and C as (start, size) pairs.
-func (t *Tripartite) Parts() (a, b, c [2]int) {
-	return [2]int{t.aOff, t.NParam}, [2]int{t.bOff, 2 * t.NParam}, [2]int{t.cOff, 3 * t.NParam}
-}
-
 // PartOf returns 0, 1 or 2 for membership of v in A, B or C.
 func (t *Tripartite) PartOf(v int) int {
 	switch {

@@ -247,28 +247,7 @@ func (s *Sampler) Encode(buf *bits.Buffer) {
 // protocol seed, never shipped.
 func DecodeSampler(rd *bits.Reader, universe, fpBits int, seed uint64) (*Sampler, error) {
 	s := NewSampler(universe, fpBits, seed)
-	return s, s.decodeInto(rd)
-}
-
-// decodeInto overwrites s's cells from rd.
-func (s *Sampler) decodeInto(rd *bits.Reader) error {
-	idW := IDBits(s.universe)
-	for l := 0; l < s.levels; l++ {
-		p, err := rd.ReadBit()
-		if err != nil {
-			return fmt.Errorf("sketch: truncated sampler: %w", err)
-		}
-		id, err := rd.ReadUint(idW)
-		if err != nil {
-			return fmt.Errorf("sketch: truncated sampler: %w", err)
-		}
-		fp, err := rd.ReadUint(s.fpBits)
-		if err != nil {
-			return fmt.Errorf("sketch: truncated sampler: %w", err)
-		}
-		s.par[l], s.ids[l], s.fps[l] = p, id, fp
-	}
-	return nil
+	return s, s.mergeFromWire(rd) // XOR into zeroed cells is a decode
 }
 
 // mergeFromWire XORs a wire-encoded sampler into s without allocating a

@@ -17,6 +17,7 @@
 package subgraph
 
 import (
+	"repro/internal/bits"
 	"repro/internal/graph"
 )
 
@@ -240,14 +241,5 @@ func Decode(anns []Announcement, k int, p uint64) (*graph.Graph, bool) {
 // field elements — the O(k·log n) of [2].
 func MessageBits(n, k int) int {
 	p := fieldFor(n)
-	return uintWidth(uint64(n-1)) + k*uintWidth(p-1)
-}
-
-func uintWidth(maxVal uint64) int {
-	w := 1
-	for maxVal > 1 {
-		maxVal >>= 1
-		w++
-	}
-	return w
+	return bits.UintWidth(uint64(n-1)) + k*bits.UintWidth(p-1)
 }

@@ -28,8 +28,8 @@ func TestByzantineAnnouncerDetectedConsistently(t *testing.T) {
 		views := graph.Distribute(g)
 		n := g.N()
 		prime := fieldFor(n)
-		degW := uintWidth(uint64(n - 1))
-		sumW := uintWidth(prime - 1)
+		degW := bits.UintWidth(uint64(n - 1))
+		sumW := bits.UintWidth(prime - 1)
 		lieSeed := rng.Int63()
 
 		cfg := core.Config{N: n, Bandwidth: 16, Model: core.Broadcast, Seed: int64(trial)}

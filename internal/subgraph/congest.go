@@ -33,8 +33,8 @@ func DetectC4Congest(env core.Env, g *graph.Graph, bandwidth, cap int, seed int6
 	}
 	// Everyone must agree on the per-edge payload budget: degrees are not
 	// global knowledge, but n is, and lists are capped at min(cap, n).
-	idW := uintWidth(uint64(n - 1))
-	cntW := uintWidth(uint64(n))
+	idW := bits.UintWidth(uint64(n - 1))
+	cntW := bits.UintWidth(uint64(n))
 	maxLen := cap
 	if maxLen > n {
 		maxLen = n

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bits"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -89,8 +90,8 @@ func TestDetectC4CongestCapBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idW := uintWidth(uint64(g.N() - 1))
-	cntW := uintWidth(uint64(g.N()))
+	idW := bits.UintWidth(uint64(g.N() - 1))
+	cntW := bits.UintWidth(uint64(g.N()))
 	wantRounds := (cntW + cap*idW + 7) / 8
 	if res.Stats.Rounds > wantRounds {
 		t.Errorf("rounds = %d, budget %d", res.Stats.Rounds, wantRounds)

@@ -23,8 +23,8 @@ func RunA(p *core.Proc, neighbors []int, n, k int) (*graph.Graph, bool, error) {
 		k = 1
 	}
 	prime := fieldFor(n)
-	degW := uintWidth(uint64(n - 1))
-	sumW := uintWidth(prime - 1)
+	degW := bits.UintWidth(uint64(n - 1))
+	sumW := bits.UintWidth(prime - 1)
 
 	ann := Announce(neighbors, k, prime)
 	payload := bits.New(degW + k*sumW)
@@ -81,7 +81,7 @@ func Reconstruct(env core.Env, g *graph.Graph, k, bandwidth int, seed int64) (*R
 	if err != nil {
 		return nil, err
 	}
-	out := &ReconstructResult{Stats: res.Stats, MsgBits: MessageBits(n, minInt(maxInt(k, 1), n-1))}
+	out := &ReconstructResult{Stats: res.Stats, MsgBits: MessageBits(n, min(max(k, 1), n-1))}
 	first := res.Outputs[0].([2]interface{})
 	out.OK = first[0].(bool)
 	if out.OK {
@@ -186,7 +186,7 @@ func DetectAdaptive(env core.Env, g, h *graph.Graph, bandwidth int, seed int64) 
 		ell++
 	}
 	bigN := 1 << ell
-	xw := uintWidth(uint64(bigN - 1))
+	xw := bits.UintWidth(uint64(bigN - 1))
 
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed}
 	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
@@ -269,18 +269,4 @@ type adaptiveOutcome struct {
 	outcome
 	guesses int
 	k       int
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
