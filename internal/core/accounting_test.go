@@ -87,19 +87,16 @@ func TestCongestBroadcastSugar(t *testing.T) {
 }
 
 func TestSendAfterHaltRejected(t *testing.T) {
-	// A Ctx retained after its node halted must refuse sends.
-	var leaked *Ctx
+	// A Proc retained after its body returned must refuse sends.
+	var leaked *Proc
 	cfg := Config{N: 2, Bandwidth: 8, Model: Unicast}
-	nodes := []Node{
-		NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-			leaked = ctx
-			return true, nil
-		}),
-		NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-			return true, nil
-		}),
-	}
-	if _, err := Run(cfg, nodes); err != nil {
+	_, err := RunProcs(cfg, func(p *Proc) error {
+		if p.ID() == 0 {
+			leaked = p
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	m := bits.New(1)

@@ -18,8 +18,8 @@
 //
 // # Execution engine
 //
-// Within a round the Step calls of distinct nodes are independent — each
-// reads only its own inbox and stages sends into its own Ctx — so the
+// Within a round the steps of distinct nodes are independent — each
+// reads only its own inbox and stages sends into its own Proc — so the
 // engine fans them out across a worker pool (Config.Parallelism; see
 // DESIGN.md §3). Collection, delivery and accounting run sequentially in
 // ascending node order, so Outputs and Stats are bit-identical for every
@@ -270,114 +270,65 @@ type Result struct {
 	Faults  *FaultStats
 }
 
-// Node is the callback form of a protocol. The engine invokes Step once per
-// round; in[j] is the message received from node j this round (nil if
-// none). For the Broadcast model in[j] is node j's broadcast from the
-// previous round. Step reports done=true when the node has halted; halted
-// nodes are not stepped again.
-//
-// Received buffers are sealed buffers of their senders, shared with other
-// recipients: they are read-only (mutating one panics) and valid only
-// during this Step, since a sender refills its buffer two rounds after
-// staging it. Copy out what must outlive the round. Distinct nodes may be
-// stepped concurrently, so state shared between nodes outside the model's
-// messages must be read-only or synchronized.
-type Node interface {
-	Step(ctx *Ctx, in []*bits.Buffer) (done bool, err error)
-}
-
-// NodeFunc adapts a function to the Node interface.
-type NodeFunc func(ctx *Ctx, in []*bits.Buffer) (bool, error)
-
-// Step implements Node.
-func (f NodeFunc) Step(ctx *Ctx, in []*bits.Buffer) (bool, error) { return f(ctx, in) }
-
-// Ctx is a node's handle onto the network during one round. It owns the
-// buffers that Send and Broadcast copy the node's messages into, which
-// the node's recipients read in the next round.
-type Ctx struct {
-	id    int
-	cfg   *Config
-	rng   *rand.Rand // built by Rand on first use
-	round int
-	out   []*bits.Buffer // staged unicast messages, indexed by destination
-	sent  []int          // destinations staged this round
-	bcast *bits.Buffer   // staged broadcast
-
-	// The node's own message buffers, which Send and Broadcast copy
-	// into: per round parity, a row carved from one slab whose buffer k
-	// carries the node's k-th Send of the round, and a broadcast buffer.
-	// A message staged in round r is read by its recipients in round
-	// r+1, so its buffer is free to refill in round r+2.
-	rows   [2][]bits.Buffer
-	bcasts [2]bits.Buffer
-	nbrs   []int // topology neighbors, listed on the first CONGEST Broadcast
-
-	output interface{}
-	halted bool
-	traced bool   // a trace sink is attached; Annotate is live
-	marks  []Mark // phase markers stamped this record, swept by deliver
-}
-
 // ID returns this node's identifier in [0, N).
-func (c *Ctx) ID() int { return c.id }
+func (p *Proc) ID() int { return p.id }
 
 // N returns the number of players.
-func (c *Ctx) N() int { return c.cfg.N }
+func (p *Proc) N() int { return p.cfg.N }
 
 // Bandwidth returns b.
-func (c *Ctx) Bandwidth() int { return c.cfg.Bandwidth }
+func (p *Proc) Bandwidth() int { return p.cfg.Bandwidth }
 
 // Model returns the communication model of the run.
-func (c *Ctx) Model() Model { return c.cfg.Model }
+func (p *Proc) Model() Model { return p.cfg.Model }
 
 // Round returns the current round number (0-based).
-func (c *Ctx) Round() int { return c.round }
+func (p *Proc) Round() int { return p.round }
 
 // Rand returns this node's private deterministic randomness source. It
 // is seeded from Config.Seed and the node id on first use, so nodes that
 // never draw pay nothing for it.
-func (c *Ctx) Rand() *rand.Rand {
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(c.cfg.Seed*1_000_000_007 + int64(c.id)))
+func (p *Proc) Rand() *rand.Rand {
+	if p.rng == nil {
+		p.rng = rand.New(rand.NewSource(p.cfg.Seed*1_000_000_007 + int64(p.id)))
 	}
-	return c.rng
+	return p.rng
 }
 
 // SetOutput records the node's final (or running) output value.
-func (c *Ctx) SetOutput(v interface{}) { c.output = v }
+func (p *Proc) SetOutput(v interface{}) { p.output = v }
 
 // checkSend validates a unicast staging against the model's constraints.
-func (c *Ctx) checkSend(dst int, msg *bits.Buffer) error {
-	if c.halted {
+func (p *Proc) checkSend(dst int, msg *bits.Buffer) error {
+	if p.halted {
 		return ErrAfterBarrier
 	}
-	if c.cfg.Model == Broadcast {
-		return fmt.Errorf("%w: Send in %v", ErrBadModel, c.cfg.Model)
+	if p.cfg.Model == Broadcast {
+		return fmt.Errorf("%w: Send in %v", ErrBadModel, p.cfg.Model)
 	}
-	if dst < 0 || dst >= c.cfg.N {
+	if dst < 0 || dst >= p.cfg.N {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, dst)
 	}
-	if dst == c.id {
+	if dst == p.id {
 		return ErrSelfMessage
 	}
-	if c.cfg.Model == Congest && !c.cfg.Topology.HasEdge(c.id, dst) {
-		return fmt.Errorf("%w: %d -> %d", ErrNotNeighbor, c.id, dst)
+	if p.cfg.Model == Congest && !p.cfg.Topology.HasEdge(p.id, dst) {
+		return fmt.Errorf("%w: %d -> %d", ErrNotNeighbor, p.id, dst)
 	}
-	if msg.Len() > c.cfg.Bandwidth {
+	if msg.Len() > p.cfg.Bandwidth {
 		return fmt.Errorf("%w: %d > %d bits on link %d->%d",
-			ErrBandwidth, msg.Len(), c.cfg.Bandwidth, c.id, dst)
+			ErrBandwidth, msg.Len(), p.cfg.Bandwidth, p.id, dst)
 	}
-	if c.out[dst] != nil {
-		return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, c.id, dst)
+	if p.out[dst] != nil {
+		return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, p.id, dst)
 	}
 	return nil
 }
 
-// stage records a frozen message for dst.
-func (c *Ctx) stage(dst int, frozen *bits.Buffer) {
-	c.out[dst] = frozen
-	c.sent = append(c.sent, dst)
+// stageMsg records a sealed message for dst.
+func (p *Proc) stageMsg(dst int, sealed *bits.Buffer) {
+	p.out[dst] = sealed
+	p.sent = append(p.sent, dst)
 }
 
 // Send stages msg for delivery to dst at the start of the next round.
@@ -386,20 +337,20 @@ func (c *Ctx) stage(dst int, frozen *bits.Buffer) {
 // CONGEST model dst must be a topology neighbor. The message is copied
 // into one of this node's buffers, so the caller keeps msg and may reuse
 // it at once.
-func (c *Ctx) Send(dst int, msg *bits.Buffer) error {
-	if err := c.checkSend(dst, msg); err != nil {
+func (p *Proc) Send(dst int, msg *bits.Buffer) error {
+	if err := p.checkSend(dst, msg); err != nil {
 		return err
 	}
-	row := &c.rows[c.round&1]
-	k := len(c.sent)
+	row := &p.rows[p.round&1]
+	k := len(p.sent)
 	if k == len(*row) {
 		// More Sends than this parity's row holds: move to a row twice
 		// as long (at least 32), but never longer than the N-1 messages
 		// a node can send in a round. The old row's buffers staged this
 		// round stay with their readers.
-		*row = bits.NewRow(min(max(2*k, 32), c.cfg.N-1), c.cfg.Bandwidth)
+		*row = bits.NewRow(min(max(2*k, 32), p.cfg.N-1), p.cfg.Bandwidth)
 	}
-	c.stage(dst, (*row)[k].Refill(msg))
+	p.stageMsg(dst, (*row)[k].Refill(msg))
 	return nil
 }
 
@@ -409,48 +360,48 @@ func (c *Ctx) Send(dst int, msg *bits.Buffer) error {
 // the only way to communicate. The message is copied once, into this
 // node's broadcast buffer, which every recipient then reads, so staging
 // costs one copy regardless of fan-out; the caller keeps msg.
-func (c *Ctx) Broadcast(msg *bits.Buffer) error {
-	if c.halted {
+func (p *Proc) Broadcast(msg *bits.Buffer) error {
+	if p.halted {
 		return ErrAfterBarrier
 	}
-	if msg.Len() > c.cfg.Bandwidth {
+	if msg.Len() > p.cfg.Bandwidth {
 		return fmt.Errorf("%w: broadcast of %d > %d bits by node %d",
-			ErrBandwidth, msg.Len(), c.cfg.Bandwidth, c.id)
+			ErrBandwidth, msg.Len(), p.cfg.Bandwidth, p.id)
 	}
-	switch c.cfg.Model {
+	switch p.cfg.Model {
 	case Broadcast:
-		if c.bcast != nil {
-			return fmt.Errorf("%w: second broadcast by node %d", ErrDoubleSend, c.id)
+		if p.bcast != nil {
+			return fmt.Errorf("%w: second broadcast by node %d", ErrDoubleSend, p.id)
 		}
-		c.bcast = c.bcasts[c.round&1].Refill(msg)
+		p.bcast = p.bcasts[p.round&1].Refill(msg)
 		return nil
 	case Unicast:
 		// Check every link before the refill: a rejected second
 		// Broadcast must not rewrite the buffer the first one staged.
-		for dst := 0; dst < c.cfg.N; dst++ {
-			if dst != c.id && c.out[dst] != nil {
-				return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, c.id, dst)
+		for dst := 0; dst < p.cfg.N; dst++ {
+			if dst != p.id && p.out[dst] != nil {
+				return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, p.id, dst)
 			}
 		}
-		sealed := c.bcasts[c.round&1].Refill(msg)
-		for dst := 0; dst < c.cfg.N; dst++ {
-			if dst != c.id {
-				c.stage(dst, sealed)
+		sealed := p.bcasts[p.round&1].Refill(msg)
+		for dst := 0; dst < p.cfg.N; dst++ {
+			if dst != p.id {
+				p.stageMsg(dst, sealed)
 			}
 		}
 		return nil
 	case Congest:
-		if c.nbrs == nil {
-			c.nbrs = c.cfg.Topology.Neighbors(c.id)
+		if p.nbrs == nil {
+			p.nbrs = p.cfg.Topology.Neighbors(p.id)
 		}
-		for _, dst := range c.nbrs {
-			if c.out[dst] != nil {
-				return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, c.id, dst)
+		for _, dst := range p.nbrs {
+			if p.out[dst] != nil {
+				return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, p.id, dst)
 			}
 		}
-		sealed := c.bcasts[c.round&1].Refill(msg)
-		for _, dst := range c.nbrs {
-			c.stage(dst, sealed)
+		sealed := p.bcasts[p.round&1].Refill(msg)
+		for _, dst := range p.nbrs {
+			p.stageMsg(dst, sealed)
 		}
 		return nil
 	default:
@@ -472,8 +423,7 @@ type pendingDelivery struct {
 // allocated once up front and reused across rounds.
 type engine struct {
 	cfg       *Config
-	nodes     []Node
-	ctxs      []*Ctx
+	procs     []Proc // one per node, indexed by id
 	inboxes   [][]*bits.Buffer
 	stats     Stats
 	live      []int // ascending ids of non-halted nodes
@@ -506,12 +456,11 @@ type engine struct {
 	traceActive int // live-node count at the top of the iteration
 }
 
-func newEngine(cfg *Config, nodes []Node) *engine {
+func newEngine(cfg *Config, body func(*Proc) error) *engine {
 	n := cfg.N
 	e := &engine{
 		cfg:     cfg,
-		nodes:   nodes,
-		ctxs:    make([]*Ctx, n),
+		procs:   make([]Proc, n),
 		inboxes: make([][]*bits.Buffer, n),
 		stats:   Stats{NodeSentBits: make([]int64, n)},
 		live:    make([]int, n),
@@ -530,12 +479,13 @@ func newEngine(cfg *Config, nodes []Node) *engine {
 	inboxFlat := make([]*bits.Buffer, n*n)
 	outFlat := make([]*bits.Buffer, n*n)
 	for i := 0; i < n; i++ {
-		e.ctxs[i] = &Ctx{
+		e.procs[i] = Proc{
 			id:     i,
 			cfg:    cfg,
 			out:    outFlat[i*n : (i+1)*n : (i+1)*n],
 			sent:   make([]int, 0, 4),
 			traced: e.traceOn,
+			body:   body,
 		}
 		e.inboxes[i] = inboxFlat[i*n : (i+1)*n : (i+1)*n]
 		e.live[i] = i
@@ -552,9 +502,9 @@ func (e *engine) stepLive(k int) {
 		e.errs[k] = nil
 		return
 	}
-	ctx := e.ctxs[id]
-	ctx.round = e.round
-	e.done[k], e.errs[k] = e.nodes[id].Step(ctx, e.inboxes[id])
+	p := &e.procs[id]
+	p.round = e.round
+	e.done[k], e.errs[k] = p.step(e.inboxes[id])
 }
 
 // step runs all live nodes for one round — sequentially, or fanned out
@@ -601,7 +551,7 @@ func (e *engine) compactLive() {
 	next := e.spare[:0]
 	for k, id := range e.live {
 		if e.done[k] {
-			e.ctxs[id].halted = true
+			e.procs[id].halted = true
 		} else {
 			next = append(next, id)
 		}
@@ -644,9 +594,9 @@ func (e *engine) deliver(round int) {
 	cfg := e.cfg
 	sentAny := false
 	for _, i := range e.stepped {
-		ctx := e.ctxs[i]
-		if msg := ctx.bcast; msg != nil {
-			ctx.bcast = nil
+		p := &e.procs[i]
+		if msg := p.bcast; msg != nil {
+			p.bcast = nil
 			sentAny = true
 			ln := msg.Len()
 			e.stats.TotalBits += int64(ln)
@@ -674,13 +624,13 @@ func (e *engine) deliver(round int) {
 				}
 			}
 		}
-		if len(ctx.sent) == 0 {
+		if len(p.sent) == 0 {
 			continue
 		}
 		sentAny = true
-		for _, dst := range ctx.sent {
-			msg := ctx.out[dst]
-			ctx.out[dst] = nil
+		for _, dst := range p.sent {
+			msg := p.out[dst]
+			p.out[dst] = nil
 			ln := msg.Len()
 			e.stats.TotalBits += int64(ln)
 			e.stats.NodeSentBits[i] += int64(ln)
@@ -700,7 +650,7 @@ func (e *engine) deliver(round int) {
 				delivered = true
 			}
 		}
-		ctx.sent = ctx.sent[:0]
+		p.sent = p.sent[:0]
 	}
 	// A round counts toward Stats.Rounds when communication happened in
 	// it: something was sent, or a delayed/duplicated message released by
@@ -782,20 +732,32 @@ func (e *engine) fileNow(dst, src int, msg *bits.Buffer) bool {
 	return true
 }
 
-// Run executes the protocol given by nodes (one per player) until every
-// node reports done, and returns per-node outputs plus accounting.
-func Run(cfg Config, nodes []Node) (*Result, error) {
+// RunProcs runs one body per node, each as its own coroutine, under the
+// given configuration, until every body has returned, and returns the
+// per-node outputs plus accounting. All bodies share the body function;
+// they branch on p.ID() (the common SPMD style of congested clique
+// algorithms). Before it returns, RunProcs unwinds every body still
+// parked in Next or Rounds — after a node error, a body panic,
+// ErrRoundLimit or ErrStalled — so a failed run leaves no goroutine
+// behind.
+func RunProcs(cfg Config, body func(*Proc) error) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if len(nodes) != cfg.N {
-		return nil, fmt.Errorf("%w: %d nodes for N=%d", ErrBadConfig, len(nodes), cfg.N)
 	}
 	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	e := newEngine(&cfg, nodes)
+	e := newEngine(&cfg, body)
+	// Stop every started coroutine; stopping one that already returned
+	// is a no-op.
+	defer func() {
+		for i := range e.procs {
+			if stop := e.procs[i].stop; stop != nil {
+				stop()
+			}
+		}
+	}()
 	if e.workers > 1 {
 		// Resident round pool: spawned once here, parked between rounds.
 		// Width 1 (the sequential oracle) keeps pool == nil and steps
@@ -840,8 +802,8 @@ func Run(cfg Config, nodes []Node) (*Result, error) {
 		}
 	}
 	outputs := make([]interface{}, cfg.N)
-	for i, ctx := range e.ctxs {
-		outputs[i] = ctx.output
+	for i := range e.procs {
+		outputs[i] = e.procs[i].output
 	}
 	res := &Result{Outputs: outputs, Stats: e.stats}
 	if e.plan != nil {

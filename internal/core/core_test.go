@@ -377,38 +377,6 @@ func TestAdjacencyRowCodec(t *testing.T) {
 	}
 }
 
-func TestNodeFuncCallbackAPI(t *testing.T) {
-	// A 2-node ping-pong written against the low-level callback API.
-	cfg := Config{N: 2, Bandwidth: 8, Model: Unicast}
-	mk := func(id int) Node {
-		return NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-			switch ctx.Round() {
-			case 0:
-				if id == 0 {
-					return false, ctx.Send(1, idMsg(7, 256))
-				}
-				return false, nil
-			case 1:
-				if id == 1 {
-					if in[0] == nil {
-						t.Error("node 1 missed the ping")
-					}
-					ctx.SetOutput("pong")
-				}
-				return true, nil
-			}
-			return true, nil
-		})
-	}
-	res, err := Run(cfg, []Node{mk(0), mk(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outputs[1] != "pong" {
-		t.Errorf("output = %v", res.Outputs[1])
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{N: 0, Bandwidth: 1, Model: Unicast},

@@ -15,79 +15,81 @@ import (
 // GOMAXPROCS workers) so the parallel speedup is a visible number;
 // b.ReportAllocs makes the zero-copy savings visible too.
 //
-// Seed-engine baselines (sequential, deep-copy delivery; this hardware,
-// 1 vCPU) for the trajectory record:
+// Seed-engine baselines (sequential, deep-copy delivery, the shapes
+// written as per-round step callbacks rather than Proc bodies; 1 vCPU)
+// for the trajectory record:
 //
 //	RunGossip/N=64            4.84ms  50269 allocs/op
 //	RunGossip/N=256          26.80ms 205212 allocs/op
 //	RunBroadcastFanout/N=64   3.79ms  82312 allocs/op
 //	RunBroadcastFanout/N=256 63.08ms 1312264 allocs/op
 
-// gossipNodes builds an N-node unicast protocol in which every node, for
+// gossipBody is an N-node unicast protocol in which every node, for
 // `rounds` rounds, sends a Bandwidth-bit message to `fanout` pseudorandom
 // destinations and XOR-folds everything it receives. Per-node work is
 // independent, so it exposes the stepping overhead of the round loop.
-// Each node builds its messages in one reused buffer (Send copies it) and
-// reads through a stack Reader, so the steady state of the loop allocates
-// nothing.
-func gossipNodes(n, rounds, fanout int) []Node {
-	nodes := make([]Node, n)
-	for i := 0; i < n; i++ {
+// The schedule is fixed, so it runs through Proc.Rounds, the path most
+// protocol rounds take. Each node builds its messages in one reused
+// buffer (Send copies it) and reads through a stack Reader, so the steady
+// state of the loop allocates nothing.
+func gossipBody(rounds, fanout int) func(*Proc) error {
+	return func(p *Proc) error {
+		var acc uint64
 		var m bits.Buffer
-		nodes[i] = NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-			var acc uint64
-			var r bits.Reader
+		err := p.Rounds(rounds, func(r int) error {
+			for k := 0; k < fanout; k++ {
+				dst := p.Rand().Intn(p.N())
+				if dst == p.ID() || p.out[dst] != nil {
+					continue // collision with an earlier draw this round
+				}
+				m.Reset()
+				m.WriteUint(uint64(p.ID())<<16^uint64(r+k), 32)
+				if err := p.Send(dst, &m); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, func(_ int, in []*bits.Buffer) error {
+			var rd bits.Reader
 			for _, msg := range in {
 				if msg == nil {
 					continue
 				}
-				r.Reset(msg)
-				v, err := r.ReadUint(32)
+				rd.Reset(msg)
+				v, err := rd.ReadUint(32)
 				if err != nil {
-					return false, err
+					return err
 				}
 				acc ^= v
 			}
-			if ctx.Round() >= rounds {
-				ctx.SetOutput(acc)
-				return true, nil
-			}
-			for k := 0; k < fanout; k++ {
-				dst := ctx.Rand().Intn(ctx.N())
-				if dst == ctx.ID() || ctx.out[dst] != nil {
-					continue // collision with an earlier draw this round
-				}
-				m.Reset()
-				m.WriteUint(uint64(ctx.ID())<<16^uint64(ctx.Round()+k), 32)
-				if err := ctx.Send(dst, &m); err != nil {
-					return false, err
-				}
-			}
-			return false, nil
+			return nil
 		})
+		if err != nil {
+			return err
+		}
+		p.SetOutput(acc)
+		return nil
 	}
-	return nodes
 }
 
-// bcastNodes builds an N-node unicast protocol in which every node
-// broadcasts a Bandwidth-bit message each round — the clone-heavy shape:
-// the seed engine deep-copied each broadcast N-1 times, the engine now
-// copies it once into the node's broadcast buffer.
-func bcastNodes(n, rounds int) []Node {
-	nodes := make([]Node, n)
-	for i := 0; i < n; i++ {
+// bcastBody is an N-node unicast protocol in which every node broadcasts
+// a Bandwidth-bit message each round — the clone-heavy shape: the seed
+// engine deep-copied each broadcast N-1 times, the engine now copies it
+// once into the node's broadcast buffer.
+func bcastBody(rounds int) func(*Proc) error {
+	return func(p *Proc) error {
 		var m bits.Buffer
-		nodes[i] = NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-			if ctx.Round() >= rounds {
-				ctx.SetOutput(ctx.Round())
-				return true, nil
-			}
+		err := p.Rounds(rounds, func(r int) error {
 			m.Reset()
-			m.WriteUint(uint64(ctx.ID())*31+uint64(ctx.Round()), 32)
-			return false, ctx.Broadcast(&m)
-		})
+			m.WriteUint(uint64(p.ID())*31+uint64(r), 32)
+			return p.Broadcast(&m)
+		}, nil)
+		if err != nil {
+			return err
+		}
+		p.SetOutput(p.Round())
+		return nil
 	}
-	return nodes
 }
 
 // engineModes pairs the sequential oracle with the worker pool.
@@ -104,12 +106,12 @@ func engineModes() []struct {
 	}
 }
 
-func benchRun(b *testing.B, rounds int, mk func() []Node, cfg Config) {
+func benchRun(b *testing.B, rounds int, body func(*Proc) error, cfg Config) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, mk())
+		res, err := RunProcs(cfg, body)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +127,7 @@ func BenchmarkRunGossip(b *testing.B) {
 		for _, mode := range engineModes() {
 			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: mode.par}
 			b.Run(fmt.Sprintf("N=%d/%s", n, mode.name), func(b *testing.B) {
-				benchRun(b, rounds, func() []Node { return gossipNodes(n, rounds, fanout) }, cfg)
+				benchRun(b, rounds, gossipBody(rounds, fanout), cfg)
 			})
 		}
 	}
@@ -139,7 +141,7 @@ func BenchmarkRunBroadcastFanout(b *testing.B) {
 		for _, mode := range engineModes() {
 			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 11, Parallelism: mode.par}
 			b.Run(fmt.Sprintf("N=%d/%s", n, mode.name), func(b *testing.B) {
-				benchRun(b, rounds, func() []Node { return bcastNodes(n, rounds) }, cfg)
+				benchRun(b, rounds, bcastBody(rounds), cfg)
 			})
 		}
 	}
@@ -155,16 +157,16 @@ func BenchmarkEngineScaling(b *testing.B) {
 	shapes := []struct {
 		name   string
 		rounds int
-		mk     func() []Node
+		body   func(*Proc) error
 	}{
-		{"gossip", 20, func() []Node { return gossipNodes(n, 20, 8) }},
-		{"bcast", 10, func() []Node { return bcastNodes(n, 10) }},
+		{"gossip", 20, gossipBody(20, 8)},
+		{"bcast", 10, bcastBody(10)},
 	}
 	for _, sh := range shapes {
 		for _, w := range []int{1, 2, 4, 8} {
 			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: w}
 			b.Run(fmt.Sprintf("%s/N=%d/w=%d", sh.name, n, w), func(b *testing.B) {
-				benchRun(b, sh.rounds, sh.mk, cfg)
+				benchRun(b, sh.rounds, sh.body, cfg)
 			})
 		}
 	}

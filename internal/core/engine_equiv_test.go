@@ -13,50 +13,60 @@ import (
 // representative protocols under the sequential oracle (Parallelism=1)
 // and several worker-pool widths and require deep equality.
 
-// gossipCfgNodes is a unicast protocol with staggered halting: node i
-// runs 4+i%7 rounds, sending to pseudorandom destinations and XOR-folding
-// its inbox, so the live-list compaction and late-round delivery paths
-// are all exercised.
-func gossipEquivNodes(n int) []Node {
-	nodes := make([]Node, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-			var acc uint64
+// gossipEquivBody is a unicast protocol with staggered halting: node i
+// runs a fixed schedule of 4+i%7 rounds, sending to pseudorandom
+// destinations and XOR-folding its inbox, so the live-list compaction and
+// late-round delivery paths are all exercised. With reuse, every node
+// builds its messages in one reused buffer instead of a bits.New per
+// message; payloads and schedule are identical, so the two variants'
+// Results must be bit-identical under every parallelism setting.
+func gossipEquivBody(reuse bool) func(*Proc) error {
+	return func(p *Proc) error {
+		var acc uint64
+		var reused bits.Buffer
+		err := p.Rounds(4+p.ID()%7, func(r int) error {
+			for k := 0; k < 3; k++ {
+				dst := p.Rand().Intn(p.N())
+				if dst == p.ID() || p.out[dst] != nil {
+					continue
+				}
+				m := &reused
+				if reuse {
+					m.Reset()
+				} else {
+					m = bits.New(24)
+				}
+				m.WriteUint(uint64(p.ID()*131071+r*8191+k)&0xFFFFFF, 24)
+				if err := p.Send(dst, m); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, func(_ int, in []*bits.Buffer) error {
 			for _, msg := range in {
 				if msg == nil {
 					continue
 				}
 				v, err := bits.NewReader(msg).ReadUint(24)
 				if err != nil {
-					return false, err
+					return err
 				}
 				acc ^= v
 			}
-			if ctx.Round() >= 4+ctx.ID()%7 {
-				ctx.SetOutput(acc)
-				return true, nil
-			}
-			for k := 0; k < 3; k++ {
-				dst := ctx.Rand().Intn(ctx.N())
-				if dst == ctx.ID() || ctx.out[dst] != nil {
-					continue
-				}
-				m := bits.New(24)
-				m.WriteUint(uint64(ctx.ID()*131071+ctx.Round()*8191+k)&0xFFFFFF, 24)
-				if err := ctx.Send(dst, m); err != nil {
-					return false, err
-				}
-			}
-			return false, nil
+			return nil
 		})
+		if err != nil {
+			return err
+		}
+		p.SetOutput(acc)
+		return nil
 	}
-	return nodes
 }
 
 func runGossipEquiv(t *testing.T, n, parallelism int) *Result {
 	t.Helper()
 	cfg := Config{N: n, Bandwidth: 24, Model: Unicast, Seed: 42, Parallelism: parallelism}
-	res, err := Run(cfg, gossipEquivNodes(n))
+	res, err := RunProcs(cfg, gossipEquivBody(false))
 	if err != nil {
 		t.Fatalf("parallelism %d: %v", parallelism, err)
 	}
@@ -175,14 +185,15 @@ func TestParallelCongestCycleMatchesSequential(t *testing.T) {
 func TestWorkerPoolRace(t *testing.T) {
 	const n = 64
 	cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 3, Parallelism: 8}
-	res, err := Run(cfg, gossipEquivNodes(n))
+	res, err := RunProcs(cfg, gossipEquivBody(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.TotalBits == 0 {
 		t.Fatal("no traffic")
 	}
-	// Also the Proc (coroutine-per-node) surface under forced parallelism.
+	// Also a body resumed at its barrier under forced parallelism: a
+	// single-round ExchangeBroadcasts waits in Next, not in Rounds.
 	cfg2 := Config{N: 32, Bandwidth: 32, Model: Unicast, Seed: 4, Parallelism: 8}
 	_, err = RunProcs(cfg2, func(p *Proc) error {
 		payload := bits.New(64)
@@ -271,7 +282,7 @@ func TestReceivedBufferIsReadOnly(t *testing.T) {
 
 func TestNegativeParallelismRejected(t *testing.T) {
 	cfg := Config{N: 2, Bandwidth: 8, Model: Unicast, Parallelism: -1}
-	if _, err := Run(cfg, gossipEquivNodes(2)); err == nil {
+	if _, err := RunProcs(cfg, gossipEquivBody(false)); err == nil {
 		t.Fatal("Parallelism=-1 accepted, want ErrBadConfig")
 	}
 }

@@ -14,49 +14,6 @@ import (
 // Rounds accounting fix, late fault copies, and the engine's steady-state
 // allocation behavior.
 
-// reusedGossipNodes is gossipEquivNodes with every node building its
-// messages in one reused buffer instead of a bits.New per message.
-// Payloads and schedule are identical, so its Results must be
-// bit-identical to the bits.New variant under every parallelism setting.
-func reusedGossipNodes(n int) []Node {
-	nodes := make([]Node, n)
-	for i := 0; i < n; i++ {
-		var m bits.Buffer
-		nodes[i] = NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-			var acc uint64
-			var r bits.Reader
-			for _, msg := range in {
-				if msg == nil {
-					continue
-				}
-				r.Reset(msg)
-				v, err := r.ReadUint(24)
-				if err != nil {
-					return false, err
-				}
-				acc ^= v
-			}
-			if ctx.Round() >= 4+ctx.ID()%7 {
-				ctx.SetOutput(acc)
-				return true, nil
-			}
-			for k := 0; k < 3; k++ {
-				dst := ctx.Rand().Intn(ctx.N())
-				if dst == ctx.ID() || ctx.out[dst] != nil {
-					continue
-				}
-				m.Reset()
-				m.WriteUint(uint64(ctx.ID()*131071+ctx.Round()*8191+k)&0xFFFFFF, 24)
-				if err := ctx.Send(dst, &m); err != nil {
-					return false, err
-				}
-			}
-			return false, nil
-		})
-	}
-	return nodes
-}
-
 // TestReusedMessageBufferMatchesOracle pins the copy at Send against
 // both oracles: the bits.New variant of the same protocol (a sender
 // reusing its buffer must not leak into Results) and the sequential
@@ -68,7 +25,7 @@ func TestReusedMessageBufferMatchesOracle(t *testing.T) {
 	oracle := runGossipEquiv(t, n, 1) // bits.New, sequential
 	for _, p := range []int{1, 0, 2, 8, 64} {
 		cfg := Config{N: n, Bandwidth: 24, Model: Unicast, Seed: 42, Parallelism: p}
-		res, err := Run(cfg, reusedGossipNodes(n))
+		res, err := RunProcs(cfg, gossipEquivBody(true))
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}
@@ -77,40 +34,40 @@ func TestReusedMessageBufferMatchesOracle(t *testing.T) {
 
 	// Broadcast fan-out: one broadcast buffer filed N-1 times per round.
 	run := func(par int, reuse bool) *Result {
-		nodes := make([]Node, 16)
-		for i := range nodes {
+		cfg := Config{N: 16, Bandwidth: 16, Model: Unicast, Seed: 8, Parallelism: par}
+		res, err := RunProcs(cfg, func(p *Proc) error {
+			var sum uint64
 			var reused bits.Buffer
-			nodes[i] = NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-				var sum uint64
-				var r bits.Reader
+			err := p.Rounds(6, func(r int) error {
+				m := &reused
+				if reuse {
+					m.Reset()
+				} else {
+					m = bits.New(16)
+				}
+				m.WriteUint((uint64(p.ID())*977+uint64(r))&0xFFFF, 16)
+				return p.Broadcast(m)
+			}, func(_ int, in []*bits.Buffer) error {
+				var rd bits.Reader
 				for _, msg := range in {
 					if msg == nil {
 						continue
 					}
-					r.Reset(msg)
-					v, err := r.ReadUint(16)
+					rd.Reset(msg)
+					v, err := rd.ReadUint(16)
 					if err != nil {
-						return false, err
+						return err
 					}
 					sum += v
 				}
-				if ctx.Round() >= 6 {
-					ctx.SetOutput(sum)
-					return true, nil
-				}
-				var m *bits.Buffer
-				if reuse {
-					reused.Reset()
-					m = &reused
-				} else {
-					m = bits.New(16)
-				}
-				m.WriteUint((uint64(ctx.ID())*977+uint64(ctx.Round()))&0xFFFF, 16)
-				return false, ctx.Broadcast(m)
+				return nil
 			})
-		}
-		cfg := Config{N: 16, Bandwidth: 16, Model: Unicast, Seed: 8, Parallelism: par}
-		res, err := Run(cfg, nodes)
+			if err != nil {
+				return err
+			}
+			p.SetOutput(sum)
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("bcast par=%d reuse=%v: %v", par, reuse, err)
 		}
@@ -168,36 +125,44 @@ func TestLateCopiesKeepTheirBits(t *testing.T) {
 	const rounds = 24
 	for _, par := range []int{1, 4} {
 		var delayed, duplicated int // late copies node 1 read
-		var m bits.Buffer
-		nodes := []Node{
-			NodeFunc(func(ctx *Ctx, _ []*bits.Buffer) (bool, error) {
-				m.Reset()
-				m.WriteUint(uint64(ctx.Round()), 16)
-				return ctx.Round() == rounds-1, ctx.Send(1, &m)
-			}),
-			NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-				if in[0] != nil {
-					v, err := bits.NewReader(in[0]).ReadUint(16)
-					if err != nil {
-						return false, err
-					}
-					sent, filed := int(v), ctx.Round()-1
-					a := lateCopyPlan{}.OnMessage(sent, 0, 1, 16)
-					switch {
-					case a.Delay == 0 && sent == filed:
-					case a.Delay > 0 && sent+a.Delay == filed:
-						delayed++
-					case a.Duplicate && sent+a.DupDelay == filed:
-						duplicated++
-					default:
-						return false, fmt.Errorf("round %d read the bits sent in round %d, which the plan does not deliver then", ctx.Round(), sent)
-					}
-				}
-				return ctx.Round() >= rounds+4, nil
-			}),
-		}
 		cfg := Config{N: 2, Bandwidth: 16, Model: Unicast, Seed: 1, Parallelism: par, FaultPlan: lateCopyPlan{}}
-		res, err := Run(cfg, nodes)
+		res, err := RunProcs(cfg, func(p *Proc) error {
+			if p.ID() == 0 {
+				// Send every round, the last send in the round the
+				// body returns.
+				var m bits.Buffer
+				send := func(r int) error {
+					m.Reset()
+					m.WriteUint(uint64(r), 16)
+					return p.Send(1, &m)
+				}
+				if err := p.Rounds(rounds-1, send, nil); err != nil {
+					return err
+				}
+				return send(rounds - 1)
+			}
+			return p.Rounds(rounds+4, nil, func(r int, in []*bits.Buffer) error {
+				if in[0] == nil {
+					return nil
+				}
+				v, err := bits.NewReader(in[0]).ReadUint(16)
+				if err != nil {
+					return err
+				}
+				sent, filed := int(v), r
+				a := lateCopyPlan{}.OnMessage(sent, 0, 1, 16)
+				switch {
+				case a.Delay == 0 && sent == filed:
+				case a.Delay > 0 && sent+a.Delay == filed:
+					delayed++
+				case a.Duplicate && sent+a.DupDelay == filed:
+					duplicated++
+				default:
+					return fmt.Errorf("round %d read the bits sent in round %d, which the plan does not deliver then", p.Round(), sent)
+				}
+				return nil
+			})
+		})
 		if err != nil {
 			t.Fatalf("p=%d: %v", par, err)
 		}
@@ -214,34 +179,33 @@ func TestLateCopiesKeepTheirBits(t *testing.T) {
 // between the sequential oracle and the worker pool.
 func TestDelayOnlyRoundCounted(t *testing.T) {
 	run := func(par int) *Result {
-		nodes := []Node{
-			// Node 0 sends once in round 0, idles, halts at round 5.
-			NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-				if ctx.Round() == 0 {
-					m := bits.New(8)
-					m.WriteUint(0xA5, 8)
-					return false, ctx.Send(1, m)
-				}
-				return ctx.Round() >= 5, nil
-			}),
-			// Node 1 halts once the delayed message arrives.
-			NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-				if in[0] != nil {
-					v, err := bits.NewReader(in[0]).ReadUint(8)
-					if err != nil {
-						return false, err
-					}
-					ctx.SetOutput(v)
-					return true, nil
-				}
-				return ctx.Round() >= 8, nil
-			}),
-		}
 		cfg := Config{
 			N: 2, Bandwidth: 8, Model: Unicast, Seed: 1,
 			Parallelism: par, FaultPlan: delayPlan{delay: 3},
 		}
-		res, err := Run(cfg, nodes)
+		res, err := RunProcs(cfg, func(p *Proc) error {
+			if p.ID() == 0 {
+				// Node 0 sends once in round 0, idles, halts at round 5.
+				m := bits.New(8)
+				m.WriteUint(0xA5, 8)
+				if err := p.Send(1, m); err != nil {
+					return err
+				}
+				return p.Rounds(5, nil, nil)
+			}
+			// Node 1 halts once the delayed message arrives.
+			for p.Round() < 8 {
+				if in := p.Next(); in[0] != nil {
+					v, err := bits.NewReader(in[0]).ReadUint(8)
+					if err != nil {
+						return err
+					}
+					p.SetOutput(v)
+					return nil
+				}
+			}
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
@@ -271,10 +235,11 @@ func TestDelayOnlyRoundCounted(t *testing.T) {
 // TestAllocRegressionEngine pins the send-buffer claim: once warm, the
 // round loop allocates nothing per round, so total allocations are
 // (nearly) independent of how many rounds a protocol runs. It covers both
-// programming surfaces: Node steps through Run, and Proc bodies through
-// RunProcs, whose per-round coroutine switch must not allocate either,
-// at the sequential width and under the worker pool, whose per-round
-// dispatch reuses the step function bound once per run.
+// ways a body spends its rounds: inside Rounds, whose callbacks the engine
+// runs without resuming the body (the "Run" case), and at Next, whose
+// per-round coroutine switch must not allocate either, at the sequential
+// width and under the worker pool, whose per-round dispatch reuses the
+// step function bound once per run.
 // Matches the CI alloc-regression pattern (-run AllocRegression).
 func TestAllocRegressionEngine(t *testing.T) {
 	const fanout = 4
@@ -284,9 +249,8 @@ func TestAllocRegressionEngine(t *testing.T) {
 		run  func(par, rounds int) error
 	}{
 		{"Run/N=32", func(par, rounds int) error {
-			const n = 32
-			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: par}
-			_, err := Run(cfg, gossipNodes(n, rounds, fanout))
+			cfg := Config{N: 32, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: par}
+			_, err := RunProcs(cfg, gossipBody(rounds, fanout))
 			return err
 		}},
 		{"RunProcs/N=24", func(par, rounds int) error {
@@ -333,10 +297,10 @@ func TestAllocRegressionEngine(t *testing.T) {
 }
 
 // benchNsPerOp times one engine configuration via testing.Benchmark.
-func benchNsPerOp(cfg Config, mk func() []Node) float64 {
+func benchNsPerOp(cfg Config, body func(*Proc) error) float64 {
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(cfg, mk()); err != nil {
+			if _, err := RunProcs(cfg, body); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -354,7 +318,7 @@ func TestPar1OverheadVsSeq(t *testing.T) {
 		t.Skip("benchmark guard; skipped in -short")
 	}
 	const n, rounds, fanout = 256, 20, 8
-	mk := func() []Node { return gossipNodes(n, rounds, fanout) }
+	body := gossipBody(rounds, fanout)
 	seqCfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: 1}
 	// "par1" is the parallel engine resolved to one worker — what a 1-CPU
 	// box gets from Parallelism=0. Route it through the default-resolution
@@ -366,9 +330,9 @@ func TestPar1OverheadVsSeq(t *testing.T) {
 	parCfg := seqCfg
 	parCfg.Parallelism = 0
 	best := func(cfg Config) float64 {
-		m := benchNsPerOp(cfg, mk)
+		m := benchNsPerOp(cfg, body)
 		for i := 0; i < 2; i++ {
-			if v := benchNsPerOp(cfg, mk); v < m {
+			if v := benchNsPerOp(cfg, body); v < m {
 				m = v
 			}
 		}
@@ -399,14 +363,14 @@ func TestParallelSpeedupMulticore(t *testing.T) {
 		t.Skipf("need >= 4 CPUs, have GOMAXPROCS=%d NumCPU=%d", runtime.GOMAXPROCS(0), runtime.NumCPU())
 	}
 	const n, rounds = 256, 10
-	mk := func() []Node { return bcastNodes(n, rounds) }
+	body := bcastBody(rounds)
 	seqCfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 11, Parallelism: 1}
 	par4Cfg := seqCfg
 	par4Cfg.Parallelism = 4
 	var bestSpeedup float64
 	for attempt := 0; attempt < 3; attempt++ {
-		seq := benchNsPerOp(seqCfg, mk)
-		par := benchNsPerOp(par4Cfg, mk)
+		seq := benchNsPerOp(seqCfg, body)
+		par := benchNsPerOp(par4Cfg, body)
 		speedup := seq / par
 		if speedup > bestSpeedup {
 			bestSpeedup = speedup

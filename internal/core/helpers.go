@@ -29,7 +29,7 @@ func ChunkRounds(maxBits, b int) int {
 // the nil-safe bits.NewReader, Len or DecodeAdjacencyRow. A single-round
 // exchange returns the buffers delivered to this node: they are read-only
 // and, like every received buffer, valid only until the node's next round
-// (see Node), so read them before the next exchange or Next. A
+// (see Proc), so read them before the next exchange or Next. A
 // multi-round exchange cuts its chunks into one reused scratch buffer
 // (Broadcast copies each) and reassembles each sending source into one
 // pool buffer (bits.Get), which the caller may keep or Release.

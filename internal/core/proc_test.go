@@ -19,7 +19,7 @@ import (
 // goroutinesAfter polls runtime.NumGoroutine until ok accepts a reading
 // or five seconds pass, and returns the last reading. The engine's pool
 // workers exit asynchronously after the pool closes, so a single read
-// right after Run returns could still count them.
+// right after RunProcs returns could still count them.
 func goroutinesAfter(ok func(prev, cur int) bool) int {
 	deadline := time.Now().Add(5 * time.Second)
 	prev := runtime.NumGoroutine()
@@ -216,11 +216,11 @@ func procBroadcastBody(rounds int) func(*Proc) error {
 	}
 }
 
-// procGossipBody is gossipNodes as a Proc body: for `rounds` rounds each
-// node sends messages built in one reused buffer to `fanout` pseudorandom
-// destinations, then XOR-folds its inbox through a stack Reader. Once
-// warm, a round of it allocates nothing, so it isolates the cost of the
-// Proc barrier itself.
+// procGossipBody is gossipBody written as a Next loop: for `rounds`
+// rounds each node sends messages built in one reused buffer to `fanout`
+// pseudorandom destinations, then XOR-folds its inbox through a stack
+// Reader. Once warm, a round of it allocates nothing, so it isolates the
+// cost of the Proc barrier itself.
 func procGossipBody(rounds, fanout int) func(*Proc) error {
 	return func(p *Proc) error {
 		var acc uint64
@@ -229,7 +229,7 @@ func procGossipBody(rounds, fanout int) func(*Proc) error {
 		for r := 0; r < rounds; r++ {
 			for k := 0; k < fanout; k++ {
 				dst := p.Rand().Intn(p.N())
-				if dst == p.ID() || p.ctx.out[dst] != nil {
+				if dst == p.ID() || p.out[dst] != nil {
 					continue
 				}
 				m.Reset()

@@ -32,7 +32,7 @@ import "fmt"
 // records the per-worker dispatch counts of the round and therefore
 // varies with — and documents — the worker width.
 
-// Mark is a phase marker stamped by a protocol via Ctx.Annotate: the
+// Mark is a phase marker stamped by a protocol via Proc.Annotate: the
 // stamping node, the round of the stamp, and a protocol-chosen name.
 // Analysis (internal/obs) treats marks as phase boundaries for
 // per-phase rounds·bits profiles.
@@ -130,26 +130,26 @@ type Sink interface {
 // repo's protocols stamp global phase boundaries from node 0 only
 // (crash-exempt under every fault plan), so a trace carries one
 // boundary per phase.
-func (c *Ctx) Annotate(name string) {
-	if !c.traced {
+func (p *Proc) Annotate(name string) {
+	if !p.traced {
 		return
 	}
-	c.marks = append(c.marks, Mark{Node: c.id, Round: c.round, Name: name})
+	p.marks = append(p.marks, Mark{Node: p.id, Round: p.round, Name: name})
 }
 
 // Annotatef is Annotate with formatting; the format is evaluated only
 // when the run is traced, so dynamic phase names ("phase 3") cost
 // nothing on untraced runs.
-func (c *Ctx) Annotatef(format string, args ...interface{}) {
-	if !c.traced {
+func (p *Proc) Annotatef(format string, args ...interface{}) {
+	if !p.traced {
 		return
 	}
-	c.marks = append(c.marks, Mark{Node: c.id, Round: c.round, Name: fmt.Sprintf(format, args...)})
+	p.marks = append(p.marks, Mark{Node: p.id, Round: p.round, Name: fmt.Sprintf(format, args...)})
 }
 
 // Traced reports whether this run has a trace sink attached — the guard
 // protocols use before assembling expensive annotation payloads.
-func (c *Ctx) Traced() bool { return c.traced }
+func (p *Proc) Traced() bool { return p.traced }
 
 // beginTrace resets the scratch record and snapshots the accounting
 // the record's deltas are computed against. Called at the top of each
@@ -198,10 +198,10 @@ func (e *engine) emitTrace(round int, wallNs int64) {
 // stepped nodes into the scratch record, in ascending node id.
 func (e *engine) collectMarks() {
 	for _, i := range e.stepped {
-		ctx := e.ctxs[i]
-		if len(ctx.marks) > 0 {
-			e.rt.Marks = append(e.rt.Marks, ctx.marks...)
-			ctx.marks = ctx.marks[:0]
+		p := &e.procs[i]
+		if len(p.marks) > 0 {
+			e.rt.Marks = append(e.rt.Marks, p.marks...)
+			p.marks = p.marks[:0]
 		}
 	}
 }

@@ -143,7 +143,7 @@ func TestTracedMatchesUntracedExact(t *testing.T) {
 	const n = 48
 	run := func(par int, sink Sink) *Result {
 		cfg := Config{N: n, Bandwidth: 24, Model: Unicast, Seed: 42, Parallelism: par, Sink: sink}
-		res, err := Run(cfg, reusedGossipNodes(n))
+		res, err := RunProcs(cfg, gossipEquivBody(true))
 		if err != nil {
 			t.Fatalf("par=%d traced=%v: %v", par, sink != nil, err)
 		}
@@ -176,23 +176,26 @@ func TestTracedMatchesUntracedExact(t *testing.T) {
 // every worker width.
 func TestTraceMergeOrderParallel(t *testing.T) {
 	const n = 16
-	build := func() []Node {
-		nodes := make([]Node, n)
-		for i := range nodes {
-			var m bits.Buffer
-			nodes[i] = NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-				ctx.Annotatef("enter:%d", ctx.ID())
-				ctx.Annotate("work")
-				if ctx.Round() >= 3 {
-					ctx.SetOutput(ctx.ID())
-					return true, nil
-				}
-				m.Reset()
-				m.WriteUint(uint64(ctx.ID()), 8)
-				return false, ctx.Send((ctx.ID()+1)%n, &m)
-			})
+	// Each node stamps two marks in every round it is stepped, the
+	// round it returns in too.
+	body := func(p *Proc) error {
+		annotate := func() {
+			p.Annotatef("enter:%d", p.ID())
+			p.Annotate("work")
 		}
-		return nodes
+		var m bits.Buffer
+		err := p.Rounds(3, func(r int) error {
+			annotate()
+			m.Reset()
+			m.WriteUint(uint64(p.ID()), 8)
+			return p.Send((p.ID()+1)%n, &m)
+		}, nil)
+		if err != nil {
+			return err
+		}
+		annotate()
+		p.SetOutput(p.ID())
+		return nil
 	}
 	run := func(par int) *testSink {
 		s := &testSink{}
@@ -200,7 +203,7 @@ func TestTraceMergeOrderParallel(t *testing.T) {
 		if err := cfg.validate(); err != nil {
 			t.Fatalf("validate rejected Sink at Parallelism=%d: %v", par, err)
 		}
-		if _, err := Run(cfg, build()); err != nil {
+		if _, err := RunProcs(cfg, body); err != nil {
 			t.Fatalf("par=%d: %v", par, err)
 		}
 		return s
@@ -268,7 +271,7 @@ func TestTraceFaultStatsReconcile(t *testing.T) {
 			N: n, Bandwidth: 24, Model: Unicast, Seed: 91,
 			Parallelism: par, FaultPlan: mixedFaultPlan{}, Sink: sink,
 		}
-		res, err := Run(cfg, gossipEquivNodes(n))
+		res, err := RunProcs(cfg, gossipEquivBody(false))
 		if err != nil {
 			t.Fatalf("par=%d traced=%v: %v", par, sink != nil, err)
 		}
@@ -317,14 +320,13 @@ func TestTraceFaultStatsReconcile(t *testing.T) {
 // (satellite 5): with tracing disabled the instrumented engine still
 // allocates ~0 per round — the tracing branch costs one predicted
 // compare, never an allocation. (The ≤1%-wall-time companion is
-// BenchmarkTraceOverhead in internal/obs, whose "none" leg extends the
-// PR 8 engine_scaling BENCH series.)
+// BenchmarkTraceOverhead in internal/obs.)
 func TestAllocRegressionTrace(t *testing.T) {
 	const n, fanout = 32, 4
 	run := func(rounds int) func() {
 		return func() {
 			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: 1, Sink: nil}
-			if _, err := Run(cfg, gossipNodes(n, rounds, fanout)); err != nil {
+			if _, err := RunProcs(cfg, gossipBody(rounds, fanout)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -343,17 +345,20 @@ func TestAllocRegressionTrace(t *testing.T) {
 // allocation happens per call.
 func TestTraceAnnotateUntracedFree(t *testing.T) {
 	cfg := Config{N: 4, Bandwidth: 8, Model: Unicast, Seed: 5, Parallelism: 1}
-	nodes := make([]Node, 4)
-	for i := range nodes {
-		nodes[i] = NodeFunc(func(ctx *Ctx, in []*bits.Buffer) (bool, error) {
-			ctx.Annotate("phase")
-			if ctx.Traced() {
-				return false, fmt.Errorf("Traced() = true without a sink")
+	_, err := RunProcs(cfg, func(p *Proc) error {
+		annotate := func(int) error {
+			p.Annotate("phase")
+			if p.Traced() {
+				return fmt.Errorf("Traced() = true without a sink")
 			}
-			return ctx.Round() >= 2, nil
-		})
-	}
-	if _, err := Run(cfg, nodes); err != nil {
+			return nil
+		}
+		if err := p.Rounds(2, annotate, nil); err != nil {
+			return err
+		}
+		return annotate(2)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }

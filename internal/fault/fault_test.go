@@ -9,17 +9,22 @@ import (
 	"repro/internal/core"
 )
 
-// gossipNodes builds a fixed-round gossip protocol: every node unicasts a
+// gossipBody is a fixed-round gossip protocol: every node unicasts a
 // (round, id)-tagged word each round and folds everything it receives
 // into an FNV digest, halting after `rounds` rounds regardless of what
 // arrives. It terminates under every fault model (no node ever waits on
 // another), which makes it the reference workload for determinism tests.
-func gossipNodes(n, rounds int) []core.Node {
-	nodes := make([]core.Node, n)
-	for i := 0; i < n; i++ {
-		id := i
+func gossipBody(rounds int) func(*core.Proc) error {
+	return func(p *core.Proc) error {
+		id, n := p.ID(), p.N()
 		h := uint64(0xcbf29ce484222325)
-		nodes[i] = core.NodeFunc(func(ctx *core.Ctx, in []*bits.Buffer) (bool, error) {
+		err := p.Rounds(rounds, func(r int) error {
+			msg := bits.New(48)
+			msg.WriteUint(uint64(r), 16)
+			msg.WriteUint(uint64(id), 16)
+			msg.WriteUint(uint64(r*31+id), 16)
+			return p.Send((id+1+r%(n-1))%n, msg)
+		}, func(_ int, in []*bits.Buffer) error {
 			for j, m := range in {
 				if m == nil {
 					continue
@@ -29,33 +34,28 @@ func gossipNodes(n, rounds int) []core.Node {
 					h = (h ^ uint64(b)) * 0x100000001b3
 				}
 			}
-			r := ctx.Round()
-			if r >= rounds {
-				ctx.SetOutput(h)
-				return true, nil
-			}
-			msg := bits.New(48)
-			msg.WriteUint(uint64(r), 16)
-			msg.WriteUint(uint64(id), 16)
-			msg.WriteUint(uint64(r*31+id), 16)
-			return false, ctx.Send((id+1+r%(ctx.N()-1))%ctx.N(), msg)
+			return nil
 		})
+		if err != nil {
+			return err
+		}
+		p.SetOutput(h)
+		return nil
 	}
-	return nodes
 }
 
 func runGossip(t *testing.T, n, rounds, parallelism int, plan core.FaultInjector) *core.Result {
 	t.Helper()
-	res, err := core.Run(core.Config{
+	res, err := core.RunProcs(core.Config{
 		N:           n,
 		Bandwidth:   64,
 		Model:       core.Unicast,
 		Seed:        42,
 		Parallelism: parallelism,
 		FaultPlan:   plan,
-	}, gossipNodes(n, rounds))
+	}, gossipBody(rounds))
 	if err != nil {
-		t.Fatalf("Run(parallelism=%d): %v", parallelism, err)
+		t.Fatalf("RunProcs(parallelism=%d): %v", parallelism, err)
 	}
 	return res
 }
@@ -161,22 +161,16 @@ func TestFaultStatsCounting(t *testing.T) {
 	// One link carries one message per round: on a ring that reuses the
 	// same directed link every round, a delayed arrival collides with the
 	// fresh send and is discarded.
-	ring := make([]core.Node, 8)
-	for i := range ring {
-		id := i
-		ring[i] = core.NodeFunc(func(ctx *core.Ctx, in []*bits.Buffer) (bool, error) {
-			if ctx.Round() >= 30 {
-				return true, nil
-			}
-			msg := bits.New(16)
-			msg.WriteUint(uint64(ctx.Round()), 16)
-			return false, ctx.Send((id+1)%ctx.N(), msg)
-		})
-	}
-	ringRes, err := core.Run(core.Config{
+	ringRes, err := core.RunProcs(core.Config{
 		N: 8, Bandwidth: 16, Model: core.Unicast, Seed: 2,
 		FaultPlan: New(Spec{Delay: 0.2}, 5),
-	}, ring)
+	}, func(p *core.Proc) error {
+		return p.Rounds(30, func(r int) error {
+			msg := bits.New(16)
+			msg.WriteUint(uint64(r), 16)
+			return p.Send((p.ID()+1)%p.N(), msg)
+		}, nil)
+	})
 	if err != nil {
 		t.Fatalf("ring run: %v", err)
 	}
@@ -209,28 +203,24 @@ func TestFaultStatsCounting(t *testing.T) {
 // which the fault plan arms at DefaultQuiesceLimit, instead of spinning
 // to the round limit.
 func TestStallDetection(t *testing.T) {
-	n := 4
-	nodes := make([]core.Node, n)
-	for i := 0; i < n; i++ {
-		id := i
-		nodes[i] = core.NodeFunc(func(ctx *core.Ctx, in []*bits.Buffer) (bool, error) {
-			if id == 0 {
-				// Waits forever for node 1's message, which never comes:
-				// every non-leader crashes at round 0 below.
-				return in[1] != nil, nil
-			}
-			msg := bits.New(8)
-			msg.WriteUint(uint64(id), 8)
-			return true, ctx.Send(0, msg)
-		})
-	}
-	_, err := core.Run(core.Config{
-		N:         n,
+	_, err := core.RunProcs(core.Config{
+		N:         4,
 		Bandwidth: 8,
 		Model:     core.Unicast,
 		Seed:      1,
 		FaultPlan: New(Spec{Crash: 1, CrashBy: 1}, 1),
-	}, nodes)
+	}, func(p *core.Proc) error {
+		if p.ID() == 0 {
+			// Waits forever for node 1's message, which never comes:
+			// every non-leader crashes at round 0.
+			for p.Next()[1] == nil {
+			}
+			return nil
+		}
+		msg := bits.New(8)
+		msg.WriteUint(uint64(p.ID()), 8)
+		return p.Send(0, msg)
+	})
 	if !errors.Is(err, core.ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
 	}

@@ -23,7 +23,7 @@ var (
 
 // Trace analysis: summing, reconciliation against the authoritative
 // Stats (the tracer as a second auditor of the paper's accounting),
-// per-phase profiles keyed on Ctx.Annotate marks, hot-spot ranking and
+// per-phase profiles keyed on Proc.Annotate marks, hot-spot ranking and
 // run diffing. All of it operates on the deterministic field set only —
 // WallNs and Workers never influence a verdict.
 

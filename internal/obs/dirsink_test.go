@@ -23,7 +23,7 @@ func TestDirSinkArchivesPerSeed(t *testing.T) {
 	var want []*core.Result
 	for _, seed := range []int64{11, 11, 12} {
 		cfg := core.Config{N: 16, Bandwidth: 24, Model: core.Unicast, Seed: seed}
-		res, err := core.Run(env.Apply(cfg), gossipNodes(16, 6, 3))
+		res, err := core.RunProcs(env.Apply(cfg), gossipBody(6, 3))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,59 +13,60 @@ import (
 	"repro/internal/core"
 )
 
-// gossipNodes is a deterministic unicast gossip: each node fans out to
+// gossipBody is a deterministic unicast gossip: each node fans out to
 // `fanout` arithmetically-spread destinations per round for `rounds`
 // rounds, XOR-folding its inbox. Node 0 stamps a phase boundary at the
 // start and halfway through, so the trace profiles into two phases.
-func gossipNodes(n, rounds, fanout int) []core.Node {
-	nodes := make([]core.Node, n)
-	for i := 0; i < n; i++ {
-		id := i
+func gossipBody(rounds, fanout int) func(*core.Proc) error {
+	return func(p *core.Proc) error {
+		id, n := p.ID(), p.N()
+		var acc uint64
 		var m bits.Buffer
-		nodes[i] = core.NodeFunc(func(ctx *core.Ctx, in []*bits.Buffer) (bool, error) {
+		err := p.Rounds(rounds, func(r int) error {
 			if id == 0 {
-				switch ctx.Round() {
+				switch r {
 				case 0:
-					ctx.Annotate("warmup")
+					p.Annotate("warmup")
 				case rounds / 2:
-					ctx.Annotate("steady")
+					p.Annotate("steady")
 				}
 			}
-			var acc uint64
+			for k := 1; k <= fanout; k++ {
+				dst := (id + k*(r+1)) % n
+				if dst == id {
+					continue
+				}
+				m.Reset()
+				m.WriteUint(uint64(id*131+r*31+k)&0xFFFFFF, 24)
+				if err := p.Send(dst, &m); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, func(_ int, in []*bits.Buffer) error {
 			for _, msg := range in {
 				if msg == nil {
 					continue
 				}
 				v, err := bits.NewReader(msg).ReadUint(24)
 				if err != nil {
-					return false, err
+					return err
 				}
 				acc ^= v
 			}
-			if ctx.Round() >= rounds {
-				ctx.SetOutput(acc)
-				return true, nil
-			}
-			for k := 1; k <= fanout; k++ {
-				dst := (id + k*(ctx.Round()+1)) % n
-				if dst == id {
-					continue
-				}
-				m.Reset()
-				m.WriteUint(uint64(id*131+ctx.Round()*31+k)&0xFFFFFF, 24)
-				if err := ctx.Send(dst, &m); err != nil {
-					return false, err
-				}
-			}
-			return false, nil
+			return nil
 		})
+		if err != nil {
+			return err
+		}
+		p.SetOutput(acc)
+		return nil
 	}
-	return nodes
 }
 
 func runGossipTraced(t testing.TB, n, par int, sink core.Sink) *core.Result {
 	cfg := core.Config{N: n, Bandwidth: 24, Model: core.Unicast, Seed: 7, Parallelism: par, Sink: sink}
-	res, err := core.Run(cfg, gossipNodes(n, 12, 4))
+	res, err := core.RunProcs(cfg, gossipBody(12, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,10 +316,10 @@ d_cells_done_total 7
 }
 
 // BenchmarkTraceOverhead measures the tracing tax on the gossip N=256
-// shape. The "none" leg is the nil-Sink engine — directly comparable
-// across PRs to the engine_scaling BENCH series, which is how the
-// ≤1%-overhead-when-disabled budget is tracked (scripts/bench.sh folds
-// all three legs into BENCH_<date>.json as trace_overhead).
+// shape. The "none" leg is the nil-Sink engine, and its record across
+// PRs is how the ≤1%-overhead-when-disabled budget is tracked
+// (scripts/bench.sh folds all three legs into BENCH_<date>.json as
+// trace_overhead).
 func BenchmarkTraceOverhead(b *testing.B) {
 	const n = 256
 	legs := []struct {
@@ -334,7 +335,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cfg := core.Config{N: n, Bandwidth: 24, Model: core.Unicast, Seed: 7, Parallelism: 1, Sink: leg.mk()}
-				if _, err := core.Run(cfg, gossipNodes(n, 12, 4)); err != nil {
+				if _, err := core.RunProcs(cfg, gossipBody(12, 4)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -111,9 +111,10 @@ append_record() {
 }
 
 # Fold the tracing tax ("trace_overhead"): the three legs of
-# BenchmarkTraceOverhead (gossip N=256 — the same shape as the
-# engine_scaling series, so the "none" leg doubles as the
-# ≤1%-overhead-when-disabled tripwire for the nil-Sink engine), with
+# BenchmarkTraceOverhead (a gossip of Proc bodies at N=256 on the
+# sequential engine, 12 rounds of fan-out 4 where engine_scaling's runs
+# 20 rounds of fan-out 8, so the "none" leg is a series of its own and
+# the ≤1%-overhead-when-disabled tripwire for the nil-Sink engine), with
 # recorder/ndjson wall and alloc overheads relative to none. Parsed
 # from the main bench output above, so it records the same run.
 fold_trace() {
