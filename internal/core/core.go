@@ -26,13 +26,16 @@
 // parallelism setting; Parallelism=1 keeps the legacy sequential path as
 // the determinism oracle.
 //
-// Send and Broadcast copy a message into a buffer the sending node owns
-// (one per message it stages in a round, reused every other round), seal
-// it (bits.Buffer.Freeze) and deliver that buffer itself to every
-// recipient, so the caller keeps its own buffer and a unicast broadcast
-// costs one copy instead of N-1. Received buffers are therefore
-// read-only (mutating one panics) and valid only until the recipient's
-// next round, when their sender may refill them.
+// A node stages either one Broadcast or a set of Sends on distinct links
+// per round. Either copies the message into a buffer the sending node
+// owns (one per message it stages in a round, reused every other round)
+// and seals it (bits.Buffer.Freeze), and the engine delivers that buffer
+// itself to every recipient, so the caller keeps its own buffer and a
+// broadcast costs one copy in every model. The models differ only in how
+// a broadcast is metered: once in BCAST, where it is one blackboard
+// write, and on each recipient link in UCAST and CONGEST. Received
+// buffers are therefore read-only (mutating one panics) and valid only
+// until the recipient's next round, when their sender may refill them.
 package core
 
 import (
@@ -319,24 +322,18 @@ func (p *Proc) checkSend(dst int, msg *bits.Buffer) error {
 		return fmt.Errorf("%w: %d > %d bits on link %d->%d",
 			ErrBandwidth, msg.Len(), p.cfg.Bandwidth, p.id, dst)
 	}
-	if p.out[dst] != nil {
+	if p.bcast != nil || p.out[dst] != nil {
 		return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, p.id, dst)
 	}
 	return nil
 }
 
-// stageMsg records a sealed message for dst.
-func (p *Proc) stageMsg(dst int, sealed *bits.Buffer) {
-	p.out[dst] = sealed
-	p.sent = append(p.sent, dst)
-}
-
 // Send stages msg for delivery to dst at the start of the next round.
 // It enforces the model's constraints: unicast only in UCAST/CONGEST, at
-// most one message per link per round, at most Bandwidth bits, and in the
-// CONGEST model dst must be a topology neighbor. The message is copied
-// into one of this node's buffers, so the caller keeps msg and may reuse
-// it at once.
+// most one message per link per round (so no Send beside a Broadcast), at
+// most Bandwidth bits, and in the CONGEST model dst must be a topology
+// neighbor. The message is copied into one of this node's buffers, so the
+// caller keeps msg and may reuse it at once.
 func (p *Proc) Send(dst int, msg *bits.Buffer) error {
 	if err := p.checkSend(dst, msg); err != nil {
 		return err
@@ -350,16 +347,21 @@ func (p *Proc) Send(dst int, msg *bits.Buffer) error {
 		// round stay with their readers.
 		*row = bits.NewRow(min(max(2*k, 32), p.cfg.N-1), p.cfg.Bandwidth)
 	}
-	p.stageMsg(dst, (*row)[k].Refill(msg))
+	p.out[dst] = (*row)[k].Refill(msg)
+	p.sent = append(p.sent, dst)
 	return nil
 }
 
-// Broadcast stages msg for delivery to every other node next round. In the
-// UCAST model it is sugar for sending the same message on every link (as
-// the paper notes, unicast subsumes broadcast); in the BCAST model it is
-// the only way to communicate. The message is copied once, into this
-// node's broadcast buffer, which every recipient then reads, so staging
-// costs one copy regardless of fan-out; the caller keeps msg.
+// Broadcast stages msg for delivery to every other node next round — in
+// the CONGEST model, to every topology neighbor. A node stages either one
+// Broadcast or a set of Sends per round; any second message fails with
+// ErrDoubleSend. The message is copied once, into this node's broadcast
+// buffer, which every recipient then reads, so staging costs one copy
+// regardless of fan-out; the caller keeps msg. The models differ only in
+// how the engine meters it: in BCAST it is one blackboard write of its
+// length; in UCAST and CONGEST it costs its length on each recipient link,
+// exactly what the same message sent to each recipient would (as the
+// paper notes, unicast subsumes broadcast).
 func (p *Proc) Broadcast(msg *bits.Buffer) error {
 	if p.halted {
 		return ErrAfterBarrier
@@ -368,52 +370,19 @@ func (p *Proc) Broadcast(msg *bits.Buffer) error {
 		return fmt.Errorf("%w: broadcast of %d > %d bits by node %d",
 			ErrBandwidth, msg.Len(), p.cfg.Bandwidth, p.id)
 	}
-	switch p.cfg.Model {
-	case Broadcast:
-		if p.bcast != nil {
-			return fmt.Errorf("%w: second broadcast by node %d", ErrDoubleSend, p.id)
-		}
-		p.bcast = p.bcasts[p.round&1].Refill(msg)
-		return nil
-	case Unicast:
-		// Check every link before the refill: a rejected second
-		// Broadcast must not rewrite the buffer the first one staged.
-		for dst := 0; dst < p.cfg.N; dst++ {
-			if dst != p.id && p.out[dst] != nil {
-				return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, p.id, dst)
-			}
-		}
-		sealed := p.bcasts[p.round&1].Refill(msg)
-		for dst := 0; dst < p.cfg.N; dst++ {
-			if dst != p.id {
-				p.stageMsg(dst, sealed)
-			}
-		}
-		return nil
-	case Congest:
-		if p.nbrs == nil {
-			p.nbrs = p.cfg.Topology.Neighbors(p.id)
-		}
-		for _, dst := range p.nbrs {
-			if p.out[dst] != nil {
-				return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, p.id, dst)
-			}
-		}
-		sealed := p.bcasts[p.round&1].Refill(msg)
-		for _, dst := range p.nbrs {
-			p.stageMsg(dst, sealed)
-		}
-		return nil
-	default:
-		return ErrBadModel
+	if p.bcast != nil || len(p.sent) > 0 {
+		return fmt.Errorf("%w: broadcast beside another message by node %d", ErrDoubleSend, p.id)
 	}
+	if p.cfg.Model == Congest && p.nbrs == nil {
+		p.nbrs = p.cfg.Topology.Neighbors(p.id)
+	}
+	p.bcast = p.bcasts[p.round&1].Refill(msg)
+	return nil
 }
 
-// delivery records one filled inbox slot, to be cleared next round.
-type delivery struct{ dst, src int }
-
 // pendingDelivery is a delayed (or duplicated) message in flight: it is
-// filed into inboxes[dst][src] during the delivery pass of round `due`.
+// filed into dst's inbox slot for src during the delivery pass of round
+// `due`.
 type pendingDelivery struct {
 	due, dst, src int
 	msg           *bits.Buffer
@@ -422,20 +391,28 @@ type pendingDelivery struct {
 // engine holds the per-run state of the round loop. All matrices are
 // allocated once up front and reused across rounds.
 type engine struct {
-	cfg       *Config
-	procs     []Proc // one per node, indexed by id
-	inboxes   [][]*bits.Buffer
-	stats     Stats
-	live      []int // ascending ids of non-halted nodes
-	spare     []int // scratch for the next live list (double-buffered)
-	stepped   []int // nodes stepped this round (the previous live list)
-	done      []bool
-	errs      []error
-	delivered []delivery // inbox slots filled by the last delivery
-	workers   int
-	pool      *workerPool // resident round pool; nil when workers == 1
-	round     int         // the round being stepped
-	stepSlot  func(k int) // e.stepLive, bound once so rounds allocate nothing
+	cfg      *Config
+	procs    []Proc // one per node, indexed by id
+	stats    Stats
+	live     []int // ascending ids of non-halted nodes
+	spare    []int // scratch for the next live list (double-buffered)
+	stepped  []int // nodes stepped this round (the previous live list)
+	done     []bool
+	errs     []error
+	workers  int
+	pool     *workerPool // resident round pool; nil when workers == 1
+	round    int         // the round being stepped
+	stepSlot func(k int) // e.stepLive, bound once so rounds allocate nothing
+
+	// Every inbox slot, dst*N+src: node dst's inbox is row dst. filled
+	// lists the slots the last delivery filled, to be cleared by the
+	// next; it is sized up front for the N(N-1) slots one round can fill
+	// (one message per directed link, fault landings included), so no
+	// run regrows it. sending records that the round being delivered
+	// sent a message.
+	slots   []*bits.Buffer
+	filled  []int32
+	sending bool
 
 	// Fault-injection state (all nil/zero when no plan is active).
 	plan    FaultInjector
@@ -461,13 +438,14 @@ func newEngine(cfg *Config, body func(*Proc) error) *engine {
 	e := &engine{
 		cfg:     cfg,
 		procs:   make([]Proc, n),
-		inboxes: make([][]*bits.Buffer, n),
 		stats:   Stats{NodeSentBits: make([]int64, n)},
 		live:    make([]int, n),
 		spare:   make([]int, 0, n),
 		done:    make([]bool, n),
 		errs:    make([]error, n),
 		workers: cfg.workers(),
+		slots:   make([]*bits.Buffer, n*n),
+		filled:  make([]int32, 0, n*(n-1)),
 		plan:    cfg.FaultPlan,
 		sink:    cfg.Sink,
 	}
@@ -476,7 +454,6 @@ func newEngine(cfg *Config, body func(*Proc) error) *engine {
 	if e.plan != nil {
 		e.crashed = make([]bool, n)
 	}
-	inboxFlat := make([]*bits.Buffer, n*n)
 	outFlat := make([]*bits.Buffer, n*n)
 	for i := 0; i < n; i++ {
 		e.procs[i] = Proc{
@@ -487,7 +464,6 @@ func newEngine(cfg *Config, body func(*Proc) error) *engine {
 			traced: e.traceOn,
 			body:   body,
 		}
-		e.inboxes[i] = inboxFlat[i*n : (i+1)*n : (i+1)*n]
 		e.live[i] = i
 	}
 	return e
@@ -504,7 +480,8 @@ func (e *engine) stepLive(k int) {
 	}
 	p := &e.procs[id]
 	p.round = e.round
-	e.done[k], e.errs[k] = p.step(e.inboxes[id])
+	n := e.cfg.N
+	e.done[k], e.errs[k] = p.step(e.slots[id*n : (id+1)*n : (id+1)*n])
 }
 
 // step runs all live nodes for one round — sequentially, or fanned out
@@ -562,21 +539,22 @@ func (e *engine) compactLive() {
 
 // deliver collects the messages staged by this round's stepped nodes,
 // meters them, and files them into the recipients' inboxes — through the
-// fault plan when one is active. It runs sequentially in ascending node
-// order, which (together with the order-insensitive Stats aggregates and
-// the purely positional fault decisions) keeps accounting and the fault
-// schedule bit-identical to the sequential engine.
+// fault plan when one is active. It runs sequentially, recipients in
+// ascending order within ascending senders, which (together with the
+// order-insensitive Stats aggregates and the purely positional fault
+// decisions) keeps accounting and the fault schedule bit-identical to the
+// sequential engine.
 func (e *engine) deliver(round int) {
 	// Clear only the inbox slots the previous round filled — O(messages),
 	// not O(N^2).
-	for _, d := range e.delivered {
-		e.inboxes[d.dst][d.src] = nil
+	for _, k := range e.filled {
+		e.slots[k] = nil
 	}
-	e.delivered = e.delivered[:0]
+	e.filled = e.filled[:0]
+	e.sending = false
 
 	// Delayed and duplicated messages due this round land first: they
 	// were on the wire before anything staged now.
-	delivered := false
 	if len(e.pending) > 0 {
 		keep := e.pending[:0]
 		for _, pd := range e.pending {
@@ -584,82 +562,53 @@ func (e *engine) deliver(round int) {
 				keep = append(keep, pd)
 				continue
 			}
-			if e.fileNow(pd.dst, pd.src, pd.msg) {
-				delivered = true
-			}
+			e.fileNow(pd.dst, pd.src, pd.msg)
 		}
 		e.pending = keep
 	}
 
 	cfg := e.cfg
-	sentAny := false
 	for _, i := range e.stepped {
 		p := &e.procs[i]
 		if msg := p.bcast; msg != nil {
 			p.bcast = nil
-			sentAny = true
-			ln := msg.Len()
-			e.stats.TotalBits += int64(ln)
-			e.stats.NodeSentBits[i] += int64(ln)
-			if ln > e.stats.MaxLinkBits {
-				e.stats.MaxLinkBits = ln
-			}
-			if e.traceOn {
-				e.rt.Sends++
-				if ln > e.rt.MaxLinkBits {
-					e.rt.MaxLinkBits = ln
+			switch cfg.Model {
+			case Broadcast:
+				// One blackboard write: metered once, and readable once
+				// by the other side of a cut.
+				e.meter(i, msg.Len(), cfg.CutSide != nil)
+				for j := 0; j < cfg.N; j++ {
+					if j != i {
+						e.file(round, i, j, msg)
+					}
+				}
+			case Unicast:
+				for j := 0; j < cfg.N; j++ {
+					if j != i {
+						e.send(round, i, j, msg)
+					}
+				}
+			case Congest:
+				for _, j := range p.nbrs {
+					e.send(round, i, j, msg)
 				}
 			}
-			if cfg.CutSide != nil {
-				// A broadcast is readable by the other side of the cut
-				// once (shared blackboard), so it contributes its length.
-				e.stats.CutBits += int64(ln)
-			}
-			for j := 0; j < cfg.N; j++ {
-				if j == i {
-					continue
-				}
-				if e.file(round, i, j, msg) {
-					delivered = true
-				}
-			}
-		}
-		if len(p.sent) == 0 {
 			continue
 		}
-		sentAny = true
 		for _, dst := range p.sent {
-			msg := p.out[dst]
+			e.send(round, i, dst, p.out[dst])
 			p.out[dst] = nil
-			ln := msg.Len()
-			e.stats.TotalBits += int64(ln)
-			e.stats.NodeSentBits[i] += int64(ln)
-			if ln > e.stats.MaxLinkBits {
-				e.stats.MaxLinkBits = ln
-			}
-			if e.traceOn {
-				e.rt.Sends++
-				if ln > e.rt.MaxLinkBits {
-					e.rt.MaxLinkBits = ln
-				}
-			}
-			if cfg.CutSide != nil && cfg.CutSide[i] != cfg.CutSide[dst] {
-				e.stats.CutBits += int64(ln)
-			}
-			if e.file(round, i, dst, msg) {
-				delivered = true
-			}
 		}
 		p.sent = p.sent[:0]
+	}
+	if e.traceOn {
+		e.collectMarks()
 	}
 	// A round counts toward Stats.Rounds when communication happened in
 	// it: something was sent, or a delayed/duplicated message released by
 	// the fault plan landed. (Delivery-only rounds used to be missed; see
 	// the Stats doc comment.)
-	if e.traceOn {
-		e.collectMarks()
-	}
-	if sentAny || delivered {
+	if e.sending || len(e.filled) > 0 {
 		e.stats.Rounds++
 		e.quiet = 0
 	} else {
@@ -667,25 +616,42 @@ func (e *engine) deliver(round int) {
 	}
 }
 
+// meter accounts one sent message of ln bits from src, which crosses
+// Config.CutSide when cut is set.
+func (e *engine) meter(src, ln int, cut bool) {
+	e.sending = true
+	e.stats.TotalBits += int64(ln)
+	e.stats.NodeSentBits[src] += int64(ln)
+	e.stats.MaxLinkBits = max(e.stats.MaxLinkBits, ln)
+	if e.traceOn {
+		e.rt.Sends++
+		e.rt.MaxLinkBits = max(e.rt.MaxLinkBits, ln)
+	}
+	if cut {
+		e.stats.CutBits += int64(ln)
+	}
+}
+
+// send meters msg on the link src->dst and files it.
+func (e *engine) send(round, src, dst int, msg *bits.Buffer) {
+	side := e.cfg.CutSide
+	e.meter(src, msg.Len(), side != nil && side[src] != side[dst])
+	e.file(round, src, dst, msg)
+}
+
 // file routes one metered message through the fault plan (if any) and
-// into dst's inbox slot for src. It reports whether anything actually
-// landed in an inbox this round. A message the plan delays or duplicates
+// into dst's inbox slot for src. A message the plan delays or duplicates
 // is cloned first: it is read after its sender refills the buffer it was
 // staged in.
-func (e *engine) file(round, src, dst int, msg *bits.Buffer) bool {
+func (e *engine) file(round, src, dst int, msg *bits.Buffer) {
 	if e.plan == nil {
-		e.inboxes[dst][src] = msg
-		e.delivered = append(e.delivered, delivery{dst, src})
-		if e.traceOn {
-			e.rt.Delivered++
-			e.rt.DeliveredBits += int64(msg.Len())
-		}
-		return true
+		e.fileNow(dst, src, msg)
+		return
 	}
 	a := e.plan.OnMessage(round, src, dst, msg.Len())
 	if a.Drop {
 		e.faults.Drops++
-		return false
+		return
 	}
 	if a.Corrupt && msg.Len() > 0 {
 		e.faults.Corruptions++
@@ -710,26 +676,26 @@ func (e *engine) file(round, src, dst int, msg *bits.Buffer) bool {
 	if a.Delay > 0 {
 		e.faults.Delays++
 		e.pending = append(e.pending, pendingDelivery{due: round + a.Delay, dst: dst, src: src, msg: msg})
-		return false
+		return
 	}
-	return e.fileNow(dst, src, msg)
+	e.fileNow(dst, src, msg)
 }
 
 // fileNow places a message in its inbox slot unless the slot is already
 // occupied this round: one directed link carries at most one message per
 // round, adversarial re-deliveries included — the loser is discarded.
-func (e *engine) fileNow(dst, src int, msg *bits.Buffer) bool {
-	if e.inboxes[dst][src] != nil {
+func (e *engine) fileNow(dst, src int, msg *bits.Buffer) {
+	k := dst*e.cfg.N + src
+	if e.slots[k] != nil {
 		e.faults.Collisions++
-		return false
+		return
 	}
-	e.inboxes[dst][src] = msg
-	e.delivered = append(e.delivered, delivery{dst, src})
+	e.slots[k] = msg
+	e.filled = append(e.filled, int32(k))
 	if e.traceOn {
 		e.rt.Delivered++
 		e.rt.DeliveredBits += int64(msg.Len())
 	}
-	return true
 }
 
 // RunProcs runs one body per node, each as its own coroutine, under the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -174,6 +175,133 @@ func TestDoubleSendRejected(t *testing.T) {
 	}
 }
 
+// byteMsg is an 8-bit message carrying v.
+func byteMsg(v uint64) *bits.Buffer {
+	b := bits.New(8)
+	b.WriteUint(v, 8)
+	return b
+}
+
+// TestStagingRules pins what a node may stage in one round: one
+// Broadcast or a set of Sends on distinct links. In UCAST and CONGEST
+// any second message beside a Broadcast fails with ErrDoubleSend, and a
+// body that ignores the rejection still delivers the first message, and
+// only it, to its recipients.
+func TestStagingRules(t *testing.T) {
+	models := []Config{
+		{N: 4, Bandwidth: 8, Model: Unicast},
+		{N: 4, Bandwidth: 8, Model: Congest, Topology: graph.Cycle(4)},
+	}
+	type op func(p *Proc, msg *bits.Buffer) error
+	bcast := func(p *Proc, msg *bits.Buffer) error { return p.Broadcast(msg) }
+	send := func(p *Proc, msg *bits.Buffer) error { return p.Send(1, msg) }
+	cases := []struct {
+		name          string
+		first, second op
+		firstBcast    bool
+	}{
+		{"Broadcast-Send", bcast, send, true},
+		{"Send-Broadcast", send, bcast, false},
+		{"Broadcast-Broadcast", bcast, bcast, true},
+	}
+	for _, base := range models {
+		for _, tc := range cases {
+			for _, par := range []int{1, 4} {
+				cfg := base
+				cfg.Parallelism = par
+				name := fmt.Sprintf("%v/%s/p=%d", cfg.Model, tc.name, par)
+				var second error
+				res, err := RunProcs(cfg, func(p *Proc) error {
+					if p.ID() == 0 {
+						if err := tc.first(p, byteMsg(0xA5)); err != nil {
+							return err
+						}
+						second = tc.second(p, byteMsg(0x5A))
+					}
+					in := p.Next()
+					if in[0] != nil {
+						v, err := bits.NewReader(in[0]).ReadUint(8)
+						if err != nil {
+							return err
+						}
+						p.SetOutput(v)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !errors.Is(second, ErrDoubleSend) {
+					t.Errorf("%s: second message err = %v, want ErrDoubleSend", name, second)
+				}
+				// Node 1 neighbors node 0 in both models; a Broadcast
+				// also reaches node 3, and in UCAST node 2.
+				want := map[int]bool{1: true}
+				if tc.firstBcast {
+					want[3] = true
+					if cfg.Model == Unicast {
+						want[2] = true
+					}
+				}
+				for i := 1; i < cfg.N; i++ {
+					got, ok := res.Outputs[i].(uint64)
+					if want[i] != ok || ok && got != 0xA5 {
+						t.Errorf("%s: node %d received %v, want the first message: %v", name, i, res.Outputs[i], want[i])
+					}
+				}
+				if wantBits := int64(8 * len(want)); res.Stats.TotalBits != wantBits || res.Stats.Rounds != 1 {
+					t.Errorf("%s: metered %d bits in %d rounds, want %d bits in 1", name, res.Stats.TotalBits, res.Stats.Rounds, wantBits)
+				}
+			}
+		}
+	}
+}
+
+// TestBroadcastWithoutRecipients pins the metering edges of a broadcast
+// that reaches nobody: an isolated CONGEST node's and a UCAST broadcast
+// at N = 1 meter nothing, while a BCAST broadcast at N = 1 is still one
+// blackboard write. A second broadcast in the round fails in every case.
+func TestBroadcastWithoutRecipients(t *testing.T) {
+	isolated := graph.New(3)
+	isolated.AddEdge(0, 1)
+	cases := []struct {
+		name                 string
+		cfg                  Config
+		node                 int
+		wantBits, wantRounds int64
+	}{
+		{"congest-isolated", Config{N: 3, Bandwidth: 8, Model: Congest, Topology: isolated}, 2, 0, 0},
+		{"ucast-N=1", Config{N: 1, Bandwidth: 8, Model: Unicast}, 0, 0, 0},
+		{"bcast-N=1", Config{N: 1, Bandwidth: 8, Model: Broadcast}, 0, 8, 1},
+	}
+	for _, tc := range cases {
+		for _, par := range []int{1, 4} {
+			cfg := tc.cfg
+			cfg.Parallelism = par
+			var second error
+			res, err := RunProcs(cfg, func(p *Proc) error {
+				if p.ID() == tc.node {
+					if err := p.Broadcast(byteMsg(1)); err != nil {
+						return err
+					}
+					second = p.Broadcast(byteMsg(2))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s/p=%d: %v", tc.name, par, err)
+			}
+			if res.Stats.TotalBits != tc.wantBits || int64(res.Stats.Rounds) != tc.wantRounds {
+				t.Errorf("%s/p=%d: metered %d bits in %d rounds, want %d in %d",
+					tc.name, par, res.Stats.TotalBits, res.Stats.Rounds, tc.wantBits, tc.wantRounds)
+			}
+			if !errors.Is(second, ErrDoubleSend) {
+				t.Errorf("%s/p=%d: second broadcast err = %v, want ErrDoubleSend", tc.name, par, second)
+			}
+		}
+	}
+}
+
 func TestSelfAndRangeChecks(t *testing.T) {
 	cfg := Config{N: 2, Bandwidth: 8, Model: Unicast}
 	_, err := RunProcs(cfg, func(p *Proc) error {
@@ -330,6 +458,98 @@ func TestExchangeBroadcasts(t *testing.T) {
 	}
 	if res.Stats.MaxLinkBits > 3 {
 		t.Errorf("MaxLinkBits = %d exceeds bandwidth", res.Stats.MaxLinkBits)
+	}
+}
+
+// dropPlan drops every message on the links it names.
+type dropPlan func(src, dst int) bool
+
+func (d dropPlan) OnMessage(round, src, dst, nbits int) FaultAction {
+	return FaultAction{Drop: d(src, dst)}
+}
+func (dropPlan) CrashRound(int) int { return -1 }
+
+// TestAllReduce checks core.AllReduce's fold and its cost: every node
+// returns the fold of all values, and each leg sends one width-bit value
+// per link to or from node 0 in ChunkRounds(width, b) rounds, with b
+// below and above width.
+func TestAllReduce(t *testing.T) {
+	ops := []struct {
+		name  string
+		width int
+		op    func(acc, x uint64) uint64
+		val   func(id int) uint64
+	}{
+		{"max", 32, func(acc, x uint64) uint64 { return max(acc, x) }, func(id int) uint64 { return uint64(1000 + id*37%11) }},
+		{"or", 12, func(acc, x uint64) uint64 { return acc | x }, func(id int) uint64 { return 1 << (id % 12) }},
+	}
+	for _, o := range ops {
+		for _, n := range []int{1, 2, 7} {
+			want := o.val(0)
+			for id := 1; id < n; id++ {
+				want = o.op(want, o.val(id))
+			}
+			for _, b := range []int{5, 64} {
+				for _, par := range []int{1, 4} {
+					name := fmt.Sprintf("%s/N=%d/b=%d/p=%d", o.name, n, b, par)
+					cfg := Config{N: n, Bandwidth: b, Model: Unicast, Parallelism: par}
+					res, err := RunProcs(cfg, func(p *Proc) error {
+						v, err := AllReduce(p, o.val(p.ID()), o.width, o.op)
+						p.SetOutput(v)
+						return err
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					for i, out := range res.Outputs {
+						if out != want {
+							t.Errorf("%s: node %d returned %v, want %d", name, i, out, want)
+						}
+					}
+					wantRounds, wantBits := 0, int64(0)
+					if n > 1 {
+						wantRounds, wantBits = 2*ChunkRounds(o.width, b), int64(2*(n-1)*o.width)
+					}
+					if res.Stats.Rounds != wantRounds || res.Stats.TotalBits != wantBits {
+						t.Errorf("%s: %d rounds, %d bits; want %d rounds, %d bits",
+							name, res.Stats.Rounds, res.Stats.TotalBits, wantRounds, wantBits)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAllReduceUnderFaults pins AllReduce's two fault rules: node 0
+// folds only the values that reached it, and a node the result never
+// reaches fails.
+func TestAllReduceUnderFaults(t *testing.T) {
+	maxOp := func(acc, x uint64) uint64 { return max(acc, x) }
+	for _, b := range []int{8, 64} {
+		cfg := Config{N: 7, Bandwidth: b, Model: Unicast}
+		cfg.FaultPlan = dropPlan(func(src, dst int) bool { return dst == 0 })
+		res, err := RunProcs(cfg, func(p *Proc) error {
+			v, err := AllReduce(p, uint64(p.ID()+10), 32, maxOp)
+			p.SetOutput(v)
+			return err
+		})
+		if err != nil {
+			t.Fatalf("b=%d, nothing reaches node 0: %v", b, err)
+		}
+		for i, out := range res.Outputs {
+			if out != uint64(10) {
+				t.Errorf("b=%d, nothing reaches node 0: node %d returned %v, want node 0's own 10", b, i, out)
+			}
+		}
+
+		cfg.FaultPlan = dropPlan(func(src, dst int) bool { return src == 0 && dst == 3 })
+		_, err = RunProcs(cfg, func(p *Proc) error {
+			_, err := AllReduce(p, uint64(p.ID()), 32, maxOp)
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "node 3 missed the AllReduce result") {
+			t.Errorf("b=%d, result dropped to node 3: err = %v, want node 3 to fail", b, err)
+		}
 	}
 }
 

@@ -296,6 +296,38 @@ func TestAllocRegressionEngine(t *testing.T) {
 	}
 }
 
+// TestAllocRegressionBroadcast pins the cost of a unicast-model
+// broadcast: a staged broadcast is one buffer whatever the fan-out, and
+// the list of filled inbox slots is sized once per run, so a run in
+// which every node broadcasts each round allocates per node, not per
+// link. Staging a broadcast as N-1 per-link entries regrew each node's
+// list of staged destinations, and the filled-slot list grew by append
+// to N(N-1) entries in every run: 1,438 objects per N=64 run at
+// Parallelism 1 against 1,166 without either.
+func TestAllocRegressionBroadcast(t *testing.T) {
+	const n, rounds, budget = 64, 10, 1300
+	body := func(p *Proc) error {
+		var m bits.Buffer
+		return p.Rounds(rounds, func(r int) error {
+			m.Reset()
+			m.WriteUint(uint64(p.ID()*31+r), 16)
+			return p.Broadcast(&m)
+		}, nil)
+	}
+	for _, par := range []int{1, 4} {
+		cfg := Config{N: n, Bandwidth: 16, Model: Unicast, Seed: 3, Parallelism: par}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := RunProcs(cfg, body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("p=%d: %.0f objects per N=%d run of %d rounds (budget %d)", par, allocs, n, rounds, budget)
+		if allocs > budget {
+			t.Errorf("p=%d: %.0f objects per run, budget %d (broadcast staged per link, or the filled-slot list regrown?)", par, allocs, budget)
+		}
+	}
+}
+
 // benchNsPerOp times one engine configuration via testing.Benchmark.
 func benchNsPerOp(cfg Config, body func(*Proc) error) float64 {
 	r := testing.Benchmark(func(b *testing.B) {

@@ -94,6 +94,56 @@ func ExchangeUnicast(p *Proc, perDst []*bits.Buffer, rounds int) ([]*bits.Buffer
 	return x.acc, nil
 }
 
+// AllReduce folds every node's value v with op and returns the result to
+// every node, through node 0. Every other node sends its v to node 0
+// with ExchangeUnicast; node 0 folds what arrived into its own v in
+// ascending sender order, skipping a value that never arrived, and
+// returns the result with ExchangeBroadcasts. Values cross the wire in
+// `width` (at most 64) bits, so each leg takes ChunkRounds(width, b)
+// rounds, and every node must call it in the same round with the same
+// width and op. A node that misses the result fails. It needs links
+// between node 0 and every node, so it runs in CLIQUE-UCAST, where the
+// result's broadcast is metered on each of its N-1 links: Stats and
+// fault decisions are those of N-1 unicasts of it.
+func AllReduce(p *Proc, v uint64, width int, op func(acc, x uint64) uint64) (uint64, error) {
+	rounds := ChunkRounds(width, p.Bandwidth())
+	var msg bits.Buffer
+	var toRoot []*bits.Buffer // indexed by destination: node 0 only
+	if p.ID() != 0 {
+		msg.WriteUint(v, width)
+		toRoot = []*bits.Buffer{&msg}
+	}
+	got, err := ExchangeUnicast(p, toRoot, rounds)
+	if err != nil {
+		return 0, err
+	}
+	msg.Reset() // Send copied it; it now carries node 0's result only
+	if p.ID() == 0 {
+		for _, buf := range got {
+			if buf == nil {
+				continue
+			}
+			x, err := bits.NewReader(buf).ReadUint(width)
+			if err != nil {
+				return 0, err
+			}
+			v = op(v, x)
+		}
+		msg.WriteUint(v, width)
+	}
+	got, err = ExchangeBroadcasts(p, &msg, rounds)
+	if err != nil {
+		return 0, err
+	}
+	if p.ID() == 0 {
+		return v, nil
+	}
+	if got[0] == nil {
+		return 0, fmt.Errorf("core: node %d missed the AllReduce result", p.ID())
+	}
+	return bits.NewReader(got[0]).ReadUint(width)
+}
+
 // checkPayload rejects a payload that does not fit in `rounds` rounds of
 // the node's bandwidth.
 func checkPayload(p *Proc, payload *bits.Buffer, rounds int) error {

@@ -46,7 +46,7 @@ type Proc struct {
 	round int
 	out   []*bits.Buffer // staged unicast messages, indexed by destination
 	sent  []int          // destinations staged this round
-	bcast *bits.Buffer   // staged broadcast
+	bcast *bits.Buffer   // staged broadcast, in any model; excludes Sends
 
 	// The node's own message buffers, which Send and Broadcast copy
 	// into: per round parity, a row carved from one slab whose buffer k

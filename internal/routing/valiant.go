@@ -158,59 +158,9 @@ func decodeRouted(buf *bits.Buffer, w, src, dst int) (Msg, error) {
 	return Msg{Src: src, Dst: dst, Payload: payload}, nil
 }
 
-// agreeMax agrees on the maximum of each node's local value via node 0:
-// everyone sends its value to node 0, node 0 broadcasts the maximum.
+// agreeMax agrees on the maximum of every node's local value through
+// node 0 (core.AllReduce).
 func agreeMax(p *core.Proc, local int) (int, error) {
-	n := p.N()
-	rounds := core.ChunkRounds(loadWidth, p.Bandwidth())
-	// Step 1: all -> node 0.
-	perDst := make([]*bits.Buffer, n)
-	if p.ID() != 0 {
-		buf := bits.New(loadWidth)
-		buf.WriteUint(uint64(local), loadWidth)
-		perDst[0] = buf
-	}
-	got, err := core.ExchangeUnicast(p, perDst, rounds)
-	if err != nil {
-		return 0, err
-	}
-	max := local
-	if p.ID() == 0 {
-		for _, buf := range got {
-			if buf == nil {
-				continue
-			}
-			v, err := bits.NewReader(buf).ReadUint(loadWidth)
-			if err != nil {
-				return 0, err
-			}
-			if int(v) > max {
-				max = int(v)
-			}
-		}
-	}
-	// Step 2: node 0 -> all.
-	perDst = make([]*bits.Buffer, n)
-	if p.ID() == 0 {
-		for d := 1; d < n; d++ {
-			buf := bits.New(loadWidth)
-			buf.WriteUint(uint64(max), loadWidth)
-			perDst[d] = buf
-		}
-	}
-	got, err = core.ExchangeUnicast(p, perDst, rounds)
-	if err != nil {
-		return 0, err
-	}
-	if p.ID() != 0 {
-		if got[0] == nil {
-			return 0, fmt.Errorf("routing: node %d missed max-load broadcast", p.ID())
-		}
-		v, err := bits.NewReader(got[0]).ReadUint(loadWidth)
-		if err != nil {
-			return 0, err
-		}
-		max = int(v)
-	}
-	return max, nil
+	v, err := core.AllReduce(p, uint64(local), loadWidth, func(acc, x uint64) uint64 { return max(acc, x) })
+	return int(v), err
 }

@@ -101,7 +101,9 @@ type CellOptions struct {
 // produces the CellResult a full matrix run records, timings aside —
 // the property the scenariod chaos tests lean on. With a non-nil cache,
 // the oracle leg is served from the cache when possible (its wall time
-// is then recorded as 0) and stored after a successful miss.
+// is then recorded as 0) and stored after a successful miss. A trace
+// archive that fails to close leaves its trace missing; the CellResult
+// does not report it.
 func RunCell(c Cell, opt CellOptions, cache LegCache) CellResult {
 	engineLeg, closeSink := engineLegOf(opt.Faults, opt.TraceDir)
 	defer closeSink()
@@ -133,15 +135,16 @@ func runCell(c Cell, opt CellOptions, engineLeg Leg, cache LegCache) CellResult 
 // engineLegOf is the engine side of every cell of a run, before runLeg
 // fills in the cell's configuration: the run's adversary and, with a
 // trace directory, a DirSink archiving one trace per engine run. The
-// returned func closes the archive; call it once the legs are done.
-func engineLegOf(faults fault.Spec, traceDir string) (Leg, func()) {
+// returned func closes the archive and reports its first error; call it
+// once the legs are done.
+func engineLegOf(faults fault.Spec, traceDir string) (Leg, func() error) {
 	leg := Leg{Faulty: faults.Active(), Env: core.Env{Faults: faults.Factory()}}
 	if traceDir == "" {
-		return leg, func() {}
+		return leg, func() error { return nil }
 	}
 	ds := obs.NewDirSink(traceDir)
 	leg.Env.Sink = ds.Factory()
-	return leg, func() { ds.Close() }
+	return leg, ds.Close
 }
 
 // runLegRetries is the retry loop of every leg: infra failures (panic,

@@ -29,10 +29,12 @@ type RunOptions struct {
 // already recorded on a core.ParallelFor pool of Shards workers. Every
 // cell goes through runCell, the per-cell function RunCell runs, and is
 // ledgered as soon as it completes; the report lists the cells in
-// matrix-expansion order. The only error source is the ledger (I/O, or
-// a ledger written by a different run). Once an append fails, the shards
-// start no further cell, and the error is returned when the cells
-// already running have finished.
+// matrix-expansion order. The error sources are the ledger (I/O, or a
+// ledger written by a different run) and the trace archive of
+// opt.TraceDir. Once an append fails, the shards start no further cell,
+// and the error is returned when the cells already running have
+// finished. A trace that cannot be written fails the run once its cells
+// are done.
 func RunMatrixOpts(m *Matrix, opt RunOptions) (*Report, error) {
 	cells := m.Expand()
 	shards := core.ResolveParallelism(opt.Shards)
@@ -57,7 +59,6 @@ func RunMatrixOpts(m *Matrix, opt RunOptions) (*Report, error) {
 
 	wallStart := time.Now()
 	engineLeg, closeSink := engineLegOf(opt.Faults, opt.TraceDir)
-	defer closeSink()
 	appendErrs := make([]error, len(pending))
 	var appendFailed atomic.Bool
 	core.ParallelFor(shards, len(pending), func(k int) {
@@ -72,10 +73,14 @@ func RunMatrixOpts(m *Matrix, opt RunOptions) (*Report, error) {
 			}
 		}
 	})
+	closeErr := closeSink()
 	for _, err := range appendErrs {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if closeErr != nil {
+		return nil, fmt.Errorf("scenario: trace archive: %w", closeErr)
 	}
 
 	rep := BuildReport(m, results, opt.Faults.String())

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -88,6 +91,23 @@ func TestRunMatrixTraceDir(t *testing.T) {
 			t.Errorf("cell %s/%s: trace footer (rounds=%d bits=%d maxlink=%d) != report (rounds=%d bits=%d maxlink=%d)",
 				c.Engine, c.Protocol, st.Rounds, st.TotalBits, st.MaxLinkBits, c.Rounds, c.TotalBits, c.MaxLinkBits)
 		}
+	}
+}
+
+// TestRunMatrixTraceDirUnwritable checks that a run which cannot write
+// the traces it was asked for fails instead of reporting success
+// without them: here the trace directory lies below a regular file.
+func TestRunMatrixTraceDirUnwritable(t *testing.T) {
+	m := tinyTraceMatrix(t)
+	m.Protocols = m.Protocols[:1]
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunMatrixOpts(m, RunOptions{CellOptions: CellOptions{TraceDir: filepath.Join(file, "traces")}, Shards: 2})
+	var pe *fs.PathError
+	if !errors.As(err, &pe) {
+		t.Fatalf("RunMatrixOpts = (%v, %v), want the trace archive's path error", rep != nil, err)
 	}
 }
 

@@ -399,57 +399,19 @@ type verdictOut struct {
 	hasWit  bool
 }
 
-// agree ORs the players' verdicts through node 0 in two rounds and makes
-// every node output the agreed answer (the witness stays local to its
-// finder, as in [8]).
+// agree ORs the players' verdicts through node 0 (core.AllReduce) and
+// makes every node output the agreed answer (the witness stays local to
+// its finder, as in [8]).
 func agree(p *core.Proc, found bool, wit [3]int) error {
-	n := p.N()
-	perDst := make([]*bits.Buffer, n)
-	if p.ID() != 0 {
-		buf := bits.New(1)
-		buf.WriteBool(found)
-		perDst[0] = buf
+	var v uint64
+	if found {
+		v = 1
 	}
-	got, err := core.ExchangeUnicast(p, perDst, 1)
+	verdict, err := core.AllReduce(p, v, 1, func(acc, x uint64) uint64 { return acc | x })
 	if err != nil {
 		return err
 	}
-	verdict := found
-	if p.ID() == 0 {
-		for _, b := range got {
-			if b == nil {
-				continue
-			}
-			v, err := bits.NewReader(b).ReadBool()
-			if err != nil {
-				return err
-			}
-			verdict = verdict || v
-		}
-	}
-	perDst = make([]*bits.Buffer, n)
-	if p.ID() == 0 {
-		for d := 1; d < n; d++ {
-			buf := bits.New(1)
-			buf.WriteBool(verdict)
-			perDst[d] = buf
-		}
-	}
-	got, err = core.ExchangeUnicast(p, perDst, 1)
-	if err != nil {
-		return err
-	}
-	if p.ID() != 0 {
-		if got[0] == nil {
-			return fmt.Errorf("triangles: node %d missed the verdict", p.ID())
-		}
-		v, err := bits.NewReader(got[0]).ReadBool()
-		if err != nil {
-			return err
-		}
-		verdict = v
-	}
-	p.SetOutput(verdictOut{verdict: verdict, witness: wit, hasWit: found})
+	p.SetOutput(verdictOut{verdict: verdict == 1, witness: wit, hasWit: found})
 	return nil
 }
 
