@@ -67,28 +67,21 @@ func main() {
 		os.Exit(2)
 	}
 
+	runSpec := scenariod.RunSpec{
+		Quick:     *quick,
+		BaseSeed:  *seed,
+		Families:  *families,
+		Protocols: *protocols,
+		Engines:   *engines,
+		Sizes:     sizeList,
+		Faults:    *faults,
+	}
 	if *submit != "" {
-		os.Exit(submitRun(*submit, scenariod.RunSpec{
-			Quick:     *quick,
-			BaseSeed:  *seed,
-			Families:  *families,
-			Protocols: *protocols,
-			Engines:   *engines,
-			Sizes:     sizeList,
-			Faults:    *faults,
-		}, *out, *verbose))
+		os.Exit(submitRun(*submit, runSpec, *out, *verbose))
 	}
 
-	m := scenario.DefaultMatrix(*quick, *seed)
-	if err := m.FilterFamilies(*families); err != nil {
-		fmt.Fprintf(os.Stderr, "%v; use -list\n", err)
-		os.Exit(2)
-	}
-	if err := m.FilterProtocols(*protocols); err != nil {
-		fmt.Fprintf(os.Stderr, "%v; use -list\n", err)
-		os.Exit(2)
-	}
-	if err := m.FilterEngines(*engines); err != nil {
+	m, err := runSpec.Matrix()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v; use -list\n", err)
 		os.Exit(2)
 	}
@@ -97,9 +90,6 @@ func main() {
 		// the list.golden test.
 		m.WriteList(os.Stdout)
 		return
-	}
-	if len(sizeList) > 0 {
-		m.Sizes = sizeList
 	}
 
 	rep, err := scenario.RunMatrixOpts(m, scenario.RunOptions{

@@ -579,3 +579,13 @@ func UintWidth(maxVal uint64) int {
 	}
 	return w
 }
+
+// Mix64 is the splitmix64 finalizer (Steele et al., "Fast splittable
+// pseudorandom number generators"): a bijection of uint64 in which every
+// input bit flips each output bit with probability about 1/2. It is the
+// repo's one bit mixer for values derived from a seed.
+func Mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}

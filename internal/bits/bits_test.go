@@ -161,6 +161,17 @@ func TestUintWidth(t *testing.T) {
 	}
 }
 
+// TestMix64 pins Mix64 to the published splitmix64 generator: seeded
+// with 0, its k-th output is the finalizer of k golden-ratio increments.
+func TestMix64(t *testing.T) {
+	const gamma = 0x9e3779b97f4a7c15
+	for k, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := Mix64(uint64(k+1) * gamma); got != want {
+			t.Errorf("Mix64(%d*gamma) = %#x, want %#x", k+1, got, want)
+		}
+	}
+}
+
 func TestFromBits(t *testing.T) {
 	buf, err := FromBits([]byte{0b1010_1010, 0b0000_0001}, 9)
 	if err != nil {

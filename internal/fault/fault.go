@@ -23,6 +23,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/bits"
 	"repro/internal/core"
 )
 
@@ -165,7 +166,7 @@ var _ core.FaultInjector = (*Plan)(nil)
 func New(spec Spec, seed int64) *Plan {
 	p := &Plan{
 		spec:     spec,
-		seed:     mix(uint64(seed) ^ 0x66616c745f706c6e), // "fault_pln"
+		seed:     bits.Mix64(uint64(seed) ^ 0x66616c745f706c6e), // "fault_pln"
 		dropT:    threshold(spec.Drop),
 		corruptT: threshold(spec.Corrupt),
 		delayT:   threshold(spec.Delay),
@@ -251,21 +252,13 @@ func threshold(rate float64) uint64 {
 	return uint64(rate * float64(1<<63) * 2)
 }
 
-// mix is the splitmix64 finalizer (Steele et al., "Fast splittable
-// pseudorandom number generators") — the repo's standard bit mixer.
-func mix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // absorb folds one coordinate into the stream state.
 func absorb(state, v uint64) uint64 {
-	return mix(state ^ (v + 0x9e3779b97f4a7c15))
+	return bits.Mix64(state ^ (v + 0x9e3779b97f4a7c15))
 }
 
 // next advances the splitmix64 stream and returns the next draw.
 func next(x *uint64) uint64 {
 	*x += 0x9e3779b97f4a7c15
-	return mix(*x)
+	return bits.Mix64(*x)
 }

@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/bits"
 )
 
 // Weighted couples a Graph with positive uint32 edge weights. Weights are
@@ -50,12 +52,7 @@ func edgeWeight(seed int64, u, v int, maxW uint32) uint32 {
 	if u > v {
 		u, v = v, u
 	}
-	z := uint64(seed) ^ 0x9e3779b97f4a7c15*uint64(u+1) ^ 0x517cc1b727220a95*uint64(v+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
+	z := bits.Mix64(uint64(seed) ^ 0x9e3779b97f4a7c15*uint64(u+1) ^ 0x517cc1b727220a95*uint64(v+1))
 	return 1 + uint32(z%uint64(maxW))
 }
 

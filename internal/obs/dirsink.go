@@ -14,10 +14,12 @@ import (
 // (trace-s<seed>.ndjson, with -<k> suffixes if a seed recurs — e.g. a
 // protocol that drives several engine executions in one leg, or a
 // retry). Files are created lazily at TraceStart, so a
-// DirSink costs nothing for code paths that never run the engine. Close flushes and closes
-// every file, reporting the first error; call it only after all traced
-// runs have finished (a leg abandoned by a timeout may still be
-// writing, and its trace is best-effort anyway).
+// DirSink costs nothing for code paths that never run the engine, and
+// each is closed when its run writes the footer, so only runs in
+// progress hold a file open. Close closes the files of runs that never
+// finished and reports the first error of any file; call it only after
+// all traced runs have finished (a leg abandoned by a timeout may still
+// be writing, and its trace is best-effort anyway).
 type DirSink struct {
 	dir string
 
@@ -55,8 +57,8 @@ func (d *DirSink) Count() int {
 	return len(d.sinks)
 }
 
-// Close flushes and closes every archived trace, returning the first
-// error encountered.
+// Close flushes and closes every archived trace still open, returning
+// the first error of any trace.
 func (d *DirSink) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

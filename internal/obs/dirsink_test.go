@@ -14,7 +14,9 @@ import (
 // TestDirSinkArchivesPerSeed drives the factory the way the scenario
 // runners do, through a core.Env: several engine runs, one repeated
 // seed, and checks the directory holds one reconciling trace file per
-// run with the -<k> suffix on the recurrence.
+// run with the -<k> suffix on the recurrence. Each file is complete as
+// soon as its run returns, before the archive closes: a long matrix
+// holds open only the files of runs in progress.
 func TestDirSinkArchivesPerSeed(t *testing.T) {
 	dir := t.TempDir()
 	ds := NewDirSink(dir)
@@ -31,9 +33,6 @@ func TestDirSinkArchivesPerSeed(t *testing.T) {
 	}
 	if ds.Count() != 3 {
 		t.Fatalf("Count() = %d, want 3", ds.Count())
-	}
-	if err := ds.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
 	}
 
 	paths, err := filepath.Glob(filepath.Join(dir, "trace-*.ndjson"))
@@ -72,6 +71,9 @@ func TestDirSinkArchivesPerSeed(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Footer.Stats, want[0].Stats) {
 		t.Fatalf("archived footer %+v != run Stats %+v", a.Footer.Stats, want[0].Stats)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 

@@ -139,14 +139,19 @@ func (t *TraceWriter) emit(v interface{}) {
 
 // FileSink streams a run's trace to an NDJSON file, creating it (and
 // its directory) lazily at TraceStart so an installed-but-unused sink
-// factory leaves no empty files. Close flushes and closes; check its
-// error (or Err) before trusting the file.
+// factory leaves no empty files. TraceEnd writes the footer, then
+// flushes and closes the file, so a finished run's file is complete on
+// disk and holds no descriptor; Close does the same for a run that
+// never finished. The file is created once: a closed sink never reopens
+// or truncates it. Check Close's error (or Err) before trusting the
+// file.
 type FileSink struct {
-	path string
-	f    *os.File
-	buf  *bufio.Writer
-	w    *TraceWriter
-	err  error
+	path    string
+	created bool // TraceStart has tried to create the file
+	f       *os.File
+	buf     *bufio.Writer
+	w       *TraceWriter
+	err     error
 }
 
 // NewFileSink returns a FileSink writing to path.
@@ -154,25 +159,24 @@ func NewFileSink(path string) *FileSink { return &FileSink{path: path} }
 
 // TraceStart implements core.Sink.
 func (s *FileSink) TraceStart(m core.RunMeta) {
-	if s.err != nil || s.f != nil {
-		if s.w != nil {
-			s.w.TraceStart(m)
+	if !s.created {
+		s.created = true
+		if err := os.MkdirAll(filepath.Dir(s.path), 0o755); err != nil {
+			s.err = err
+			return
 		}
-		return
+		f, err := os.Create(s.path)
+		if err != nil {
+			s.err = err
+			return
+		}
+		s.f = f
+		s.buf = bufio.NewWriterSize(f, 1<<16)
+		s.w = NewTraceWriter(s.buf)
 	}
-	if err := os.MkdirAll(filepath.Dir(s.path), 0o755); err != nil {
-		s.err = err
-		return
+	if s.w != nil {
+		s.w.TraceStart(m)
 	}
-	f, err := os.Create(s.path)
-	if err != nil {
-		s.err = err
-		return
-	}
-	s.f = f
-	s.buf = bufio.NewWriterSize(f, 1<<16)
-	s.w = NewTraceWriter(s.buf)
-	s.w.TraceStart(m)
 }
 
 // TraceRound implements core.Sink.
@@ -182,16 +186,19 @@ func (s *FileSink) TraceRound(r *core.RoundTrace) {
 	}
 }
 
-// TraceEnd implements core.Sink.
+// TraceEnd implements core.Sink: it writes the footer and closes the
+// file.
 func (s *FileSink) TraceEnd(f *core.RunFooter) {
 	if s.w != nil {
 		s.w.TraceEnd(f)
 	}
+	_ = s.Close() // the error sticks: Close and Err report it
 }
 
 // Close flushes and closes the file, reporting the first error seen
 // anywhere in the sink's life. Closing an unopened sink (the run never
-// started, or TraceStart failed) returns that state's error.
+// started, or TraceStart failed) or a closed one returns that state's
+// error.
 func (s *FileSink) Close() error {
 	if s.f == nil {
 		return s.err

@@ -209,16 +209,16 @@ func TestDiffPairsPhases(t *testing.T) {
 	}
 }
 
-// TestFileSink checks the lazy-create file sink and LoadFile.
+// TestFileSink checks the lazy-create file sink and LoadFile. The
+// footer closes the file, so the trace loads whole before Close, and a
+// closed sink never reopens (and so truncates) it.
 func TestFileSink(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sub", "run.trace.ndjson")
 	sink := NewFileSink(path)
 	rec := &Recorder{}
 	res := runGossipTraced(t, 32, 1, multiSink{sink, rec})
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
+	sink.TraceStart(core.RunMeta{})
 	tr, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -231,6 +231,9 @@ func TestFileSink(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tr, rec.Trace()) {
 		t.Error("file round-trip differs from in-memory recording")
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	// An unused sink leaves no file behind.

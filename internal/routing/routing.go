@@ -21,12 +21,18 @@
 //     in-model (uniform random intermediates plus two in-band max-load
 //     aggregation rounds), delivering balanced demands in O(1) rounds with
 //     high probability.
+//
+// Both routers validate a submission with Router.check and move every
+// relay sub-round through hop: a frame is a w-bit header (the
+// destination on the first hop, the source on the second) followed by
+// the payload, with w = UintWidth(n-1).
 package routing
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/bits"
@@ -51,12 +57,11 @@ var (
 // with the same maxPayloadBits.
 type Router struct {
 	n  int
-	mu sync.Mutex
+	mu sync.Mutex // guards ep and the open epoch's msgs and submitted
 	ep *epoch
 }
 
 type epoch struct {
-	mu        sync.Mutex
 	msgs      []Msg
 	submitted int
 	n         int
@@ -71,40 +76,90 @@ func NewRouter(n int) *Router {
 	return &Router{n: n}
 }
 
-// submit registers a node's outgoing messages and returns the epoch.
-func (rt *Router) submit(p *core.Proc, out []Msg, maxPayloadBits int) (*epoch, error) {
+// check validates a node's submission: the model, and each message's
+// source, payload length and destination.
+func (rt *Router) check(p *core.Proc, out []Msg, maxPayloadBits int) error {
 	if p.Model() != core.Unicast {
-		return nil, ErrModel
+		return ErrModel
 	}
 	for _, m := range out {
 		if m.Src != p.ID() {
-			return nil, fmt.Errorf("%w: node %d submitted message from %d", ErrWrongSource, p.ID(), m.Src)
+			return fmt.Errorf("%w: node %d submitted message from %d", ErrWrongSource, p.ID(), m.Src)
 		}
 		if m.Payload.Len() > maxPayloadBits {
-			return nil, fmt.Errorf("%w: %d > %d bits", ErrPayloadTooLong, m.Payload.Len(), maxPayloadBits)
+			return fmt.Errorf("%w: %d > %d bits", ErrPayloadTooLong, m.Payload.Len(), maxPayloadBits)
 		}
 		if m.Dst < 0 || m.Dst >= rt.n {
-			return nil, fmt.Errorf("routing: destination %d out of range", m.Dst)
+			return fmt.Errorf("routing: destination %d out of range", m.Dst)
 		}
 	}
+	return nil
+}
+
+// submit registers a node's outgoing messages and returns the epoch.
+func (rt *Router) submit(p *core.Proc, out []Msg, maxPayloadBits int) (*epoch, error) {
+	if err := rt.check(p, out, maxPayloadBits); err != nil {
+		return nil, err
+	}
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.ep == nil {
 		rt.ep = &epoch{n: rt.n}
 	}
 	e := rt.ep
-	rt.mu.Unlock()
-
-	e.mu.Lock()
 	e.msgs = append(e.msgs, out...)
 	e.submitted++
 	if e.submitted == rt.n {
-		// Epoch closed; the next Route call begins a fresh one.
-		rt.mu.Lock()
-		rt.ep = nil
-		rt.mu.Unlock()
+		rt.ep = nil // epoch closed; the next Route call begins a fresh one
 	}
-	e.mu.Unlock()
 	return e, nil
+}
+
+// relayFrame builds the relay frame of payload: the w-bit header hdr,
+// then the payload bits. It is drawn from the bits pool; hop releases it.
+func relayFrame(hdr int, payload *bits.Buffer, w int) *bits.Buffer {
+	buf := bits.Get(w + payload.Len())
+	buf.WriteUint(uint64(hdr), w)
+	buf.Append(payload)
+	return buf
+}
+
+// hop is one relay sub-round of either router: it sends frames[d] (nil =
+// nothing) to each d with one chunked core.ExchangeUnicast of `chunk`
+// rounds, releases and clears the frames, and hands each arrival's
+// source, w-bit header and payload (a bits pool buffer) to got, in
+// ascending source order. A frame whose header is truncated or reads
+// >= n — possible only under fault injection, never on a clean channel —
+// is dropped as lost in transit instead of failing the epoch: absence is
+// what the protocol layer's frame validation detects.
+func hop(p *core.Proc, frames []*bits.Buffer, w, chunk int, got func(src, hdr int, payload *bits.Buffer)) error {
+	in, err := core.ExchangeUnicast(p, frames, chunk)
+	for _, f := range frames {
+		f.Release()
+	}
+	clear(frames)
+	if err != nil {
+		return err
+	}
+	var rd bits.Reader
+	for src, buf := range in {
+		if buf == nil {
+			continue
+		}
+		rd.Reset(buf)
+		hdr, err := rd.ReadUint(w)
+		if err != nil || hdr >= uint64(p.N()) {
+			buf.Release()
+			continue
+		}
+		payload, err := buf.Slice(w, buf.Len())
+		buf.Release()
+		if err != nil {
+			return err
+		}
+		got(src, int(hdr), payload)
+	}
+	return nil
 }
 
 // Route delivers all messages submitted this epoch and returns the ones
@@ -134,7 +189,7 @@ func (rt *Router) Route(p *core.Proc, out []Msg, maxPayloadBits int) ([]Msg, err
 	}
 	// Barrier: after this Next, every node has submitted.
 	p.Next()
-	e.scheduleOnce.Do(func() { e.computeSchedule() })
+	e.scheduleOnce.Do(e.computeSchedule)
 
 	n := rt.n
 	w := bits.UintWidth(uint64(n - 1))
@@ -150,10 +205,11 @@ func (rt *Router) Route(p *core.Proc, out []Msg, maxPayloadBits int) ([]Msg, err
 	// class is empty.
 	sc := scratchPool.Get().(*routeScratch)
 	defer scratchPool.Put(sc)
-	myByClass := sc.byClass(e.classes)
+	sc.myByClass = resized(sc.myByClass, e.classes)
+	sc.frames = resized(sc.frames, n)
+	myByClass, frames := sc.myByClass, sc.frames
 	held := sc.heldSlots(subRounds * n) // class -> messages held as intermediate
-	perDst := sc.dsts(n)
-	var local []Msg // self-addressed messages skip the network
+	var local []Msg                     // self-addressed messages skip the network
 	inDeg := 0
 	for i, m := range e.msgs {
 		if m.Dst == p.ID() {
@@ -173,54 +229,23 @@ func (rt *Router) Route(p *core.Proc, out []Msg, maxPayloadBits int) ([]Msg, err
 	if p.ID() == 0 {
 		p.Annotate("route:spread")
 	}
-	var rd bits.Reader
 	for s := 0; s < subRounds; s++ {
-		for i := range perDst {
-			perDst[i] = nil
-		}
 		for c := s * n; c < (s+1)*n && c < e.classes; c++ {
 			m := myByClass[c]
 			if m == nil {
 				continue
 			}
-			inter := c % n
-			if inter == p.ID() {
+			if inter := c % n; inter == p.ID() {
 				held[c] = append(held[c], heldMsg{m: *m})
-				continue
+			} else {
+				frames[inter] = relayFrame(m.Dst, m.Payload, w)
 			}
-			buf := bits.Get(w + m.Payload.Len())
-			buf.WriteUint(uint64(m.Dst), w)
-			buf.Append(m.Payload)
-			perDst[inter] = buf
 		}
-		got, err := core.ExchangeUnicast(p, perDst, chunk)
-		for _, b := range perDst {
-			b.Release()
-		}
-		if err != nil {
+		c := s*n + p.ID()
+		if err := hop(p, frames, w, chunk, func(src, dst int, payload *bits.Buffer) {
+			held[c] = append(held[c], heldMsg{m: Msg{Src: src, Dst: dst, Payload: payload}, owned: true})
+		}); err != nil {
 			return nil, err
-		}
-		for src, buf := range got {
-			if buf == nil {
-				continue
-			}
-			rd.Reset(buf)
-			dst64, err := rd.ReadUint(w)
-			if err != nil || int(dst64) >= n {
-				// Truncated or corrupted relay header — possible only under
-				// fault injection, never on a clean channel. Treat the
-				// message as lost instead of failing the epoch: absence is
-				// what the protocol layer's frame validation detects.
-				buf.Release()
-				continue
-			}
-			payload, err := buf.Slice(w, buf.Len())
-			if err != nil {
-				return nil, err
-			}
-			buf.Release()
-			c := s*n + p.ID()
-			held[c] = append(held[c], heldMsg{m: Msg{Src: src, Dst: int(dst64), Payload: payload}, owned: true})
 		}
 	}
 
@@ -230,71 +255,33 @@ func (rt *Router) Route(p *core.Proc, out []Msg, maxPayloadBits int) ([]Msg, err
 	}
 	recv := make([]Msg, 0, inDeg)
 	for s := 0; s < subRounds; s++ {
-		for i := range perDst {
-			perDst[i] = nil
-		}
-		c := s*n + p.ID()
-		for _, h := range held[c] {
+		for _, h := range held[s*n+p.ID()] {
 			m := h.m
 			if m.Dst == p.ID() {
 				recv = append(recv, m)
 				continue
 			}
-			if perDst[m.Dst] != nil {
-				// A corrupted phase-1 header collided with a legitimate
-				// message's relay slot (clean-channel coloring guarantees
-				// one message per destination per class). First wins; the
-				// loser counts as lost in transit.
-				if h.owned {
-					m.Payload.Release()
-				}
-				continue
+			// A taken slot means a corrupted phase-1 header collided with
+			// a legitimate message's relay slot (clean-channel coloring
+			// guarantees one message per destination per class). First
+			// wins; the loser counts as lost in transit.
+			if frames[m.Dst] == nil {
+				frames[m.Dst] = relayFrame(m.Src, m.Payload, w)
 			}
-			buf := bits.Get(w + m.Payload.Len())
-			buf.WriteUint(uint64(m.Src), w)
-			buf.Append(m.Payload)
 			if h.owned {
 				m.Payload.Release()
 			}
-			perDst[m.Dst] = buf
 		}
-		got, err := core.ExchangeUnicast(p, perDst, chunk)
-		for _, b := range perDst {
-			b.Release()
-		}
-		if err != nil {
+		if err := hop(p, frames, w, chunk, func(_, src int, payload *bits.Buffer) {
+			recv = append(recv, Msg{Src: src, Dst: p.ID(), Payload: payload})
+		}); err != nil {
 			return nil, err
-		}
-		for _, buf := range got {
-			if buf == nil {
-				continue
-			}
-			rd.Reset(buf)
-			src64, err := rd.ReadUint(w)
-			if err != nil || int(src64) >= n {
-				// Lost or corrupted relay header: drop, as in phase 1.
-				buf.Release()
-				continue
-			}
-			payload, err := buf.Slice(w, buf.Len())
-			if err != nil {
-				return nil, err
-			}
-			buf.Release()
-			recv = append(recv, Msg{Src: int(src64), Dst: p.ID(), Payload: payload})
 		}
 	}
 	recv = append(recv, local...)
-	sort.Stable(msgsBySrc(recv))
+	slices.SortStableFunc(recv, func(a, b Msg) int { return cmp.Compare(a.Src, b.Src) })
 	return recv, nil
 }
-
-// msgsBySrc sorts messages by source without reflection.
-type msgsBySrc []Msg
-
-func (m msgsBySrc) Len() int           { return len(m) }
-func (m msgsBySrc) Less(i, j int) bool { return m[i].Src < m[j].Src }
-func (m msgsBySrc) Swap(i, j int)      { m[i], m[j] = m[j], m[i] }
 
 // heldMsg tracks payload ownership through the relay: payloads sliced out
 // of phase-1 relay frames are pool-owned by the router and released once
@@ -306,27 +293,27 @@ type heldMsg struct {
 }
 
 // routeScratch holds one Route call's fixed-size slices, recycled through
-// scratchPool. Resizes keep capacity; acquired ranges are cleared before
-// use.
+// scratchPool.
 type routeScratch struct {
 	myByClass []*Msg
 	held      [][]heldMsg
-	perDst    []*bits.Buffer
+	frames    []*bits.Buffer
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(routeScratch) }}
 
-func (sc *routeScratch) byClass(n int) []*Msg {
-	if cap(sc.myByClass) < n {
-		sc.myByClass = make([]*Msg, n)
+// resized returns s resized to n entries, all zero, reusing its capacity.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	sc.myByClass = sc.myByClass[:n]
-	for i := range sc.myByClass {
-		sc.myByClass[i] = nil
-	}
-	return sc.myByClass
+	s = s[:n]
+	clear(s)
+	return s
 }
 
+// heldSlots resizes the held lists to n, emptying each list but keeping
+// its capacity.
 func (sc *routeScratch) heldSlots(n int) [][]heldMsg {
 	if cap(sc.held) < n {
 		sc.held = make([][]heldMsg, n)
@@ -338,26 +325,15 @@ func (sc *routeScratch) heldSlots(n int) [][]heldMsg {
 	return sc.held
 }
 
-func (sc *routeScratch) dsts(n int) []*bits.Buffer {
-	if cap(sc.perDst) < n {
-		sc.perDst = make([]*bits.Buffer, n)
-	}
-	sc.perDst = sc.perDst[:n]
-	for i := range sc.perDst {
-		sc.perDst[i] = nil
-	}
-	return sc.perDst
-}
-
-// computeSchedule greedily edge-colors the demand multigraph. Messages are
-// processed in a deterministic order; each takes the smallest class free at
-// both endpoints, which uses at most 2Δ-1 classes.
+// computeSchedule greedily edge-colors the demand multigraph. It first
+// stable-sorts the messages by (Src, Dst), which makes their order
+// independent of the order the nodes submitted in; each message in turn
+// takes the smallest class free at both endpoints, which uses at most
+// 2Δ-1 classes.
 func (e *epoch) computeSchedule() {
-	idx := make([]int, len(e.msgs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Stable(&idxBySrcDst{idx: idx, msgs: e.msgs})
+	slices.SortStableFunc(e.msgs, func(a, b Msg) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
 	e.color = make([]int, len(e.msgs))
 	// Per-endpoint used-class bitsets (classes are small — at most 2Δ-1 —
 	// so a few words per endpoint beat per-class maps).
@@ -372,8 +348,7 @@ func (e *epoch) computeSchedule() {
 		return bs
 	}
 	maxClass := 0
-	for _, i := range idx {
-		m := e.msgs[i]
+	for i, m := range e.msgs {
 		if m.Src == m.Dst {
 			e.color[i] = -1 // local, never scheduled
 			continue
@@ -394,20 +369,3 @@ func (e *epoch) computeSchedule() {
 	}
 	e.classes = maxClass
 }
-
-// idxBySrcDst sorts a message-index permutation by (Src, Dst) without
-// reflection.
-type idxBySrcDst struct {
-	idx  []int
-	msgs []Msg
-}
-
-func (s *idxBySrcDst) Len() int { return len(s.idx) }
-func (s *idxBySrcDst) Less(a, b int) bool {
-	ma, mb := s.msgs[s.idx[a]], s.msgs[s.idx[b]]
-	if ma.Src != mb.Src {
-		return ma.Src < mb.Src
-	}
-	return ma.Dst < mb.Dst
-}
-func (s *idxBySrcDst) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/bits"
@@ -280,37 +281,65 @@ func TestRouteSequentialEpochs(t *testing.T) {
 	}
 }
 
+// TestRouteErrors runs every rejected submission through both routers
+// (Router.check). An out-of-range destination must fail at the node that
+// submitted it, in the submission round, before anything is relayed.
 func TestRouteErrors(t *testing.T) {
 	const n = 3
-	rt := NewRouter(n)
-	cfg := core.Config{N: n, Bandwidth: 16, Model: core.Unicast}
-	_, err := core.RunProcs(cfg, func(p *core.Proc) error {
-		_, err := rt.Route(p, []Msg{{Src: (p.ID() + 1) % n, Dst: 0, Payload: bits.New(0)}}, 8)
-		return err
-	})
-	if !errors.Is(err, ErrWrongSource) {
-		t.Errorf("err = %v, want ErrWrongSource", err)
+	ucast := core.Config{N: n, Bandwidth: 16, Model: core.Unicast}
+	bcast := core.Config{N: n, Bandwidth: 16, Model: core.Broadcast}
+	cases := []struct {
+		name string
+		cfg  core.Config
+		out  func(id int) []Msg
+		want error  // matched with errors.Is, when set
+		text string // a substring of the run's error, when set
+	}{
+		{
+			name: "wrong source", cfg: ucast, want: ErrWrongSource,
+			out: func(id int) []Msg { return []Msg{{Src: (id + 1) % n, Dst: 0, Payload: bits.New(0)}} },
+		},
+		{
+			name: "payload too long", cfg: ucast, want: ErrPayloadTooLong,
+			out: func(id int) []Msg {
+				long := bits.New(20)
+				long.WriteUint(0, 20)
+				return []Msg{{Src: id, Dst: 0, Payload: long}}
+			},
+		},
+		{
+			name: "broadcast model", cfg: bcast, want: ErrModel,
+			out: func(int) []Msg { return nil },
+		},
+		{
+			name: "destination out of range", cfg: ucast,
+			text: "node 1 failed in round 0: routing: destination 3 out of range",
+			out: func(id int) []Msg {
+				if id != 1 {
+					return nil
+				}
+				return []Msg{{Src: id, Dst: n, Payload: bits.New(0)}}
+			},
+		},
 	}
-
-	rt2 := NewRouter(n)
-	_, err = core.RunProcs(cfg, func(p *core.Proc) error {
-		long := bits.New(20)
-		long.WriteUint(0, 20)
-		_, err := rt2.Route(p, []Msg{{Src: p.ID(), Dst: 0, Payload: long}}, 8)
-		return err
-	})
-	if !errors.Is(err, ErrPayloadTooLong) {
-		t.Errorf("err = %v, want ErrPayloadTooLong", err)
-	}
-
-	rt3 := NewRouter(n)
-	bcfg := core.Config{N: n, Bandwidth: 16, Model: core.Broadcast}
-	_, err = core.RunProcs(bcfg, func(p *core.Proc) error {
-		_, err := rt3.Route(p, nil, 8)
-		return err
-	})
-	if !errors.Is(err, ErrModel) {
-		t.Errorf("err = %v, want ErrModel", err)
+	for _, c := range cases {
+		for _, valiant := range []bool{false, true} {
+			rt := NewRouter(n)
+			_, err := core.RunProcs(c.cfg, func(p *core.Proc) error {
+				route := rt.Route
+				if valiant {
+					route = rt.RouteValiant
+				}
+				_, err := route(p, c.out(p.ID()), 8)
+				return err
+			})
+			if c.want != nil && !errors.Is(err, c.want) {
+				t.Errorf("%s (valiant=%v): err = %v, want %v", c.name, valiant, err, c.want)
+			}
+			if c.text != "" && (err == nil || !strings.Contains(err.Error(), c.text)) {
+				t.Errorf("%s (valiant=%v): err = %v, want it to contain %q", c.name, valiant, err, c.text)
+			}
+		}
 	}
 }
 

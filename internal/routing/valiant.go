@@ -1,8 +1,6 @@
 package routing
 
 import (
-	"fmt"
-
 	"repro/internal/bits"
 	"repro/internal/core"
 )
@@ -21,8 +19,8 @@ const loadWidth = 32
 // Unlike Route, no out-of-band schedule exists: every bit of coordination
 // crosses the simulated network.
 func (rt *Router) RouteValiant(p *core.Proc, out []Msg, maxPayloadBits int) ([]Msg, error) {
-	if p.Model() != core.Unicast {
-		return nil, ErrModel
+	if err := rt.check(p, out, maxPayloadBits); err != nil {
+		return nil, err
 	}
 	n := p.N()
 	w := bits.UintWidth(uint64(n - 1))
@@ -31,12 +29,6 @@ func (rt *Router) RouteValiant(p *core.Proc, out []Msg, maxPayloadBits int) ([]M
 	var local []Msg
 	queues := make([][]Msg, n) // queues[i] = messages to forward via intermediate i
 	for _, m := range out {
-		if m.Src != p.ID() {
-			return nil, fmt.Errorf("%w: node %d submitted message from %d", ErrWrongSource, p.ID(), m.Src)
-		}
-		if m.Payload.Len() > maxPayloadBits {
-			return nil, fmt.Errorf("%w: %d > %d bits", ErrPayloadTooLong, m.Payload.Len(), maxPayloadBits)
-		}
 		if m.Dst == p.ID() {
 			local = append(local, m)
 			continue
@@ -59,31 +51,17 @@ func (rt *Router) RouteValiant(p *core.Proc, out []Msg, maxPayloadBits int) ([]M
 	// Phase 1: source -> random intermediate.
 	held := queues[p.ID()] // self-intermediated messages stay local
 	queues[p.ID()] = nil
+	frames := make([]*bits.Buffer, n)
 	for s := 0; s < sub1; s++ {
-		perDst := make([]*bits.Buffer, n)
 		for i, q := range queues {
-			if s >= len(q) {
-				continue
+			if s < len(q) {
+				frames[i] = relayFrame(q[s].Dst, q[s].Payload, w)
 			}
-			m := q[s]
-			buf := bits.New(w + m.Payload.Len())
-			buf.WriteUint(uint64(m.Dst), w)
-			buf.Append(m.Payload)
-			perDst[i] = buf
 		}
-		got, err := core.ExchangeUnicast(p, perDst, chunk)
-		if err != nil {
+		if err := hop(p, frames, w, chunk, func(src, dst int, payload *bits.Buffer) {
+			held = append(held, Msg{Src: src, Dst: dst, Payload: payload})
+		}); err != nil {
 			return nil, err
-		}
-		for src, buf := range got {
-			if buf == nil {
-				continue
-			}
-			m, err := decodeRouted(buf, w, src, -1)
-			if err != nil {
-				return nil, err
-			}
-			held = append(held, m)
 		}
 	}
 
@@ -99,63 +77,26 @@ func (rt *Router) RouteValiant(p *core.Proc, out []Msg, maxPayloadBits int) ([]M
 	}
 	maxQ = 0
 	for _, q := range fwd {
-		if len(q) > maxQ {
-			maxQ = len(q)
-		}
+		maxQ = max(maxQ, len(q))
 	}
 	sub2, err := agreeMax(p, maxQ)
 	if err != nil {
 		return nil, err
 	}
 	for s := 0; s < sub2; s++ {
-		perDst := make([]*bits.Buffer, n)
 		for d, q := range fwd {
-			if s >= len(q) {
-				continue
+			if s < len(q) {
+				frames[d] = relayFrame(q[s].Src, q[s].Payload, w)
 			}
-			m := q[s]
-			buf := bits.New(w + m.Payload.Len())
-			buf.WriteUint(uint64(m.Src), w)
-			buf.Append(m.Payload)
-			perDst[d] = buf
 		}
-		got, err := core.ExchangeUnicast(p, perDst, chunk)
-		if err != nil {
+		if err := hop(p, frames, w, chunk, func(_, src int, payload *bits.Buffer) {
+			recv = append(recv, Msg{Src: src, Dst: p.ID(), Payload: payload})
+		}); err != nil {
 			return nil, err
-		}
-		for _, buf := range got {
-			if buf == nil {
-				continue
-			}
-			m, err := decodeRouted(buf, w, -1, p.ID())
-			if err != nil {
-				return nil, err
-			}
-			recv = append(recv, m)
 		}
 	}
 	recv = append(recv, local...)
 	return recv, nil
-}
-
-// decodeRouted parses a routed wire message. Exactly one of src, dst is -1:
-// the -1 field is read from the header, the other is known from context.
-func decodeRouted(buf *bits.Buffer, w, src, dst int) (Msg, error) {
-	r := bits.NewReader(buf)
-	hdr, err := r.ReadUint(w)
-	if err != nil {
-		return Msg{}, fmt.Errorf("routing: bad header: %w", err)
-	}
-	payload, err := buf.Slice(w, buf.Len())
-	if err != nil {
-		return Msg{}, err
-	}
-	if src == -1 {
-		src = int(hdr)
-	} else {
-		dst = int(hdr)
-	}
-	return Msg{Src: src, Dst: dst, Payload: payload}, nil
 }
 
 // agreeMax agrees on the maximum of every node's local value through

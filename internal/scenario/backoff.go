@@ -5,6 +5,8 @@ import (
 	"io"
 	"strconv"
 	"time"
+
+	"repro/internal/bits"
 )
 
 // Backoff returns the pause before retry attempt `attempt` (1-based):
@@ -42,12 +44,7 @@ func Backoff(base, cap time.Duration, attempt int, seed int64, key string) time.
 	io.WriteString(h, key)
 	io.WriteString(h, "|")
 	io.WriteString(h, strconv.Itoa(attempt))
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
+	x := bits.Mix64(h.Sum64())
 	frac := float64(x>>11) / float64(uint64(1)<<53) // uniform in [0, 1)
 	return time.Duration(float64(d) * (0.5 + frac/2))
 }

@@ -147,12 +147,7 @@ func runHDetect(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult,
 // u -> v (a splitmix64 of the cell seed and the pair), so a receiver can
 // recompute exactly what every sender must have shipped.
 func demandPayload(seed int64, u, v, width int) uint64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(u+1) + 0x517cc1b727220a95*uint64(v+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
+	z := bits.Mix64(uint64(seed) + 0x9e3779b97f4a7c15*uint64(u+1) + 0x517cc1b727220a95*uint64(v+1))
 	return z & (1<<uint(width) - 1)
 }
 

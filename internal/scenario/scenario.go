@@ -159,50 +159,35 @@ func DefaultMatrix(quick bool, baseSeed int64) *Matrix {
 
 // FilterFamilies restricts the matrix to a comma-separated family subset.
 func (m *Matrix) FilterFamilies(names string) error {
-	if names == "" {
-		return nil
-	}
-	m.Families = m.Families[:0]
-	for _, name := range strings.Split(names, ",") {
-		f, ok := FamilyByName(strings.TrimSpace(name))
-		if !ok {
-			return fmt.Errorf("unknown family %q", strings.TrimSpace(name))
-		}
-		m.Families = append(m.Families, f)
-	}
-	return nil
+	return filterByName(&m.Families, names, "family", FamilyByName)
 }
 
 // FilterProtocols restricts the matrix to a comma-separated protocol subset.
 func (m *Matrix) FilterProtocols(names string) error {
-	if names == "" {
-		return nil
-	}
-	m.Protocols = m.Protocols[:0]
-	for _, name := range strings.Split(names, ",") {
-		p, ok := ProtocolByName(strings.TrimSpace(name))
-		if !ok {
-			return fmt.Errorf("unknown protocol %q", strings.TrimSpace(name))
-		}
-		m.Protocols = append(m.Protocols, p)
-	}
-	return nil
+	return filterByName(&m.Protocols, names, "protocol", ProtocolByName)
 }
 
 // FilterEngines restricts the matrix to a comma-separated engine-config
 // subset, resolved against the full standing set — so `-quick -engines
 // par2-b16` deliberately pulls the narrow config into a quick sweep.
 func (m *Matrix) FilterEngines(names string) error {
+	return filterByName(&m.Engines, names, "engine config", EngineByName)
+}
+
+// filterByName replaces *dim with the comma-separated names resolved by
+// byName, in the order given; "" keeps *dim as it is.
+func filterByName[T any](dim *[]T, names, kind string, byName func(string) (T, bool)) error {
 	if names == "" {
 		return nil
 	}
-	m.Engines = m.Engines[:0]
+	*dim = (*dim)[:0]
 	for _, name := range strings.Split(names, ",") {
-		e, ok := EngineByName(strings.TrimSpace(name))
+		name = strings.TrimSpace(name)
+		v, ok := byName(name)
 		if !ok {
-			return fmt.Errorf("unknown engine config %q", strings.TrimSpace(name))
+			return fmt.Errorf("unknown %s %q", kind, name)
 		}
-		m.Engines = append(m.Engines, e)
+		*dim = append(*dim, v)
 	}
 	return nil
 }

@@ -89,7 +89,7 @@ func Copies(n, classes int) int {
 // from the protocol seed so every player (and both differential legs)
 // flips identical coins.
 func mergeCoin(seed int64, phase, leader int) bool {
-	z := splitmix64(uint64(seed) ^ 0xff51afd7ed558ccd*uint64(phase+1) ^ 0xc4ceb9fe1a85ec53*uint64(leader+1))
+	z := bits.Mix64(uint64(seed) ^ 0xff51afd7ed558ccd*uint64(phase+1) ^ 0xc4ceb9fe1a85ec53*uint64(leader+1))
 	return z&1 == 1
 }
 

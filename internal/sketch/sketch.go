@@ -26,17 +26,6 @@ import (
 // fingerprint test with probability about 2^-DefaultFpBits per cell.
 const DefaultFpBits = 16
 
-// splitmix64 is the shared avalanche permutation of the repo's seeded
-// generators (graph.edgeWeight, scenario.demandPayload).
-func splitmix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
 // Sampler is one seeded ℓ0-sampler over the universe [0, Universe): a
 // linear sketch of a set S ⊆ [U] under symmetric difference. Toggle flips
 // an item in and out of S (additions and removals are the same operation
@@ -120,7 +109,7 @@ func (s *Sampler) Universe() int { return s.universe }
 // level returns the deepest level item i reaches: the number of trailing
 // zeros of the item's hash, capped at the ladder depth.
 func (s *Sampler) level(item uint64) int {
-	h := splitmix64(s.seed ^ 0x9e3779b97f4a7c15*(item+1))
+	h := bits.Mix64(s.seed ^ 0x9e3779b97f4a7c15*(item+1))
 	l := 0
 	for h&1 == 0 && l < s.levels-1 {
 		h >>= 1
@@ -132,7 +121,7 @@ func (s *Sampler) level(item uint64) int {
 // fingerprint hashes an item into fpBits bits with a seed independent of
 // the level hash.
 func (s *Sampler) fingerprint(item uint64) uint64 {
-	h := splitmix64(s.seed ^ 0x517cc1b727220a95*(item+1) ^ 0xd1b54a32d192ed03)
+	h := bits.Mix64(s.seed ^ 0x517cc1b727220a95*(item+1) ^ 0xd1b54a32d192ed03)
 	if s.fpBits < 64 {
 		h &= 1<<uint(s.fpBits) - 1
 	}
@@ -297,7 +286,7 @@ var stacksOut atomic.Int64
 // players must build copy q from the same hash functions for merging to
 // be meaningful.
 func copySeed(seed int64, salt uint64, q int) uint64 {
-	return splitmix64(uint64(seed) ^ salt ^ 0xa0761d6478bd642f*uint64(q+1))
+	return bits.Mix64(uint64(seed) ^ salt ^ 0xa0761d6478bd642f*uint64(q+1))
 }
 
 // NewStack builds an empty stack of `copies` samplers over [0, universe),

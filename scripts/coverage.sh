@@ -9,9 +9,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# package  floor(%)  — landed: scenario 90.9, graph 95.5, bits 95.7,
-# semiring 92.0, sketch 92.2, fault 100.0, scenariod 86.4, obs 88.8,
-# routing 91.7, core 95.1
+# package  floor(%)  — landed: scenario 90.8, graph 95.5, bits 95.8,
+# semiring 92.0, sketch 92.1, fault 100.0, scenariod 86.4, obs 89.5,
+# routing 94.4, core 95.1
 floors="
 ./internal/scenario  85.0
 ./internal/graph     92.0
@@ -21,7 +21,7 @@ floors="
 ./internal/fault     85.0
 ./internal/scenariod 81.0
 ./internal/obs       85.5
-./internal/routing   90.7
+./internal/routing   93.4
 ./internal/core      94.1
 "
 
