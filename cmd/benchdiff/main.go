@@ -4,7 +4,7 @@
 // snapshots as a ratio against a configurable threshold. Records on
 // the gate list (-gate; defaults to the fold records whose inputs are
 // deterministic or explicitly tracked — engine_scaling,
-// trace_overhead, scenariod_cache, fleet_throughput, e15_semiring_mm,
+// trace_overhead, fleet_throughput, e15_semiring_mm,
 // e16_sketch_connectivity, e17_fault_recovery) fail the run when any
 // field regresses beyond the threshold or the record disappears; every
 // other record is reported but never gates. CI runs benchdiff over the
@@ -42,7 +42,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-const defaultGate = "engine_scaling,trace_overhead,scenariod_cache,fleet_throughput,e15_semiring_mm,e16_sketch_connectivity,e17_fault_recovery"
+const defaultGate = "engine_scaling,trace_overhead,fleet_throughput,e15_semiring_mm,e16_sketch_connectivity,e17_fault_recovery"
 
 // snapshot is one BENCH file: records keyed for cross-file matching,
 // in file order.

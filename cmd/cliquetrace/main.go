@@ -87,7 +87,7 @@ func record(args []string) int {
 	for _, p := range traceFiles(*dir) {
 		before[p] = true
 	}
-	res := scenario.RunCell(cell, scenario.CellOptions{TraceDir: *dir}, nil)
+	res := scenario.RunCell(cell, scenario.CellOptions{TraceDir: *dir})
 	fmt.Printf("cell %s n=%d %s %s seed=%d: %s (rounds=%d bits=%d)\n",
 		res.Family, res.N, res.Engine, res.Protocol, res.Seed, res.Outcome, res.Rounds, res.TotalBits)
 	wrote := 0
@@ -144,8 +144,8 @@ func printTrace(path string, tr *obs.Trace, top int) {
 	fmt.Printf("meta: n=%d bandwidth=%d model=%s seed=%d parallelism=%d faulty=%v\n",
 		m.N, m.Bandwidth, m.Model, m.Seed, m.Parallelism, m.Faulty)
 	t := obs.Sum(tr)
-	fmt.Printf("totals: records=%d steps=%d comm-rounds=%d sends=%d sent-bits=%d max-link-bits=%d wall=%v\n",
-		t.Records, t.Steps, t.Rounds, t.Sends, t.SentBits, t.MaxLinkBits, time.Duration(t.WallNs))
+	fmt.Printf("totals: steps=%d comm-rounds=%d sends=%d sent-bits=%d max-link-bits=%d wall=%v\n",
+		t.Steps, t.Rounds, t.Sends, t.SentBits, t.MaxLinkBits, time.Duration(t.WallNs))
 	if t.Faults != (obs.Totals{}).Faults {
 		fmt.Printf("faults: %+v\n", t.Faults)
 	}

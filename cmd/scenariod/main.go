@@ -24,13 +24,11 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/scenariod"
 )
 
@@ -55,8 +53,8 @@ func usage() {
   scenariod serve  [-addr HOST:PORT] [-ledger-dir DIR] [-lease-ttl D] [-max-attempts N]
                    [-backoff D] [-backoff-cap D] [-max-queued N] [-sweep-every D] [-drain-grace D]
                    [-pprof]
-  scenariod worker [-server URL] [-name ID] [-cache DIR] [-cache-max-bytes N] [-timeout D]
-                   [-poll D] [-metrics-addr HOST:PORT] [-pprof] [-trace-dir DIR]`)
+  scenariod worker [-server URL] [-name ID] [-cache DIR] [-timeout D] [-poll D]
+                   [-trace-dir DIR]`)
 }
 
 func serve(args []string) int {
@@ -137,15 +135,12 @@ func serve(args []string) int {
 func worker(args []string) int {
 	fs := flag.NewFlagSet("scenariod worker", flag.ExitOnError)
 	var (
-		server      = fs.String("server", "http://127.0.0.1:8437", "scenariod base URL")
-		name        = fs.String("name", "", "worker id (default host-pid)")
-		cacheDir    = fs.String("cache", "", "content-addressed cache directory shared across workers (\"\" = no cache)")
-		cacheMax    = fs.Int64("cache-max-bytes", 0, "bound the cache directory; puts over the bound evict entries oldest-first (0 = unbounded)")
-		timeout     = fs.Duration("timeout", 0, "per-leg deadline (0 = none); a timed-out cell goes back to the server as infra, which requeues it")
-		poll        = fs.Duration("poll", 200*time.Millisecond, "lease poll interval when the queue is empty")
-		metricsAddr = fs.String("metrics-addr", "", "serve this worker's /metrics (cache hits/misses) on HOST:PORT (\"\" = off)")
-		traceDir    = fs.String("trace-dir", "", "archive an engine-trace/v1 NDJSON trace per engine-leg run under this directory (\"\" = off)")
-		pprofOn     = fs.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/ on -metrics-addr")
+		server   = fs.String("server", "http://127.0.0.1:8437", "scenariod base URL")
+		name     = fs.String("name", "", "worker id (default host-pid)")
+		cacheDir = fs.String("cache", "", "generated-graph cache directory shared across workers (\"\" = no cache)")
+		timeout  = fs.Duration("timeout", 0, "per-leg deadline (0 = none); a timed-out cell goes back to the server as infra, which requeues it")
+		poll     = fs.Duration("poll", 200*time.Millisecond, "lease poll interval when the queue is empty")
+		traceDir = fs.String("trace-dir", "", "archive an engine-trace/v1 NDJSON trace per engine-leg run under this directory (\"\" = off)")
 	)
 	fs.Parse(args)
 
@@ -156,7 +151,6 @@ func worker(args []string) int {
 		}
 		*name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	reg := obs.NewRegistry()
 	var cache *scenariod.Cache
 	if *cacheDir != "" {
 		var err error
@@ -165,26 +159,6 @@ func worker(args []string) int {
 			fmt.Fprintf(os.Stderr, "scenariod worker: %v\n", err)
 			return 1
 		}
-		cache.SetMaxBytes(*cacheMax)
-		cache.RegisterMetrics(reg)
-	}
-	if *metricsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", reg.Handler())
-		if *pprofOn {
-			mux.HandleFunc("/debug/pprof/", pprof.Index)
-			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-			mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		}
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scenariod worker: metrics: %v\n", err)
-			return 1
-		}
-		fmt.Printf("scenariod worker metrics on http://%s/metrics\n", ln.Addr())
-		go http.Serve(ln, mux)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

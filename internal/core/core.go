@@ -322,7 +322,7 @@ func (p *Proc) checkSend(dst int, msg *bits.Buffer) error {
 		return fmt.Errorf("%w: %d > %d bits on link %d->%d",
 			ErrBandwidth, msg.Len(), p.cfg.Bandwidth, p.id, dst)
 	}
-	if p.bcast != nil || p.out[dst] != nil {
+	if p.bcast != nil || p.sentTo(dst) {
 		return fmt.Errorf("%w: %d -> %d", ErrDoubleSend, p.id, dst)
 	}
 	return nil
@@ -347,8 +347,8 @@ func (p *Proc) Send(dst int, msg *bits.Buffer) error {
 		// round stay with their readers.
 		*row = bits.NewRow(min(max(2*k, 32), p.cfg.N-1), p.cfg.Bandwidth)
 	}
-	p.out[dst] = (*row)[k].Refill(msg)
-	p.sent = append(p.sent, dst)
+	p.dsts[dst>>6] |= 1 << (dst & 63)
+	p.sent = append(p.sent, staged{dst, (*row)[k].Refill(msg)})
 	return nil
 }
 
@@ -454,13 +454,14 @@ func newEngine(cfg *Config, body func(*Proc) error) *engine {
 	if e.plan != nil {
 		e.crashed = make([]bool, n)
 	}
-	outFlat := make([]*bits.Buffer, n*n)
+	words := (n + 63) / 64
+	dsts := make([]uint64, n*words)
 	for i := 0; i < n; i++ {
 		e.procs[i] = Proc{
 			id:     i,
 			cfg:    cfg,
-			out:    outFlat[i*n : (i+1)*n : (i+1)*n],
-			sent:   make([]int, 0, 4),
+			sent:   make([]staged, 0, 4),
+			dsts:   dsts[i*words : (i+1)*words : (i+1)*words],
 			traced: e.traceOn,
 			body:   body,
 		}
@@ -595,9 +596,9 @@ func (e *engine) deliver(round int) {
 			}
 			continue
 		}
-		for _, dst := range p.sent {
-			e.send(round, i, dst, p.out[dst])
-			p.out[dst] = nil
+		for _, s := range p.sent {
+			p.dsts[s.dst>>6] &^= 1 << (s.dst & 63)
+			e.send(round, i, s.dst, s.msg)
 		}
 		p.sent = p.sent[:0]
 	}

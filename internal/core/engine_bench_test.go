@@ -39,7 +39,7 @@ func gossipBody(rounds, fanout int) func(*Proc) error {
 		err := p.Rounds(rounds, func(r int) error {
 			for k := 0; k < fanout; k++ {
 				dst := p.Rand().Intn(p.N())
-				if dst == p.ID() || p.out[dst] != nil {
+				if dst == p.ID() || p.sentTo(dst) {
 					continue // collision with an earlier draw this round
 				}
 				m.Reset()

@@ -27,7 +27,7 @@ func gossipEquivBody(reuse bool) func(*Proc) error {
 		err := p.Rounds(4+p.ID()%7, func(r int) error {
 			for k := 0; k < 3; k++ {
 				dst := p.Rand().Intn(p.N())
-				if dst == p.ID() || p.out[dst] != nil {
+				if dst == p.ID() || p.sentTo(dst) {
 					continue
 				}
 				m := &reused

@@ -44,9 +44,9 @@ type Proc struct {
 	cfg   *Config
 	rng   *rand.Rand // built by Rand on first use
 	round int
-	out   []*bits.Buffer // staged unicast messages, indexed by destination
-	sent  []int          // destinations staged this round
-	bcast *bits.Buffer   // staged broadcast, in any model; excludes Sends
+	sent  []staged     // Sends staged this round, in send order
+	dsts  []uint64     // N-bit set of the destinations in sent
+	bcast *bits.Buffer // staged broadcast, in any model; excludes Sends
 
 	// The node's own message buffers, which Send and Broadcast copy
 	// into: per round parity, a row carved from one slab whose buffer k
@@ -84,6 +84,16 @@ type Proc struct {
 
 	x *exchangeState // ExchangeBroadcasts/ExchangeUnicast state, built on first use
 }
+
+// staged is one Send of the round: its destination and the sealed send
+// buffer the message was copied into.
+type staged struct {
+	dst int
+	msg *bits.Buffer
+}
+
+// sentTo reports whether a Send to dst is staged this round.
+func (p *Proc) sentTo(dst int) bool { return p.dsts[dst>>6]&(1<<(dst&63)) != 0 }
 
 // Next commits the staged messages, waits for the round barrier, and
 // returns the inbox of the next round (indexed by sender; nil entries mean

@@ -229,7 +229,7 @@ func procGossipBody(rounds, fanout int) func(*Proc) error {
 		for r := 0; r < rounds; r++ {
 			for k := 0; k < fanout; k++ {
 				dst := p.Rand().Intn(p.N())
-				if dst == p.ID() || p.out[dst] != nil {
+				if dst == p.ID() || p.sentTo(dst) {
 					continue
 				}
 				m.Reset()

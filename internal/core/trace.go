@@ -22,15 +22,14 @@ import "fmt"
 //
 // # Determinism contract
 //
-// Every RoundTrace field except WallNs and Workers is a pure function
-// of (protocol, Config minus Parallelism): records are built during the
+// Every RoundTrace field except WallNs is a pure function of
+// (protocol, Config minus Parallelism): records are built during the
 // sequential collection/delivery pass in ascending node order, and
 // marks stamped by concurrently-stepped nodes are merged in ascending
 // node id (stamp order within a node), so traces are bit-identical
 // across Parallelism settings. WallNs is wall time (nondeterministic by
-// nature; obs keeps it out of the deterministic field set). Workers
-// records the per-worker dispatch counts of the round and therefore
-// varies with — and documents — the worker width.
+// nature; obs keeps it out of the deterministic field set). The worker
+// width is recorded once, in RunMeta.Parallelism.
 
 // Mark is a phase marker stamped by a protocol via Proc.Annotate: the
 // stamping node, the round of the stamp, and a protocol-chosen name.
@@ -61,13 +60,12 @@ type RunMeta struct {
 //
 //	sum(SentBits)               == Stats.TotalBits
 //	count(Sends>0||Delivered>0) == Stats.Rounds
-//	sum(Span)                   == Stats.Steps
+//	count(records)              == Stats.Steps
 //	max(MaxLinkBits)            == Stats.MaxLinkBits
 //	sum(CutBits)                == Stats.CutBits
 //	sum(per-round fault deltas) == *Result.Faults (field by field)
 type RoundTrace struct {
 	Round int `json:"round"` // engine round this record covers
-	Span  int `json:"span"`  // rounds covered: always 1, so sum(Span) == Stats.Steps
 
 	Sends         int   `json:"sends"`              // messages collected from senders (a broadcast counts once)
 	SentBits      int64 `json:"sent_bits"`          // bits metered as sent (the Stats.TotalBits delta)
@@ -84,19 +82,13 @@ type RoundTrace struct {
 	// Result.Faults exactly.
 	Faults FaultStats `json:"faults,omitzero"`
 
-	// Workers is the per-worker dispatch count of the record's step
-	// fan-out: Workers[g] nodes were stepped by worker g. Deterministic
-	// given (live set, worker width) but — deliberately — not across
-	// widths; it is how a trace documents its engine configuration.
-	Workers []int `json:"workers,omitempty"`
-
 	// Marks are the phase markers stamped during the record, merged in
 	// ascending node id, stamp order within a node.
 	Marks []Mark `json:"marks,omitempty"`
 
 	// WallNs is the wall time of the record's step+delivery. It is the
-	// only nondeterministic field besides Workers; analysis excludes it
-	// from every determinism check.
+	// only nondeterministic field; analysis excludes it from every
+	// determinism check.
 	WallNs int64 `json:"wall_ns"`
 }
 
@@ -163,7 +155,6 @@ func (e *engine) beginTrace() {
 	e.rt.MaxLinkBits = 0
 	e.rt.CutBits = 0
 	e.rt.Faults = FaultStats{}
-	e.rt.Workers = e.rt.Workers[:0]
 	e.rt.Marks = e.rt.Marks[:0]
 	e.prevBits = e.stats.TotalBits
 	e.prevCut = e.stats.CutBits
@@ -176,7 +167,6 @@ func (e *engine) beginTrace() {
 func (e *engine) emitTrace(round int, wallNs int64) {
 	rt := &e.rt
 	rt.Round = round
-	rt.Span = 1
 	rt.SentBits = e.stats.TotalBits - e.prevBits
 	rt.CutBits = e.stats.CutBits - e.prevCut
 	rt.Faults = FaultStats{
@@ -189,7 +179,6 @@ func (e *engine) emitTrace(round int, wallNs int64) {
 	}
 	rt.Active = e.traceActive
 	rt.Halted = e.traceActive - len(e.live)
-	rt.Workers = dispatchCounts(e.traceActive, e.workers, rt.Workers)
 	rt.WallNs = wallNs
 	e.sink.TraceRound(rt)
 }
@@ -204,26 +193,4 @@ func (e *engine) collectMarks() {
 			p.marks = p.marks[:0]
 		}
 	}
-}
-
-// dispatchCounts reproduces the engine's chunked fan-out shape: n nodes
-// over at most `workers` workers in contiguous chunks of ceil(n/w),
-// exactly as workerPool.run and ParallelFor assign them. Appended onto
-// buf[:0] so the caller's slice is reused across rounds.
-func dispatchCounts(n, workers int, buf []int) []int {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return append(buf, n)
-	}
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		buf = append(buf, hi-lo)
-	}
-	return buf
 }

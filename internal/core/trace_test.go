@@ -24,7 +24,6 @@ func (s *testSink) TraceStart(m RunMeta) { s.meta = m }
 
 func (s *testSink) TraceRound(r *RoundTrace) {
 	cp := *r
-	cp.Workers = append([]int(nil), r.Workers...)
 	cp.Marks = append([]Mark(nil), r.Marks...)
 	s.rounds = append(s.rounds, cp)
 }
@@ -48,7 +47,7 @@ type traceSums struct {
 }
 
 func sumTrace(rounds []RoundTrace) traceSums {
-	var s traceSums
+	s := traceSums{steps: len(rounds)}
 	for _, r := range rounds {
 		s.sentBits += r.SentBits
 		s.cutBits += r.CutBits
@@ -58,7 +57,6 @@ func sumTrace(rounds []RoundTrace) traceSums {
 		if r.Sends > 0 || r.Delivered > 0 {
 			s.rounds++
 		}
-		s.steps += r.Span
 		if r.MaxLinkBits > s.maxLink {
 			s.maxLink = r.MaxLinkBits
 		}
@@ -84,7 +82,7 @@ func reconcileTrace(t *testing.T, s *testSink, res *Result, label string) {
 		t.Errorf("%s: count(Sends>0||Delivered>0) = %d, Stats.Rounds = %d", label, sums.rounds, res.Stats.Rounds)
 	}
 	if sums.steps != res.Stats.Steps {
-		t.Errorf("%s: sum(Span) = %d, Stats.Steps = %d", label, sums.steps, res.Stats.Steps)
+		t.Errorf("%s: count(records) = %d, Stats.Steps = %d", label, sums.steps, res.Stats.Steps)
 	}
 	if sums.maxLink != res.Stats.MaxLinkBits {
 		t.Errorf("%s: max(MaxLinkBits) = %d, Stats.MaxLinkBits = %d", label, sums.maxLink, res.Stats.MaxLinkBits)
@@ -109,26 +107,15 @@ func reconcileTrace(t *testing.T, s *testSink, res *Result, label string) {
 	if !reflect.DeepEqual(s.footer.Faults, res.Faults) {
 		t.Errorf("%s: footer Faults %+v != Result %+v", label, s.footer.Faults, res.Faults)
 	}
-	// Per-record sanity: the worker dispatch counts partition the active set.
-	for i, r := range s.rounds {
-		total := 0
-		for _, w := range r.Workers {
-			total += w
-		}
-		if total != r.Active {
-			t.Errorf("%s: record %d: sum(Workers)=%d != Active=%d", label, i, total, r.Active)
-		}
-	}
 }
 
-// scrubRounds drops the two documented nondeterministic fields (WallNs,
-// Workers) so record streams from different worker widths can be
-// compared with DeepEqual.
+// scrubRounds drops the one documented nondeterministic field (WallNs)
+// so record streams from different worker widths can be compared with
+// DeepEqual.
 func scrubRounds(rounds []RoundTrace) []RoundTrace {
 	out := make([]RoundTrace, len(rounds))
 	for i, r := range rounds {
 		r.WallNs = 0
-		r.Workers = nil
 		out[i] = r
 	}
 	return out

@@ -160,8 +160,8 @@ func statsEqual(a, b core.Stats) string {
 }
 
 // tracesEqualDeterministic compares two traces over the deterministic
-// field set: meta (minus parallelism), every record with WallNs and
-// Workers scrubbed, and the footer.
+// field set: meta (minus parallelism), every record with WallNs
+// scrubbed, and the footer.
 func tracesEqualDeterministic(a, b *obs.Trace) bool {
 	ma, mb := a.Meta, b.Meta
 	ma.Parallelism, mb.Parallelism = 0, 0
@@ -174,7 +174,6 @@ func tracesEqualDeterministic(a, b *obs.Trace) bool {
 	for i := range a.Rounds {
 		ra, rb := a.Rounds[i], b.Rounds[i]
 		ra.WallNs, rb.WallNs = 0, 0
-		ra.Workers, rb.Workers = nil, nil
 		if !reflect.DeepEqual(ra, rb) {
 			return false
 		}

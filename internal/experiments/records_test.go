@@ -11,24 +11,25 @@ import (
 	"testing"
 )
 
-// foldRecordsSnapshot is the committed BENCH snapshot whose e15/e16/e17
-// fold records the full-size experiments must reproduce exactly.
-const foldRecordsSnapshot = "BENCH_20260807.json"
+// foldRecords holds the e15/e16/e17 fold records the full-size
+// experiments must reproduce exactly, as scripts/bench.sh recorded them
+// in BENCH_20260807.json.
+var foldRecords = filepath.Join("testdata", "fold_records.json")
 
 // TestFoldRecordsExact pins the exact fold records: the full-size E15,
 // E16 and E17 runs (n = 64 and n = 256, beyond the scenario matrix's
 // n ≤ 24) must print the E15RECORD n=64, E16RECORD n=256 and three
-// E17RECORD n=64 lines that scripts/bench.sh folded into the committed
+// E17RECORD n=64 lines that scripts/bench.sh folded into a BENCH
 // snapshot, field for field. Their rounds and bits are exact, so any
 // change to a protocol's schedule or messages at these sizes fails here.
 func TestFoldRecordsExact(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("..", "..", foldRecordsSnapshot))
+	raw, err := os.ReadFile(foldRecords)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snapshot []map[string]any
-	if err := json.Unmarshal(raw, &snapshot); err != nil {
-		t.Fatalf("%s: %v", foldRecordsSnapshot, err)
+	var recorded []map[string]any
+	if err := json.Unmarshal(raw, &recorded); err != nil {
+		t.Fatalf("%s: %v", foldRecords, err)
 	}
 	cases := []struct {
 		exp, prefix, name string
@@ -41,13 +42,13 @@ func TestFoldRecordsExact(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.exp, func(t *testing.T) {
 			var want []map[string]any
-			for _, rec := range snapshot {
+			for _, rec := range recorded {
 				if rec["name"] == tc.name {
 					want = append(want, rec)
 				}
 			}
 			if len(want) != tc.want {
-				t.Fatalf("%s holds %d %s records, want %d", foldRecordsSnapshot, len(want), tc.name, tc.want)
+				t.Fatalf("%s holds %d %s records, want %d", foldRecords, len(want), tc.name, tc.want)
 			}
 			exp, ok := ByID(tc.exp)
 			if !ok {

@@ -39,26 +39,51 @@ type Spec struct {
 	CrashBy   int     `json:"crash_by,omitempty"`  // crash round uniform in [0,CrashBy); default 16
 }
 
+// models is the one table of fault models: each model's name and its
+// rate knob on Spec, in Models order. Models, ModelSpec, ParseSpec,
+// String and Active all read it.
+var models = []struct {
+	name string
+	rate func(*Spec) *float64
+}{
+	{"drop", func(s *Spec) *float64 { return &s.Drop }},
+	{"corrupt", func(s *Spec) *float64 { return &s.Corrupt }},
+	{"delay", func(s *Spec) *float64 { return &s.Delay }},
+	{"dup", func(s *Spec) *float64 { return &s.Duplicate }},
+	{"crash", func(s *Spec) *float64 { return &s.Crash }},
+}
+
+// rateOf returns the named model's rate knob on s, or an error naming
+// the known models.
+func rateOf(s *Spec, model string) (*float64, error) {
+	for _, m := range models {
+		if m.name == model {
+			return m.rate(s), nil
+		}
+	}
+	return nil, fmt.Errorf("fault: unknown model %q (have %s)", model, strings.Join(Models, ", "))
+}
+
 // Active reports whether the spec injects any fault at all. Inactive
 // specs produce a nil plan so the engine keeps its zero-overhead path.
 func (s Spec) Active() bool {
-	return s.Drop > 0 || s.Corrupt > 0 || s.Delay > 0 || s.Duplicate > 0 || s.Crash > 0
+	for _, m := range models {
+		if *m.rate(&s) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // String renders the non-zero rates, e.g. "drop=0.05,crash=0.01" — used
 // in ledger headers and experiment output.
 func (s Spec) String() string {
 	var parts []string
-	add := func(k string, v float64) {
-		if v > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%g", k, v))
+	for _, m := range models {
+		if v := *m.rate(&s); v > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%g", m.name, v))
 		}
 	}
-	add("drop", s.Drop)
-	add("corrupt", s.Corrupt)
-	add("delay", s.Delay)
-	add("dup", s.Duplicate)
-	add("crash", s.Crash)
 	if len(parts) == 0 {
 		return "none"
 	}
@@ -100,20 +125,11 @@ func ParseSpec(s string) (Spec, error) {
 			if err != nil || rate < 0 || rate > 1 {
 				return Spec{}, fmt.Errorf("fault: %s=%q is not a rate in [0,1]", key, val)
 			}
-			switch key {
-			case "drop":
-				spec.Drop = rate
-			case "corrupt":
-				spec.Corrupt = rate
-			case "delay":
-				spec.Delay = rate
-			case "dup":
-				spec.Duplicate = rate
-			case "crash":
-				spec.Crash = rate
-			default:
-				return Spec{}, fmt.Errorf("fault: unknown model %q (have %s)", key, strings.Join(Models, ", "))
+			knob, err := rateOf(&spec, key)
+			if err != nil {
+				return Spec{}, err
 			}
+			*knob = rate
 		}
 	}
 	return spec, nil
@@ -121,25 +137,24 @@ func ParseSpec(s string) (Spec, error) {
 
 // Models enumerates the single-fault-model sweep axis used by E17 and
 // `scenariorun -faults`: each name maps one rate knob via ModelSpec.
-var Models = []string{"drop", "corrupt", "delay", "dup", "crash"}
+var Models = func() []string {
+	names := make([]string, len(models))
+	for i, m := range models {
+		names[i] = m.name
+	}
+	return names
+}()
 
 // ModelSpec builds the Spec that applies `rate` to exactly one fault
 // model (a Models entry), leaving the others at zero.
 func ModelSpec(model string, rate float64) (Spec, error) {
-	switch model {
-	case "drop":
-		return Spec{Drop: rate}, nil
-	case "corrupt":
-		return Spec{Corrupt: rate}, nil
-	case "delay":
-		return Spec{Delay: rate}, nil
-	case "dup":
-		return Spec{Duplicate: rate}, nil
-	case "crash":
-		return Spec{Crash: rate}, nil
-	default:
-		return Spec{}, fmt.Errorf("fault: unknown model %q (have %s)", model, strings.Join(Models, ", "))
+	var s Spec
+	knob, err := rateOf(&s, model)
+	if err != nil {
+		return Spec{}, err
 	}
+	*knob = rate
+	return s, nil
 }
 
 // Plan is a Spec bound to a seed: an immutable, concurrency-safe

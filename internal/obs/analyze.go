@@ -25,12 +25,11 @@ var (
 // Stats (the tracer as a second auditor of the paper's accounting),
 // per-phase profiles keyed on Proc.Annotate marks, hot-spot ranking and
 // run diffing. All of it operates on the deterministic field set only —
-// WallNs and Workers never influence a verdict.
+// WallNs never influences a verdict.
 
 // Totals aggregates a record stream.
 type Totals struct {
-	Records       int
-	Steps         int // engine rounds covered (sum of Span)
+	Steps         int // engine rounds covered: one per record
 	Rounds        int // communication rounds (Sends>0 || Delivered>0)
 	Sends         int
 	Delivered     int
@@ -45,8 +44,7 @@ type Totals struct {
 // add folds one record into t: the one place a record's fields are
 // accumulated, for whole runs (Sum) and phases (Phases) alike.
 func (t *Totals) add(r *core.RoundTrace) {
-	t.Records++
-	t.Steps += r.Span
+	t.Steps++
 	if r.Sends > 0 || r.Delivered > 0 {
 		t.Rounds++
 	}
@@ -92,7 +90,7 @@ func Reconcile(tr *Trace) error {
 		return fmt.Errorf("obs: reconcile: communication rounds = %d, Stats.Rounds = %d", sums.Rounds, st.Rounds)
 	}
 	if sums.Steps != st.Steps {
-		return fmt.Errorf("obs: reconcile: sum(span) = %d, Stats.Steps = %d", sums.Steps, st.Steps)
+		return fmt.Errorf("obs: reconcile: records = %d, Stats.Steps = %d", sums.Steps, st.Steps)
 	}
 	if sums.MaxLinkBits != st.MaxLinkBits {
 		return fmt.Errorf("obs: reconcile: max(max_link_bits) = %d, Stats.MaxLinkBits = %d", sums.MaxLinkBits, st.MaxLinkBits)

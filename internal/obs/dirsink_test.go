@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -90,42 +88,5 @@ func TestDirSinkLazyCreation(t *testing.T) {
 	}
 	if paths, _ := filepath.Glob(filepath.Join(dir, "*")); len(paths) != 0 {
 		t.Fatalf("empty DirSink created files: %v", paths)
-	}
-}
-
-// TestRegistryHandler scrapes the registry over HTTP and checks the
-// accessor methods the scenariod tests read through the text endpoint.
-func TestRegistryHandler(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("test_ops_total", "ops")
-	c.Inc()
-	c.Add(2)
-	if c.Value() != 3 {
-		t.Fatalf("Counter.Value = %d, want 3", c.Value())
-	}
-	r.Family("test_latency", "summary", "latency", func() []Sample {
-		return []Sample{{Suffix: "_count", Value: 2}}
-	})
-
-	srv := httptest.NewServer(r.Handler())
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("Content-Type = %q, want text/plain", ct)
-	}
-	buf := make([]byte, 1<<16)
-	n, _ := resp.Body.Read(buf)
-	body := string(buf[:n])
-	for _, line := range []string{
-		"test_ops_total 3",
-		"test_latency_count 2",
-	} {
-		if !strings.Contains(body, line+"\n") {
-			t.Fatalf("scrape missing %q:\n%s", line, body)
-		}
 	}
 }

@@ -301,7 +301,7 @@ func TestHottestDiffEdgeCases(t *testing.T) {
 	if _, err := Hottest(empty, 3); !errors.Is(err, ErrEmptyTrace) {
 		t.Errorf("Hottest(empty) = %v, want ErrEmptyTrace", err)
 	}
-	quiet := &Trace{Rounds: []core.RoundTrace{{Round: 0, Span: 4}}}
+	quiet := &Trace{Rounds: []core.RoundTrace{{Round: 0, Active: 4}}}
 	if _, err := Hottest(quiet, 3); !errors.Is(err, ErrNoTraffic) {
 		t.Errorf("Hottest(no traffic) = %v, want ErrNoTraffic", err)
 	}

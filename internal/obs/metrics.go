@@ -3,18 +3,16 @@ package obs
 import (
 	"fmt"
 	"math"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
 // A dependency-free metrics registry rendering Prometheus text
-// exposition format 0.0.4 — counters, gauge functions and scrape-time
-// families, all safe for concurrent use. Metric names may carry
-// constant labels inline (`foo_total{event="expired"}`); series sharing
-// a base name share one HELP/TYPE header, exactly as Prometheus
-// expects.
+// exposition format 0.0.4 — gauge functions and scrape-time families,
+// all safe for concurrent use. Metric names may carry constant labels
+// inline (`foo{state="idle"}`); series sharing a base name share one
+// HELP/TYPE header, exactly as Prometheus expects.
 
 // Registry holds a set of metrics and renders them on demand. The zero
 // value is not usable; call NewRegistry.
@@ -68,7 +66,8 @@ func (r *Registry) register(name, help string, m metric) {
 	r.series = append(r.series, series{name: name, help: help, m: m})
 }
 
-// Counter is a monotonically increasing int64.
+// Counter is a monotonically increasing int64, safe for concurrent
+// use. It is not a registry series: its owner reads it with Value.
 type Counter struct {
 	v atomic.Int64
 }
@@ -76,23 +75,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n (n must be >= 0 for Prometheus semantics; not enforced).
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-func (c *Counter) metricType() string { return "counter" }
-func (c *Counter) write(w *strings.Builder, name string) {
-	fmt.Fprintf(w, "%s %d\n", name, c.v.Load())
-}
-
-// Counter registers and returns a new counter series.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.register(name, help, c)
-	return c
-}
 
 // Sample is one series of a family at one scrape: Suffix extends the
 // family's base name (a summary's "_count"), Labels is the inline label
@@ -129,7 +113,7 @@ func (r *Registry) Family(name, typ, help string, collect func() []Sample) {
 }
 
 // GaugeFunc registers a gauge whose value is read from f at each scrape
-// — for values that already live elsewhere (queue depth, cache size).
+// — for values that already live elsewhere (queue depth, live runs).
 // The name may carry inline labels.
 func (r *Registry) GaugeFunc(name, help string, f func() float64) {
 	r.register(name, help, family{typ: "gauge", collect: func() []Sample { return []Sample{{Value: f()}} }})
@@ -172,14 +156,4 @@ func formatFloat(v float64) string {
 	default:
 		return fmt.Sprintf("%g", v)
 	}
-}
-
-// Handler serves the registry as a Prometheus scrape endpoint.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var b strings.Builder
-		r.WritePrometheus(&b)
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = w.Write([]byte(b.String()))
-	})
 }

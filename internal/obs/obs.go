@@ -5,8 +5,8 @@
 // (reconciliation against Stats, per-phase profiles, run diffs,
 // hot-spot ranking, all folded by one Totals.add), the fleet-trace/v1
 // span model of scenariod runs with its throughput accounting
-// (Summarize), and a dependency-free Prometheus-text registry of
-// counters, gauge functions and scrape-time families. scenariod's
+// (Summarize), and a dependency-free Prometheus-text registry of gauge
+// functions and scrape-time families. scenariod's
 // /metrics reads Summarize of each run's span fold at scrape time, the
 // same function cliquetrace applies to a ledger offline. Everything
 // here is pull: a run that attaches no Sink and a server nobody scrapes
@@ -55,7 +55,6 @@ func (r *Recorder) TraceStart(m core.RunMeta) {
 // recorder copies it and its slices.
 func (r *Recorder) TraceRound(rt *core.RoundTrace) {
 	cp := *rt
-	cp.Workers = append([]int(nil), rt.Workers...)
 	cp.Marks = append([]core.Mark(nil), rt.Marks...)
 	r.trace.Rounds = append(r.trace.Rounds, cp)
 }

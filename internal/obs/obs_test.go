@@ -130,7 +130,15 @@ func TestReconcileDetectsTampering(t *testing.T) {
 		f    func(tr *Trace)
 	}{
 		{"sent_bits", func(tr *Trace) { tr.Rounds[0].SentBits++ }},
-		{"span", func(tr *Trace) { tr.Rounds[1].Span++ }},
+		{"drop a silent record", func(tr *Trace) {
+			// The final step, in which every body returns, carries no
+			// traffic, so only the step count can miss it.
+			last := len(tr.Rounds) - 1
+			if r := tr.Rounds[last]; r.Sends > 0 || r.Delivered > 0 {
+				t.Fatalf("last record %+v carries traffic", r)
+			}
+			tr.Rounds = tr.Rounds[:last]
+		}},
 		{"max_link", func(tr *Trace) { tr.Rounds[2].MaxLinkBits += 64 }},
 		{"drop a record", func(tr *Trace) { tr.Rounds = tr.Rounds[1:] }},
 		{"fault delta", func(tr *Trace) { tr.Rounds[0].Faults.Drops++ }},
@@ -265,20 +273,17 @@ func (m multiSink) TraceEnd(f *core.RunFooter) {
 	}
 }
 
-// TestRegistryPrometheusText pins the exposition format: counters,
-// gauge funcs, labeled series sharing one header, and a scrape-time
-// family's labeled, suffixed and unlabeled series.
+// TestRegistryPrometheusText pins the exposition format: gauge funcs,
+// inline-labeled series sharing one header, and a scrape-time family's
+// labeled, suffixed and unlabeled series.
 func TestRegistryPrometheusText(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("d_cells_total", "cells completed")
-	c.Add(41)
-	c.Inc()
-	exp := r.Counter(`d_lease_events_total{event="expired"}`, "lease lifecycle events")
-	req := r.Counter(`d_lease_events_total{event="requeued"}`, "lease lifecycle events")
-	exp.Inc()
-	req.Add(2)
+	r.Family("d_lease_events_total", "counter", "lease lifecycle events", func() []Sample {
+		return []Sample{{Labels: `event="expired"`, Value: 1}, {Labels: `event="requeued"`, Value: 2}}
+	})
 	r.GaugeFunc("d_queue_depth", "jobs queued", func() float64 { return 5 })
-	r.GaugeFunc("d_workers", "live workers", func() float64 { return 3 })
+	r.GaugeFunc(`d_workers{state="busy"}`, "live workers", func() float64 { return 3 })
+	r.GaugeFunc(`d_workers{state="idle"}`, "live workers", func() float64 { return 1 })
 	r.Family("d_cell_seconds", "summary", "cell wall time", func() []Sample {
 		return []Sample{
 			{Labels: `run="0",quantile="0.5"`, Value: 0.5},
@@ -292,10 +297,7 @@ func TestRegistryPrometheusText(t *testing.T) {
 	var b strings.Builder
 	r.WritePrometheus(&b)
 	got := b.String()
-	want := `# HELP d_cells_total cells completed
-# TYPE d_cells_total counter
-d_cells_total 42
-# HELP d_lease_events_total lease lifecycle events
+	want := `# HELP d_lease_events_total lease lifecycle events
 # TYPE d_lease_events_total counter
 d_lease_events_total{event="expired"} 1
 d_lease_events_total{event="requeued"} 2
@@ -304,7 +306,8 @@ d_lease_events_total{event="requeued"} 2
 d_queue_depth 5
 # HELP d_workers live workers
 # TYPE d_workers gauge
-d_workers 3
+d_workers{state="busy"} 3
+d_workers{state="idle"} 1
 # HELP d_cell_seconds cell wall time
 # TYPE d_cell_seconds summary
 d_cell_seconds{run="0",quantile="0.5"} 0.5

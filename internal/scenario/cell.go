@@ -40,28 +40,6 @@ func CellFromNames(family string, n int, engine, protocol string, seed int64) (C
 	return Cell{Family: f, N: n, Engine: e, Protocol: p, Seed: seed}, nil
 }
 
-// CachedLeg is a cacheable oracle-leg execution: everything classify
-// needs from the oracle side of a cell. The oracle leg is a pure
-// function of (family, n, seed, protocol, bandwidth, faulty) — it always
-// runs the sequential scalar engine — which is what makes it
-// content-addressable: a re-run of the cell (a requeued attempt, a
-// resubmitted run) reads it back instead of recomputing it.
-type CachedLeg struct {
-	Output string     `json:"output"`
-	Stats  core.Stats `json:"stats"`
-	Edges  int        `json:"edges"`
-}
-
-// LegCache is the oracle-leg cache hook of RunCell. Implementations
-// must verify integrity on read (a corrupted entry degrades to a miss
-// and a recompute — never to a wrong oracle); scenariod's
-// content-addressed cache is the standing implementation. A matrix run
-// uses no cache.
-type LegCache interface {
-	GetOracle(c Cell, faulty bool) (CachedLeg, bool)
-	PutOracle(c Cell, faulty bool, leg CachedLeg)
-}
-
 // CellOptions are the options every cell of a run executes under: the
 // matrix runner (RunOptions embeds them) and the scenariod worker pass
 // them to the same per-cell function. The zero value runs both legs
@@ -99,35 +77,20 @@ type CellOptions struct {
 // and classifies the outcome. It is the per-cell
 // function RunMatrixOpts runs for every cell, so a cell run alone
 // produces the CellResult a full matrix run records, timings aside —
-// the property the scenariod chaos tests lean on. With a non-nil cache,
-// the oracle leg is served from the cache when possible (its wall time
-// is then recorded as 0) and stored after a successful miss. A trace
-// archive that fails to close leaves its trace missing; the CellResult
-// does not report it.
-func RunCell(c Cell, opt CellOptions, cache LegCache) CellResult {
+// the property the scenariod chaos tests lean on. A trace archive that
+// fails to close leaves its trace missing; the CellResult does not
+// report it.
+func RunCell(c Cell, opt CellOptions) CellResult {
 	engineLeg, closeSink := engineLegOf(opt.Faults, opt.TraceDir)
 	defer closeSink()
-	return runCell(c, opt, engineLeg, cache)
+	return runCell(c, opt, engineLeg)
 }
 
 // runCell is RunCell with the engine leg built once per run by the
 // caller, so a matrix run shares one trace archive across its cells.
-func runCell(c Cell, opt CellOptions, engineLeg Leg, cache LegCache) CellResult {
+func runCell(c Cell, opt CellOptions, engineLeg Leg) CellResult {
 	faulty := opt.Faults.Active()
-	var o legOut
-	cached := false
-	if cache != nil {
-		if leg, ok := cache.GetOracle(c, faulty); ok {
-			o = legOut{res: &LegResult{Output: leg.Output, Stats: leg.Stats}, edges: leg.Edges, attempts: 1}
-			cached = true
-		}
-	}
-	if !cached {
-		o = runLegRetries(c, oracleLeg(faulty), opt)
-		if cache != nil && o.err == nil && o.res != nil {
-			cache.PutOracle(c, faulty, CachedLeg{Output: o.res.Output, Stats: o.res.Stats, Edges: o.edges})
-		}
-	}
+	o := runLegRetries(c, oracleLeg(faulty), opt)
 	e := runLegRetries(c, engineLeg, opt)
 	return classify(c, o, e, faulty)
 }

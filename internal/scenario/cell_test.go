@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"encoding/json"
-	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -55,7 +54,7 @@ func TestRunCellMatchesMatrixRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range m.Expand() {
-		got := RunCell(c, CellOptions{}, nil)
+		got := RunCell(c, CellOptions{})
 		want := rep.Cells[i]
 		got.OracleNs, got.EngineNs = 0, 0
 		want.OracleNs, want.EngineNs = 0, 0
@@ -65,51 +64,11 @@ func TestRunCellMatchesMatrixRun(t *testing.T) {
 	}
 }
 
-// mapCache is an in-memory LegCache for hit/miss accounting.
-type mapCache struct {
-	m    map[string]CachedLeg
-	puts int
-}
-
-func (c *mapCache) key(cell Cell, faulty bool) string {
-	return fmt.Sprintf("%s|%d|%d|%s|%d|%t", cell.Family.Name, cell.N, cell.Seed, cell.Protocol.Name, cell.Engine.Bandwidth, faulty)
-}
-func (c *mapCache) GetOracle(cell Cell, faulty bool) (CachedLeg, bool) {
-	leg, ok := c.m[c.key(cell, faulty)]
-	return leg, ok
-}
-func (c *mapCache) PutOracle(cell Cell, faulty bool, leg CachedLeg) {
-	c.puts++
-	c.m[c.key(cell, faulty)] = leg
-}
-
-// A warm oracle cache changes the oracle wall time to zero and nothing
-// else; a miss populates the cache.
-func TestRunCellOracleCache(t *testing.T) {
-	cell := tinyMatrix(t).Expand()[0]
-	cache := &mapCache{m: map[string]CachedLeg{}}
-	cold := RunCell(cell, CellOptions{}, cache)
-	if cache.puts != 1 {
-		t.Fatalf("cold run stored %d entries, want 1", cache.puts)
-	}
-	warm := RunCell(cell, CellOptions{}, cache)
-	if cache.puts != 1 {
-		t.Fatalf("warm run stored again (%d puts)", cache.puts)
-	}
-	if warm.OracleNs != 0 {
-		t.Fatalf("warm oracle leg recorded %dns, want 0 (cache hit)", warm.OracleNs)
-	}
-	cold.OracleNs, cold.EngineNs, warm.OracleNs, warm.EngineNs = 0, 0, 0, 0
-	if cold != warm {
-		t.Fatalf("cache changed the result:\n cold: %+v\n warm: %+v", cold, warm)
-	}
-}
-
 // An impossible deadline makes both legs infra, and each leg is retried
 // at once, Retries times.
 func TestRunCellTimeoutRetries(t *testing.T) {
 	cell := tinyMatrix(t).Expand()[0]
-	res := RunCell(cell, CellOptions{Timeout: time.Nanosecond, Retries: 2}, nil)
+	res := RunCell(cell, CellOptions{Timeout: time.Nanosecond, Retries: 2})
 	if res.Outcome != OutcomeInfra {
 		t.Fatalf("outcome %q, want infra under a 1ns deadline", res.Outcome)
 	}

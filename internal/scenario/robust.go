@@ -66,7 +66,7 @@ func RunMatrixOpts(m *Matrix, opt RunOptions) (*Report, error) {
 			return
 		}
 		i := pending[k]
-		results[i] = runCell(cells[i], opt.CellOptions, engineLeg, nil)
+		results[i] = runCell(cells[i], opt.CellOptions, engineLeg)
 		if led != nil {
 			if appendErrs[k] = led.AppendCell(cellKey(cells[i]), results[i]); appendErrs[k] != nil {
 				appendFailed.Store(true)

@@ -120,7 +120,7 @@ func TestRunCellTraceDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	res := RunCell(cell, CellOptions{TraceDir: dir}, nil)
+	res := RunCell(cell, CellOptions{TraceDir: dir})
 	if res.Outcome != OutcomeOK {
 		t.Fatalf("cell outcome %s: %s%s", res.Outcome, res.Error, res.Divergence)
 	}

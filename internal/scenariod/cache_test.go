@@ -1,30 +1,18 @@
 package scenariod
 
 import (
-	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
+	"bytes"
+	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/scenario"
 )
-
-func testCell(t *testing.T) scenario.Cell {
-	t.Helper()
-	c, err := scenario.CellFromNames("gnp", 12, "par4", "triangle", 777)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
 
 // cacheFiles lists the entry files of a cache directory.
 func cacheFiles(t *testing.T, dir string) []string {
@@ -36,46 +24,31 @@ func cacheFiles(t *testing.T, dir string) []string {
 	return matches
 }
 
-func TestCacheOracleRoundtrip(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+// countingGen wraps the gnp generator in the cache and counts how often
+// the real generator runs.
+func countingGen(t *testing.T, c *Cache) (gen func(n int, seed int64) *graph.Graph, calls *int) {
+	t.Helper()
+	f, ok := scenario.FamilyByName("gnp")
+	if !ok {
+		t.Fatal("no gnp family")
 	}
-	cell := testCell(t)
-	if _, ok := c.GetOracle(cell, false); ok {
-		t.Fatal("hit on empty cache")
-	}
-	leg := scenario.CachedLeg{Output: "triangles=4", Edges: 31}
-	leg.Stats.Rounds = 3
-	c.PutOracle(cell, false, leg)
-	got, ok := c.GetOracle(cell, false)
-	if !ok || !reflect.DeepEqual(got, leg) {
-		t.Fatalf("roundtrip: ok=%v got=%+v want=%+v", ok, got, leg)
-	}
-	// The faulty variant is a distinct address.
-	if _, ok := c.GetOracle(cell, true); ok {
-		t.Fatal("clean entry answered the faulty key")
-	}
-	// A different engine at equal bandwidth shares the oracle entry.
-	other := cell
-	eng, _ := scenario.EngineByName("par4")
-	eng.Name, eng.Parallelism = "other-engine", 2
-	other.Engine = eng
-	if _, ok := c.GetOracle(other, false); !ok {
-		t.Fatal("equal-bandwidth engine missed the shared oracle entry")
-	}
+	calls = new(int)
+	return c.CachedGen("gnp", func(n int, seed int64) *graph.Graph {
+		*calls++
+		return f.Gen(n, seed)
+	}), calls
 }
 
-// Any byte damage to an entry degrades to a miss — never a wrong leg —
-// and the slot heals on the next put.
+// Any byte damage to a graph entry is a miss — the generator runs
+// again, never a wrong graph — and the regenerated graph heals the slot.
 func TestCacheCorruptionIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell := testCell(t)
-	c.PutOracle(cell, false, scenario.CachedLeg{Output: "x", Edges: 1})
+	gen, calls := countingGen(t, c)
+	want := gen(16, 5)
 	files := cacheFiles(t, dir)
 	if len(files) != 1 {
 		t.Fatalf("want 1 entry file, got %d", len(files))
@@ -84,20 +57,23 @@ func TestCacheCorruptionIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mutate := range [][]byte{
+	for i, mutate := range [][]byte{
 		[]byte("not json at all"),
 		append([]byte{}, data[:len(data)/2]...), // torn write
-		func() []byte { d := append([]byte{}, data...); d[len(d)-10] ^= 0xff; return d }(), // flipped payload byte
+		func() []byte { // flipped payload byte: still valid JSON, wrong sum
+			d := append([]byte{}, data...)
+			d[bytes.LastIndexAny(d, "0123456789")] ^= 1
+			return d
+		}(),
 	} {
 		if err := os.WriteFile(files[0], mutate, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := c.GetOracle(cell, false); ok {
-			t.Fatalf("corrupted entry %q served as a hit", string(mutate[:min(20, len(mutate))]))
+		if g := gen(16, 5); *calls != i+2 || !g.Equal(want) {
+			t.Fatalf("damaged entry %q served as a hit", string(mutate[:min(20, len(mutate))]))
 		}
-		c.PutOracle(cell, false, scenario.CachedLeg{Output: "x", Edges: 1})
-		if got, ok := c.GetOracle(cell, false); !ok || got.Output != "x" {
-			t.Fatal("slot did not heal after re-put")
+		if g := gen(16, 5); *calls != i+2 || !g.Equal(want) {
+			t.Fatal("slot did not heal after the regenerated put")
 		}
 	}
 }
@@ -110,18 +86,12 @@ func TestCachedGen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
-	real := func(n int, seed int64) *graph.Graph {
-		calls++
-		f, _ := scenario.FamilyByName("gnp")
-		return f.Gen(n, seed)
-	}
-	gen := c.CachedGen("gnp", real)
+	gen, calls := countingGen(t, c)
 
 	g1 := gen(16, 5)
 	g2 := gen(16, 5)
-	if calls != 1 {
-		t.Fatalf("generator ran %d times, want 1 (second call cached)", calls)
+	if *calls != 1 {
+		t.Fatalf("generator ran %d times, want 1 (second call cached)", *calls)
 	}
 	if !g1.Equal(g2) {
 		t.Fatal("cached graph differs from generated graph")
@@ -133,121 +103,82 @@ func TestCachedGen(t *testing.T) {
 		}
 	}
 	g3 := gen(16, 5)
-	if calls != 2 {
-		t.Fatalf("generator ran %d times, want 2 (corruption recomputes)", calls)
+	if *calls != 2 {
+		t.Fatalf("generator ran %d times, want 2 (corruption recomputes)", *calls)
 	}
 	if !g1.Equal(g3) {
 		t.Fatal("recomputed graph differs")
 	}
 }
 
-// RunCell with a warm cache produces the identical classification with
-// zero oracle wall time — the substance of the BENCH scenariod_cache claim.
-func TestRunCellCacheEquivalence(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell := testCell(t)
-	cold := scenario.RunCell(cell, scenario.CellOptions{}, c)
-	warm := scenario.RunCell(cell, scenario.CellOptions{}, c)
-	bare := scenario.RunCell(cell, scenario.CellOptions{}, nil)
-	for _, r := range []*scenario.CellResult{&cold, &warm, &bare} {
-		r.OracleNs, r.EngineNs = 0, 0
-	}
-	if cold != warm || cold != bare {
-		t.Fatalf("cache changed the result:\ncold=%+v\nwarm=%+v\nbare=%+v", cold, warm, bare)
-	}
-}
-
-// TestCacheEvictionOldestFirst pins the -cache-max-bytes discipline:
-// once the directory exceeds the bound, puts evict entries oldest-first
-// until it fits, and the size/entry gauges land on a real /metrics
-// scrape with the post-eviction values.
-func TestCacheEvictionOldestFirst(t *testing.T) {
+// A worker that runs the same spec twice against one cache directory
+// runs both legs of every cell both times: every cell of the second run
+// reports oracle time, the two canonical reports are byte-identical,
+// and the directory holds graph entries only.
+func TestCacheRerunRunsBothLegs(t *testing.T) {
+	_, client := startServer(t, Config{})
 	dir := t.TempDir()
-	c, err := OpenCache(dir)
+	cache, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	c.RegisterMetrics(reg)
+	ctx, cancel := context.WithCancel(context.Background())
+	workerDone := make(chan error, 1)
+	go func() {
+		w := &Worker{Client: client, Name: "w0", Cache: cache, PollEvery: 10 * time.Millisecond}
+		workerDone <- w.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-workerDone
+	}()
 
-	// Three aged graph entries, then a fresh oracle entry.
-	keys := []string{graphKey("gnp", 16, 1), graphKey("gnp", 16, 2), graphKey("gnp", 16, 3)}
-	base := time.Now().Add(-time.Hour)
-	for i, key := range keys {
-		c.put(key, graphPayload{N: 16, Edges: [][2]int{{0, i + 1}}})
-		when := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(c.path(key), when, when); err != nil {
+	var reports [2][]byte
+	for pass := range reports {
+		sub, err := client.Submit(tinySpec())
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	c.PutOracle(testCell(t), false, scenario.CachedLeg{Output: "x", Edges: 1})
-	if _, byKind := c.Stats(); byKind["graph"] != 3 || byKind["oracle"] != 1 {
-		t.Fatalf("pre-eviction entries: %v", byKind)
-	}
-	gInfo, err := os.Stat(c.path(keys[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oInfo, err := os.Stat(c.path(oracleKey(testCell(t), false)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gSize, oSize := gInfo.Size(), oInfo.Size()
-
-	// Bound with room for the oracle plus 1.5 graph entries, then put a
-	// fourth (newest) graph: the three aged graphs must go, oldest
-	// first, while the fresh oracle and the new graph survive.
-	c.SetMaxBytes(oSize + gSize + gSize/2)
-	newest := graphKey("gnp", 16, 4)
-	c.put(newest, graphPayload{N: 16, Edges: [][2]int{{0, 9}}})
-	size, byKind := c.Stats()
-	if byKind["oracle"] != 1 || byKind["graph"] != 1 {
-		t.Fatalf("post-eviction entries = %v, want 1 oracle + 1 graph", byKind)
-	}
-	if _, err := os.Stat(c.path(newest)); err != nil {
-		t.Fatal("newest graph entry evicted before older ones")
-	}
-	for _, key := range keys {
-		if _, err := os.Stat(c.path(key)); !os.IsNotExist(err) {
-			t.Fatalf("aged entry %s survived eviction", key)
+		var cells []scenario.CellResult
+		err = client.Stream(sub.RunID, func(ev StreamEvent) error {
+			if ev.Type == EventCell {
+				cells = append(cells, *ev.Cell)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("pass %d: stream: %v", pass, err)
 		}
-	}
-
-	// Real scrape: serve the registry over HTTP and read the gauges.
-	ts := httptest.NewServer(reg.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	text := string(body)
-	for _, want := range []string{
-		fmt.Sprintf("scenariod_cache_size_bytes %d", size),
-		`scenariod_cache_entries{kind="graph"} 1`,
-		`scenariod_cache_entries{kind="oracle"} 1`,
-		"scenariod_cache_hits_total",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, text)
+		if len(cells) != sub.Cells {
+			t.Fatalf("pass %d: stream delivered %d cells, want %d", pass, len(cells), sub.Cells)
 		}
+		for _, c := range cells {
+			if c.OracleNs <= 0 {
+				t.Errorf("pass %d: cell %s/%s reports oracle_ns %d: its oracle leg did not run", pass, c.Family, c.Protocol, c.OracleNs)
+			}
+		}
+		rep, err := client.Report(sub.RunID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports[pass] = marshalReport(t, rep)
 	}
-}
+	if !bytes.Equal(reports[0], reports[1]) {
+		t.Fatalf("rerun report differs:\n first %s\nsecond %s", reports[0], reports[1])
+	}
 
-// TestCacheUnboundedNeverEvicts: the default (max 0) keeps everything.
-func TestCacheUnboundedNeverEvicts(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	files := cacheFiles(t, dir)
+	if len(files) == 0 {
+		t.Fatal("the worker cached no graph")
 	}
-	for i := 0; i < 5; i++ {
-		c.put(graphKey("gnp", 16, int64(i)), graphPayload{N: 16})
-	}
-	if _, byKind := c.Stats(); byKind["graph"] != 5 {
-		t.Fatalf("unbounded cache evicted: %v", byKind)
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e cacheEntry
+		if err := json.Unmarshal(data, &e); err != nil || !strings.HasPrefix(e.Key, "graph/") {
+			t.Errorf("%s holds key %q (err %v), want a graph entry", filepath.Base(f), e.Key, err)
+		}
 	}
 }

@@ -3,9 +3,8 @@
 // submitted matrix into durable per-cell jobs, leases them to sharded
 // worker processes with heartbeats and deadlines, requeues the cells of
 // crashed or silent workers, quarantines poison cells after a capped
-// number of attempts, caches generated graphs and oracle-leg outputs
-// content-addressed with hash-verified reads, and streams incremental
-// per-cell results to clients. Because every cell is deterministic in
+// number of attempts, caches generated graphs with hash-verified
+// reads, and streams incremental per-cell results to clients. Because every cell is deterministic in
 // its coordinates (the scenario package's replay guarantee), a run that
 // survives any number of worker crashes completes to a report
 // byte-identical to an uninterrupted one — the process-level complement

@@ -226,7 +226,7 @@ func TestServerLedgerRecovery(t *testing.T) {
 	if err := legacy.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res := scenario.RunCell(cell, scenario.CellOptions{}, nil)
+	res := scenario.RunCell(cell, scenario.CellOptions{})
 	if _, err := client1.Result(ResultRequest{RunID: g.RunID, Key: g.Key, LeaseID: g.LeaseID, Worker: "w-before-crash", Attempt: g.Attempt, Cell: res}); err != nil {
 		t.Fatal(err)
 	}

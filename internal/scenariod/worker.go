@@ -14,9 +14,9 @@ import (
 const maxLeaseErrors = 25
 
 // Worker is one shard of a scenariod fleet: it leases cells, runs each
-// differential pair once through scenario.RunCell (with the shared
-// content-addressed cache when configured), heartbeats while computing,
-// and submits results. Several worker processes pointed at one server
+// differential pair once through scenario.RunCell (with graphs from the
+// shared graph cache when configured), heartbeats while computing, and
+// submits results. Several worker processes pointed at one server
 // shard a matrix between them; killing any of them costs only its
 // currently leased cells, which the server requeues at the next sweep.
 // The queue's requeue is the fleet's only retry: an infra result goes
@@ -24,8 +24,8 @@ const maxLeaseErrors = 25
 type Worker struct {
 	Client *Client
 	Name   string
-	// Cache, if non-nil, serves oracle legs and generated graphs
-	// content-addressed from disk (shared across worker processes).
+	// Cache, if non-nil, serves generated graphs from disk (shared
+	// across worker processes); both legs of every cell still run.
 	Cache *Cache
 	// CellTimeout is the per-leg deadline (scenario
 	// CellOptions.Timeout); a timed-out leg makes the cell infra.
@@ -156,12 +156,10 @@ func (w *Worker) execute(ctx context.Context, g JobGrant) scenario.CellResult {
 	}()
 
 	opt := scenario.CellOptions{Faults: spec, Timeout: w.CellTimeout, TraceDir: w.TraceDir}
-	var cache scenario.LegCache
 	if w.Cache != nil {
-		cache = w.Cache
 		cell.Family.Gen = w.Cache.CachedGen(cell.Family.Name, cell.Family.Gen)
 	}
-	res := scenario.RunCell(cell, opt, cache)
+	res := scenario.RunCell(cell, opt)
 	stopHB()
 	<-hbDone
 	return res

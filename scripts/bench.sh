@@ -25,7 +25,6 @@
 #   E15=0 scripts/bench.sh       # skip the full E15 MM ablation
 #   E16=0 scripts/bench.sh       # skip the full E16 sketch ablation
 #   E17=0 scripts/bench.sh       # skip the E17 fault-recovery records
-#   SCENARIOD=0 scripts/bench.sh # skip the scenariod cache ablation
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -239,46 +238,6 @@ if [[ "${SCENARIOS:-1}" == "1" ]]; then
     | grep -E '"(cells|divergences|total_rounds|total_bits)":' \
     | tr -d ' ' | tr -d ',' | paste -sd, -)"
   append_record "{\"date\": \"${date}\", \"name\": \"scenario_matrix\", ${summary}, \"detail\": \"${scen}\"}"
-fi
-
-# scenariod oracle-cache ablation ("scenariod_cache"): run an
-# oracle-heavy matrix slice twice through a scenariod service sharing
-# one content-addressed cache directory. The cold run computes and
-# stores every oracle leg and generated graph; the warm run serves them
-# hash-verified from disk, so its wall time records what the cache buys
-# (and reports_identical pins that it buys nothing but time — the two
-# canonical reports must be byte-identical).
-if [[ "${SCENARIOD:-1}" == "1" ]]; then
-  sd_tmp="$(mktemp -d)"
-  go build -o "$sd_tmp/scenariod" ./cmd/scenariod
-  go build -o "$sd_tmp/scenariorun" ./cmd/scenariorun
-  "$sd_tmp/scenariod" serve -addr 127.0.0.1:0 -ledger-dir "$sd_tmp/led" \
-    >"$sd_tmp/serve.log" 2>&1 &
-  sd_pid=$!
-  sd_url=""
-  for _ in $(seq 1 100); do
-    sd_url="$(grep -o 'http://[0-9.:]*' "$sd_tmp/serve.log" | head -1 || true)"
-    [[ -n "$sd_url" ]] && break
-    sleep 0.1
-  done
-  "$sd_tmp/scenariod" worker -server "$sd_url" -cache "$sd_tmp/cache" -poll 10ms \
-    >"$sd_tmp/worker.log" 2>&1 &
-  sd_wpid=$!
-  sd_spec=(-quick -seed 1 -families gnp,components -protocols apsp -engines par4 -sizes 48,64)
-  t0="$(date +%s%N)"
-  "$sd_tmp/scenariorun" "${sd_spec[@]}" -submit "$sd_url" -out "$sd_tmp/cold.json" >/dev/null
-  t1="$(date +%s%N)"
-  "$sd_tmp/scenariorun" "${sd_spec[@]}" -submit "$sd_url" -out "$sd_tmp/warm.json" >/dev/null
-  t2="$(date +%s%N)"
-  kill "$sd_pid" "$sd_wpid" 2>/dev/null || true
-  cold_ms=$(( (t1 - t0) / 1000000 ))
-  warm_ms=$(( (t2 - t1) / 1000000 ))
-  speedup="$(awk -v c="$cold_ms" -v w="$warm_ms" 'BEGIN { printf "%.2f", (w > 0) ? c / w : 0 }')"
-  identical=false
-  cmp -s "$sd_tmp/cold.json" "$sd_tmp/warm.json" && identical=true
-  append_record "{\"date\": \"${date}\", \"name\": \"scenariod_cache\", \"cells\": 4, \"cold_ms\": ${cold_ms}, \"warm_ms\": ${warm_ms}, \"speedup\": ${speedup}, \"reports_identical\": ${identical}}"
-  echo "folded scenariod cache ablation into $out (cold=${cold_ms}ms warm=${warm_ms}ms speedup=${speedup}x identical=${identical})"
-  rm -rf "$sd_tmp"
 fi
 
 echo "wrote $out"
