@@ -90,10 +90,23 @@ func (b *Buffer) Frozen() bool { return b.frozen }
 // refilled with messages of at most its capacity never allocates. Only
 // b's owner may call it, once no reader can still hold b.
 func (b *Buffer) Refill(src *Buffer) *Buffer {
-	b.frozen = false
-	b.Reset()
+	b.Reopen(src.Len())
 	b.Append(src)
 	return b.Freeze()
+}
+
+// Reopen empties b, sealed or not, leaves it writable with room for
+// sizeHint bits and returns it: Refill for an owner that writes the new
+// contents piece by piece and seals them itself. It keeps b's storage
+// when that holds sizeHint bits. Only b's owner may call it, once no
+// reader can still hold b.
+func (b *Buffer) Reopen(sizeHint int) *Buffer {
+	b.frozen = false
+	if need := (sizeHint + 7) / 8; cap(b.data) < need {
+		b.data = make([]byte, 0, need)
+	}
+	b.Reset()
+	return b
 }
 
 // NewRow returns n empty buffers with room for sizeHint bits each, carved
@@ -487,15 +500,6 @@ func (r *Reader) Reset(buf *Buffer) {
 		buf = emptyBuf
 	}
 	r.buf, r.pos = buf, 0
-}
-
-// Release returns the reader's underlying buffer to the package pool and
-// empties the reader. The caller promises not to touch the buffer again.
-func (r *Reader) Release() {
-	b := r.buf
-	r.buf = emptyBuf
-	r.pos = 0
-	b.Release()
 }
 
 // Remaining reports how many unread bits remain.

@@ -277,8 +277,8 @@ func TestFlipBitAndBitset(t *testing.T) {
 	}
 }
 
-// Reader Reset repoints without allocation; Release returns reader and
-// buffer to their pools; a nil target degrades to the empty buffer.
+// Reader Reset repoints without allocation; a nil target degrades to
+// the empty buffer.
 func TestReaderResetRelease(t *testing.T) {
 	a, b := New(8), New(8)
 	a.WriteUint(0xaa, 8)
@@ -298,6 +298,4 @@ func TestReaderResetRelease(t *testing.T) {
 	if r.Remaining() != 0 {
 		t.Fatal("nil reset not empty")
 	}
-	r.Release()
-	a.Release()
 }

@@ -27,11 +27,13 @@ type simState struct {
 
 	// Routing scratch reused across stages (stage-scoped lifetimes).
 	msgs    []routing.Msg
-	whole   []*xbits.Buffer
+	whole   []xbits.Buffer // routeBitStrings' reassembled stream per source
 	gotBits []int
-	readers []*xbits.Reader // routeBitStrings results
-	dirRead []*xbits.Reader // stageDirect results
-	seen    []uint64        // per-(source, chunk index) duplicate mask
+	readers []*xbits.Reader // routeBitStrings results, pointing into rds
+	dirRead []*xbits.Reader // stageDirect results, pointing into dirRds
+	rds     []xbits.Reader
+	dirRds  []xbits.Reader
+	seen    []uint64 // per-(source, chunk index) duplicate mask
 }
 
 func newSimState(plan *Plan) *simState {
@@ -46,10 +48,12 @@ func newSimState(plan *Plan) *simState {
 		part:    make([]bool, 0, plan.Circ.Plan().MaxFanIn()),
 		perDst:  make([]*xbits.Buffer, plan.N),
 		expect:  make([]int, plan.N),
-		whole:   make([]*xbits.Buffer, plan.N),
+		whole:   make([]xbits.Buffer, plan.N),
 		gotBits: make([]int, plan.N),
 		readers: make([]*xbits.Reader, plan.N),
 		dirRead: make([]*xbits.Reader, plan.N),
+		rds:     make([]xbits.Reader, plan.N),
+		dirRds:  make([]xbits.Reader, plan.N),
 	}
 }
 
@@ -62,16 +66,6 @@ func (st *simState) resetExpect() {
 
 func bsGet(bs []uint64, i int32) bool { return xbits.BitsetGet(bs, int(i)) }
 func bsSet(bs []uint64, i int32)      { xbits.BitsetSet(bs, int(i)) }
-
-// releaseReaders returns the reassembled stream buffers to the bits pool
-// once a stage has consumed them.
-func releaseReaders(readers []*xbits.Reader) {
-	for _, r := range readers {
-		if r != nil {
-			r.Release()
-		}
-	}
-}
 
 // setVal records gate g's value.
 func (st *simState) setVal(g int32, v bool) {
@@ -190,7 +184,6 @@ func distributeInputs(p *core.Proc, plan *Plan, rt *routing.Router, myInputs []b
 	if err != nil {
 		return err
 	}
-	defer releaseReaders(readers)
 	for i := 0; i < c.NumInputs(); i++ {
 		gate := int32(c.InputGate(i))
 		holder := int(plan.inOwner[i])
@@ -265,10 +258,10 @@ func stageDirect(p *core.Proc, plan *Plan, r int, st *simState) error {
 		}
 	}
 
+	// The exchange's result is read in this round, before the light
+	// routing below starts the next.
 	readers := st.dirRead
-	for i := range readers {
-		readers[i] = nil
-	}
+	clear(readers)
 	if plan.maxDir[r] > 0 {
 		rounds := core.ChunkRounds(plan.maxDir[r], p.Bandwidth())
 		got, err := core.ExchangeUnicast(p, st.perDst, rounds)
@@ -278,10 +271,10 @@ func stageDirect(p *core.Proc, plan *Plan, r int, st *simState) error {
 		}
 		for src, b := range got {
 			if b != nil {
-				readers[src] = xbits.NewReader(b)
+				st.dirRds[src].Reset(b)
+				readers[src] = &st.dirRds[src]
 			}
 		}
-		defer releaseReaders(readers)
 	} else {
 		st.releaseBufs()
 	}
@@ -392,7 +385,6 @@ func stageLight(p *core.Proc, plan *Plan, rt *routing.Router, r int, st *simStat
 		if err != nil {
 			return err
 		}
-		defer releaseReaders(readers)
 		for _, id := range plan.layers[r] {
 			if plan.Heavy[id] || int(plan.Assign[id]) != me {
 				continue
@@ -438,11 +430,10 @@ func stageLight(p *core.Proc, plan *Plan, rt *routing.Router, r int, st *simStat
 // index. perDst[d] (nil = nothing) is the string for player d; expect[s]
 // gives the number of bits this player must receive from source s; maxPair
 // is the globally agreed maximum string length, which fixes the chunk-index
-// width. It returns one reader per source (nil where nothing was due). The
-// chunk payloads are pooled: they are released once routed (the router
-// copies payload bits into its relay frames), and the returned readers
-// should be handed back via releaseReaders once the stage has consumed
-// them.
+// width. It returns one reader per source (nil where nothing was due),
+// over a stream buffer of st's that the next call reuses. The chunk
+// payloads are pooled: they are released once routed (the router copies
+// payload bits into its relay frames).
 func routeBitStrings(p *core.Proc, rt *routing.Router, st *simState, perDst []*xbits.Buffer,
 	expect []int, unit, maxPair int) ([]*xbits.Reader, error) {
 	idxW := chunkIdxWidth(maxPair, unit)
@@ -489,12 +480,10 @@ func routeBitStrings(p *core.Proc, rt *routing.Router, st *simState, perDst []*x
 	for i := range seen {
 		seen[i] = 0
 	}
-	whole := st.whole
+	out := st.readers
+	clear(out)
 	gotBits := st.gotBits
-	for i := range whole {
-		whole[i] = nil
-		gotBits[i] = 0
-	}
+	clear(gotBits)
 	var rd xbits.Reader
 	for _, m := range recv {
 		rd.Reset(m.Payload)
@@ -513,11 +502,12 @@ func routeBitStrings(p *core.Proc, rt *routing.Router, st *simState, perDst []*x
 			return nil, fmt.Errorf("circsim: duplicate chunk %d from %d", idx, m.Src)
 		}
 		seen[slot] |= bit
-		w := whole[m.Src]
-		if w == nil {
-			w = xbits.Get(expect[m.Src])
+		w := &st.whole[m.Src]
+		if out[m.Src] == nil {
+			w.Reset()
 			w.ZeroExtend(expect[m.Src])
-			whole[m.Src] = w
+			st.rds[m.Src].Reset(w)
+			out[m.Src] = &st.rds[m.Src]
 		}
 		if err := w.OrRange(m.Payload, idxW, m.Payload.Len(), at); err != nil {
 			return nil, err
@@ -525,19 +515,11 @@ func routeBitStrings(p *core.Proc, rt *routing.Router, st *simState, perDst []*x
 		gotBits[m.Src] += body
 		m.Payload.Release()
 	}
-	out := st.readers
-	for i := range out {
-		out[i] = nil
-	}
-	for src, w := range whole {
-		if w == nil {
-			continue
-		}
-		if gotBits[src] != expect[src] {
+	for src, r := range out {
+		if r != nil && gotBits[src] != expect[src] {
 			return nil, fmt.Errorf("circsim: stream from %d has %d bits, want %d",
 				src, gotBits[src], expect[src])
 		}
-		out[src] = xbits.NewReader(w)
 	}
 	for src, want := range expect {
 		if want > 0 && out[src] == nil {

@@ -454,13 +454,17 @@ func newEngine(cfg *Config, body func(*Proc) error) *engine {
 	if e.plan != nil {
 		e.crashed = make([]bool, n)
 	}
+	// Every node's destination set and first four send-list entries are
+	// carved from one slab each; a list that outgrows its four moves to
+	// storage of its own.
 	words := (n + 63) / 64
 	dsts := make([]uint64, n*words)
+	sends := make([]staged, 4*n)
 	for i := 0; i < n; i++ {
 		e.procs[i] = Proc{
 			id:     i,
 			cfg:    cfg,
-			sent:   make([]staged, 0, 4),
+			sent:   sends[4*i : 4*i : 4*(i+1)],
 			dsts:   dsts[i*words : (i+1)*words : (i+1)*words],
 			traced: e.traceOn,
 			body:   body,

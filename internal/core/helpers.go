@@ -27,18 +27,18 @@ func ChunkRounds(maxBits, b int) int {
 //
 // The entry of a source that sent nothing is nil; read entries through
 // the nil-safe bits.NewReader, Len or DecodeAdjacencyRow. A single-round
-// exchange returns the buffers delivered to this node: they are read-only
-// and, like every received buffer, valid only until the node's next round
-// (see Proc), so read them before the next exchange or Next. A
-// multi-round exchange cuts its chunks into one reused scratch buffer
-// (Broadcast copies each) and reassembles each sending source into one
-// pool buffer (bits.Get), which the caller may keep or Release.
+// exchange returns the buffers delivered to this node; a multi-round one
+// cuts its chunks into one reused scratch buffer (Broadcast copies each)
+// and reassembles each sending source into a buffer of the Proc's.
 //
-// The returned slice belongs to the Proc and is valid until the node's
-// next ExchangeBroadcasts or ExchangeUnicast call, which reuses it; copy
-// out the entries to keep one past that call.
+// The result follows the rule of every received buffer (see Proc): the
+// slice and each buffer in it belong to the Proc, are read-only (writing
+// one panics; Release of one does nothing) and are valid until the
+// node's next round, when the next exchange or their senders may reuse
+// them. Read or copy out what must last before then, and copy an entry
+// before passing it to another exchange as a payload.
 func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buffer, error) {
-	if err := checkPayload(p, payload, rounds); err != nil {
+	if err := checkPayloads(p, rounds, payload); err != nil {
 		return nil, err
 	}
 	x := p.exchange(rounds)
@@ -56,8 +56,12 @@ func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buff
 		if err != nil {
 			return nil, err
 		}
+		x.seal()
 	}
-	x.acc[p.ID()] = payload.Clone()
+	if payload != &x.own {
+		x.own.Refill(payload)
+	}
+	x.acc[p.ID()] = &x.own
 	return x.acc, nil
 }
 
@@ -66,18 +70,15 @@ func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buff
 // received, indexed by source (nil = nothing arrived). Every node must
 // call it simultaneously with the same round count, and each payload must
 // fit in rounds*b bits. Each chunk is cut into one reused scratch buffer
-// and copied by Send, so the caller may Release its payloads afterwards;
-// the returned buffers are drawn from the bits pool and may likewise be
-// Released once consumed. The engine drives the rounds (Proc.Rounds).
+// and copied by Send, so the caller may reuse or Release its payloads
+// afterwards. The engine drives the rounds (Proc.Rounds), and each
+// sending source is reassembled into a buffer of the Proc's.
 //
-// As with ExchangeBroadcasts, the returned slice belongs to the Proc and
-// is valid until the node's next ExchangeBroadcasts or ExchangeUnicast
-// call; the buffers in it stay the caller's.
+// The result follows the same rule as ExchangeBroadcasts': read-only and
+// valid until the node's next round.
 func ExchangeUnicast(p *Proc, perDst []*bits.Buffer, rounds int) ([]*bits.Buffer, error) {
-	for _, buf := range perDst {
-		if err := checkPayload(p, buf, rounds); err != nil {
-			return nil, err
-		}
+	if err := checkPayloads(p, rounds, perDst...); err != nil {
+		return nil, err
 	}
 	x := p.exchange(rounds)
 	for d, buf := range perDst {
@@ -91,6 +92,7 @@ func ExchangeUnicast(p *Proc, perDst []*bits.Buffer, rounds int) ([]*bits.Buffer
 	if err != nil {
 		return nil, err
 	}
+	x.seal()
 	return x.acc, nil
 }
 
@@ -144,23 +146,30 @@ func AllReduce(p *Proc, v uint64, width int, op func(acc, x uint64) uint64) (uin
 	return bits.NewReader(got[0]).ReadUint(width)
 }
 
-// checkPayload rejects a payload that does not fit in `rounds` rounds of
-// the node's bandwidth.
-func checkPayload(p *Proc, payload *bits.Buffer, rounds int) error {
-	if payload.Len() > rounds*p.Bandwidth() {
-		return fmt.Errorf("core: payload of %d bits exceeds %d rounds * %d bits",
-			payload.Len(), rounds, p.Bandwidth())
+// checkPayloads rejects a round count below 1 and any payload that does
+// not fit in `rounds` rounds of the node's bandwidth.
+func checkPayloads(p *Proc, rounds int, payloads ...*bits.Buffer) error {
+	if rounds < 1 {
+		return fmt.Errorf("core: exchange over %d rounds", rounds)
+	}
+	for _, payload := range payloads {
+		if payload.Len() > rounds*p.Bandwidth() {
+			return fmt.Errorf("core: payload of %d bits exceeds %d rounds * %d bits",
+				payload.Len(), rounds, p.Bandwidth())
+		}
 	}
 	return nil
 }
 
 // exchangeState is what ExchangeBroadcasts and ExchangeUnicast keep on a
-// Proc across calls: the accumulator they return, the payloads of the
-// call in progress, the chunk scratch and the Proc.Rounds callbacks,
-// bound once per Proc, so a call allocates neither a closure nor an
-// accumulator.
+// Proc across calls: the slice they return and the buffers it points
+// into, the payloads of the call in progress, the chunk scratch and the
+// Proc.Rounds callbacks, bound once per Proc, so a call allocates
+// neither a closure nor an accumulator, and a warm call no buffer.
 type exchangeState struct {
 	acc    []*bits.Buffer // received payloads by source; the return value
+	bufs   []bits.Buffer  // bufs[src] reassembles src's chunks of a multi-round call
+	own    bits.Buffer    // ExchangeBroadcasts' copy of the node's own payload
 	rounds int            // round count of the call in progress
 
 	payload *bits.Buffer   // ExchangeBroadcasts' payload
@@ -173,11 +182,14 @@ type exchangeState struct {
 }
 
 // exchange readies the Proc's exchange state for a call of `rounds`
-// rounds, binding the callbacks on the first call.
+// rounds, binding the callbacks on the first call. It leaves the last
+// call's result alone: the first write to it comes in the node's next
+// round, when recv or Next hands over that round's inbox.
 func (p *Proc) exchange(rounds int) *exchangeState {
 	x := p.x
 	if x == nil {
-		x = &exchangeState{acc: make([]*bits.Buffer, p.N())}
+		n := p.N()
+		x = &exchangeState{acc: make([]*bits.Buffer, n), bufs: make([]bits.Buffer, n), live: make([]int, 0, n)}
 		x.stageBroadcast = func(r int) error {
 			off := r * p.Bandwidth()
 			if off >= x.payload.Len() {
@@ -209,26 +221,36 @@ func (p *Proc) exchange(rounds int) *exchangeState {
 			x.live = live
 			return nil
 		}
-		x.recv = func(_ int, in []*bits.Buffer) error {
+		x.recv = func(r int, in []*bits.Buffer) error {
+			if r == 0 {
+				clear(x.acc)
+			}
 			for src, msg := range in {
 				if msg == nil {
 					continue
 				}
 				if x.acc[src] == nil {
 					// A link carries at most rounds*b bits, so one
-					// hint-sized grab avoids regrowth as chunks append.
-					x.acc[src] = bits.Get(x.rounds * p.Bandwidth())
+					// hint-sized reopen avoids regrowth as chunks append.
+					x.acc[src] = x.bufs[src].Reopen(x.rounds * p.Bandwidth())
 				}
 				x.acc[src].Append(msg)
 			}
 			return nil
 		}
 		p.x = x
-	} else {
-		clear(x.acc)
 	}
 	x.rounds = rounds
 	return x
+}
+
+// seal makes a multi-round call's reassembled entries read-only.
+func (x *exchangeState) seal() {
+	for _, b := range x.acc {
+		if b != nil {
+			b.Freeze()
+		}
+	}
 }
 
 // EncodeAdjacencyRow writes a node's adjacency bitset (n bits) into a

@@ -27,7 +27,9 @@ import (
 // pattern). Received buffers are sealed buffers of their senders, shared
 // with other recipients: they are read-only (mutating one panics) and
 // valid only until the body's next round, when their senders may refill
-// them; read or copy them out before calling Next or Rounds again.
+// them; read or copy them out before calling Next or Rounds again. The
+// results of ExchangeBroadcasts and ExchangeUnicast follow the same
+// rule, whether a result holds received buffers or the Proc's own.
 //
 // A body that panics fails its node with a "core: node body panic" error
 // carrying the panic value and stack; the panic never reaches the engine.

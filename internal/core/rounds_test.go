@@ -334,95 +334,169 @@ func TestProcRoundsRejectsBarrierInCallback(t *testing.T) {
 
 // interleaveBody has each node alternate, three times over, a
 // multi-round ExchangeBroadcasts, a plain Next round, an ExchangeUnicast
-// and a single-round ExchangeBroadcasts, with per-node payload lengths.
-// Every exchange reuses the Proc's exchange state, so the body checks
-// that the buffers each exchange returned are bit for bit what they were
-// after the next exchange ran, and folds everything it received into its
-// output.
-func interleaveBody(p *Proc) error {
-	n, me := p.N(), p.ID()
-	h := uint64(me) + 1
-	fold := func(got []*bits.Buffer) []*bits.Buffer {
-		kept := make([]*bits.Buffer, len(got))
-		for src, b := range got {
-			if b == nil {
-				continue
-			}
-			kept[src] = b.Clone()
-			for r := bits.NewReader(b); r.Remaining() > 0; {
-				v, _ := r.ReadUint(min(r.Remaining(), 16))
-				h = h*1099511628211 ^ (v | uint64(src)<<16)
-			}
-			h = h*1099511628211 ^ uint64(b.Len())
-		}
-		return kept
-	}
-	intact := func(what string, got, kept []*bits.Buffer) error {
-		for src := range got {
-			if (got[src] == nil) != (kept[src] == nil) || got[src] != nil && !got[src].Equal(kept[src]) {
-				return fmt.Errorf("node %d: %s entry from %d changed by a later exchange", me, what, src)
+// and a single-round ExchangeBroadcasts, with per-node payload lengths,
+// and folds everything it received into its output. In the round each
+// exchange returns it holds the result to the rule of every received
+// buffer (see checkResult); on a clean channel each entry must also be
+// exactly what its source sent.
+func interleaveBody(clean bool) func(p *Proc) error {
+	return func(p *Proc) error {
+		n, me := p.N(), p.ID()
+		h := uint64(me) + 1
+		fold := func(got []*bits.Buffer) {
+			for src, b := range got {
+				if b == nil {
+					continue
+				}
+				for r := bits.NewReader(b); r.Remaining() > 0; {
+					v, _ := r.ReadUint(min(r.Remaining(), 16))
+					h = h*1099511628211 ^ (v | uint64(src)<<16)
+				}
+				h = h*1099511628211 ^ uint64(b.Len())
 			}
 		}
+		payload := func(nbits, salt int) *bits.Buffer {
+			b := bits.New(nbits)
+			for i := 0; i < nbits; i++ {
+				b.WriteBit(uint64((i*31 + salt) >> 2 & 1))
+			}
+			return b
+		}
+		// multiOf, uniOf and singleOf return what src sends in the k-th
+		// exchange of each kind: a fixed function of (src, k), and for
+		// the unicast of the destination too.
+		multiOf := func(src, k int) *bits.Buffer { return payload(5+(src*7+k*3)%40, src+k) }
+		uniOf := func(src, dst, k int) *bits.Buffer { return payload((src*3+dst*5+k)%48, src*n+dst) }
+		singleOf := func(src, k int) *bits.Buffer { return payload(1+(src+k)%16, k) }
+		// check holds one exchange's result to the rule until the node's
+		// next round: kept snapshots the entries as returned, and work
+		// stages this round's next message (or does nothing) before the
+		// entries are read again.
+		check := func(what string, got []*bits.Buffer, want func(src int) *bits.Buffer, work func() error) error {
+			kept := make([]*bits.Buffer, len(got))
+			for src, b := range got {
+				if b != nil {
+					kept[src] = b.Clone()
+				}
+				if !clean {
+					continue
+				}
+				if w := want(src); (b == nil) != (w.Len() == 0) || b != nil && !b.Equal(w) {
+					return fmt.Errorf("node %d: %s entry from %d reads %v, want %v", me, what, src, b, w)
+				}
+			}
+			if err := checkResult(got); err != nil {
+				return fmt.Errorf("node %d: %s: %w", me, what, err)
+			}
+			fold(got)
+			if err := work(); err != nil {
+				return err
+			}
+			for src := range got {
+				if (got[src] == nil) != (kept[src] == nil) || got[src] != nil && !got[src].Equal(kept[src]) {
+					return fmt.Errorf("node %d: %s entry from %d changed before the node's next round", me, what, src)
+				}
+			}
+			return nil
+		}
+		for k := 0; k < 3; k++ {
+			multi, err := ExchangeBroadcasts(p, multiOf(me, k), 3)
+			if err != nil {
+				return err
+			}
+			if err := check("multi-round broadcast", multi, func(src int) *bits.Buffer { return multiOf(src, k) }, func() error {
+				var m bits.Buffer
+				m.WriteUint(uint64(me*8+k), 16)
+				return p.Send((me+1+k)%n, &m)
+			}); err != nil {
+				return err
+			}
+			fold(p.Next())
+
+			perDst := make([]*bits.Buffer, n)
+			for d := range perDst {
+				if d != me {
+					perDst[d] = uniOf(me, d, k)
+				}
+			}
+			uni, err := ExchangeUnicast(p, perDst, 3)
+			if err != nil {
+				return err
+			}
+			if err := check("unicast", uni, func(src int) *bits.Buffer {
+				if src == me {
+					return nil
+				}
+				return uniOf(src, me, k)
+			}, func() error { return nil }); err != nil {
+				return err
+			}
+
+			single, err := ExchangeBroadcasts(p, singleOf(me, k), 1)
+			if err != nil {
+				return err
+			}
+			if err := check("single-round broadcast", single, func(src int) *bits.Buffer { return singleOf(src, k) }, func() error { return nil }); err != nil {
+				return err
+			}
+		}
+		p.SetOutput(h)
 		return nil
 	}
-	payload := func(nbits, salt int) *bits.Buffer {
-		b := bits.New(nbits)
-		for i := 0; i < nbits; i++ {
-			b.WriteBit(uint64((i*31 + salt) >> 2 & 1))
-		}
-		return b
-	}
-	for k := 0; k < 3; k++ {
-		multi, err := ExchangeBroadcasts(p, payload(5+(me*7+k*3)%40, me+k), 3)
-		if err != nil {
-			return err
-		}
-		multi = append([]*bits.Buffer(nil), multi...)
-		keptMulti := fold(multi)
+}
 
-		var m bits.Buffer
-		m.WriteUint(uint64(me*8+k), 16)
-		if err := p.Send((me+1+k)%n, &m); err != nil {
-			return err
+// checkResult checks what the rule promises of an exchange result in the
+// round it is returned: writing any entry panics, and Release of any
+// entry does nothing, leaving its bits intact and putting nothing into
+// the bits pool (no later Get hands it out).
+func checkResult(got []*bits.Buffer) error {
+	entries := map[*bits.Buffer]bool{}
+	for src, b := range got {
+		if b == nil {
+			continue
 		}
-		fold(p.Next())
-
-		perDst := make([]*bits.Buffer, n)
-		for d := range perDst {
-			if d != me {
-				perDst[d] = payload((me*3+d*5+k)%48, me*n+d)
-			}
+		entries[b] = true
+		if !writePanics(b) {
+			return fmt.Errorf("entry from %d took a write", src)
 		}
-		uni, err := ExchangeUnicast(p, perDst, 3)
-		if err != nil {
-			return err
-		}
-		uni = append([]*bits.Buffer(nil), uni...)
-		keptUni := fold(uni)
-		if err := intact("multi-round broadcast", multi, keptMulti); err != nil {
-			return err
-		}
-
-		single, err := ExchangeBroadcasts(p, payload(1+(me+k)%16, k), 1)
-		if err != nil {
-			return err
-		}
-		fold(single)
-		if err := intact("unicast", uni, keptUni); err != nil {
-			return err
+		was := b.Clone()
+		b.Release()
+		if !b.Equal(was) {
+			return fmt.Errorf("Release changed the entry from %d", src)
 		}
 	}
-	p.SetOutput(h)
+	drawn := make([]*bits.Buffer, 0, len(entries)+1)
+	defer func() {
+		for _, b := range drawn {
+			b.Release()
+		}
+	}()
+	for range len(entries) + 1 {
+		b := bits.Get(0)
+		drawn = append(drawn, b)
+		if entries[b] {
+			return fmt.Errorf("Release put an entry into the bits pool")
+		}
+	}
 	return nil
 }
 
-// TestExchangeInterleave pins the per-Proc exchange state's contracts:
-// a node that interleaves ExchangeBroadcasts, ExchangeUnicast and Next
-// keeps every buffer an exchange returned intact across the next one,
-// and its outputs and Stats at Parallelism 4 equal those at 1, on a
-// clean channel and under a plan that drops, corrupts, delays and
-// crashes. Pool workers drive the exchange state through Proc.Rounds,
-// so CI repeats this test under the race detector.
+// writePanics reports whether appending a bit to b panics.
+func writePanics(b *bits.Buffer) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	b.WriteBit(1)
+	return false
+}
+
+// TestExchangeInterleave pins the exchange results' contract: a node
+// that interleaves ExchangeBroadcasts, ExchangeUnicast and Next gets,
+// from each exchange, a result whose entries are exactly what their
+// sources sent (on a clean channel), read the same until the node's
+// next round, panic on a write and stay out of the bits pool on
+// Release; and its outputs, Stats and Faults at Parallelism 4 equal
+// those at 1, on a clean channel and under a plan that drops, corrupts,
+// delays and crashes. Pool workers drive the exchange state through
+// Proc.Rounds, so CI repeats this test under the race detector.
 func TestExchangeInterleave(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		run := func(par int) *Result {
@@ -430,7 +504,7 @@ func TestExchangeInterleave(t *testing.T) {
 			if faulty {
 				cfg.FaultPlan = hashFaultPlan{}
 			}
-			res, err := RunProcs(cfg, interleaveBody)
+			res, err := RunProcs(cfg, interleaveBody(!faulty))
 			if err != nil {
 				t.Fatalf("faulty=%v p=%d: %v", faulty, par, err)
 			}
@@ -447,10 +521,6 @@ func TestExchangeInterleave(t *testing.T) {
 		}
 	}
 }
-
-// raceDetector is set under -race (race_test.go), where sync.Pool drops
-// a quarter of its Puts and pooled allocation counts mean nothing.
-var raceDetector bool
 
 // exchangeAllocs returns the objects one exchange call allocates per node
 // at size n, beyond the set-up newCall does: the difference between runs
@@ -480,8 +550,8 @@ func exchangeAllocs(t *testing.T, n int, model Model, newCall func(p *Proc) func
 }
 
 // broadcastCall is one ExchangeBroadcasts of an nbits-bit payload over
-// ceil(nbits/16) rounds. The caller releases what it received, as Route
-// does, so the pool serves the next call's buffers.
+// ceil(nbits/16) rounds. What it received belongs to the Proc, which
+// reuses it in the next call.
 func broadcastCall(nbits int) func(p *Proc) func() error {
 	return func(p *Proc) func() error {
 		payload := bits.New(nbits)
@@ -495,18 +565,13 @@ func broadcastCall(nbits int) func(p *Proc) func() error {
 			if got[(p.ID()+1)%p.N()].Len() != nbits {
 				return fmt.Errorf("short entry")
 			}
-			if rounds > 1 {
-				for _, b := range got {
-					b.Release()
-				}
-			}
 			return nil
 		}
 	}
 }
 
 // unicastCall is one ExchangeUnicast of an nbits-bit payload to every
-// other node over ceil(nbits/16) rounds, releasing what it received.
+// other node over ceil(nbits/16) rounds.
 func unicastCall(nbits int) func(p *Proc) func() error {
 	return func(p *Proc) func() error {
 		perDst := make([]*bits.Buffer, p.N())
@@ -525,9 +590,6 @@ func unicastCall(nbits int) func(p *Proc) func() error {
 			if got[(p.ID()+1)%p.N()].Len() != nbits {
 				return fmt.Errorf("short entry")
 			}
-			for _, b := range got {
-				b.Release()
-			}
 			return nil
 		}
 	}
@@ -538,55 +600,54 @@ func unicastCall(nbits int) func(p *Proc) func() error {
 // buffers themselves, so its per-node cost does not grow with n (a copy
 // per source made it 21 objects at n=8 and 69 at n=32). A multi-round
 // ExchangeBroadcasts and an ExchangeUnicast run on their Proc's exchange
-// state: a call costs only the copy of the node's own payload (the
-// broadcast) or nothing (the unicast), at every n and round count,
-// beyond the received buffers the caller releases. (A per-call
-// accumulator and two Rounds closures made them 5 and 3 objects.) A
+// state, which reassembles each source into a buffer it reuses and
+// copies the node's own payload into one more: a warm call allocates
+// nothing, at every n and round count. (A per-call accumulator and two
+// Rounds closures made them 5 and 3 objects; a clone of the own payload
+// and pool buffers the caller released, 2 and 0.) A
 // chunked ExchangeUnicast under a fault plan that never acts allocates
 // nothing per extra round either: its chunks go through the same link
 // buffers as on a clean channel (message arenas that stopped recycling
 // under a fault plan cost 64 objects per extra round on that shape). A
 // body that spends its rounds inside Rounds allocates nothing per extra
 // round. Matches the CI alloc-regression pattern (-run AllocRegression).
-// Under the race detector sync.Pool drops a quarter of its Puts, so the
-// cases that recycle received buffers skip there.
+// No case recycles through the bits pool, so the gate holds under the
+// race detector too.
 func TestAllocRegressionExchange(t *testing.T) {
 	small, large := exchangeAllocs(t, 8, Broadcast, broadcastCall(16)), exchangeAllocs(t, 32, Broadcast, broadcastCall(16))
 	t.Logf("single-round ExchangeBroadcasts: %.2f objects per call per node at n=8, %.2f at n=32", small, large)
 	if large-small > 0.5 || small-large > 0.5 {
 		t.Errorf("per-node cost grows with n (%.2f at n=8, %.2f at n=32): a per-source copy is back", small, large)
 	}
-	if !raceDetector {
-		for _, c := range []struct {
-			name   string
-			model  Model
-			call   func(nbits int) func(p *Proc) func() error
-			budget float64 // objects per call per node
-		}{
-			{"multi-round ExchangeBroadcasts", Broadcast, broadcastCall, 2.5},
-			{"ExchangeUnicast", Unicast, unicastCall, 0.5},
-		} {
-			small, large := exchangeAllocs(t, 8, c.model, c.call(64)), exchangeAllocs(t, 32, c.model, c.call(64))
-			long := exchangeAllocs(t, 8, c.model, c.call(256))
-			perRound := (long - small) / 12
-			t.Logf("%s: %.2f objects per call per node at n=8, %.2f at n=32; %.3f per extra round", c.name, small, large, perRound)
-			if small > c.budget || large > c.budget {
-				t.Errorf("%s: %.2f objects per call per node at n=8, %.2f at n=32, budget %.1f", c.name, small, large, c.budget)
-			}
-			if large-small > 0.5 || small-large > 0.5 {
-				t.Errorf("%s: per-node cost grows with n (%.2f at n=8, %.2f at n=32)", c.name, small, large)
-			}
-			if perRound > 0.05 {
-				t.Errorf("%s: %.3f objects per extra round per node, want ~0", c.name, perRound)
-			}
+	for _, c := range []struct {
+		name   string
+		model  Model
+		call   func(nbits int) func(p *Proc) func() error
+		budget float64 // objects per call per node
+	}{
+		{"multi-round ExchangeBroadcasts", Broadcast, broadcastCall, 0.5},
+		{"ExchangeUnicast", Unicast, unicastCall, 0.5},
+	} {
+		small, large := exchangeAllocs(t, 8, c.model, c.call(64)), exchangeAllocs(t, 32, c.model, c.call(64))
+		long := exchangeAllocs(t, 8, c.model, c.call(256))
+		perRound := (long - small) / 12
+		t.Logf("%s: %.2f objects per call per node at n=8, %.2f at n=32; %.3f per extra round", c.name, small, large, perRound)
+		if small > c.budget || large > c.budget {
+			t.Errorf("%s: %.2f objects per call per node at n=8, %.2f at n=32, budget %.1f", c.name, small, large, c.budget)
 		}
-		short := pooledAllocsPerRun(5, faultedUnicastRun(t, 64))
-		long := pooledAllocsPerRun(5, faultedUnicastRun(t, 320))
-		perRound := (long - short) / 16
-		t.Logf("faulted ExchangeUnicast: 4 rounds %.0f allocs, 20 rounds %.0f (%.2f/extra round)", short, long, perRound)
+		if large-small > 0.5 || small-large > 0.5 {
+			t.Errorf("%s: per-node cost grows with n (%.2f at n=8, %.2f at n=32)", c.name, small, large)
+		}
 		if perRound > 0.05 {
-			t.Errorf("faulted ExchangeUnicast allocates %.2f objects per extra round, want ~0", perRound)
+			t.Errorf("%s: %.3f objects per extra round per node, want ~0", c.name, perRound)
 		}
+	}
+	short := pooledAllocsPerRun(5, faultedUnicastRun(t, 64))
+	long := pooledAllocsPerRun(5, faultedUnicastRun(t, 320))
+	perRound := (long - short) / 16
+	t.Logf("faulted ExchangeUnicast: 4 rounds %.0f allocs, 20 rounds %.0f (%.2f/extra round)", short, long, perRound)
+	if perRound > 0.05 {
+		t.Errorf("faulted ExchangeUnicast allocates %.2f objects per extra round, want ~0", perRound)
 	}
 	for _, par := range []int{1, 4} {
 		run := func(rounds int) func() {
@@ -626,7 +687,7 @@ func pooledAllocsPerRun(runs int, f func()) float64 {
 
 // faultedUnicastRun is one run of 16 nodes under idlePlan in which every
 // node sends an nbits-bit payload to each of its next two nodes with one
-// ExchangeUnicast, chunked at b = 16, and releases what it received.
+// ExchangeUnicast, chunked at b = 16.
 func faultedUnicastRun(t *testing.T, nbits int) func() {
 	return func() {
 		cfg := Config{N: 16, Bandwidth: 16, Model: Unicast, Seed: 1, Parallelism: 1, FaultPlan: idlePlan{}}
@@ -637,14 +698,8 @@ func faultedUnicastRun(t *testing.T, nbits int) func() {
 				perDst[d] = bits.New(nbits)
 				perDst[d].ZeroExtend(nbits)
 			}
-			got, err := ExchangeUnicast(p, perDst, ChunkRounds(nbits, p.Bandwidth()))
-			if err != nil {
-				return err
-			}
-			for _, b := range got {
-				b.Release()
-			}
-			return nil
+			_, err := ExchangeUnicast(p, perDst, ChunkRounds(nbits, p.Bandwidth()))
+			return err
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -34,49 +34,51 @@ var ErrCorruptFrame = errors.New("routing: corrupt frame (length or checksum mis
 // FrameBits returns the wire size of a frame carrying payloadBits bits.
 func FrameBits(payloadBits int) int { return FrameOverheadBits + payloadBits }
 
-// EncodeFrame wraps a payload in a checksummed, length-prefixed frame.
-func EncodeFrame(payload *bits.Buffer) (*bits.Buffer, error) {
+// EncodeFrame appends the frame of payload to dst: its length, its
+// CRC-32 and a copy of its bits. dst may already hold bits, at any
+// offset, so a framed stream is built by encoding frame after frame into
+// one buffer.
+func EncodeFrame(dst, payload *bits.Buffer) error {
 	n := payload.Len()
 	if n > MaxFramePayloadBits {
-		return nil, fmt.Errorf("%w: %d bits exceed the %d-bit frame limit",
+		return fmt.Errorf("%w: %d bits exceed the %d-bit frame limit",
 			ErrPayloadTooLong, n, MaxFramePayloadBits)
 	}
-	f := bits.New(FrameOverheadBits + n)
-	f.WriteUint(uint64(n), frameLenBits)
-	f.WriteUint(uint64(crc32.ChecksumIEEE(payload.Bytes())), frameCRCBits)
-	f.Append(payload)
-	return f, nil
+	dst.WriteUint(uint64(n), frameLenBits)
+	dst.WriteUint(uint64(crc32.ChecksumIEEE(payload.Bytes())), frameCRCBits)
+	dst.Append(payload)
+	return nil
 }
 
-// DecodeFrame validates a frame and returns its payload, or
-// ErrCorruptFrame. The frame must be exactly its declared size — framed
-// streams carry no slack, so truncation, extension, and every corruption
-// of up to 3 flipped bits are all detected (see the layout comment).
-func DecodeFrame(frame *bits.Buffer) (*bits.Buffer, error) {
+// DecodeFrame validates frame, which must start at bit 0 of its buffer,
+// and overwrites dst with its payload; a frame that fails validation
+// returns ErrCorruptFrame and leaves dst alone. The frame must be
+// exactly its declared size — framed streams carry no slack, so
+// truncation, extension, and every corruption of up to 3 flipped bits
+// are all detected (see the layout comment). The checksum is computed in
+// place: the payload starts at bit FrameOverheadBits, a byte boundary,
+// so its bytes are the frame's from there on (bits past the end are zero
+// in both), and only a valid payload is copied.
+func DecodeFrame(dst, frame *bits.Buffer) error {
 	if frame.Len() < FrameOverheadBits {
-		return nil, fmt.Errorf("%w: %d bits is shorter than a frame header", ErrCorruptFrame, frame.Len())
+		return fmt.Errorf("%w: %d bits is shorter than a frame header", ErrCorruptFrame, frame.Len())
 	}
-	// No r.Release() here: that would return the caller's frame to the
-	// buffer pool.
 	r := bits.NewReader(frame)
 	n, err := r.ReadUint(frameLenBits)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	want, err := r.ReadUint(frameCRCBits)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if frame.Len() != FrameOverheadBits+int(n) {
-		return nil, fmt.Errorf("%w: header declares %d payload bits, frame carries %d",
+		return fmt.Errorf("%w: header declares %d payload bits, frame carries %d",
 			ErrCorruptFrame, n, frame.Len()-FrameOverheadBits)
 	}
-	payload, err := frame.Slice(FrameOverheadBits, frame.Len())
-	if err != nil {
-		return nil, err
+	if uint64(crc32.ChecksumIEEE(frame.Bytes()[FrameOverheadBits/8:])) != want {
+		return fmt.Errorf("%w: checksum mismatch over %d payload bits", ErrCorruptFrame, n)
 	}
-	if uint64(crc32.ChecksumIEEE(payload.Bytes())) != want {
-		return nil, fmt.Errorf("%w: checksum mismatch over %d payload bits", ErrCorruptFrame, n)
-	}
-	return payload, nil
+	dst.Reset()
+	return dst.AppendRange(frame, FrameOverheadBits, frame.Len())
 }

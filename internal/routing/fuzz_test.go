@@ -138,14 +138,13 @@ func FuzzFaultFrame(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, err := EncodeFrame(src)
-		if err != nil {
+		var frame, got bits.Buffer
+		if err := EncodeFrame(&frame, src); err != nil {
 			t.Fatal(err)
 		}
 
 		// Intact round-trip.
-		got, err := DecodeFrame(frame)
-		if err != nil {
+		if err := DecodeFrame(&got, &frame); err != nil {
 			t.Fatalf("intact frame rejected: %v", err)
 		}
 		if !got.Equal(src) {
@@ -167,7 +166,7 @@ func FuzzFaultFrame(f *testing.F) {
 		if len(seen) == 0 {
 			return
 		}
-		if _, err := DecodeFrame(bad); err == nil {
+		if err := DecodeFrame(&got, bad); err == nil {
 			t.Fatalf("frame with %d flipped bits accepted (positions %v)", len(seen), seen)
 		}
 	})

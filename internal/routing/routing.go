@@ -127,11 +127,12 @@ func relayFrame(hdr int, payload *bits.Buffer, w int) *bits.Buffer {
 // hop is one relay sub-round of either router: it sends frames[d] (nil =
 // nothing) to each d with one chunked core.ExchangeUnicast of `chunk`
 // rounds, releases and clears the frames, and hands each arrival's
-// source, w-bit header and payload (a bits pool buffer) to got, in
-// ascending source order. A frame whose header is truncated or reads
-// >= n — possible only under fault injection, never on a clean channel —
-// is dropped as lost in transit instead of failing the epoch: absence is
-// what the protocol layer's frame validation detects.
+// source, w-bit header and payload (copied out of the exchange's result
+// into a bits pool buffer) to got, in ascending source order. A frame
+// whose header is truncated or reads >= n — possible only under fault
+// injection, never on a clean channel — is dropped as lost in transit
+// instead of failing the epoch: absence is what the protocol layer's
+// frame validation detects.
 func hop(p *core.Proc, frames []*bits.Buffer, w, chunk int, got func(src, hdr int, payload *bits.Buffer)) error {
 	in, err := core.ExchangeUnicast(p, frames, chunk)
 	for _, f := range frames {
@@ -149,11 +150,9 @@ func hop(p *core.Proc, frames []*bits.Buffer, w, chunk int, got func(src, hdr in
 		rd.Reset(buf)
 		hdr, err := rd.ReadUint(w)
 		if err != nil || hdr >= uint64(p.N()) {
-			buf.Release()
 			continue
 		}
 		payload, err := buf.Slice(w, buf.Len())
-		buf.Release()
 		if err != nil {
 			return err
 		}

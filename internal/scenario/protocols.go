@@ -174,15 +174,17 @@ func runRouting(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult,
 		me := p.ID()
 		nbrs := g.Neighbors(me)
 		out := make([]routing.Msg, 0, len(nbrs))
+		var raw, payload bits.Buffer // the unframed payload, written or decoded
 		for _, v := range nbrs {
-			pl := bits.New(routePayloadBits)
-			pl.WriteUint(demandPayload(seed, me, v, routePayloadBits), routePayloadBits)
+			pl := bits.New(maxPayload)
 			if leg.Faulty {
-				framed, err := routing.EncodeFrame(pl)
-				if err != nil {
+				raw.Reset()
+				raw.WriteUint(demandPayload(seed, me, v, routePayloadBits), routePayloadBits)
+				if err := routing.EncodeFrame(pl, &raw); err != nil {
 					return err
 				}
-				pl = framed
+			} else {
+				pl.WriteUint(demandPayload(seed, me, v, routePayloadBits), routePayloadBits)
 			}
 			out = append(out, routing.Msg{Src: me, Dst: v, Payload: pl})
 		}
@@ -198,14 +200,14 @@ func runRouting(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult,
 			if !g.HasEdge(m.Src, me) {
 				return fmt.Errorf("routing: node %d got message from non-neighbor %d", me, m.Src)
 			}
-			payload := m.Payload
+			src := m.Payload
 			if leg.Faulty {
-				if payload, err = routing.DecodeFrame(m.Payload); err != nil {
+				if err := routing.DecodeFrame(&payload, m.Payload); err != nil {
 					return fmt.Errorf("routing: node %d: frame from %d: %w", me, m.Src, err)
 				}
+				src = &payload
 			}
-			r := bits.NewReader(payload)
-			got, err := r.ReadUint(routePayloadBits)
+			got, err := bits.NewReader(src).ReadUint(routePayloadBits)
 			if err != nil {
 				return err
 			}

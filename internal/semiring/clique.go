@@ -74,7 +74,7 @@ func RunMM(env core.Env, sr Semiring, a, b *Matrix, proto Protocol, bandwidth in
 	rt := routing.NewRouter(n)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
 	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
-		row, err := MulRow(p, rt, sr, proto, a.Row(p.ID()), b.Row(p.ID()), mul)
+		row, err := NewMultiplier(p, rt, proto).MulRow(sr, a.Row(p.ID()), b.Row(p.ID()), mul)
 		if err != nil {
 			return err
 		}
@@ -96,23 +96,42 @@ func gatherRows(res *core.Result, n int) *Matrix {
 	return out
 }
 
+// A Multiplier is one node body's side of a run's distributed products:
+// the body makes one with NewMultiplier and chains its MulRow calls, and
+// the Multiplier keeps the scratch the Naive protocol reuses from call to
+// call. All players must use the same proto and a Router shared by the
+// run.
+type Multiplier struct {
+	p     *core.Proc
+	rt    *routing.Router
+	proto Protocol
+
+	payload bits.Buffer // Naive: this node's B row on the wire
+	bm      *Matrix     // Naive: every player's B row, built on first use
+}
+
+// NewMultiplier returns node p's Multiplier for protocol proto.
+func NewMultiplier(p *core.Proc, rt *routing.Router, proto Protocol) *Multiplier {
+	return &Multiplier{p: p, rt: rt, proto: proto}
+}
+
 // MulRow is the composable in-protocol form of the multiplication: every
 // player calls it in the same round with its row of A and its row of B and
 // receives its row of the product. Workload protocols (repeated squaring,
 // distance products, matrix powers) chain it without leaving the round
 // structure, so a whole power computation is one accounted run. All
-// players must pass the same sr, proto and a Router shared by the run.
-func MulRow(p *core.Proc, rt *routing.Router, sr Semiring, proto Protocol, rowA, rowB []uint32, mul LocalMul) ([]uint32, error) {
+// players must pass the same sr.
+func (m *Multiplier) MulRow(sr Semiring, rowA, rowB []uint32, mul LocalMul) ([]uint32, error) {
 	if mul == nil {
 		mul = sr.MulLocal
 	}
-	switch proto {
+	switch m.proto {
 	case Naive:
-		return naiveMulRow(p, sr, rowA, rowB, mul)
+		return m.naiveMulRow(sr, rowA, rowB, mul)
 	case Cube:
-		return cubeMulRow(p, rt, sr, rowA, rowB, mul)
+		return cubeMulRow(m.p, m.rt, sr, rowA, rowB, mul)
 	default:
-		return nil, fmt.Errorf("semiring: unknown protocol %d", int(proto))
+		return nil, fmt.Errorf("semiring: unknown protocol %d", int(m.proto))
 	}
 }
 
@@ -136,27 +155,32 @@ func decodeEntries(rd *bits.Reader, dst []uint32, w int) error {
 }
 
 // naiveMulRow is the row-broadcast protocol body: exchange all rows of B,
-// then one 1×n · n×n local product through the leg's kernel.
-func naiveMulRow(p *core.Proc, sr Semiring, rowA, rowB []uint32, mul LocalMul) ([]uint32, error) {
+// then one 1×n · n×n local product through the leg's kernel. The payload
+// and the B rows are m's, rewritten by every call (each row in full, or
+// the call fails), and rowA enters the kernel as a 1×n matrix over its
+// own entries.
+func (m *Multiplier) naiveMulRow(sr Semiring, rowA, rowB []uint32, mul LocalMul) ([]uint32, error) {
+	p := m.p
 	n := p.N()
 	w := sr.EntryBits()
-	payload := bits.New(n * w)
-	encodeEntries(payload, rowB, w)
+	m.payload.Reset()
+	encodeEntries(&m.payload, rowB, w)
 	rounds := core.ChunkRounds(n*w, p.Bandwidth())
-	got, err := core.ExchangeBroadcasts(p, payload, rounds)
+	got, err := core.ExchangeBroadcasts(p, &m.payload, rounds)
 	if err != nil {
 		return nil, err
 	}
-	bm := NewMatrix(n, n, 0)
+	if m.bm == nil {
+		m.bm = NewMatrix(n, n, 0)
+	}
 	for src, buf := range got {
 		rd := bits.NewReader(buf)
-		if err := decodeEntries(rd, bm.Row(src), w); err != nil {
+		if err := decodeEntries(rd, m.bm.Row(src), w); err != nil {
 			return nil, fmt.Errorf("semiring: bad B row from %d: %w", src, err)
 		}
 	}
-	am := NewMatrix(1, n, 0)
-	copy(am.Row(0), rowA)
-	return mul(am, bm).Row(0), nil
+	am := &Matrix{rows: 1, cols: n, a: rowA}
+	return mul(am, m.bm).Row(0), nil
 }
 
 // cubeGeom is the cube-partition geometry for n players: the largest c

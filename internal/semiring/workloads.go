@@ -29,9 +29,10 @@ func APSP(env core.Env, wg *graph.Weighted, proto Protocol, bandwidth int, seed 
 	rt := routing.NewRouter(n)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
 	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+		m := NewMultiplier(p, rt, proto)
 		row := append([]uint32(nil), d.Row(p.ID())...)
 		for span := 1; span < n-1; span *= 2 {
-			next, err := MulRow(p, rt, MinPlus, proto, row, row, mul)
+			next, err := m.MulRow(MinPlus, row, row, mul)
 			if err != nil {
 				return err
 			}
@@ -59,10 +60,11 @@ func KHopDistances(env core.Env, wg *graph.Weighted, k int, proto Protocol, band
 	rt := routing.NewRouter(n)
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
 	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+		m := NewMultiplier(p, rt, proto)
 		wrow := d.Row(p.ID())
 		row := append([]uint32(nil), wrow...)
 		for t := 1; t < k; t++ {
-			next, err := MulRow(p, rt, MinPlus, proto, row, wrow, mul)
+			next, err := m.MulRow(MinPlus, row, wrow, mul)
 			if err != nil {
 				return err
 			}
@@ -107,16 +109,17 @@ func MatrixPowerCounts(env core.Env, g *graph.Graph, proto Protocol, bandwidth i
 	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
 	type rows struct{ b2, b3, c2 []uint32 }
 	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+		m := NewMultiplier(p, rt, proto)
 		arow := adj.Row(p.ID())
-		b2, err := MulRow(p, rt, Boolean, proto, arow, arow, kern(Boolean))
+		b2, err := m.MulRow(Boolean, arow, arow, kern(Boolean))
 		if err != nil {
 			return err
 		}
-		b3, err := MulRow(p, rt, Boolean, proto, b2, arow, kern(Boolean))
+		b3, err := m.MulRow(Boolean, b2, arow, kern(Boolean))
 		if err != nil {
 			return err
 		}
-		c2, err := MulRow(p, rt, Counting, proto, arow, arow, kern(Counting))
+		c2, err := m.MulRow(Counting, arow, arow, kern(Counting))
 		if err != nil {
 			return err
 		}

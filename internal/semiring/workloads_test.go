@@ -159,3 +159,34 @@ func TestLocalPowerIdentityCase(t *testing.T) {
 		t.Fatal("first power must be the matrix itself")
 	}
 }
+
+// TestAllocRegressionRowBroadcast is the allocation gate of the naive
+// row-broadcast protocol: objects per APSP(Naive) run at n = 24, b = 32,
+// at the sequential width and under the worker pool. A body's Multiplier
+// reuses its wire payload and its B-row matrix across the run's
+// squarings and wraps the node's A row instead of copying it, and the
+// exchange reassembles every row into a buffer of the Proc's: a run
+// reads 1.7k objects, against 7.3k when every squaring built a fresh
+// payload, B matrix and A copy and every row arrived in a fresh pool
+// buffer. The budget sits about 25% above the reading. Nothing on this
+// path draws from a sync.Pool, so the count is the same under the race
+// detector and the gate runs there too. Matches the CI alloc-regression
+// pattern (-run AllocRegression).
+func TestAllocRegressionRowBroadcast(t *testing.T) {
+	const budget = 2100
+	wg := graph.WeightedGnp(24, 0.3, 100, 24)
+	for _, par := range []int{1, 4} {
+		env := core.Env{Parallelism: par}
+		run := func() {
+			if _, err := APSP(env, wg, Naive, 32, 1, nil); err != nil {
+				t.Fatalf("p=%d: %v", par, err)
+			}
+		}
+		run()
+		allocs := testing.AllocsPerRun(10, run)
+		t.Logf("p=%d: %.0f objects per APSP(Naive) run (budget %d)", par, allocs, budget)
+		if allocs > budget {
+			t.Errorf("p=%d: %.0f objects per APSP(Naive) run, budget %d", par, allocs, budget)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"repro/internal/bits"
@@ -262,11 +263,9 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 		// shows up to the others as an ordinary stall.
 		var poisoned [][]bool
 		if agg.framed() {
-			poisoned = make([][]bool, classes)
-			for w := range poisoned {
-				poisoned[w] = make([]bool, copies)
-			}
+			poisoned = newPoisoned(classes, copies)
 		}
+		sc := &msgScratch{}
 
 		// Deterministic shared state every node tracks identically from
 		// the broadcast proposals alone.
@@ -287,8 +286,8 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 			edge   uint64
 		}
 		uf := &unionFind{parent: make([]int, n)}
-		var props []prop
-		var losers []int
+		props := make([]prop, 0, n)
+		losers := make([]int, 0, n)
 
 		for phase := 0; ; phase++ {
 			if phase >= copies {
@@ -334,7 +333,8 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 
 			// 2. Unfinished leaders broadcast status (+ edge id); all
 			// other nodes stay silent but step the same rounds.
-			payload := bits.New(propBits)
+			payload := &sc.status
+			payload.Reset()
 			if comp[me] == me && !finished[me] {
 				payload.WriteUint(uint64(status), 2)
 				payload.WriteUint(proposal, idW)
@@ -342,7 +342,7 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 			var got []*bits.Buffer
 			var err error
 			if agg.framed() {
-				got, err = exchangeStatusFramed(p, payload, propBits)
+				got, err = exchangeStatusFramed(p, sc, payload, propBits)
 			} else {
 				got, err = core.ExchangeBroadcasts(p, payload, propRounds)
 			}
@@ -451,7 +451,7 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 				if phase+1 >= copies {
 					return fmt.Errorf("sketch: no sketch copies left to ship after phase %d", phase)
 				}
-				if err := shipStacks(p, rt, agg, stacks, poisoned, losers, comp, cls, phase+1, clsW, qW, sampleBits); err != nil {
+				if err := shipStacks(p, rt, sc, agg, stacks, poisoned, losers, comp, cls, phase+1, clsW, qW, sampleBits); err != nil {
 					return err
 				}
 			}
@@ -484,6 +484,24 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 	return assembleCC(n, res)
 }
 
+// msgScratch is the message scratch of one node body of runBoruvka,
+// reused by every phase: the status payload, the direct aggregations'
+// outgoing streams and the framed aggregations' frames, records and
+// accumulators. The per-node slices are allocated on first use.
+type msgScratch struct {
+	status bits.Buffer    // this phase's status payload
+	frame  bits.Buffer    // the status frame, or a ship frame cut out of a stream
+	rec    bits.Buffer    // a ship record being built, or a decoded one
+	stream bits.Buffer    // DirectAgg's and DirectFramedAgg's outgoing stream
+	chunk  bits.Buffer    // DirectFramedAgg's chunk of the round: Send copies it
+	perDst []*bits.Buffer // DirectAgg's payloads by destination: stream or nil
+	got    []*bits.Buffer // exchangeStatusFramed's result by source
+	valid  []bits.Buffer  // valid[src]: src's validated status payload
+	acc    []bits.Buffer  // acc[l]: DirectFramedAgg's reassembly of loser l's stream
+	out    []routing.Msg  // LenzenFramedAgg's outgoing frames
+	seen   []bool         // LenzenFramedAgg's merged tags, one block per loser
+}
+
 // exchangeStatusFramed is the framed aggregations' replacement for the
 // plain status broadcast: the payload travels inside a checksummed frame
 // and the whole broadcast is repeated statusRepeats times, each
@@ -493,18 +511,24 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 // nodes) simply yield nil entries, exactly like core.ExchangeBroadcasts.
 // Detection is preserved: a corrupted frame never decodes, so a leader
 // whose every repetition was lost shows up as a nil entry the caller
-// rejects — shared state is driven only by validated statuses.
-func exchangeStatusFramed(p *core.Proc, payload *bits.Buffer, propBits int) ([]*bits.Buffer, error) {
+// rejects — shared state is driven only by validated statuses. The
+// result lives in sc until the next call; its entry for this node is
+// payload itself.
+func exchangeStatusFramed(p *core.Proc, sc *msgScratch, payload *bits.Buffer, propBits int) ([]*bits.Buffer, error) {
 	n, me := p.N(), p.ID()
 	rounds := core.ChunkRounds(routing.FrameBits(propBits), p.Bandwidth())
-	frame := bits.New(0)
+	frame := &sc.frame
+	frame.Reset()
 	if payload.Len() > 0 {
-		var err error
-		if frame, err = routing.EncodeFrame(payload); err != nil {
+		if err := routing.EncodeFrame(frame, payload); err != nil {
 			return nil, err
 		}
 	}
-	got := make([]*bits.Buffer, n)
+	if sc.got == nil {
+		sc.got, sc.valid = make([]*bits.Buffer, n), make([]bits.Buffer, n)
+	}
+	got := sc.got
+	clear(got)
 	for rep := 0; rep < statusRepeats; rep++ {
 		all, err := core.ExchangeBroadcasts(p, frame, rounds)
 		if err != nil {
@@ -514,13 +538,13 @@ func exchangeStatusFramed(p *core.Proc, payload *bits.Buffer, propBits int) ([]*
 			if src == me || got[src] != nil || fr == nil {
 				continue
 			}
-			if pl, err := routing.DecodeFrame(fr); err == nil {
-				got[src] = pl
+			if routing.DecodeFrame(&sc.valid[src], fr) == nil {
+				got[src] = &sc.valid[src]
 			}
 		}
 	}
 	if payload.Len() > 0 {
-		got[me] = payload.Clone()
+		got[me] = payload
 	}
 	return got, nil
 }
@@ -530,7 +554,7 @@ func exchangeStatusFramed(p *core.Proc, payload *bits.Buffer, propBits int) ([]*
 // aggregations, `poisoned` is both read (a loser ships poison markers
 // for copies it no longer trusts) and written (a winner poisons every
 // copy whose record was lost or failed validation).
-func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Stack,
+func shipStacks(p *core.Proc, rt *routing.Router, sc *msgScratch, agg Aggregation, stacks []*Stack,
 	poisoned [][]bool, losers []int, comp []int, cls, from, clsW, qW, sampleBits int) error {
 	me := p.ID()
 	classes := len(stacks)
@@ -555,16 +579,21 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 		for w := cls; w < classes; w++ {
 			shipBits += stacks[w].WireBitsFrom(from)
 		}
-		perDst := make([]*bits.Buffer, p.N())
+		var perDst []*bits.Buffer // nil: a node that lost nothing sends nothing
 		if iAmLoser {
-			buf := bits.Get(shipBits)
+			buf := &sc.stream
+			buf.Reset()
 			for w := cls; w < classes; w++ {
 				stacks[w].EncodeFrom(buf, from)
 			}
+			if sc.perDst == nil {
+				sc.perDst = make([]*bits.Buffer, p.N())
+			}
+			perDst = sc.perDst
 			perDst[comp[me]] = buf
 		}
 		got, err := core.ExchangeUnicast(p, perDst, core.ChunkRounds(shipBits, p.Bandwidth()))
-		perDst[comp[me]].Release()
+		clear(perDst)
 		if err != nil {
 			return err
 		}
@@ -578,7 +607,6 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 					return err
 				}
 			}
-			got[l].Release()
 		}
 		return nil
 
@@ -655,42 +683,42 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 		rounds := core.ChunkRounds(shipBits, b)
 		var stream *bits.Buffer
 		if iAmLoser {
-			stream = bits.New(shipBits)
+			stream = &sc.stream
+			stream.Reset()
 			for q := from; q < copies; q++ {
 				for w := cls; w < classes; w++ {
-					rec := encodeShipRecord(stacks, poisoned, w, q, clsW, qW, recBits)
-					rec.ZeroExtend(recBits) // poison markers padded to the fixed record size
-					fr, err := routing.EncodeFrame(rec)
-					if err != nil {
+					sc.rec.Reset()
+					encodeShipRecord(&sc.rec, stacks, poisoned, w, q, clsW, qW)
+					sc.rec.ZeroExtend(recBits) // poison markers padded to the fixed record size
+					if err := routing.EncodeFrame(stream, &sc.rec); err != nil {
 						return err
 					}
-					stream.Append(fr)
 				}
 			}
 		}
-		acc := make(map[int]*bits.Buffer, len(myLosers))
-		for _, l := range myLosers {
-			a := bits.New(shipBits)
-			a.ZeroExtend(shipBits)
-			acc[l] = a
+		if sc.acc == nil {
+			sc.acc = make([]bits.Buffer, p.N())
 		}
-		var chunk bits.Buffer // one scratch for every round: Send copies it
+		for _, l := range myLosers {
+			sc.acc[l].Reset()
+			sc.acc[l].ZeroExtend(shipBits)
+		}
 		err := p.Rounds(rounds, func(r int) error {
 			off := r * b
 			if stream == nil || off >= stream.Len() {
 				return nil
 			}
-			chunk.Reset()
-			if err := chunk.AppendRange(stream, off, min(off+b, stream.Len())); err != nil {
+			sc.chunk.Reset()
+			if err := sc.chunk.AppendRange(stream, off, min(off+b, stream.Len())); err != nil {
 				return err
 			}
-			return p.Send(comp[me], &chunk)
+			return p.Send(comp[me], &sc.chunk)
 		}, func(r int, in []*bits.Buffer) error {
 			// Each chunk is ORed into its stream in the round it arrives,
 			// while the received buffer is still valid.
 			for _, l := range myLosers {
 				if msg := in[l]; msg != nil && r*b+msg.Len() <= shipBits {
-					if err := acc[l].OrRange(msg, 0, msg.Len(), r*b); err != nil {
+					if err := sc.acc[l].OrRange(msg, 0, msg.Len(), r*b); err != nil {
 						return err
 					}
 				}
@@ -704,14 +732,15 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 			k := 0
 			for q := from; q < copies; q++ {
 				for w := cls; w < classes; w++ {
-					fr, err := acc[l].Slice(k*fBits, (k+1)*fBits)
-					k++
-					ok := false
-					if err == nil {
-						if rec, derr := routing.DecodeFrame(fr); derr == nil {
-							ok = mergeShipRecord(rec, stacks, poisoned, clsW, qW, shipTags{w0: w, w1: w + 1, q0: q, q1: q + 1})
-						}
+					// Frame k is the window [k*fBits, (k+1)*fBits) of the
+					// stream, cut into a buffer of its own for DecodeFrame.
+					sc.frame.Reset()
+					if err := sc.frame.AppendRange(&sc.acc[l], k*fBits, (k+1)*fBits); err != nil {
+						return err
 					}
+					k++
+					ok := routing.DecodeFrame(&sc.rec, &sc.frame) == nil &&
+						mergeShipRecord(bits.NewReader(&sc.rec), stacks, poisoned, clsW, qW, shipTags{w0: w, w1: w + 1, q0: q, q1: q + 1})
 					if !ok {
 						// Lost or invalid: this copy is missing l's
 						// contribution and can't be trusted.
@@ -733,54 +762,55 @@ func shipStacks(p *core.Proc, rt *routing.Router, agg Aggregation, stacks []*Sta
 		srcW := bits.UintWidth(uint64(p.N() - 1))
 		recBits := clsW + qW + 1 + sampleBits
 		maxPayload := routing.FrameBits(srcW + recBits)
-		var out []routing.Msg
+		out := sc.out[:0]
 		if iAmLoser {
 			for q := from; q < copies; q++ {
 				for w := cls; w < classes; w++ {
-					tagged := bits.New(srcW + recBits)
-					tagged.WriteUint(uint64(me), srcW)
-					tagged.Append(encodeShipRecord(stacks, poisoned, w, q, clsW, qW, recBits))
-					fr, err := routing.EncodeFrame(tagged)
-					if err != nil {
+					sc.rec.Reset()
+					sc.rec.WriteUint(uint64(me), srcW)
+					encodeShipRecord(&sc.rec, stacks, poisoned, w, q, clsW, qW)
+					fr := bits.Get(maxPayload)
+					if err := routing.EncodeFrame(fr, &sc.rec); err != nil {
 						return err
 					}
 					out = append(out, routing.Msg{Src: me, Dst: comp[me], Payload: fr})
 				}
 			}
 		}
+		sc.out = out
 		in, err := rt.Route(p, out, maxPayload)
+		// Route copied the frames into its relay frames (none is
+		// self-addressed: a loser's leader is another node).
+		for _, m := range out {
+			m.Payload.Release()
+		}
+		clear(out)
 		if err != nil {
 			return err
 		}
-		seenBy := make(map[int][][]bool, len(myLosers))
-		for _, l := range myLosers {
-			seenBy[l] = newSeen(classes-cls, copies-from)
+		// The tags merged from myLosers[i] are block i of sc.seen.
+		block := (classes - cls) * (copies - from)
+		sc.seen = append(sc.seen[:0], make([]bool, len(myLosers)*block)...) // zeroed, in place when it fits
+		tags := func(i int) shipTags {
+			return shipTags{w0: cls, w1: classes, q0: from, q1: copies, seen: sc.seen[i*block : (i+1)*block]}
 		}
 		for _, m := range in {
-			seen := seenBy[m.Src]
-			if seen == nil {
-				continue // not one of my losers (or a misrouted stray)
+			// Not one of my losers (a misrouted stray), corrupted in
+			// transit, or under a relay header that lied about the source:
+			// dropped, and the absence poisons below.
+			if i := slices.Index(myLosers, m.Src); i >= 0 && routing.DecodeFrame(&sc.rec, m.Payload) == nil {
+				rd := bits.NewReader(&sc.rec)
+				if src64, err := rd.ReadUint(srcW); err == nil && int(src64) == m.Src {
+					mergeShipRecord(rd, stacks, poisoned, clsW, qW, tags(i))
+				}
 			}
-			pl, err := routing.DecodeFrame(m.Payload)
-			if err != nil {
-				continue // corrupted in transit; absence poisons below
-			}
-			rd := bits.NewReader(pl)
-			src64, err := rd.ReadUint(srcW)
-			if err != nil || int(src64) != m.Src {
-				continue // relay header lied about the source; treat as stray
-			}
-			rec, err := pl.Slice(srcW, pl.Len())
-			if err != nil {
-				continue
-			}
-			mergeShipRecord(rec, stacks, poisoned, clsW, qW, shipTags{w0: cls, w1: classes, q0: from, q1: copies, seen: seen})
+			m.Payload.Release()
 		}
-		for _, l := range myLosers {
-			seen := seenBy[l]
+		for i := range myLosers {
+			t := tags(i)
 			for w := cls; w < classes; w++ {
 				for q := from; q < copies; q++ {
-					if !seen[w-cls][q-from] {
+					if !*t.at(w, q) {
 						poisoned[w][q] = true
 					}
 				}
@@ -803,56 +833,56 @@ func releaseStacks(stacks []*Stack) {
 	}
 }
 
-// newSeen allocates a [classes][copies] seen-matrix for ship bookkeeping.
-func newSeen(classes, copies int) [][]bool {
-	seen := make([][]bool, classes)
-	for i := range seen {
-		seen[i] = make([]bool, copies)
+// newPoisoned allocates a [classes][copies] matrix of poison marks.
+func newPoisoned(classes, copies int) [][]bool {
+	poisoned := make([][]bool, classes)
+	for w := range poisoned {
+		poisoned[w] = make([]bool, copies)
 	}
-	return seen
+	return poisoned
 }
 
-// encodeShipRecord builds one framed-aggregation record:
+// encodeShipRecord appends one framed-aggregation record to dst:
 // [class:clsW][copy:qW][poisoned:1] + the sampler bits when clean. A
 // loser that no longer trusts a copy forwards the poison instead of the
 // garbage.
-func encodeShipRecord(stacks []*Stack, poisoned [][]bool, w, q, clsW, qW, recBits int) *bits.Buffer {
-	rec := bits.New(recBits)
-	rec.WriteUint(uint64(w), clsW)
-	rec.WriteUint(uint64(q), qW)
+func encodeShipRecord(dst *bits.Buffer, stacks []*Stack, poisoned [][]bool, w, q, clsW, qW int) {
+	dst.WriteUint(uint64(w), clsW)
+	dst.WriteUint(uint64(q), qW)
 	if poisoned[w][q] {
-		rec.WriteBool(true)
+		dst.WriteBool(true)
 	} else {
-		rec.WriteBool(false)
-		stacks[w].Samplers[q].Encode(rec)
+		dst.WriteBool(false)
+		stacks[w].Samplers[q].Encode(dst)
 	}
-	return rec
 }
 
 // shipTags is the block of (class, copy) tags a winner accepts for a
 // ship record: classes [w0, w1) × copies [q0, q1). When seen is non-nil
-// it marks the tags of the block already merged, indexed from the
-// block's corner, and a repeat is rejected.
+// it marks the tags of the block already merged, class-major from the
+// block's corner (see at), and a repeat is rejected.
 type shipTags struct {
 	w0, w1, q0, q1 int
-	seen           [][]bool
+	seen           []bool
 }
 
-// mergeShipRecord applies one CRC-validated ship record on the winner and
-// reports whether it was accepted. A record that fails to parse, or
-// whose tag is outside want or already seen, is rejected untouched: the
-// caller poisons the copy it stood for (directly, or through its absence
-// from seen). An accepted poison marker propagates the loser's poison,
-// and an accepted clean record XOR-merges into the stack; if that merge
-// fails midway the copy is poisoned directly, since the partial XOR
-// already garbled it.
+// at returns the seen mark of tag (w, q).
+func (t shipTags) at(w, q int) *bool { return &t.seen[(w-t.w0)*(t.q1-t.q0)+q-t.q0] }
+
+// mergeShipRecord applies one CRC-validated ship record, read from rd,
+// on the winner and reports whether it was accepted. A record that fails
+// to parse, or whose tag is outside want or already seen, is rejected
+// untouched: the caller poisons the copy it stood for (directly, or
+// through its absence from seen). An accepted poison marker propagates
+// the loser's poison, and an accepted clean record XOR-merges into the
+// stack; if that merge fails midway the copy is poisoned directly, since
+// the partial XOR already garbled it.
 //
 // DirectFramedAgg's stream position fixes the one tag a record may carry
 // (a delayed chunk that re-validates an old frame in the wrong window
 // fails here); LenzenFramedAgg's routed records arrive in any order, so
 // it accepts any unseen tag of the loser's block.
-func mergeShipRecord(rec *bits.Buffer, stacks []*Stack, poisoned [][]bool, clsW, qW int, want shipTags) bool {
-	rd := bits.NewReader(rec)
+func mergeShipRecord(rd *bits.Reader, stacks []*Stack, poisoned [][]bool, clsW, qW int, want shipTags) bool {
 	w64, err := rd.ReadUint(clsW)
 	if err != nil {
 		return false
@@ -870,10 +900,10 @@ func mergeShipRecord(rec *bits.Buffer, stacks []*Stack, poisoned [][]bool, clsW,
 		return false
 	}
 	if want.seen != nil {
-		if want.seen[w-want.w0][q-want.q0] {
+		if *want.at(w, q) {
 			return false
 		}
-		want.seen[w-want.w0][q-want.q0] = true
+		*want.at(w, q) = true
 	}
 	if pois {
 		poisoned[w][q] = true

@@ -220,7 +220,7 @@ func TestMergeShipRecordGuards(t *testing.T) {
 	// block LenzenFramedAgg accepts from one loser after phase 1.
 	window := func() shipTags { return shipTags{w0: 1, w1: 2, q0: 2, q1: 3} }
 	block := func() shipTags {
-		return shipTags{w0: 1, w1: classes, q0: 1, q1: copies, seen: newSeen(classes-1, copies-1)}
+		return shipTags{w0: 1, w1: classes, q0: 1, q1: copies, seen: make([]bool, (classes-1)*(copies-1))}
 	}
 
 	const (
@@ -252,13 +252,13 @@ func TestMergeShipRecordGuards(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			stacks := newStacks(5, 17)
 			wantStacks := newStacks(5, 17)
-			poisoned := newSeen(classes, copies)
+			poisoned := newPoisoned(classes, copies)
 			if tc.dup {
-				tc.want.seen[tc.w-tc.want.w0][tc.q-tc.want.q0] = true
+				*tc.want.at(tc.w, tc.q) = true
 			}
 			seenBefore := fmt.Sprint(tc.want.seen)
 
-			ok := mergeShipRecord(tc.rec, stacks, poisoned, clsW, qW, tc.want)
+			ok := mergeShipRecord(bits.NewReader(tc.rec), stacks, poisoned, clsW, qW, tc.want)
 			if ok != (tc.effect != rejected) {
 				t.Fatalf("accepted = %v, want %v", ok, tc.effect != rejected)
 			}
@@ -282,7 +282,7 @@ func TestMergeShipRecordGuards(t *testing.T) {
 					if got := fmt.Sprint(tc.want.seen); got != seenBefore {
 						t.Errorf("seen changed by a rejected record: %s, was %s", got, seenBefore)
 					}
-				} else if !tc.want.seen[tc.w-tc.want.w0][tc.q-tc.want.q0] {
+				} else if !*tc.want.at(tc.w, tc.q) {
 					t.Errorf("accepted tag (%d, %d) not marked seen", tc.w, tc.q)
 				}
 			}
