@@ -8,8 +8,8 @@
 // round engine copies each staged message into a buffer the sender owns
 // (NewRow carves a node's message buffers from one slab), seals it, and
 // hands that one buffer to every recipient; the sender refills it with
-// Refill once no recipient can still read it. A package pool
-// (Get/Release) recycles Buffer structs across rounds.
+// Refill once no recipient can still read it. Every buffer on the
+// message path has such an owner, which reuses it; none is released.
 package bits
 
 import (
@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrShortBuffer is returned when a read runs past the end of a Reader.
@@ -254,54 +253,6 @@ func (b *Buffer) Append(other *Buffer) {
 	}
 }
 
-// Slice returns the sub-buffer covering bits [from, to). The copy is
-// drawn from the package pool, so callers on hot paths may Release it
-// once the bits have been consumed.
-func (b *Buffer) Slice(from, to int) (*Buffer, error) {
-	if from < 0 || to > b.n || from > to {
-		return nil, fmt.Errorf("bits: slice [%d,%d) out of range of %d bits", from, to, b.n)
-	}
-	m := to - from
-	out := Get(m)
-	out.grow((m + 7) / 8)
-	out.n = m
-	copyBits(out.data, b.data, from, m)
-	return out, nil
-}
-
-// copyBits copies m bits of src starting at bit offset `from` into dst
-// starting at bit 0, then masks the trailing partial byte of dst. The
-// misaligned path runs 64 bits per iteration (one unaligned load, one
-// shift, one carry byte) with a byte-granular tail.
-func copyBits(dst, src []byte, from, m int) {
-	if m == 0 {
-		return
-	}
-	i := from >> 3
-	s := uint(from & 7)
-	nb := (m + 7) / 8
-	if s == 0 {
-		copy(dst, src[i:i+nb])
-	} else {
-		k := 0
-		for ; k+8 <= nb && i+k+9 <= len(src); k += 8 {
-			w := binary.LittleEndian.Uint64(src[i+k:]) >> s
-			w |= uint64(src[i+k+8]) << (64 - s)
-			binary.LittleEndian.PutUint64(dst[k:], w)
-		}
-		for ; k < nb; k++ {
-			v := src[i+k] >> s
-			if i+k+1 < len(src) {
-				v |= src[i+k+1] << (8 - s)
-			}
-			dst[k] = v
-		}
-	}
-	if m%8 != 0 {
-		dst[nb-1] &= byte(1<<uint(m%8)) - 1
-	}
-}
-
 // ZeroExtend grows the buffer to exactly n valid bits, padding with
 // zeros. It is the receive-side primitive for assembling a stream whose
 // total length is known up front: pre-extend, then OrRange each chunk
@@ -446,32 +397,6 @@ func (b *Buffer) Equal(other *Buffer) bool {
 
 func (b *Buffer) bit(i int) uint64 {
 	return uint64(b.data[i/8]>>uint(i%8)) & 1
-}
-
-// bufPool recycles Buffer structs and their storage between rounds.
-var bufPool = sync.Pool{New: func() interface{} { return new(Buffer) }}
-
-// Get returns an empty buffer from the package pool with capacity for
-// sizeHint bits. Pair with Release when the buffer's contents are no
-// longer needed (a message may be Released as soon as Send returns: the
-// engine has copied it).
-func Get(sizeHint int) *Buffer {
-	b := bufPool.Get().(*Buffer)
-	if cap(b.data) < (sizeHint+7)/8 {
-		b.data = make([]byte, 0, (sizeHint+7)/8)
-	}
-	return b
-}
-
-// Release resets b and returns it to the package pool. Frozen buffers
-// are never pooled (readers may still hold them). Release of nil is a
-// no-op.
-func (b *Buffer) Release() {
-	if b == nil || b.frozen {
-		return
-	}
-	b.Reset()
-	bufPool.Put(b)
 }
 
 // Reader consumes a Buffer from the front.

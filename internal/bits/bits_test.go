@@ -79,8 +79,8 @@ func TestSliceAndChunks(t *testing.T) {
 		ref[i] = uint64(rng.Intn(2))
 		b.WriteBit(ref[i])
 	}
-	s, err := b.Slice(13, 57)
-	if err != nil {
+	s := New(0)
+	if err := s.AppendRange(&b, 13, 57); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != 44 {
@@ -113,17 +113,6 @@ func TestSliceAndChunks(t *testing.T) {
 	}
 	if !recon.Equal(&b) {
 		t.Error("concat of chunks != original")
-	}
-}
-
-func TestSliceErrors(t *testing.T) {
-	var b Buffer
-	b.WriteUint(5, 10)
-	cases := [][2]int{{-1, 3}, {0, 11}, {7, 3}}
-	for _, c := range cases {
-		if _, err := b.Slice(c[0], c[1]); err == nil {
-			t.Errorf("Slice(%d,%d) succeeded, want error", c[0], c[1])
-		}
 	}
 }
 
@@ -236,28 +225,6 @@ func TestFrozenWritePanics(t *testing.T) {
 		}
 	}()
 	v.WriteBit(0)
-}
-
-func TestPoolRoundTrip(t *testing.T) {
-	b := Get(64)
-	b.WriteUint(123, 32)
-	v := b.Freeze()
-	b.Release() // b is sealed: Release must leave it alone
-	if got, _ := NewReader(v).ReadUint(32); got != 123 {
-		t.Errorf("frozen buffer corrupted by Release: %d", got)
-	}
-	c := Get(16)
-	c.WriteUint(9, 16)
-	if got, _ := NewReader(c).ReadUint(16); got != 9 {
-		t.Errorf("pooled buffer reads %d, want 9", got)
-	}
-	if got, _ := NewReader(v).ReadUint(32); got != 123 {
-		t.Errorf("frozen buffer corrupted by pooled reuse: %d", got)
-	}
-	c.Release()
-	v.Release() // no-op on frozen buffers
-	var nilBuf *Buffer
-	nilBuf.Release() // no-op on nil
 }
 
 func TestAppendUnalignedQuick(t *testing.T) {

@@ -27,9 +27,10 @@ func (m naiveBits) readUint(pos, width int) uint64 {
 }
 
 // FuzzReaderWriter round-trips a fuzz-chosen program of WriteUint /
-// WriteBit / Append / Slice / Clone operations against the naive model:
-// after every program the buffer must read back exactly the model's bits
-// through ReadUint/ReadBit, Slice must match the model's subrange, and a
+// WriteBit / Append / AppendRange / Clone operations against the naive
+// model: after every program the buffer must read back exactly the
+// model's bits through ReadUint/ReadBit, a sub-range copied with
+// AppendRange into a fresh buffer must match the model's subrange, and a
 // Clone taken mid-program must still hold the bits from its snapshot
 // point after the original keeps writing.
 func FuzzReaderWriter(f *testing.F) {
@@ -94,13 +95,13 @@ func FuzzReaderWriter(f *testing.F) {
 			t.Fatalf("read past end: %v, want ErrShortBuffer", err)
 		}
 
-		// Slice against the model's subrange.
+		// A sub-range copy against the model's subrange.
 		if n := len(model); n > 0 {
 			from := int(snapAt) % n
 			to := from + (n-from)/2
-			sl, err := buf.Slice(from, to)
-			if err != nil {
-				t.Fatalf("Slice(%d,%d): %v", from, to, err)
+			sl := New(0)
+			if err := sl.AppendRange(buf, from, to); err != nil {
+				t.Fatalf("AppendRange(%d,%d): %v", from, to, err)
 			}
 			sr := NewReader(sl)
 			for pos := from; pos < to; pos++ {
@@ -109,10 +110,9 @@ func FuzzReaderWriter(f *testing.F) {
 					t.Fatal(err)
 				}
 				if (got != 0) != model[pos] {
-					t.Fatalf("slice bit %d = %d, model %v", pos, got, model[pos])
+					t.Fatalf("sub-range bit %d = %d, model %v", pos, got, model[pos])
 				}
 			}
-			sl.Release()
 		}
 
 		// The mid-program snapshot must be unchanged by later writes.

@@ -22,11 +22,14 @@ type simState struct {
 	contrib []uint64 // scratch bitset over players (ascending iteration = sorted)
 	part    []bool   // scratch partial-input slice, cap >= max fan-in
 	parts   []uint64 // scratch partial-digest slice
-	perDst  []*xbits.Buffer
-	expect  []int // scratch expected-bits-per-source, len n
+	staged  []xbits.Buffer
+	perDst  []*xbits.Buffer // perDst[q] = &staged[q]: the stage's bits for player q
+	expect  []int           // scratch expected-bits-per-source, len n
 
 	// Routing scratch reused across stages (stage-scoped lifetimes).
 	msgs    []routing.Msg
+	chunks  []xbits.Buffer // routeBitStrings' chunk payloads, chunkW bits each
+	chunkW  int
 	whole   []xbits.Buffer // routeBitStrings' reassembled stream per source
 	gotBits []int
 	readers []*xbits.Reader // routeBitStrings results, pointing into rds
@@ -39,13 +42,14 @@ type simState struct {
 func newSimState(plan *Plan) *simState {
 	g := plan.Circ.NumGates()
 	words := (g + 63) / 64
-	return &simState{
+	st := &simState{
 		val:     make([]uint64, words),
 		known:   make([]uint64, words),
 		sent:    make([]uint64, (plan.numHeavy*plan.N+63)/64),
 		recvd:   make([]uint64, (plan.numHeavy+63)/64),
 		contrib: make([]uint64, (plan.N+63)/64),
 		part:    make([]bool, 0, plan.Circ.Plan().MaxFanIn()),
+		staged:  xbits.NewRow(plan.N, 64),
 		perDst:  make([]*xbits.Buffer, plan.N),
 		expect:  make([]int, plan.N),
 		whole:   make([]xbits.Buffer, plan.N),
@@ -55,13 +59,19 @@ func newSimState(plan *Plan) *simState {
 		rds:     make([]xbits.Reader, plan.N),
 		dirRds:  make([]xbits.Reader, plan.N),
 	}
+	for q := range st.perDst {
+		st.perDst[q] = &st.staged[q]
+	}
+	return st
 }
 
-// resetExpect zeroes the expected-bits scratch.
-func (st *simState) resetExpect() {
-	for i := range st.expect {
-		st.expect[i] = 0
+// newStage empties the per-destination buffers and the expected-bits
+// scratch for the next stage's messages.
+func (st *simState) newStage() {
+	for q := range st.staged {
+		st.staged[q].Reset()
 	}
+	clear(st.expect)
 }
 
 func bsGet(bs []uint64, i int32) bool { return xbits.BitsetGet(bs, int(i)) }
@@ -72,25 +82,6 @@ func (st *simState) setVal(g int32, v bool) {
 	bsSet(st.known, g)
 	if v {
 		bsSet(st.val, g)
-	}
-}
-
-// getBuf returns the pooled staging buffer for destination q.
-func (st *simState) getBuf(q int) *xbits.Buffer {
-	if st.perDst[q] == nil {
-		st.perDst[q] = xbits.Get(64)
-	}
-	return st.perDst[q]
-}
-
-// releaseBufs returns all staged per-destination buffers to the pool (the
-// frozen delivery views keep any in-flight bits alive).
-func (st *simState) releaseBufs() {
-	for q, b := range st.perDst {
-		if b != nil {
-			b.Release()
-			st.perDst[q] = nil
-		}
 	}
 }
 
@@ -151,7 +142,7 @@ func Simulate(p *core.Proc, plan *Plan, rt *routing.Router, myInputs []bool) (ma
 // input gates (the balanced-input remark of Theorem 2).
 func distributeInputs(p *core.Proc, plan *Plan, rt *routing.Router, myInputs []bool, st *simState) error {
 	c, me := plan.Circ, p.ID()
-	st.resetExpect()
+	st.newStage()
 	k := 0
 	for i := 0; i < c.NumInputs(); i++ {
 		gate := int32(c.InputGate(i))
@@ -166,7 +157,7 @@ func distributeInputs(p *core.Proc, plan *Plan, rt *routing.Router, myInputs []b
 			if owner == me {
 				st.setVal(gate, v)
 			} else {
-				st.getBuf(owner).WriteBool(v)
+				st.perDst[owner].WriteBool(v)
 			}
 		} else if owner == me {
 			st.expect[holder]++
@@ -176,11 +167,9 @@ func distributeInputs(p *core.Proc, plan *Plan, rt *routing.Router, myInputs []b
 		return fmt.Errorf("%w: player %d given %d inputs, owns %d", ErrBadInput, me, len(myInputs), k)
 	}
 	if plan.maxInput == 0 {
-		st.releaseBufs()
 		return nil // all inputs are already local at their owners
 	}
-	readers, err := routeBitStrings(p, rt, st, st.perDst, st.expect, plan.S, plan.maxInput)
-	st.releaseBufs()
+	readers, err := routeBitStrings(p, rt, st, plan.S, plan.maxInput)
 	if err != nil {
 		return err
 	}
@@ -210,6 +199,7 @@ func distributeInputs(p *core.Proc, plan *Plan, rt *routing.Router, myInputs []b
 // the wire carries no identifiers.
 func stageDirect(p *core.Proc, plan *Plan, r int, st *simState) error {
 	c, n, me := plan.Circ, plan.N, p.ID()
+	st.newStage()
 
 	// (a) sender side: partial digests for heavy gates of this layer.
 	for _, id := range plan.layers[r] {
@@ -233,7 +223,7 @@ func stageDirect(p *core.Proc, plan *Plan, r int, st *simState) error {
 		if err != nil {
 			return err
 		}
-		st.getBuf(q).WriteUint(digest, c.SeparabilityWidth(int(id)))
+		st.perDst[q].WriteUint(digest, c.SeparabilityWidth(int(id)))
 	}
 	// (b) sender side: heavy values consumed by light gates, deduplicated
 	// per destination.
@@ -254,7 +244,7 @@ func stageDirect(p *core.Proc, plan *Plan, r int, st *simState) error {
 				continue
 			}
 			bsSet(st.sent, key)
-			st.getBuf(q).WriteBool(bsGet(st.val, w))
+			st.perDst[q].WriteBool(bsGet(st.val, w))
 		}
 	}
 
@@ -265,7 +255,6 @@ func stageDirect(p *core.Proc, plan *Plan, r int, st *simState) error {
 	if plan.maxDir[r] > 0 {
 		rounds := core.ChunkRounds(plan.maxDir[r], p.Bandwidth())
 		got, err := core.ExchangeUnicast(p, st.perDst, rounds)
-		st.releaseBufs()
 		if err != nil {
 			return err
 		}
@@ -275,8 +264,6 @@ func stageDirect(p *core.Proc, plan *Plan, r int, st *simState) error {
 				readers[src] = &st.dirRds[src]
 			}
 		}
-	} else {
-		st.releaseBufs()
 	}
 
 	// (a) receiver side: combine partials for my heavy gates.
@@ -361,7 +348,7 @@ func stageLight(p *core.Proc, plan *Plan, rt *routing.Router, r int, st *simStat
 	c, me := plan.Circ, p.ID()
 
 	if plan.hasLight[r] {
-		st.resetExpect()
+		st.newStage()
 		for _, id := range plan.layers[r] {
 			if plan.Heavy[id] {
 				continue
@@ -374,14 +361,13 @@ func stageLight(p *core.Proc, plan *Plan, rt *routing.Router, r int, st *simStat
 				src := int(plan.Assign[w])
 				switch {
 				case src == me && q != me:
-					st.getBuf(q).WriteBool(bsGet(st.val, w))
+					st.perDst[q].WriteBool(bsGet(st.val, w))
 				case q == me && src != me:
 					st.expect[src]++
 				}
 			}
 		}
-		readers, err := routeBitStrings(p, rt, st, st.perDst, st.expect, plan.S, plan.maxLight[r])
-		st.releaseBufs()
+		readers, err := routeBitStrings(p, rt, st, plan.S, plan.maxLight[r])
 		if err != nil {
 			return err
 		}
@@ -427,45 +413,40 @@ func stageLight(p *core.Proc, plan *Plan, rt *routing.Router, r int, st *simStat
 
 // routeBitStrings ships one logical bit string per destination through the
 // balanced router, cutting each into unit-bit chunks tagged with a chunk
-// index. perDst[d] (nil = nothing) is the string for player d; expect[s]
-// gives the number of bits this player must receive from source s; maxPair
-// is the globally agreed maximum string length, which fixes the chunk-index
-// width. It returns one reader per source (nil where nothing was due),
-// over a stream buffer of st's that the next call reuses. The chunk
-// payloads are pooled: they are released once routed (the router copies
-// payload bits into its relay frames).
-func routeBitStrings(p *core.Proc, rt *routing.Router, st *simState, perDst []*xbits.Buffer,
-	expect []int, unit, maxPair int) ([]*xbits.Reader, error) {
+// index. st.perDst[d] (empty = nothing) is the string for player d;
+// st.expect[s] gives the number of bits this player must receive from
+// source s; maxPair is the globally agreed maximum string length, which
+// fixes the chunk-index width. It returns one reader per source (nil
+// where nothing was due), over a stream buffer of st's that the next call
+// reuses. The chunk payloads are cut into st.chunks, which the next call
+// reuses too: the router copies them into its relay frames.
+func routeBitStrings(p *core.Proc, rt *routing.Router, st *simState, unit, maxPair int) ([]*xbits.Reader, error) {
 	idxW := chunkIdxWidth(maxPair, unit)
+	count := 0
+	for _, buf := range st.perDst {
+		count += (buf.Len() + unit - 1) / unit
+	}
+	if count > len(st.chunks) || idxW+unit > st.chunkW {
+		st.chunks, st.chunkW = xbits.NewRow(count, idxW+unit), idxW+unit
+	}
 	msgs := st.msgs[:0]
-	for d, buf := range perDst {
-		// The release discipline below assumes no self-addressed streams
-		// (Route hands those back with the ORIGINAL payload, which would
-		// then be double-released); the protocol never needs one.
-		if d == p.ID() && buf.Len() > 0 {
-			return nil, fmt.Errorf("circsim: self-addressed stream staged by %d", d)
-		}
+	for d, buf := range st.perDst {
 		for i, off := 0, 0; off < buf.Len(); i, off = i+1, off+unit {
-			end := off + unit
-			if end > buf.Len() {
-				end = buf.Len()
-			}
-			payload := xbits.Get(idxW + (end - off))
+			payload := &st.chunks[len(msgs)]
+			payload.Reset()
 			payload.WriteUint(uint64(i), idxW)
-			if err := payload.AppendRange(buf, off, end); err != nil {
+			if err := payload.AppendRange(buf, off, min(off+unit, buf.Len())); err != nil {
 				return nil, err
 			}
 			msgs = append(msgs, routing.Msg{Src: p.ID(), Dst: d, Payload: payload})
 		}
 	}
 	recv, err := rt.Route(p, msgs, idxW+unit)
-	for _, m := range msgs {
-		m.Payload.Release()
-	}
 	st.msgs = msgs[:0]
 	if err != nil {
 		return nil, err
 	}
+	expect := st.expect
 	// Reassemble in place: the stream length per source is agreed up
 	// front (expect), so each chunk is OR-ed straight into its slot at
 	// idx*unit — no per-chunk buffers, no sort. A per-(source, index)
@@ -513,7 +494,6 @@ func routeBitStrings(p *core.Proc, rt *routing.Router, st *simState, perDst []*x
 			return nil, err
 		}
 		gotBits[m.Src] += body
-		m.Payload.Release()
 	}
 	for src, r := range out {
 		if r != nil && gotBits[src] != expect[src] {

@@ -33,10 +33,10 @@ func ChunkRounds(maxBits, b int) int {
 //
 // The result follows the rule of every received buffer (see Proc): the
 // slice and each buffer in it belong to the Proc, are read-only (writing
-// one panics; Release of one does nothing) and are valid until the
-// node's next round, when the next exchange or their senders may reuse
-// them. Read or copy out what must last before then, and copy an entry
-// before passing it to another exchange as a payload.
+// one panics) and are valid until the node's next round, when the next
+// exchange or their senders may reuse them. Read or copy out what must
+// last before then, and copy an entry before passing it to another
+// exchange as a payload.
 func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buffer, error) {
 	if err := checkPayloads(p, rounds, payload); err != nil {
 		return nil, err
@@ -70,9 +70,9 @@ func ExchangeBroadcasts(p *Proc, payload *bits.Buffer, rounds int) ([]*bits.Buff
 // received, indexed by source (nil = nothing arrived). Every node must
 // call it simultaneously with the same round count, and each payload must
 // fit in rounds*b bits. Each chunk is cut into one reused scratch buffer
-// and copied by Send, so the caller may reuse or Release its payloads
-// afterwards. The engine drives the rounds (Proc.Rounds), and each
-// sending source is reassembled into a buffer of the Proc's.
+// and copied by Send, so the caller may reuse its payloads afterwards.
+// The engine drives the rounds (Proc.Rounds), and each sending source is
+// reassembled into a buffer of the Proc's.
 //
 // The result follows the same rule as ExchangeBroadcasts': read-only and
 // valid until the node's next round.

@@ -446,36 +446,11 @@ func interleaveBody(clean bool) func(p *Proc) error {
 }
 
 // checkResult checks what the rule promises of an exchange result in the
-// round it is returned: writing any entry panics, and Release of any
-// entry does nothing, leaving its bits intact and putting nothing into
-// the bits pool (no later Get hands it out).
+// round it is returned: writing any entry panics.
 func checkResult(got []*bits.Buffer) error {
-	entries := map[*bits.Buffer]bool{}
 	for src, b := range got {
-		if b == nil {
-			continue
-		}
-		entries[b] = true
-		if !writePanics(b) {
+		if b != nil && !writePanics(b) {
 			return fmt.Errorf("entry from %d took a write", src)
-		}
-		was := b.Clone()
-		b.Release()
-		if !b.Equal(was) {
-			return fmt.Errorf("Release changed the entry from %d", src)
-		}
-	}
-	drawn := make([]*bits.Buffer, 0, len(entries)+1)
-	defer func() {
-		for _, b := range drawn {
-			b.Release()
-		}
-	}()
-	for range len(entries) + 1 {
-		b := bits.Get(0)
-		drawn = append(drawn, b)
-		if entries[b] {
-			return fmt.Errorf("Release put an entry into the bits pool")
 		}
 	}
 	return nil
@@ -492,11 +467,11 @@ func writePanics(b *bits.Buffer) (panicked bool) {
 // that interleaves ExchangeBroadcasts, ExchangeUnicast and Next gets,
 // from each exchange, a result whose entries are exactly what their
 // sources sent (on a clean channel), read the same until the node's
-// next round, panic on a write and stay out of the bits pool on
-// Release; and its outputs, Stats and Faults at Parallelism 4 equal
-// those at 1, on a clean channel and under a plan that drops, corrupts,
-// delays and crashes. Pool workers drive the exchange state through
-// Proc.Rounds, so CI repeats this test under the race detector.
+// next round and panic on a write; and its outputs, Stats and Faults at
+// Parallelism 4 equal those at 1, on a clean channel and under a plan
+// that drops, corrupts, delays and crashes. Pool workers drive the
+// exchange state through Proc.Rounds, so CI repeats this test under the
+// race detector.
 func TestExchangeInterleave(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		run := func(par int) *Result {
@@ -611,8 +586,8 @@ func unicastCall(nbits int) func(p *Proc) func() error {
 // under a fault plan cost 64 objects per extra round on that shape). A
 // body that spends its rounds inside Rounds allocates nothing per extra
 // round. Matches the CI alloc-regression pattern (-run AllocRegression).
-// No case recycles through the bits pool, so the gate holds under the
-// race detector too.
+// No case draws from a sync.Pool, so the gate holds under the race
+// detector too.
 func TestAllocRegressionExchange(t *testing.T) {
 	small, large := exchangeAllocs(t, 8, Broadcast, broadcastCall(16)), exchangeAllocs(t, 32, Broadcast, broadcastCall(16))
 	t.Logf("single-round ExchangeBroadcasts: %.2f objects per call per node at n=8, %.2f at n=32", small, large)
@@ -668,16 +643,12 @@ func TestAllocRegressionExchange(t *testing.T) {
 	}
 }
 
-// pooledAllocsPerRun is testing.AllocsPerRun for a run whose received
-// buffers cycle through the bits pool, isolated from the pool's history:
-// two collections first empty the pool of the buffers earlier tests left
-// in it, and the collector stays off while it measures. A collection
-// inside the measurement moves the pool to its victim cache, from which
-// Get hands out the oldest buffers first (here the 32-byte ones the
-// 256-bit cases above released, which bits.Get then regrows to 40
-// bytes: 31 objects), and makes the pool rebuild its per-P lists (16
-// more); either alone exceeds the faulted case's 0.05 per-extra-round
-// bound.
+// pooledAllocsPerRun is testing.AllocsPerRun isolated from the
+// collector: two collections first settle what earlier tests left, and
+// the collector stays off while it measures, so no collection lands
+// inside the measurement. Sketch's stack slabs and circuit's evaluation
+// storage are the module's only sync.Pools, and no core run draws from
+// either.
 func pooledAllocsPerRun(runs int, f func()) float64 {
 	runtime.GC()
 	runtime.GC()

@@ -29,14 +29,8 @@ func routeChunkedOnce(tb testing.TB, n, bandwidth, payloadBits int) {
 			}
 			out = append(out, Msg{Src: p.ID(), Dst: j, Payload: b})
 		}
-		got, err := rt.Route(p, out, payloadBits)
-		if err != nil {
-			return err
-		}
-		for _, m := range got {
-			m.Payload.Release()
-		}
-		return nil
+		_, err := rt.Route(p, out, payloadBits)
+		return err
 	}); err != nil {
 		tb.Fatalf("route: %v", err)
 	}

@@ -62,12 +62,18 @@ func TestFrameRejectsMutations(t *testing.T) {
 	var got bits.Buffer
 
 	// Truncated below the header.
-	stub, _ := frame.Slice(0, 20)
+	stub := bits.New(20)
+	if err := stub.AppendRange(frame, 0, 20); err != nil {
+		t.Fatal(err)
+	}
 	if err := DecodeFrame(&got, stub); !errors.Is(err, ErrCorruptFrame) {
 		t.Errorf("header-short frame: err = %v", err)
 	}
 	// Truncated mid-payload.
-	short, _ := frame.Slice(0, frame.Len()-5)
+	short := bits.New(frame.Len())
+	if err := short.AppendRange(frame, 0, frame.Len()-5); err != nil {
+		t.Fatal(err)
+	}
 	if err := DecodeFrame(&got, short); !errors.Is(err, ErrCorruptFrame) {
 		t.Errorf("truncated frame: err = %v", err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // FuzzChunkReassembly drives the offset-addressed reassembly primitive
 // the routed exchanges are built on (bits.ZeroExtend + OrRange over
-// pooled chunks, as used by circsim's routed streams and ExchangeUnicast's
+// cut chunks, as used by circsim's routed streams and ExchangeUnicast's
 // chunk loop) against the direct copy: a fuzz-chosen payload is cut into
 // bandwidth-sized chunks, the chunks are delivered in a fuzz-chosen
 // (possibly out-of-order, offset-tagged) order, and the reassembled
@@ -32,7 +32,7 @@ func FuzzChunkReassembly(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		// Cut: one pooled chunk per bandwidth window, like the senders do.
+		// Cut: one chunk per bandwidth window, like the senders do.
 		type tagged struct {
 			off   int
 			chunk *bits.Buffer
@@ -43,7 +43,7 @@ func FuzzChunkReassembly(f *testing.F) {
 			if end > src.Len() {
 				end = src.Len()
 			}
-			c := bits.Get(end - off)
+			c := bits.New(end - off)
 			if err := c.AppendRange(src, off, end); err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func FuzzChunkReassembly(f *testing.F) {
 			r := int(rot) % n
 			rotated := append(append([]tagged(nil), chunks[r:]...), chunks[:r]...)
 
-			dst := bits.Get(src.Len())
+			dst := bits.New(src.Len())
 			dst.ZeroExtend(src.Len())
 			for _, tc := range rotated {
 				if err := dst.OrRange(tc.chunk, 0, tc.chunk.Len(), tc.off); err != nil {
@@ -65,20 +65,15 @@ func FuzzChunkReassembly(f *testing.F) {
 			if !dst.Equal(src) {
 				t.Fatalf("offset-addressed reassembly differs:\n src %s\n got %s", src, dst)
 			}
-			dst.Release()
 		}
 
 		// In-order Append reassembly (the ExchangeUnicast receive loop).
-		acc := bits.Get(src.Len())
+		acc := bits.New(src.Len())
 		for _, tc := range chunks {
 			acc.Append(tc.chunk)
 		}
 		if !acc.Equal(src) {
 			t.Fatalf("append reassembly differs:\n src %s\n got %s", src, acc)
-		}
-		acc.Release()
-		for _, tc := range chunks {
-			tc.chunk.Release()
 		}
 	})
 }

@@ -25,7 +25,9 @@
 // Both routers validate a submission with Router.check and move every
 // relay sub-round through hop: a frame is a w-bit header (the
 // destination on the first hop, the source on the second) followed by
-// the payload, with w = UintWidth(n-1).
+// the payload, with w = UintWidth(n-1). Each node's frames and the
+// payloads it holds or receives live in its own relay state on the
+// Router, which every call of that node reuses.
 package routing
 
 import (
@@ -56,9 +58,10 @@ var (
 // single Router and must call Route (or RouteValiant) in the same round
 // with the same maxPayloadBits.
 type Router struct {
-	n  int
-	mu sync.Mutex // guards ep and the open epoch's msgs and submitted
-	ep *epoch
+	n     int
+	mu    sync.Mutex // guards ep and the open epoch's msgs and submitted
+	ep    *epoch
+	nodes []relay // nodes[i] is node i's relay state
 }
 
 type epoch struct {
@@ -73,7 +76,7 @@ type epoch struct {
 
 // NewRouter returns a Router for an n-player clique.
 func NewRouter(n int) *Router {
-	return &Router{n: n}
+	return &Router{n: n, nodes: make([]relay, n)}
 }
 
 // check validates a node's submission: the model, and each message's
@@ -115,30 +118,58 @@ func (rt *Router) submit(p *core.Proc, out []Msg, maxPayloadBits int) (*epoch, e
 	return e, nil
 }
 
-// relayFrame builds the relay frame of payload: the w-bit header hdr,
-// then the payload bits. It is drawn from the bits pool; hop releases it.
-func relayFrame(hdr int, payload *bits.Buffer, w int) *bits.Buffer {
-	buf := bits.Get(w + payload.Len())
-	buf.WriteUint(uint64(hdr), w)
-	buf.Append(payload)
-	return buf
+// relay is one node's state across its Route and RouteValiant calls:
+// the relay frames it sends, the payloads it holds as an intermediate,
+// the payloads it receives and its per-call lists. Only the node's body
+// and its Rounds callbacks touch it, so it needs no lock. Each call
+// reuses it from the start, which is why a result is valid only until
+// the node's next call.
+type relay struct {
+	frames    []*bits.Buffer // frames[d]: the sub-round's frame to d; empty = nothing
+	frameBits int            // the frames' carved size in bits
+	inter     row            // payloads held as an intermediate
+	recvd     row            // payloads received
+	myByClass []*Msg         // Route: this node's messages by class
+	held      []Msg          // Route: the messages held as an intermediate, by sub-round
+	ends      []int          // Route: ends[s] is where sub-round s's held messages end
 }
 
-// hop is one relay sub-round of either router: it sends frames[d] (nil =
-// nothing) to each d with one chunked core.ExchangeUnicast of `chunk`
-// rounds, releases and clears the frames, and hands each arrival's
-// source, w-bit header and payload (copied out of the exchange's result
-// into a bits pool buffer) to got, in ascending source order. A frame
-// whose header is truncated or reads >= n — possible only under fault
-// injection, never on a clean channel — is dropped as lost in transit
-// instead of failing the epoch: absence is what the protocol layer's
-// frame validation detects.
-func hop(p *core.Proc, frames []*bits.Buffer, w, chunk int, got func(src, hdr int, payload *bits.Buffer)) error {
-	in, err := core.ExchangeUnicast(p, frames, chunk)
-	for _, f := range frames {
-		f.Release()
+// ready sizes the node's n relay frames for frames of up to frameBits
+// bits, carving them from one slab; it regrows them only when a call
+// needs more room than the last.
+func (st *relay) ready(n, frameBits int) {
+	if len(st.frames) == n && frameBits <= st.frameBits {
+		return
 	}
-	clear(frames)
+	slab := bits.NewRow(n, frameBits)
+	st.frames = make([]*bits.Buffer, n)
+	for d := range slab {
+		st.frames[d] = &slab[d]
+	}
+	st.frameBits = frameBits
+}
+
+// stage writes the relay frame of payload to d: the w-bit header hdr,
+// then the payload bits.
+func (st *relay) stage(d, hdr int, payload *bits.Buffer, w int) {
+	st.frames[d].WriteUint(uint64(hdr), w)
+	st.frames[d].Append(payload)
+}
+
+// hop is one relay sub-round of either router: it sends the staged
+// frames (an empty frame sends nothing) with one chunked
+// core.ExchangeUnicast of `chunk` rounds, empties them, and hands each
+// arrival's source, w-bit header and payload to got, in ascending source
+// order. The payload is copied out of the exchange's result into the
+// next buffer of `into` and sealed. A frame whose header is truncated or
+// reads >= n — possible only under fault injection, never on a clean
+// channel — is dropped as lost in transit instead of failing the epoch:
+// absence is what the protocol layer's frame validation detects.
+func (st *relay) hop(p *core.Proc, into *row, w, chunk int, got func(src, hdr int, payload *bits.Buffer)) error {
+	in, err := core.ExchangeUnicast(p, st.frames, chunk)
+	for _, f := range st.frames {
+		f.Reset()
+	}
 	if err != nil {
 		return err
 	}
@@ -152,13 +183,43 @@ func hop(p *core.Proc, frames []*bits.Buffer, w, chunk int, got func(src, hdr in
 		if err != nil || hdr >= uint64(p.N()) {
 			continue
 		}
-		payload, err := buf.Slice(w, buf.Len())
-		if err != nil {
+		payload := into.next(buf.Len() - w)
+		if err := payload.AppendRange(buf, w, buf.Len()); err != nil {
 			return err
 		}
-		got(src, int(hdr), payload)
+		got(src, int(hdr), payload.Freeze())
 	}
 	return nil
+}
+
+// row is a run of payload buffers carved from one slab (bits.NewRow),
+// handed out in order by next and reused from the first by the node's
+// next call.
+type row struct {
+	bufs []bits.Buffer
+	size int // the carved size of each buffer in bits
+	used int
+}
+
+// reset readies r for a call that expects count payloads of up to
+// payloadBits bits, regrowing the slab only when it is too small.
+func (r *row) reset(count, payloadBits int) {
+	if count > len(r.bufs) || payloadBits > r.size {
+		r.bufs, r.size = bits.NewRow(count, payloadBits), payloadBits
+	}
+	r.used = 0
+}
+
+// next returns the row's next buffer, emptied and writable, with room
+// for sizeHint bits. Past the expected count (possible only under fault
+// injection) the row grows by one buffer; the buffers already handed out
+// stay where they are.
+func (r *row) next(sizeHint int) *bits.Buffer {
+	if r.used == len(r.bufs) {
+		r.bufs = append(r.bufs, bits.Buffer{})
+	}
+	r.used++
+	return r.bufs[r.used-1].Reopen(sizeHint)
 }
 
 // Route delivers all messages submitted this epoch and returns the ones
@@ -167,10 +228,13 @@ func hop(p *core.Proc, frames []*bits.Buffer, w, chunk int, got func(src, hdr in
 // (possibly none) and the globally agreed maximum payload size in bits.
 //
 // Buffer ownership: submitted payloads are copied into relay frames, so
-// the caller may Release them once Route returns — except self-addressed
-// messages (Src == Dst), whose original payload is handed back in the
-// result. Received payloads are drawn from the bits pool; callers on hot
-// paths may Release them after consuming the bits.
+// the caller may reuse them once Route returns, except self-addressed
+// messages (Src == Dst), whose own buffer is handed back in the result.
+// Every other returned payload belongs to the node's relay state: it is
+// sealed (a write panics) and valid until the node's next Route or
+// RouteValiant call on this Router, which reuses it. Read or copy out
+// what must last before then, and copy a payload before submitting it
+// to another call. No caller releases anything.
 //
 // Round cost: 2 * ceil(C/n) * ceil((log2(n)+maxPayloadBits)/b) rounds,
 // where C <= 2Δ-1 and Δ is the maximum number of messages any single node
@@ -190,73 +254,82 @@ func (rt *Router) Route(p *core.Proc, out []Msg, maxPayloadBits int) ([]Msg, err
 	p.Next()
 	e.scheduleOnce.Do(e.computeSchedule)
 
-	n := rt.n
+	n, me := rt.n, p.ID()
 	w := bits.UintWidth(uint64(n - 1))
 	subRounds := (e.classes + n - 1) / n
 	chunk := core.ChunkRounds(w+maxPayloadBits, p.Bandwidth())
 
-	// Per-call slices come from a pool: their lifetimes end when Route
-	// returns, and Route runs once per player per routing epoch.
-	//
 	// myByClass indexes this node's messages by class (the coloring gives
-	// each of them a distinct class); held is sized to subRounds*n so the
-	// phase-2 read of class s*n+id is always in range even when that
-	// class is empty.
-	sc := scratchPool.Get().(*routeScratch)
-	defer scratchPool.Put(sc)
-	sc.myByClass = resized(sc.myByClass, e.classes)
-	sc.frames = resized(sc.frames, n)
-	myByClass, frames := sc.myByClass, sc.frames
-	held := sc.heldSlots(subRounds * n) // class -> messages held as intermediate
-	var local []Msg                     // self-addressed messages skip the network
-	inDeg := 0
+	// each of them a distinct class). The schedule also fixes how many
+	// messages this node holds as the intermediate of class s*n+me (in
+	// phase 1) and how many reach it as their destination (in phase 2),
+	// which sizes the lists and rows they go to.
+	st := &rt.nodes[me]
+	st.myByClass = resized(st.myByClass, e.classes)
+	var local []Msg // self-addressed messages skip the network
+	inDeg, relayed, delivered := 0, 0, 0
 	for i, m := range e.msgs {
-		if m.Dst == p.ID() {
+		if m.Dst == me {
 			inDeg++
 		}
-		if m.Src != p.ID() {
+		c := e.color[i]
+		if c < 0 {
+			if m.Src == me {
+				local = append(local, m)
+			}
 			continue
 		}
-		if m.Dst == m.Src {
-			local = append(local, m)
-			continue
+		if m.Src == me {
+			st.myByClass[c] = &e.msgs[i]
 		}
-		myByClass[e.color[i]] = &e.msgs[i]
+		if c%n == me {
+			relayed++
+		} else if m.Dst == me {
+			delivered++
+		}
 	}
+	st.ready(n, w+maxPayloadBits)
+	st.inter.reset(relayed, maxPayloadBits)
+	st.recvd.reset(delivered, maxPayloadBits)
+	if cap(st.held) < relayed {
+		st.held = make([]Msg, 0, relayed)
+	}
+	held, ends := st.held[:0], resized(st.ends, subRounds)
 
 	// Phase 1: source -> intermediate (class c travels via node c mod n).
-	if p.ID() == 0 {
+	if me == 0 {
 		p.Annotate("route:spread")
 	}
 	for s := 0; s < subRounds; s++ {
 		for c := s * n; c < (s+1)*n && c < e.classes; c++ {
-			m := myByClass[c]
+			m := st.myByClass[c]
 			if m == nil {
 				continue
 			}
-			if inter := c % n; inter == p.ID() {
-				held[c] = append(held[c], heldMsg{m: *m})
+			if inter := c % n; inter == me {
+				held = append(held, *m)
 			} else {
-				frames[inter] = relayFrame(m.Dst, m.Payload, w)
+				st.stage(inter, m.Dst, m.Payload, w)
 			}
 		}
-		c := s*n + p.ID()
-		if err := hop(p, frames, w, chunk, func(src, dst int, payload *bits.Buffer) {
-			held[c] = append(held[c], heldMsg{m: Msg{Src: src, Dst: dst, Payload: payload}, owned: true})
+		if err := st.hop(p, &st.inter, w, chunk, func(src, dst int, payload *bits.Buffer) {
+			held = append(held, Msg{Src: src, Dst: dst, Payload: payload})
 		}); err != nil {
 			return nil, err
 		}
+		ends[s] = len(held)
 	}
+	st.held, st.ends = held, ends
 
 	// Phase 2: intermediate -> destination.
-	if p.ID() == 0 {
+	if me == 0 {
 		p.Annotate("route:deliver")
 	}
 	recv := make([]Msg, 0, inDeg)
-	for s := 0; s < subRounds; s++ {
-		for _, h := range held[s*n+p.ID()] {
-			m := h.m
-			if m.Dst == p.ID() {
+	from := 0
+	for _, end := range ends {
+		for _, m := range held[from:end] {
+			if m.Dst == me {
 				recv = append(recv, m)
 				continue
 			}
@@ -264,15 +337,13 @@ func (rt *Router) Route(p *core.Proc, out []Msg, maxPayloadBits int) ([]Msg, err
 			// a legitimate message's relay slot (clean-channel coloring
 			// guarantees one message per destination per class). First
 			// wins; the loser counts as lost in transit.
-			if frames[m.Dst] == nil {
-				frames[m.Dst] = relayFrame(m.Src, m.Payload, w)
-			}
-			if h.owned {
-				m.Payload.Release()
+			if st.frames[m.Dst].Len() == 0 {
+				st.stage(m.Dst, m.Src, m.Payload, w)
 			}
 		}
-		if err := hop(p, frames, w, chunk, func(_, src int, payload *bits.Buffer) {
-			recv = append(recv, Msg{Src: src, Dst: p.ID(), Payload: payload})
+		from = end
+		if err := st.hop(p, &st.recvd, w, chunk, func(_, src int, payload *bits.Buffer) {
+			recv = append(recv, Msg{Src: src, Dst: me, Payload: payload})
 		}); err != nil {
 			return nil, err
 		}
@@ -282,25 +353,6 @@ func (rt *Router) Route(p *core.Proc, out []Msg, maxPayloadBits int) ([]Msg, err
 	return recv, nil
 }
 
-// heldMsg tracks payload ownership through the relay: payloads sliced out
-// of phase-1 relay frames are pool-owned by the router and released once
-// relayed; payloads held because this node is the intermediate of its own
-// message belong to the caller and are never released.
-type heldMsg struct {
-	m     Msg
-	owned bool
-}
-
-// routeScratch holds one Route call's fixed-size slices, recycled through
-// scratchPool.
-type routeScratch struct {
-	myByClass []*Msg
-	held      [][]heldMsg
-	frames    []*bits.Buffer
-}
-
-var scratchPool = sync.Pool{New: func() interface{} { return new(routeScratch) }}
-
 // resized returns s resized to n entries, all zero, reusing its capacity.
 func resized[T any](s []T, n int) []T {
 	if cap(s) < n {
@@ -309,19 +361,6 @@ func resized[T any](s []T, n int) []T {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// heldSlots resizes the held lists to n, emptying each list but keeping
-// its capacity.
-func (sc *routeScratch) heldSlots(n int) [][]heldMsg {
-	if cap(sc.held) < n {
-		sc.held = make([][]heldMsg, n)
-	}
-	sc.held = sc.held[:n]
-	for i := range sc.held {
-		sc.held[i] = sc.held[i][:0]
-	}
-	return sc.held
 }
 
 // computeSchedule greedily edge-colors the demand multigraph. It first

@@ -409,3 +409,76 @@ func TestRouteConstantRoundsAcrossN(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteResultContract pins the result rule both routers share: every
+// received payload equals what its source submitted, is sealed (a write
+// panics) and reads the same after an intervening exchange, until the
+// node's next call; a self-addressed message returns the submitted
+// buffer itself. Two epochs per router make the second call reuse the
+// node's relay state, at Parallelism 1 and 4: pool workers run the
+// exchanges' Rounds callbacks over that state, so CI repeats this test
+// under the race detector.
+func TestRouteResultContract(t *testing.T) {
+	const n, width = 6, 12
+	for _, valiant := range []bool{false, true} {
+		for _, par := range []int{1, 4} {
+			rt := NewRouter(n)
+			cfg := core.Config{N: n, Bandwidth: 16, Model: core.Unicast, Seed: 9, Parallelism: par}
+			_, err := core.RunProcs(cfg, func(p *core.Proc) error {
+				me := p.ID()
+				route := rt.Route
+				if valiant {
+					route = rt.RouteValiant
+				}
+				for epoch := 0; epoch < 2; epoch++ {
+					out := make([]Msg, n)
+					for d := range out {
+						out[d] = Msg{Src: me, Dst: d, Payload: payloadFor(me, d, epoch, width)}
+					}
+					got, err := route(p, out, 3*width)
+					if err != nil {
+						return err
+					}
+					if len(got) != n {
+						return fmt.Errorf("node %d epoch %d: %d messages, want %d", me, epoch, len(got), n)
+					}
+					for _, m := range got {
+						if !m.Payload.Equal(payloadFor(m.Src, me, epoch, width)) {
+							return fmt.Errorf("node %d epoch %d: payload from %d differs from the submitted one", me, epoch, m.Src)
+						}
+						if m.Src == me {
+							if m.Payload != out[me].Payload {
+								return fmt.Errorf("node %d epoch %d: self-addressed payload is not the submitted buffer", me, epoch)
+							}
+						} else if !writePanics(m.Payload) {
+							return fmt.Errorf("node %d epoch %d: payload from %d took a write", me, epoch, m.Src)
+						}
+					}
+					// A three-round exchange reuses the buffers hop copied
+					// the payloads out of; the results must not move.
+					var own bits.Buffer
+					own.WriteUint(uint64(me), 40)
+					if _, err := core.ExchangeBroadcasts(p, &own, 3); err != nil {
+						return err
+					}
+					for _, m := range got {
+						if !m.Payload.Equal(payloadFor(m.Src, me, epoch, width)) {
+							return fmt.Errorf("node %d epoch %d: payload from %d changed across an exchange", me, epoch, m.Src)
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("valiant=%v p=%d: %v", valiant, par, err)
+			}
+		}
+	}
+}
+
+// writePanics reports whether appending a bit to b panics.
+func writePanics(b *bits.Buffer) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	b.WriteBit(1)
+	return false
+}

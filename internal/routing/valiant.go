@@ -17,7 +17,8 @@ const loadWidth = 32
 // total round count is O(1) for bandwidth b = Ω(log n + payload).
 //
 // Unlike Route, no out-of-band schedule exists: every bit of coordination
-// crosses the simulated network.
+// crosses the simulated network. Buffer ownership is Route's: the
+// returned payloads live in the node's relay state until its next call.
 func (rt *Router) RouteValiant(p *core.Proc, out []Msg, maxPayloadBits int) ([]Msg, error) {
 	if err := rt.check(p, out, maxPayloadBits); err != nil {
 		return nil, err
@@ -48,17 +49,20 @@ func (rt *Router) RouteValiant(p *core.Proc, out []Msg, maxPayloadBits int) ([]M
 		return nil, err
 	}
 
-	// Phase 1: source -> random intermediate.
+	// Phase 1: source -> random intermediate. At most one payload per
+	// source arrives in each sub-round, which sizes the node's rows.
+	st := &rt.nodes[p.ID()]
+	st.ready(n, w+maxPayloadBits)
+	st.inter.reset(sub1*(n-1), maxPayloadBits)
 	held := queues[p.ID()] // self-intermediated messages stay local
 	queues[p.ID()] = nil
-	frames := make([]*bits.Buffer, n)
 	for s := 0; s < sub1; s++ {
 		for i, q := range queues {
 			if s < len(q) {
-				frames[i] = relayFrame(q[s].Dst, q[s].Payload, w)
+				st.stage(i, q[s].Dst, q[s].Payload, w)
 			}
 		}
-		if err := hop(p, frames, w, chunk, func(src, dst int, payload *bits.Buffer) {
+		if err := st.hop(p, &st.inter, w, chunk, func(src, dst int, payload *bits.Buffer) {
 			held = append(held, Msg{Src: src, Dst: dst, Payload: payload})
 		}); err != nil {
 			return nil, err
@@ -83,13 +87,14 @@ func (rt *Router) RouteValiant(p *core.Proc, out []Msg, maxPayloadBits int) ([]M
 	if err != nil {
 		return nil, err
 	}
+	st.recvd.reset(sub2*(n-1), maxPayloadBits)
 	for s := 0; s < sub2; s++ {
 		for d, q := range fwd {
 			if s < len(q) {
-				frames[d] = relayFrame(q[s].Src, q[s].Payload, w)
+				st.stage(d, q[s].Src, q[s].Payload, w)
 			}
 		}
-		if err := hop(p, frames, w, chunk, func(_, src int, payload *bits.Buffer) {
+		if err := st.hop(p, &st.recvd, w, chunk, func(_, src int, payload *bits.Buffer) {
 			recv = append(recv, Msg{Src: src, Dst: p.ID(), Payload: payload})
 		}); err != nil {
 			return nil, err

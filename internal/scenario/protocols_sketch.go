@@ -35,8 +35,8 @@ func labelsDigest(res *sketch.CCResult) string {
 	return fmt.Sprintf("labels=%016x", h.Sum64())
 }
 
-// ccDigest canonically folds a labeling and forest for the cell output.
-func ccDigest(res *sketch.CCResult) string {
+// forestDigest canonically folds a labeling and forest for the cell output.
+func forestDigest(res *sketch.CCResult) string {
 	h := fnv.New64a()
 	for i, e := range res.Forest {
 		fmt.Fprintf(h, "%d-%d", e[0], e[1])
@@ -87,7 +87,7 @@ func runConnectivity(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegRe
 	if err := checkCC("connectivity", g, res, leg); err != nil {
 		return nil, err
 	}
-	out := fmt.Sprintf("comps=%d phases=%d %s", res.Components, res.Phases, ccDigest(res))
+	out := fmt.Sprintf("comps=%d phases=%d %s", res.Components, res.Phases, forestDigest(res))
 	if leg.Faulty {
 		// Recovery may burn extra phases and certify a different (still
 		// validated) forest; the fault-stable output is the labeling.
@@ -111,7 +111,7 @@ func runSpanForest(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResu
 		return nil, fmt.Errorf("spanforest: %d certificates for %d components on %d vertices",
 			len(res.Forest), res.Components, g.N())
 	}
-	out := fmt.Sprintf("comps=%d phases=%d edges=%d %s", res.Components, res.Phases, len(res.Forest), ccDigest(res))
+	out := fmt.Sprintf("comps=%d phases=%d edges=%d %s", res.Components, res.Phases, len(res.Forest), forestDigest(res))
 	if leg.Faulty {
 		out = fmt.Sprintf("comps=%d edges=%d %s", res.Components, len(res.Forest), labelsDigest(res))
 	}
@@ -150,7 +150,7 @@ func runSketchMST(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResul
 				e[0], e[1], res.Weights[i], got)
 		}
 	}
-	out := fmt.Sprintf("weight=%d edges=%d phases=%d %s", res.TotalWeight, len(res.Forest), res.Phases, ccDigest(res))
+	out := fmt.Sprintf("weight=%d edges=%d phases=%d %s", res.TotalWeight, len(res.Forest), res.Phases, forestDigest(res))
 	if leg.Faulty {
 		// Every minimum spanning forest has the same total weight and
 		// edge count, but a recovered run may certify a different one.

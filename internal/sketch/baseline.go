@@ -108,11 +108,7 @@ func BroadcastBoruvka(env core.Env, g *graph.Graph, bandwidth int, seed int64) (
 				comp[v] = uf.find(v)
 			}
 		}
-		out := nodeOut{leader: comp[me], phases: phases, digest: ccDigest(comp, forest, nil)}
-		if me == 0 {
-			out.full = &ccFull{comp: comp, forest: forest}
-		}
-		p.SetOutput(out)
+		p.SetOutput(nodeOut{comp: comp, forest: forest, phases: phases})
 		return nil
 	})
 	if err != nil {

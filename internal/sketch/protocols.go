@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 
@@ -198,20 +197,13 @@ const (
 	statusPropose  = 2 // edge id follows
 )
 
-// nodeOut is one player's output value.
+// nodeOut is one player's output value: its copy of the shared protocol
+// state, which assembleCC checks against node 0's.
 type nodeOut struct {
-	leader int
-	phases int
-	digest uint64
-	full   *ccFull // node 0 only
-}
-
-// ccFull is the full result carried by node 0; every other node pins it
-// with its digest.
-type ccFull struct {
 	comp    []int
 	forest  [][2]int
 	weights []uint32
+	phases  int
 }
 
 // runBoruvka is the shared protocol body. classOf(me, v) maps an
@@ -471,11 +463,7 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 			}
 		}
 
-		out := nodeOut{leader: comp[me], phases: phases, digest: ccDigest(comp, forest, weights)}
-		if me == 0 {
-			out.full = &ccFull{comp: comp, forest: forest, weights: weights}
-		}
-		p.SetOutput(out)
+		p.SetOutput(nodeOut{comp: comp, forest: forest, weights: weights, phases: phases})
 		return nil
 	})
 	if err != nil {
@@ -486,8 +474,9 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 
 // msgScratch is the message scratch of one node body of runBoruvka,
 // reused by every phase: the status payload, the direct aggregations'
-// outgoing streams and the framed aggregations' frames, records and
-// accumulators. The per-node slices are allocated on first use.
+// outgoing streams, the Lenzen aggregations' records and the framed
+// aggregations' frames, records and accumulators. The per-node slices
+// are allocated on first use.
 type msgScratch struct {
 	status bits.Buffer    // this phase's status payload
 	frame  bits.Buffer    // the status frame, or a ship frame cut out of a stream
@@ -498,8 +487,65 @@ type msgScratch struct {
 	got    []*bits.Buffer // exchangeStatusFramed's result by source
 	valid  []bits.Buffer  // valid[src]: src's validated status payload
 	acc    []bits.Buffer  // acc[l]: DirectFramedAgg's reassembly of loser l's stream
-	out    []routing.Msg  // LenzenFramedAgg's outgoing frames
+	recs   []bits.Buffer  // the Lenzen aggregations' records, one per (class, copy)
+	out    []routing.Msg  // the Lenzen aggregations' messages of recs; cap >= len(recs)
 	seen   []bool         // LenzenFramedAgg's merged tags, one block per loser
+
+	// DirectFramedAgg's Proc.Rounds callbacks, bound once per body
+	// (bindShip), and what they read of the ship call in progress: the
+	// stream (nil: nothing to send), the winner it goes to, the losers
+	// whose streams arrive here and the stream length.
+	shipStage func(r int) error
+	shipRecv  func(r int, in []*bits.Buffer) error
+	ship      *bits.Buffer
+	shipTo    int
+	myLosers  []int
+	shipBits  int
+}
+
+// records returns count empty record buffers with room for maxBits bits
+// each, carved from one slab, and gives sc.out room for their messages.
+// A loser sizes both at its first ship, the largest: the block
+// (classes−cls)·(copies−from) of a later ship only shrinks.
+func (sc *msgScratch) records(count, maxBits int) []bits.Buffer {
+	if len(sc.recs) < count {
+		sc.recs, sc.out = bits.NewRow(count, maxBits), make([]routing.Msg, 0, count)
+	}
+	recs := sc.recs[:count]
+	for i := range recs {
+		recs[i].Reset()
+	}
+	return recs
+}
+
+// bindShip binds DirectFramedAgg's Proc.Rounds callbacks, which the
+// engine may run on a pool worker. They read the ship call's stream,
+// winner, losers and length from sc.
+func (sc *msgScratch) bindShip(p *core.Proc) {
+	b := p.Bandwidth()
+	sc.shipStage = func(r int) error {
+		off := r * b
+		if sc.ship == nil || off >= sc.ship.Len() {
+			return nil
+		}
+		sc.chunk.Reset()
+		if err := sc.chunk.AppendRange(sc.ship, off, min(off+b, sc.ship.Len())); err != nil {
+			return err
+		}
+		return p.Send(sc.shipTo, &sc.chunk)
+	}
+	sc.shipRecv = func(r int, in []*bits.Buffer) error {
+		// Each chunk is ORed into its stream in the round it arrives,
+		// while the received buffer is still valid.
+		for _, l := range sc.myLosers {
+			if msg := in[l]; msg != nil && r*b+msg.Len() <= sc.shipBits {
+				if err := sc.acc[l].OrRange(msg, 0, msg.Len(), r*b); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
 }
 
 // exchangeStatusFramed is the framed aggregations' replacement for the
@@ -614,12 +660,13 @@ func shipStacks(p *core.Proc, rt *routing.Router, sc *msgScratch, agg Aggregatio
 		// One routed message per (class, copy): the stack concentration
 		// rides all of the loser's links at once instead of one.
 		maxPayload := clsW + qW + sampleBits
-		var out []routing.Msg
+		var out []routing.Msg // nil: a node that lost nothing sends nothing
 		if iAmLoser {
-			out = make([]routing.Msg, 0, (classes-cls)*(copies-from))
+			recs := sc.records((classes-cls)*(copies-from), maxPayload)
+			out = sc.out[:0]
 			for w := cls; w < classes; w++ {
 				for q := from; q < copies; q++ {
-					buf := bits.Get(maxPayload)
+					buf := &recs[len(out)]
 					buf.WriteUint(uint64(w), clsW)
 					buf.WriteUint(uint64(q), qW)
 					stacks[w].Samplers[q].Encode(buf)
@@ -627,12 +674,10 @@ func shipStacks(p *core.Proc, rt *routing.Router, sc *msgScratch, agg Aggregatio
 				}
 			}
 		}
+		// Route copies the records into its relay frames (none is
+		// self-addressed: a loser's leader is another node), so the next
+		// ship may reuse them.
 		in, err := rt.Route(p, out, maxPayload)
-		// Route copied the records into its relay frames (none is
-		// self-addressed: a loser's leader is another node).
-		for _, m := range out {
-			m.Payload.Release()
-		}
 		if err != nil {
 			return err
 		}
@@ -661,7 +706,6 @@ func shipStacks(p *core.Proc, rt *routing.Router, sc *msgScratch, agg Aggregatio
 			if err := stacks[w].Samplers[q].mergeFromWire(rd); err != nil {
 				return err
 			}
-			m.Payload.Release()
 		}
 		return nil
 
@@ -703,29 +747,11 @@ func shipStacks(p *core.Proc, rt *routing.Router, sc *msgScratch, agg Aggregatio
 			sc.acc[l].Reset()
 			sc.acc[l].ZeroExtend(shipBits)
 		}
-		err := p.Rounds(rounds, func(r int) error {
-			off := r * b
-			if stream == nil || off >= stream.Len() {
-				return nil
-			}
-			sc.chunk.Reset()
-			if err := sc.chunk.AppendRange(stream, off, min(off+b, stream.Len())); err != nil {
-				return err
-			}
-			return p.Send(comp[me], &sc.chunk)
-		}, func(r int, in []*bits.Buffer) error {
-			// Each chunk is ORed into its stream in the round it arrives,
-			// while the received buffer is still valid.
-			for _, l := range myLosers {
-				if msg := in[l]; msg != nil && r*b+msg.Len() <= shipBits {
-					if err := sc.acc[l].OrRange(msg, 0, msg.Len(), r*b); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		if sc.shipStage == nil {
+			sc.bindShip(p)
+		}
+		sc.ship, sc.shipTo, sc.myLosers, sc.shipBits = stream, comp[me], myLosers, shipBits
+		if err := p.Rounds(rounds, sc.shipStage, sc.shipRecv); err != nil {
 			return err
 		}
 		for _, l := range myLosers {
@@ -762,14 +788,17 @@ func shipStacks(p *core.Proc, rt *routing.Router, sc *msgScratch, agg Aggregatio
 		srcW := bits.UintWidth(uint64(p.N() - 1))
 		recBits := clsW + qW + 1 + sampleBits
 		maxPayload := routing.FrameBits(srcW + recBits)
-		out := sc.out[:0]
+		block := (classes - cls) * (copies - from)
+		var out []routing.Msg
 		if iAmLoser {
+			recs := sc.records(block, maxPayload)
+			out = sc.out[:0]
 			for q := from; q < copies; q++ {
 				for w := cls; w < classes; w++ {
 					sc.rec.Reset()
 					sc.rec.WriteUint(uint64(me), srcW)
 					encodeShipRecord(&sc.rec, stacks, poisoned, w, q, clsW, qW)
-					fr := bits.Get(maxPayload)
+					fr := &recs[len(out)]
 					if err := routing.EncodeFrame(fr, &sc.rec); err != nil {
 						return err
 					}
@@ -777,19 +806,12 @@ func shipStacks(p *core.Proc, rt *routing.Router, sc *msgScratch, agg Aggregatio
 				}
 			}
 		}
-		sc.out = out
+		// As in LenzenAgg, Route copies the frames into its relay frames.
 		in, err := rt.Route(p, out, maxPayload)
-		// Route copied the frames into its relay frames (none is
-		// self-addressed: a loser's leader is another node).
-		for _, m := range out {
-			m.Payload.Release()
-		}
-		clear(out)
 		if err != nil {
 			return err
 		}
 		// The tags merged from myLosers[i] are block i of sc.seen.
-		block := (classes - cls) * (copies - from)
 		sc.seen = append(sc.seen[:0], make([]bool, len(myLosers)*block)...) // zeroed, in place when it fits
 		tags := func(i int) shipTags {
 			return shipTags{w0: cls, w1: classes, q0: from, q1: copies, seen: sc.seen[i*block : (i+1)*block]}
@@ -804,7 +826,6 @@ func shipStacks(p *core.Proc, rt *routing.Router, sc *msgScratch, agg Aggregatio
 					mergeShipRecord(rd, stacks, poisoned, clsW, qW, tags(i))
 				}
 			}
-			m.Payload.Release()
 		}
 		for i := range myLosers {
 			t := tags(i)
@@ -913,22 +934,6 @@ func mergeShipRecord(rd *bits.Reader, stacks []*Stack, poisoned [][]bool, clsW, 
 	return true
 }
 
-// ccDigest folds the shared protocol state into one word so that every
-// node's view can be pinned against node 0's full output.
-func ccDigest(comp []int, forest [][2]int, weights []uint32) uint64 {
-	h := fnv.New64a()
-	for _, c := range comp {
-		fmt.Fprintf(h, "c%d;", c)
-	}
-	for _, e := range forest {
-		fmt.Fprintf(h, "e%d,%d;", e[0], e[1])
-	}
-	for _, w := range weights {
-		fmt.Fprintf(h, "w%d;", w)
-	}
-	return h.Sum64()
-}
-
 // trivialCC handles n < 2 without spinning up the engine.
 func trivialCC(n int) *CCResult {
 	res := &CCResult{Leader: make([]int, n), Components: n}
@@ -946,31 +951,26 @@ func assembleCC(n int, res *core.Result) (*CCResult, error) {
 		}
 		outs[i] = no
 	}
-	full := outs[0].full
-	if full == nil {
-		return nil, fmt.Errorf("sketch: node 0 carried no full result")
-	}
-	cc := &CCResult{
-		Leader:  full.comp,
-		Phases:  outs[0].phases,
-		Forest:  full.forest,
-		Weights: full.weights,
-		Stats:   res.Stats,
-	}
+	first := outs[0]
 	for i, o := range outs {
-		if o.digest != outs[0].digest || o.phases != outs[0].phases {
+		if o.phases != first.phases || !slices.Equal(o.comp, first.comp) ||
+			!slices.Equal(o.forest, first.forest) || !slices.Equal(o.weights, first.weights) {
 			return nil, fmt.Errorf("sketch: node %d diverged from node 0's shared state", i)
 		}
-		if o.leader != full.comp[i] {
-			return nil, fmt.Errorf("sketch: node %d reports leader %d, labeling says %d", i, o.leader, full.comp[i])
-		}
+	}
+	cc := &CCResult{
+		Leader:  first.comp,
+		Phases:  first.phases,
+		Forest:  first.forest,
+		Weights: first.weights,
+		Stats:   res.Stats,
 	}
 	seen := map[int]bool{}
-	for _, l := range full.comp {
+	for _, l := range first.comp {
 		seen[l] = true
 	}
 	cc.Components = len(seen)
-	for _, w := range full.weights {
+	for _, w := range first.weights {
 		cc.TotalWeight += int64(w)
 	}
 	sortForest(cc.Forest, cc.Weights)

@@ -210,8 +210,8 @@ func TestMergeShipRecordGuards(t *testing.T) {
 		return rec
 	}
 	truncated := func(rec *bits.Buffer, drop int) *bits.Buffer {
-		short, err := rec.Slice(0, rec.Len()-drop)
-		if err != nil {
+		short := bits.New(rec.Len())
+		if err := short.AppendRange(rec, 0, rec.Len()-drop); err != nil {
 			t.Fatal(err)
 		}
 		return short

@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -192,12 +193,17 @@ var raceDetector bool
 // aggregations (ConnectedComponents with DirectFramedAgg and
 // LenzenFramedAgg) on a clean channel and under drop=0.01,corrupt=0.005
 // (CI's fault slice and perfbench's fleet-faults spec), where this
-// seed's runs end detected. Every budget sits about 25% above the
+// seed's runs end detected. Every budget was set about 25% above the
 // reading with exchange results that belong to the Proc, frames checked
 // in place and the body's message scratch reused across phases: 1.3k,
 // 1.8k and 2.1k–2.5k (the pooled stacks' hit rate varies under the
 // worker pool) for the plain runs, 3.1k and 3.2k clean and 3.0k and
-// 3.6k faulted for the framed ones. Before that the same runs read
+// 3.6k faulted for the framed ones. The routers' frames and payloads
+// and the Lenzen records then became rows each run owns, where bits-pool
+// buffers had been recycled across runs, and DirectFramedAgg's
+// callbacks came to be bound once per body: the Lenzen runs read 2.0k,
+// 2.5k, 3.4k and 3.7k (faulted), the direct framed ones 2.7k and 2.8k.
+// Before that the same runs read
 // 2.2k, 2.3k, 3.1k, 27.6k, 29.0k, 18.9k and 22.4k (every multi-round
 // result a pool buffer the caller dropped, and every frame, record and
 // stream a fresh buffer); the plain runs read 5.9k, 11.9k and 36.9k
@@ -206,7 +212,7 @@ var raceDetector bool
 // at 27.5k, 31.2k, 25.7k and 36.9k.
 // Matches the CI alloc-regression pattern (-run AllocRegression). Under
 // the race detector sync.Pool drops a quarter of its Puts (the stacks
-// and the routers' frames are pooled), so the gate skips there.
+// are pooled), so the gate skips there.
 func TestAllocRegressionSketchRun(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -245,12 +251,62 @@ func TestAllocRegressionSketchRun(t *testing.T) {
 					t.Fatalf("%s p=%d: err = %v, want an error exactly under faults", tc.name, par, err)
 				}
 			}
-			run() // warm the pools
+			run() // warm the stack pool
 			allocs := testing.AllocsPerRun(10, run)
 			t.Logf("%s p=%d: %.0f objects per run (budget %.0f)", tc.name, par, allocs, tc.budget)
 			if allocs > tc.budget {
 				t.Errorf("%s p=%d: %.0f objects per run, budget %.0f", tc.name, par, allocs, tc.budget)
 			}
+		}
+	}
+}
+
+// TestAssembleCCChecksSharedState feeds assembleCC crafted node outputs:
+// identical outputs assemble into node 0's state (its forest sorted
+// only after the check, so the nodes' unsorted copies still agree), and
+// a node whose comp, forest, weights or phases differ from node 0's
+// fails the run.
+func TestAssembleCCChecksSharedState(t *testing.T) {
+	out := func() nodeOut {
+		return nodeOut{
+			comp:    []int{0, 0, 0, 3},
+			forest:  [][2]int{{1, 2}, {0, 1}},
+			weights: []uint32{2, 5},
+			phases:  4,
+		}
+	}
+	result := func(mutate func(*nodeOut)) *core.Result {
+		res := &core.Result{}
+		for i := 0; i < 4; i++ {
+			o := out()
+			if i == 2 && mutate != nil {
+				mutate(&o)
+			}
+			res.Outputs = append(res.Outputs, o)
+		}
+		return res
+	}
+	cc, err := assembleCC(4, result(nil))
+	if err != nil {
+		t.Fatalf("identical outputs: %v", err)
+	}
+	if !slices.Equal(cc.Leader, out().comp) || cc.Components != 2 || cc.Phases != 4 || cc.TotalWeight != 7 ||
+		!slices.Equal(cc.Forest, [][2]int{{0, 1}, {1, 2}}) || !slices.Equal(cc.Weights, []uint32{5, 2}) {
+		t.Errorf("assembled %+v", cc)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*nodeOut)
+	}{
+		{"comp", func(o *nodeOut) { o.comp[3] = 0 }},
+		{"forest", func(o *nodeOut) { o.forest[0] = [2]int{0, 2} }},
+		{"forest length", func(o *nodeOut) { o.forest = o.forest[:1] }},
+		{"weights", func(o *nodeOut) { o.weights[1] = 6 }},
+		{"phases", func(o *nodeOut) { o.phases++ }},
+	} {
+		_, err := assembleCC(4, result(tc.mutate))
+		if want := "sketch: node 2 diverged from node 0's shared state"; err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
 		}
 	}
 }
