@@ -400,7 +400,7 @@ type engine struct {
 	done     []bool
 	errs     []error
 	workers  int
-	pool     *workerPool // resident round pool; nil when workers == 1
+	pool     *workerPool // resident round pool, claimed by chunk; nil when workers == 1
 	round    int         // the round being stepped
 	stepSlot func(k int) // e.stepLive, bound once so rounds allocate nothing
 
@@ -731,8 +731,10 @@ func RunProcs(cfg Config, body func(*Proc) error) (*Result, error) {
 	}()
 	if e.workers > 1 {
 		// Resident round pool: spawned once here, parked between rounds.
-		// Width 1 (the sequential oracle) keeps pool == nil and steps
-		// inline — zero dispatch machinery on that path.
+		// This goroutine claims and steps chunks of each round itself;
+		// helpers that are awake claim from the same cursor. Width 1
+		// (the sequential oracle) keeps pool == nil and steps inline —
+		// zero dispatch machinery on that path.
 		e.pool = newWorkerPool(e.workers)
 		defer e.pool.close()
 	}

@@ -172,6 +172,31 @@ func BenchmarkEngineScaling(b *testing.B) {
 	}
 }
 
+// BenchmarkRoundDispatch times the per-step cost of the round loop
+// itself: n = 18 bodies that only cross 1,000 Proc.Rounds barriers,
+// reported as ns per node-step. Width 1 steps inline; at widths 2 and 4
+// every round is one dispatch on the resident pool (DESIGN.md §16,
+// "Rounds measurements").
+func BenchmarkRoundDispatch(b *testing.B) {
+	const n, rounds = 18, 1000
+	body := func(p *Proc) error { return p.Rounds(rounds, nil, nil) }
+	for _, w := range []int{1, 2, 4} {
+		cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Parallelism: w}
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			steps := 0
+			for i := 0; i < b.N; i++ {
+				res, err := RunProcs(cfg, body)
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += n * res.Stats.Steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
+		})
+	}
+}
+
 // BenchmarkRunProcsGossip exercises the coroutine-per-node (Proc) surface
 // on a congest ring, the third protocol family.
 func BenchmarkRunProcsGossip(b *testing.B) {

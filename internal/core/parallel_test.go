@@ -1,16 +1,18 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestParallelForPanicPropagates is the regression test for the bare
 // goroutine panic: a panicking worker used to kill the whole process;
-// now the panic is recovered, all workers drain, and the lowest failing
-// index is re-raised on the caller as a *PanicError carrying the
-// original value and the worker stack.
+// now each index recovers its own panic, every index still runs, and the
+// lowest failing index is re-raised on the caller as a *PanicError
+// carrying the original value and the worker stack.
 func TestParallelForPanicPropagates(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		var ran atomic.Int64
@@ -39,18 +41,17 @@ func TestParallelForPanicPropagates(t *testing.T) {
 			}()
 			ParallelFor(workers, 64, func(i int) {
 				ran.Add(1)
-				// Two workers panic; the lowest index must win. Index 3 and
-				// the last index land in different chunks for every workers
-				// value tried.
+				// Two indices panic; the lowest must win. Index 3 lies in
+				// chunk 0, which the caller runs, for every workers value
+				// tried, and the last index in a later chunk.
 				if i == 3 || i == 63 {
 					panic("boom " + string(rune('0'+i%10)))
 				}
 			})
 		}()
-		// All workers drained: every index outside the panicking worker's
-		// abandoned chunk tail ran.
-		if ran.Load() == 0 {
-			t.Fatalf("workers=%d: no iterations ran", workers)
+		// A panic ends only its own index: the rest of its chunk ran.
+		if got := ran.Load(); got != 64 {
+			t.Fatalf("workers=%d: %d of 64 indices ran", workers, got)
 		}
 	}
 }
@@ -107,9 +108,8 @@ func TestParallelForExactlyOnce(t *testing.T) {
 }
 
 // TestParallelForAllPanicLowestWins saturates the panic path: when every
-// index panics, the re-raised PanicError must carry index 0 — each
-// worker records only its chunk's first failure and the global minimum
-// is chunk 0's first index.
+// index panics, the re-raised PanicError must carry index 0, the
+// minimum over every recorded failure.
 func TestParallelForAllPanicLowestWins(t *testing.T) {
 	for _, workers := range []int{2, 3, 8} {
 		for _, n := range []int{2, 7, 64} {
@@ -151,9 +151,9 @@ func TestWorkerPoolExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolPanicAndReuse pins the pool's panic discipline: the
-// lowest-index panic is re-raised as a *PanicError after all chunks
-// drain, and the pool remains fully usable for later dispatches.
+// TestWorkerPoolPanicAndReuse pins the pool's panic discipline: every
+// index runs, the lowest-index panic is re-raised as a *PanicError after
+// the dispatch, and the pool remains fully usable for later dispatches.
 func TestWorkerPoolPanicAndReuse(t *testing.T) {
 	p := newWorkerPool(4)
 	defer p.close()
@@ -175,13 +175,47 @@ func TestWorkerPoolPanicAndReuse(t *testing.T) {
 			}
 		})
 	}()
-	if ran.Load() == 0 {
-		t.Fatal("no iterations ran before the panic")
+	if got := ran.Load(); got != 64 {
+		t.Fatalf("%d of 64 indices ran", got)
 	}
 	// The pool must have cleared its panic state and still work.
 	var sum atomic.Int64
 	p.run(100, func(i int) { sum.Add(int64(i)) })
 	if got := sum.Load(); got != 4950 {
 		t.Fatalf("post-panic dispatch sum = %d, want 4950", got)
+	}
+}
+
+// TestWorkerPoolHelpersTakeWork checks that a dispatch is not run by the
+// dispatcher alone. fn(0), in the chunk the dispatcher runs, parks until
+// fn(7) has run, so a helper must take index 7 while the dispatcher
+// waits; a pool whose dispatcher ran every index would wait out the
+// timeout. One CPU is enough: the parked dispatcher frees it.
+func TestWorkerPoolHelpersTakeWork(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		for _, workers := range []int{2, 4} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				p := newWorkerPool(workers)
+				defer p.close()
+				ran7 := make(chan struct{})
+				var timedOut atomic.Bool
+				p.run(8, func(i int) {
+					switch i {
+					case 0:
+						select {
+						case <-ran7:
+						case <-time.After(10 * time.Second):
+							timedOut.Store(true)
+						}
+					case 7:
+						close(ran7)
+					}
+				})
+				if timedOut.Load() {
+					t.Errorf("GOMAXPROCS=%d workers=%d: fn(7) had not run 10 s into fn(0)", procs, workers)
+				}
+			}()
+		}
 	}
 }
