@@ -174,17 +174,6 @@ func BenchmarkCircuitEvalBatch64(b *testing.B) {
 	}
 }
 
-func BenchmarkCircuitEvalBatchPar64(b *testing.B) {
-	c, _, lanes := strassen16Trial(b)
-	plan := c.Plan()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.EvalBatchParallel(lanes, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkShamirBatchDetect16 runs the full batched local detector (64
 // random-diagonal trials in one pass).
 func BenchmarkShamirBatchDetect16(b *testing.B) {
@@ -192,7 +181,7 @@ func BenchmarkShamirBatchDetect16(b *testing.B) {
 	g := graph.Gnp(16, 0.3, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := matmul.DetectTrianglesBatch(g, matmul.Strassen, 4, 64, 1, rng); err != nil {
+		if _, err := matmul.DetectTrianglesBatch(g, matmul.Strassen, 4, 64, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -82,7 +82,7 @@ func main() {
 		engine = "scalar (dense plan)"
 		if *batch {
 			rng2 := rand.New(rand.NewSource(*seed + 1))
-			bf, err := matmul.DetectTrianglesBatch(g, fam, 8, 64, core.ResolveParallelism(env.Parallelism), rng2)
+			bf, err := matmul.DetectTrianglesBatch(g, fam, 8, 64, rng2)
 			must(err)
 			engine = fmt.Sprintf("bitsliced EvalBatch (64 Shamir lanes/pass): found=%v, agrees=%v", bf, bf == found)
 		}

@@ -537,8 +537,8 @@ func EvalOnClique(env core.Env, c *circuit.Circuit, n, bandwidth int, input []bo
 		perPlayer[o] = append(perPlayer[o], input[i])
 	}
 	rt := routing.NewRouter(n)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		out, err := Simulate(p, plan, rt, perPlayer[p.ID()])
 		if err != nil {
 			return err

@@ -2,21 +2,20 @@ package circuit
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bits"
 )
 
-// EvalPlan is the compiled, levelized evaluation plan of a frozen circuit:
-// the word-parallel engine behind Eval and EvalBatch. It is built once by
+// EvalPlan is the compiled evaluation plan of a frozen circuit: the
+// word-parallel engine behind Eval and EvalBatch. It is built once by
 // Builder.Build and shared by all evaluations of the circuit.
 //
-// Two dense layouts are used, both indexed by gate id with zero per-gate
-// allocation:
+// Both evaluations walk the gates in id order (ids are topologically
+// sorted by construction) over a dense layout indexed by gate id, with
+// zero per-gate allocation:
 //
-//   - scalar: one bit per gate in a flat []uint64 bitset — Eval walks the
-//     gates in id order (ids are topologically sorted by construction) and
-//     reads input bits straight out of the bitset.
+//   - scalar: one bit per gate in a flat []uint64 bitset — Eval reads
+//     input bits straight out of the bitset.
 //   - bitsliced: one uint64 word per gate, bit t of the word holding the
 //     gate's value under input vector t — EvalBatch evaluates 64 input
 //     assignments per pass. AND/OR/XOR/NOT are single word ops per wire;
@@ -24,48 +23,26 @@ import (
 //     (counter bit k of every lane lives in one word) and then compare or
 //     reduce it without leaving word-parallel form whenever they can.
 //
-// Value storage is pooled (sync.Pool), so steady-state evaluation performs
-// O(1) allocations per call regardless of circuit size.
+// Each evaluation allocates its value storage (one bitset or one word per
+// gate) and its output slice: O(1) allocations per call regardless of
+// circuit size.
 type EvalPlan struct {
 	c        *Circuit
-	levels   [][]int32 // level l -> gate ids with Layer == l (l >= 1)
 	maxFanIn int
 	words    int // scalar bitset length in words
-
-	scalarPool sync.Pool // *[]uint64, len == words
-	lanePool   sync.Pool // *[]uint64, len == NumGates
 }
 
 // compilePlan builds the plan for a frozen circuit. Called by Build.
 func compilePlan(c *Circuit) *EvalPlan {
 	p := &EvalPlan{c: c, words: (c.NumGates() + 63) / 64}
-	p.levels = make([][]int32, c.Depth()+1)
-	counts := make([]int32, c.Depth()+1)
 	for g := 0; g < c.NumGates(); g++ {
-		counts[c.layer[g]]++
-		if f := c.FanIn(g); f > p.maxFanIn {
-			p.maxFanIn = f
-		}
+		p.maxFanIn = max(p.maxFanIn, c.FanIn(g))
 	}
-	flat := make([]int32, c.NumGates())
-	for l := range p.levels {
-		p.levels[l] = flat[:0:counts[l]]
-		flat = flat[counts[l]:]
-	}
-	for g := 0; g < c.NumGates(); g++ {
-		l := c.layer[g]
-		p.levels[l] = append(p.levels[l], int32(g))
-	}
-	p.scalarPool.New = func() interface{} { s := make([]uint64, p.words); return &s }
-	p.lanePool.New = func() interface{} { s := make([]uint64, c.NumGates()); return &s }
 	return p
 }
 
 // Plan returns the circuit's compiled evaluation plan.
 func (c *Circuit) Plan() *EvalPlan { return c.plan }
-
-// Circuit returns the circuit the plan was compiled from.
-func (p *EvalPlan) Circuit() *Circuit { return p.c }
 
 // MaxFanIn reports the largest gate fan-in in the circuit.
 func (p *EvalPlan) MaxFanIn() int { return p.maxFanIn }
@@ -141,17 +118,14 @@ func (c *Circuit) EvalGateBits(g int, val []uint64) bool {
 }
 
 // Eval evaluates the circuit on one input assignment through the dense
-// scalar path. Steady state performs O(1) allocations (the output slice).
+// scalar path. It performs two allocations: the gate bitset and the
+// output slice.
 func (p *EvalPlan) Eval(in []bool) ([]bool, error) {
 	c := p.c
 	if len(in) != c.NumInputs() {
 		return nil, fmt.Errorf("circuit: %d input bits for %d inputs", len(in), c.NumInputs())
 	}
-	vp := p.scalarPool.Get().(*[]uint64)
-	val := *vp
-	for i := range val {
-		val[i] = 0
-	}
+	val := make([]uint64, p.words)
 	for i, g := range c.inputs {
 		if in[i] {
 			setBit(val, g)
@@ -169,7 +143,6 @@ func (p *EvalPlan) Eval(in []bool) ([]bool, error) {
 	for i, g := range c.outputs {
 		out[i] = bitOf(val, g)
 	}
-	p.scalarPool.Put(vp)
 	return out, nil
 }
 
@@ -188,82 +161,29 @@ func ReplicateLanes(in []bool) []uint64 {
 // EvalBatch evaluates 64 input assignments in one pass. in[i] holds input
 // position i across all lanes: bit t of in[i] is input i of assignment t.
 // The result follows the same layout: bit t of out[j] is output j of
-// assignment t. Steady state performs O(1) allocations (the output slice).
+// assignment t. It performs two allocations: one word per gate and the
+// output slice.
 func (p *EvalPlan) EvalBatch(in []uint64) ([]uint64, error) {
-	return p.EvalBatchParallel(in, 1)
-}
-
-// EvalBatchParallel is EvalBatch with level-parallel stepping: gates
-// within one level have no wires between them, so each level is
-// partitioned across `workers` goroutines (mirroring the round engine's
-// worker pool; pass core's resolved parallelism to line the two up).
-// workers <= 1 runs sequentially. Results are identical for every worker
-// count.
-func (p *EvalPlan) EvalBatchParallel(in []uint64, workers int) ([]uint64, error) {
 	c := p.c
 	if len(in) != c.NumInputs() {
 		return nil, fmt.Errorf("circuit: %d input lanes for %d inputs", len(in), c.NumInputs())
 	}
-	vp := p.lanePool.Get().(*[]uint64)
-	val := *vp
-	// Level 0: inputs and constants. Every other gate word is fully
-	// overwritten when its level is reached, so no clearing is needed.
+	val := make([]uint64, c.NumGates())
 	for i, g := range c.inputs {
 		val[g] = in[i]
 	}
-	for _, g := range p.levels[0] {
-		switch c.kind[g] {
-		case Const0:
-			val[g] = 0
-		case Const1:
-			val[g] = ^uint64(0)
+	var cnt [64]uint64
+	for g, k := range c.kind {
+		if k != Input {
+			val[g] = p.batchGate(g, val, &cnt)
 		}
-	}
-	for l := 1; l < len(p.levels); l++ {
-		level := p.levels[l]
-		w := workers
-		if w > len(level)/batchParallelGrain {
-			w = len(level) / batchParallelGrain
-		}
-		if w <= 1 {
-			var cnt [64]uint64
-			for _, g := range level {
-				val[g] = p.batchGate(int(g), val, &cnt)
-			}
-			continue
-		}
-		var wg sync.WaitGroup
-		chunk := (len(level) + w - 1) / w
-		for k := 0; k < w; k++ {
-			lo, hi := k*chunk, (k+1)*chunk
-			if hi > len(level) {
-				hi = len(level)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(gs []int32) {
-				defer wg.Done()
-				var cnt [64]uint64
-				for _, g := range gs {
-					val[g] = p.batchGate(int(g), val, &cnt)
-				}
-			}(level[lo:hi])
-		}
-		wg.Wait()
 	}
 	out := make([]uint64, len(c.outputs))
 	for i, g := range c.outputs {
 		out[i] = val[g]
 	}
-	p.lanePool.Put(vp)
 	return out, nil
 }
-
-// batchParallelGrain is the minimum number of gates handed to one worker;
-// smaller levels run sequentially (goroutine overhead would dominate).
-const batchParallelGrain = 512
 
 // batchGate computes the 64-lane word of gate g. cnt is the caller's
 // carry-save counter scratch (counter bit k of all 64 lanes in cnt[k]).

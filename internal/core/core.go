@@ -20,11 +20,11 @@
 //
 // Within a round the steps of distinct nodes are independent — each
 // reads only its own inbox and stages sends into its own Proc — so the
-// engine fans them out across a worker pool (Config.Parallelism; see
-// DESIGN.md §3). Collection, delivery and accounting run sequentially in
-// ascending node order, so Outputs and Stats are bit-identical for every
-// parallelism setting; Parallelism=1 keeps the legacy sequential path as
-// the determinism oracle.
+// engine steps them on a claim-based round pool as wide as the run's
+// Env.Parallelism (DESIGN.md §3). Collection, delivery and accounting
+// run sequentially in ascending node order, so Outputs and Stats are
+// bit-identical for every width; width 1 steps every node on the engine
+// goroutine and is the determinism oracle.
 //
 // A node stages either one Broadcast or a set of Sends on distinct links
 // per round. Either copies the message into a buffer the sending node
@@ -100,7 +100,8 @@ var (
 	ErrStalled      = errors.New("core: protocol stalled (no traffic for DefaultQuiesceLimit steps; crashed or deadlocked nodes)")
 )
 
-// Config describes a run of the model.
+// Config describes a run of the model: the model's parameters plus the
+// engine environment the run executes under.
 type Config struct {
 	N         int          // number of players
 	Bandwidth int          // b, in bits per link (UCAST/CONGEST) or per broadcast (BCAST)
@@ -110,32 +111,10 @@ type Config struct {
 	MaxRounds int          // safety bound; 0 means DefaultMaxRounds
 	CutSide   []bool       // optional: membership of the cut side for CutBits accounting
 
-	// Parallelism is the number of workers stepping nodes within a round.
-	// 0 means runtime.GOMAXPROCS(0); 1 forces the sequential legacy
-	// engine (the determinism oracle); k > 1 uses k workers. Outputs and
-	// Stats are identical for every setting. Protocols that build their
-	// own Config take it from the caller's Env.
-	Parallelism int
-
-	// FaultPlan injects a deterministic adversary into the delivery path
-	// (internal/fault implements it); nil is a clean channel. Fault
-	// decisions are applied during sequential delivery, so a given plan
-	// produces a bit-identical fault schedule under every Parallelism
-	// setting. Protocols that build their own Config get it from the
-	// caller's Env.Faults. An active plan also arms the stall detector
-	// (DefaultQuiesceLimit).
-	FaultPlan FaultInjector
-
-	// Sink receives the run's round-level trace (see trace.go and
-	// DESIGN.md §14); nil leaves the run untraced, at zero cost.
-	// Protocols that build their own Config get it from the caller's
-	// Env.Sink. A Sink is valid at every Parallelism setting: records
-	// are emitted from the sequential delivery pass and per-node marks
-	// merge in ascending node id, so the deterministic trace fields are
-	// bit-identical across worker widths — there is no configuration in
-	// which record order could become ambiguous, hence validate never
-	// rejects the combination (TestTraceMergeOrderParallel pins this).
-	Sink Sink
+	// Env is the run's engine environment: the round pool's width, the
+	// fault plan and the trace sink. The zero value is the default
+	// engine; protocol entry points put the caller's Env here.
+	Env
 }
 
 // FaultAction is the adversary's decision for one staged message on one
@@ -186,33 +165,38 @@ const DefaultQuiesceLimit = 1024
 // DefaultMaxRounds bounds runaway protocols.
 const DefaultMaxRounds = 1 << 20
 
-// Env is the engine environment of one protocol run, for protocols that
-// build their own Config: every such entry point takes an Env and runs
-// RunProcs(env.Apply(cfg), …). The zero value is the default engine:
-// GOMAXPROCS workers, a clean channel, no trace.
+// Env is the engine environment of a run: the round pool's width, the
+// channel's adversary and the trace sink. Every protocol entry point
+// takes an Env and puts it in the Config it builds. The zero value is
+// the default engine: GOMAXPROCS workers, a clean channel, no trace.
 //
 // Faults and Sink are factories, not instances, so that every engine
 // execution gets its own fault plan and trace built from its own
-// Config.Seed, even when one protocol call drives several.
+// Config.Seed, even when one protocol call drives several. RunProcs
+// calls each once per run; a nil factory, or a nil result, means a clean
+// channel or an untraced run.
 type Env struct {
-	Parallelism int                            // Config.Parallelism
-	Faults      func(seed int64) FaultInjector // builds Config.FaultPlan; nil = clean channel
-	Sink        func(seed int64) Sink          // builds Config.Sink; nil (or a nil result) = untraced
-}
+	// Parallelism is the width of the round pool: the number of workers
+	// stepping nodes within a round. 0 means runtime.GOMAXPROCS(0); 1
+	// steps every node on the engine goroutine (the determinism oracle);
+	// k > 1 uses k workers. Outputs and Stats are identical for every
+	// setting.
+	Parallelism int
 
-// Apply returns cfg with the environment filled into the engine settings
-// it leaves unset: Parallelism 0, nil FaultPlan, nil Sink.
-func (e Env) Apply(cfg Config) Config {
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = e.Parallelism
-	}
-	if cfg.FaultPlan == nil && e.Faults != nil {
-		cfg.FaultPlan = e.Faults(cfg.Seed)
-	}
-	if cfg.Sink == nil && e.Sink != nil {
-		cfg.Sink = e.Sink(cfg.Seed)
-	}
-	return cfg
+	// Faults builds the run's adversary (internal/fault implements it),
+	// which the engine consults during sequential delivery, so a plan
+	// produces a bit-identical fault schedule under every Parallelism
+	// setting. An active plan also arms the stall detector
+	// (DefaultQuiesceLimit).
+	Faults func(seed int64) FaultInjector
+
+	// Sink builds the run's round-level trace sink (see trace.go and
+	// DESIGN.md §14). A sink is valid at every Parallelism setting:
+	// records are emitted from the sequential delivery pass and per-node
+	// marks merge in ascending node id, so the deterministic trace fields
+	// are bit-identical across worker widths (TestTraceMergeOrderParallel
+	// pins this).
+	Sink func(seed int64) Sink
 }
 
 // workers resolves the effective worker count for this run.
@@ -446,8 +430,12 @@ func newEngine(cfg *Config, body func(*Proc) error) *engine {
 		workers: cfg.workers(),
 		slots:   make([]*bits.Buffer, n*n),
 		filled:  make([]int32, 0, n*(n-1)),
-		plan:    cfg.FaultPlan,
-		sink:    cfg.Sink,
+	}
+	if cfg.Faults != nil {
+		e.plan = cfg.Faults(cfg.Seed)
+	}
+	if cfg.Sink != nil {
+		e.sink = cfg.Sink(cfg.Seed)
 	}
 	e.traceOn = e.sink != nil
 	e.stepSlot = e.stepLive

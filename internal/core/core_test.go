@@ -492,7 +492,7 @@ func TestAllReduce(t *testing.T) {
 			for _, b := range []int{5, 64} {
 				for _, par := range []int{1, 4} {
 					name := fmt.Sprintf("%s/N=%d/b=%d/p=%d", o.name, n, b, par)
-					cfg := Config{N: n, Bandwidth: b, Model: Unicast, Parallelism: par}
+					cfg := Config{N: n, Bandwidth: b, Model: Unicast, Env: Env{Parallelism: par}}
 					res, err := RunProcs(cfg, func(p *Proc) error {
 						v, err := AllReduce(p, o.val(p.ID()), o.width, o.op)
 						p.SetOutput(v)
@@ -527,7 +527,7 @@ func TestAllReduceUnderFaults(t *testing.T) {
 	maxOp := func(acc, x uint64) uint64 { return max(acc, x) }
 	for _, b := range []int{8, 64} {
 		cfg := Config{N: 7, Bandwidth: b, Model: Unicast}
-		cfg.FaultPlan = dropPlan(func(src, dst int) bool { return dst == 0 })
+		cfg.Faults = func(int64) FaultInjector { return dropPlan(func(src, dst int) bool { return dst == 0 }) }
 		res, err := RunProcs(cfg, func(p *Proc) error {
 			v, err := AllReduce(p, uint64(p.ID()+10), 32, maxOp)
 			p.SetOutput(v)
@@ -542,7 +542,7 @@ func TestAllReduceUnderFaults(t *testing.T) {
 			}
 		}
 
-		cfg.FaultPlan = dropPlan(func(src, dst int) bool { return src == 0 && dst == 3 })
+		cfg.Faults = func(int64) FaultInjector { return dropPlan(func(src, dst int) bool { return src == 0 && dst == 3 }) }
 		_, err = RunProcs(cfg, func(p *Proc) error {
 			_, err := AllReduce(p, uint64(p.ID()), 32, maxOp)
 			return err
@@ -608,6 +608,73 @@ func TestConfigValidation(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := RunProcs(cfg, func(p *Proc) error { return nil }); !errors.Is(err, ErrBadConfig) {
 			t.Errorf("config %d: err = %v, want ErrBadConfig", i, err)
+		}
+	}
+}
+
+// TestEnvBuildsEachRun pins how a run gets its engine environment:
+// RunProcs calls each factory once, with Config.Seed; a nil factory and
+// a factory returning nil both mean a clean channel and an untraced run;
+// and the trace header records the resolved pool width and whether a
+// plan is active.
+func TestEnvBuildsEachRun(t *testing.T) {
+	const seed = 17
+	run := func(env Env) (*Result, bool) {
+		cfg := Config{N: 6, Bandwidth: 32, Model: Unicast, Seed: seed, Env: env}
+		var traced bool
+		res, err := RunProcs(cfg, func(p *Proc) error {
+			if p.ID() == 0 {
+				traced = p.Traced()
+			}
+			return gossipBody(3, 2)(p)
+		})
+		if err != nil {
+			t.Fatalf("par=%d: %v", env.Parallelism, err)
+		}
+		return res, traced
+	}
+	for _, par := range []int{1, 4} {
+		for _, faulty := range []bool{false, true} {
+			var faultSeeds, sinkSeeds []int64
+			s := &testSink{}
+			res, traced := run(Env{
+				Parallelism: par,
+				Faults: func(seed int64) FaultInjector {
+					faultSeeds = append(faultSeeds, seed)
+					if faulty {
+						return idlePlan{}
+					}
+					return nil
+				},
+				Sink: func(seed int64) Sink {
+					sinkSeeds = append(sinkSeeds, seed)
+					return s
+				},
+			})
+			if len(faultSeeds) != 1 || faultSeeds[0] != seed || len(sinkSeeds) != 1 || sinkSeeds[0] != seed {
+				t.Fatalf("par=%d faulty=%v: factories called with %v and %v, want [%d] each", par, faulty, faultSeeds, sinkSeeds, seed)
+			}
+			if (res.Faults != nil) != faulty || s.meta.Faulty != faulty {
+				t.Errorf("par=%d faulty=%v: Result.Faults = %v, RunMeta.Faulty = %v", par, faulty, res.Faults, s.meta.Faulty)
+			}
+			if !traced || s.footer == nil {
+				t.Errorf("par=%d faulty=%v: traced = %v, footer = %v, want a complete trace", par, faulty, traced, s.footer)
+			}
+			if s.meta.Parallelism != ResolveParallelism(par) || s.meta.Seed != seed {
+				t.Errorf("par=%d: RunMeta = %+v, want Parallelism %d and Seed %d", par, s.meta, ResolveParallelism(par), seed)
+			}
+		}
+		for name, env := range map[string]Env{
+			"nil factories": {Parallelism: par},
+			"nil results": {
+				Parallelism: par,
+				Faults:      func(int64) FaultInjector { return nil },
+				Sink:        func(int64) Sink { return nil },
+			},
+		} {
+			if res, traced := run(env); res.Faults != nil || traced {
+				t.Errorf("par=%d %s: Result.Faults = %v, traced = %v, want a clean, untraced run", par, name, res.Faults, traced)
+			}
 		}
 	}
 }

@@ -125,7 +125,7 @@ func BenchmarkRunGossip(b *testing.B) {
 	const rounds, fanout = 20, 8
 	for _, n := range []int{64, 256} {
 		for _, mode := range engineModes() {
-			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: mode.par}
+			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Env: Env{Parallelism: mode.par}}
 			b.Run(fmt.Sprintf("N=%d/%s", n, mode.name), func(b *testing.B) {
 				benchRun(b, rounds, gossipBody(rounds, fanout), cfg)
 			})
@@ -139,7 +139,7 @@ func BenchmarkRunBroadcastFanout(b *testing.B) {
 	const rounds = 10
 	for _, n := range []int{64, 256} {
 		for _, mode := range engineModes() {
-			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 11, Parallelism: mode.par}
+			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 11, Env: Env{Parallelism: mode.par}}
 			b.Run(fmt.Sprintf("N=%d/%s", n, mode.name), func(b *testing.B) {
 				benchRun(b, rounds, bcastBody(rounds), cfg)
 			})
@@ -164,7 +164,7 @@ func BenchmarkEngineScaling(b *testing.B) {
 	}
 	for _, sh := range shapes {
 		for _, w := range []int{1, 2, 4, 8} {
-			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: w}
+			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Env: Env{Parallelism: w}}
 			b.Run(fmt.Sprintf("%s/N=%d/w=%d", sh.name, n, w), func(b *testing.B) {
 				benchRun(b, sh.rounds, sh.body, cfg)
 			})
@@ -181,7 +181,7 @@ func BenchmarkRoundDispatch(b *testing.B) {
 	const n, rounds = 18, 1000
 	body := func(p *Proc) error { return p.Rounds(rounds, nil, nil) }
 	for _, w := range []int{1, 2, 4} {
-		cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Parallelism: w}
+		cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Env: Env{Parallelism: w}}
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			steps := 0
@@ -204,7 +204,7 @@ func BenchmarkRunProcsGossip(b *testing.B) {
 	n := 64
 	topo := graph.Cycle(n)
 	for _, mode := range engineModes() {
-		cfg := Config{N: n, Bandwidth: 32, Model: Congest, Topology: topo, Seed: 13, Parallelism: mode.par}
+		cfg := Config{N: n, Bandwidth: 32, Model: Congest, Topology: topo, Seed: 13, Env: Env{Parallelism: mode.par}}
 		b.Run(fmt.Sprintf("N=%d/%s", n, mode.name), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()

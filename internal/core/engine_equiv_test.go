@@ -9,7 +9,7 @@ import (
 )
 
 // The engine contract: for any fixed Config.Seed, Outputs and Stats are
-// bit-identical whatever Config.Parallelism is. These tests run
+// bit-identical whatever Env.Parallelism is. These tests run
 // representative protocols under the sequential oracle (Parallelism=1)
 // and several worker-pool widths and require deep equality.
 
@@ -65,7 +65,7 @@ func gossipEquivBody(reuse bool) func(*Proc) error {
 
 func runGossipEquiv(t *testing.T, n, parallelism int) *Result {
 	t.Helper()
-	cfg := Config{N: n, Bandwidth: 24, Model: Unicast, Seed: 42, Parallelism: parallelism}
+	cfg := Config{N: n, Bandwidth: 24, Model: Unicast, Seed: 42, Env: Env{Parallelism: parallelism}}
 	res, err := RunProcs(cfg, gossipEquivBody(false))
 	if err != nil {
 		t.Fatalf("parallelism %d: %v", parallelism, err)
@@ -98,7 +98,7 @@ func TestParallelBroadcastMatchesSequential(t *testing.T) {
 	// what it heard, for a number of rounds that depends on its id.
 	const n = 32
 	run := func(parallelism int) *Result {
-		cfg := Config{N: n, Bandwidth: 16, Model: Broadcast, Seed: 9, Parallelism: parallelism}
+		cfg := Config{N: n, Bandwidth: 16, Model: Broadcast, Seed: 9, Env: Env{Parallelism: parallelism}}
 		res, err := RunProcs(cfg, func(p *Proc) error {
 			var acc uint64
 			for r := 0; r <= p.ID()%5+2; r++ {
@@ -144,7 +144,7 @@ func TestParallelCongestCycleMatchesSequential(t *testing.T) {
 	run := func(parallelism int) *Result {
 		cfg := Config{
 			N: n, Bandwidth: 8, Model: Congest, Topology: topo,
-			Seed: 5, CutSide: cut, Parallelism: parallelism,
+			Seed: 5, CutSide: cut, Env: Env{Parallelism: parallelism},
 		}
 		res, err := RunProcs(cfg, func(p *Proc) error {
 			sum := uint64(p.ID())
@@ -184,7 +184,7 @@ func TestParallelCongestCycleMatchesSequential(t *testing.T) {
 // stepping, frozen-view sharing and pool recycling paths.
 func TestWorkerPoolRace(t *testing.T) {
 	const n = 64
-	cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 3, Parallelism: 8}
+	cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 3, Env: Env{Parallelism: 8}}
 	res, err := RunProcs(cfg, gossipEquivBody(false))
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestWorkerPoolRace(t *testing.T) {
 	}
 	// Also a body resumed at its barrier under forced parallelism: a
 	// single-round ExchangeBroadcasts waits in Next, not in Rounds.
-	cfg2 := Config{N: 32, Bandwidth: 32, Model: Unicast, Seed: 4, Parallelism: 8}
+	cfg2 := Config{N: 32, Bandwidth: 32, Model: Unicast, Seed: 4, Env: Env{Parallelism: 8}}
 	_, err = RunProcs(cfg2, func(p *Proc) error {
 		payload := bits.New(64)
 		payload.WriteUint(uint64(p.ID())*2654435761, 32)
@@ -220,7 +220,7 @@ func TestWorkerPoolRace(t *testing.T) {
 // buffer after staging must not change what recipients observe.
 func TestZeroCopyIsolation(t *testing.T) {
 	const n = 4
-	cfg := Config{N: n, Bandwidth: 8, Model: Unicast, Seed: 1, Parallelism: 2}
+	cfg := Config{N: n, Bandwidth: 8, Model: Unicast, Seed: 1, Env: Env{Parallelism: 2}}
 	res, err := RunProcs(cfg, func(p *Proc) error {
 		if p.ID() == 0 {
 			m := bits.New(8)
@@ -255,7 +255,7 @@ func TestZeroCopyIsolation(t *testing.T) {
 // buffers are their senders' sealed send buffers and writes to them
 // panic.
 func TestReceivedBufferIsReadOnly(t *testing.T) {
-	cfg := Config{N: 2, Bandwidth: 8, Model: Unicast, Seed: 1, Parallelism: 1}
+	cfg := Config{N: 2, Bandwidth: 8, Model: Unicast, Seed: 1, Env: Env{Parallelism: 1}}
 	_, err := RunProcs(cfg, func(p *Proc) error {
 		if p.ID() == 0 {
 			m := bits.New(4)
@@ -281,7 +281,7 @@ func TestReceivedBufferIsReadOnly(t *testing.T) {
 }
 
 func TestNegativeParallelismRejected(t *testing.T) {
-	cfg := Config{N: 2, Bandwidth: 8, Model: Unicast, Parallelism: -1}
+	cfg := Config{N: 2, Bandwidth: 8, Model: Unicast, Env: Env{Parallelism: -1}}
 	if _, err := RunProcs(cfg, gossipEquivBody(false)); err == nil {
 		t.Fatal("Parallelism=-1 accepted, want ErrBadConfig")
 	}

@@ -24,7 +24,7 @@ func TestReusedMessageBufferMatchesOracle(t *testing.T) {
 	const n = 48
 	oracle := runGossipEquiv(t, n, 1) // bits.New, sequential
 	for _, p := range []int{1, 0, 2, 8, 64} {
-		cfg := Config{N: n, Bandwidth: 24, Model: Unicast, Seed: 42, Parallelism: p}
+		cfg := Config{N: n, Bandwidth: 24, Model: Unicast, Seed: 42, Env: Env{Parallelism: p}}
 		res, err := RunProcs(cfg, gossipEquivBody(true))
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
@@ -34,7 +34,7 @@ func TestReusedMessageBufferMatchesOracle(t *testing.T) {
 
 	// Broadcast fan-out: one broadcast buffer filed N-1 times per round.
 	run := func(par int, reuse bool) *Result {
-		cfg := Config{N: 16, Bandwidth: 16, Model: Unicast, Seed: 8, Parallelism: par}
+		cfg := Config{N: 16, Bandwidth: 16, Model: Unicast, Seed: 8, Env: Env{Parallelism: par}}
 		res, err := RunProcs(cfg, func(p *Proc) error {
 			var sum uint64
 			var reused bits.Buffer
@@ -125,7 +125,7 @@ func TestLateCopiesKeepTheirBits(t *testing.T) {
 	const rounds = 24
 	for _, par := range []int{1, 4} {
 		var delayed, duplicated int // late copies node 1 read
-		cfg := Config{N: 2, Bandwidth: 16, Model: Unicast, Seed: 1, Parallelism: par, FaultPlan: lateCopyPlan{}}
+		cfg := Config{N: 2, Bandwidth: 16, Model: Unicast, Seed: 1, Env: Env{Parallelism: par, Faults: func(int64) FaultInjector { return lateCopyPlan{} }}}
 		res, err := RunProcs(cfg, func(p *Proc) error {
 			if p.ID() == 0 {
 				// Send every round, the last send in the round the
@@ -181,7 +181,7 @@ func TestDelayOnlyRoundCounted(t *testing.T) {
 	run := func(par int) *Result {
 		cfg := Config{
 			N: 2, Bandwidth: 8, Model: Unicast, Seed: 1,
-			Parallelism: par, FaultPlan: delayPlan{delay: 3},
+			Env: Env{Parallelism: par, Faults: func(int64) FaultInjector { return delayPlan{delay: 3} }},
 		}
 		res, err := RunProcs(cfg, func(p *Proc) error {
 			if p.ID() == 0 {
@@ -249,19 +249,19 @@ func TestAllocRegressionEngine(t *testing.T) {
 		run  func(par, rounds int) error
 	}{
 		{"Run/N=32", func(par, rounds int) error {
-			cfg := Config{N: 32, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: par}
+			cfg := Config{N: 32, Bandwidth: 32, Model: Unicast, Seed: 7, Env: Env{Parallelism: par}}
 			_, err := RunProcs(cfg, gossipBody(rounds, fanout))
 			return err
 		}},
 		{"RunProcs/N=24", func(par, rounds int) error {
-			cfg := Config{N: 24, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: par}
+			cfg := Config{N: 24, Bandwidth: 32, Model: Unicast, Seed: 7, Env: Env{Parallelism: par}}
 			_, err := RunProcs(cfg, procGossipBody(rounds, fanout))
 			return err
 		}},
 		// A CONGEST Broadcast stages to the node's topology neighbors,
 		// listed once per run rather than on every call.
 		{"RunProcs/Congest/N=64", func(par, rounds int) error {
-			cfg := Config{N: 64, Bandwidth: 32, Model: Congest, Topology: ring, Seed: 7, Parallelism: par}
+			cfg := Config{N: 64, Bandwidth: 32, Model: Congest, Topology: ring, Seed: 7, Env: Env{Parallelism: par}}
 			_, err := RunProcs(cfg, procBroadcastBody(rounds))
 			return err
 		}},
@@ -315,7 +315,7 @@ func TestAllocRegressionBroadcast(t *testing.T) {
 		}, nil)
 	}
 	for _, par := range []int{1, 4} {
-		cfg := Config{N: n, Bandwidth: 16, Model: Unicast, Seed: 3, Parallelism: par}
+		cfg := Config{N: n, Bandwidth: 16, Model: Unicast, Seed: 3, Env: Env{Parallelism: par}}
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := RunProcs(cfg, body); err != nil {
 				t.Fatal(err)
@@ -355,7 +355,7 @@ func TestPar1OverheadVsSeq(t *testing.T) {
 	body := gossipBody(rounds, fanout)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	allocs := func(parallelism int) float64 {
-		cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: parallelism}
+		cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Env: Env{Parallelism: parallelism}}
 		return pooledAllocsPerRun(5, func() {
 			if _, err := RunProcs(cfg, body); err != nil {
 				t.Fatal(err)
@@ -381,7 +381,7 @@ func TestParallelSpeedupMulticore(t *testing.T) {
 	}
 	const n, rounds = 256, 10
 	body := bcastBody(rounds)
-	seqCfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 11, Parallelism: 1}
+	seqCfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 11, Env: Env{Parallelism: 1}}
 	par4Cfg := seqCfg
 	par4Cfg.Parallelism = 4
 	var bestSpeedup float64

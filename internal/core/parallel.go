@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// ResolveParallelism maps a requested worker count onto an effective one
-// using the same rules as Config.Parallelism: 0 (or below) means
+// ResolveParallelism maps a requested round-pool width onto an effective
+// one using the rule of Env.Parallelism: 0 (or below) means
 // runtime.GOMAXPROCS(0).
 func ResolveParallelism(p int) int {
 	if p <= 0 {

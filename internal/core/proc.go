@@ -20,7 +20,7 @@ import (
 // §16). A fixed schedule of rounds goes through Rounds instead, which the
 // engine drives without resuming the body each round.
 //
-// Under the parallel engine (Config.Parallelism != 1) the bodies of
+// With a round pool wider than one (Env.Parallelism != 1) the bodies of
 // distinct nodes may run truly concurrently within a round, so any state
 // a body shares with other bodies outside the model's messages must be
 // read-only or synchronized (see routing.Router for the canonical

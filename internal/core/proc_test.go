@@ -105,7 +105,7 @@ func TestProcGoroutinesJoined(t *testing.T) {
 		},
 		{
 			name: "stalled",
-			cfg:  Config{N: n, Bandwidth: 8, Model: Unicast, FaultPlan: idlePlan{}},
+			cfg:  Config{N: n, Bandwidth: 8, Model: Unicast, Env: Env{Faults: func(int64) FaultInjector { return idlePlan{} }}},
 			body: func(p *Proc) error {
 				for {
 					p.Next()
@@ -153,7 +153,7 @@ func TestProcGoroutinesJoined(t *testing.T) {
 func TestProcBodyPanic(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		t.Run(fmt.Sprintf("p=%d", par), func(t *testing.T) {
-			cfg := Config{N: 8, Bandwidth: 8, Model: Unicast, Seed: 5, Parallelism: par}
+			cfg := Config{N: 8, Bandwidth: 8, Model: Unicast, Seed: 5, Env: Env{Parallelism: par}}
 			var err error
 			func() {
 				defer func() {

@@ -139,9 +139,9 @@ func TestProcRoundsMatchesNextLoop(t *testing.T) {
 		for _, faulty := range []bool{false, true} {
 			run := func(impl roundsFunc, par int) (*Result, *testSink) {
 				s := &testSink{}
-				cfg := Config{N: n, Bandwidth: 16, Model: model, Seed: 11, Parallelism: par, Sink: s}
+				cfg := Config{N: n, Bandwidth: 16, Model: model, Seed: 11, Env: Env{Parallelism: par, Sink: func(int64) Sink { return s }}}
 				if faulty {
-					cfg.FaultPlan = hashFaultPlan{}
+					cfg.Faults = func(int64) FaultInjector { return hashFaultPlan{} }
 				}
 				res, err := RunProcs(cfg, scheduleBody(impl))
 				if err != nil {
@@ -214,7 +214,7 @@ func TestProcRoundsErrorRound(t *testing.T) {
 	for _, inRecv := range []bool{false, true} {
 		for _, k := range []int{0, 1, 3} {
 			for _, par := range []int{1, 4} {
-				cfg := Config{N: 6, Bandwidth: 8, Model: Unicast, Seed: 2, Parallelism: par}
+				cfg := Config{N: 6, Bandwidth: 8, Model: Unicast, Seed: 2, Env: Env{Parallelism: par}}
 				_, want := RunProcs(cfg, failingBody(nextLoop, inRecv, k))
 				_, got := RunProcs(cfg, failingBody((*Proc).Rounds, inRecv, k))
 				if want == nil || got == nil || got.Error() != want.Error() {
@@ -254,7 +254,7 @@ func TestProcRoundsCallbackPanic(t *testing.T) {
 	for _, tc := range cases {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/p=%d", tc.name, par), func(t *testing.T) {
-				cfg := Config{N: 8, Bandwidth: 8, Model: Unicast, Seed: 5, Parallelism: par}
+				cfg := Config{N: 8, Bandwidth: 8, Model: Unicast, Seed: 5, Env: Env{Parallelism: par}}
 				var err error
 				func() {
 					defer func() {
@@ -323,7 +323,7 @@ func TestProcRoundsRejectsBarrierInCallback(t *testing.T) {
 	}
 	for name, body := range cases {
 		for _, par := range []int{1, 4} {
-			cfg := Config{N: 4, Bandwidth: 8, Model: Unicast, Parallelism: par}
+			cfg := Config{N: 4, Bandwidth: 8, Model: Unicast, Env: Env{Parallelism: par}}
 			_, err := RunProcs(cfg, body)
 			if err == nil || !strings.Contains(err.Error(), "called from a Rounds callback") {
 				t.Errorf("%s p=%d: err = %v, want the Rounds-callback error", name, par, err)
@@ -475,9 +475,9 @@ func writePanics(b *bits.Buffer) (panicked bool) {
 func TestExchangeInterleave(t *testing.T) {
 	for _, faulty := range []bool{false, true} {
 		run := func(par int) *Result {
-			cfg := Config{N: 12, Bandwidth: 16, Model: Unicast, Seed: 11, Parallelism: par}
+			cfg := Config{N: 12, Bandwidth: 16, Model: Unicast, Seed: 11, Env: Env{Parallelism: par}}
 			if faulty {
-				cfg.FaultPlan = hashFaultPlan{}
+				cfg.Faults = func(int64) FaultInjector { return hashFaultPlan{} }
 			}
 			res, err := RunProcs(cfg, interleaveBody(!faulty))
 			if err != nil {
@@ -504,7 +504,7 @@ func TestExchangeInterleave(t *testing.T) {
 func exchangeAllocs(t *testing.T, n int, model Model, newCall func(p *Proc) func() error) float64 {
 	run := func(calls int) func() {
 		return func() {
-			cfg := Config{N: n, Bandwidth: 16, Model: model, Seed: 1, Parallelism: 1}
+			cfg := Config{N: n, Bandwidth: 16, Model: model, Seed: 1, Env: Env{Parallelism: 1}}
 			_, err := RunProcs(cfg, func(p *Proc) error {
 				call := newCall(p)
 				for i := 0; i < calls; i++ {
@@ -627,7 +627,7 @@ func TestAllocRegressionExchange(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		run := func(rounds int) func() {
 			return func() {
-				cfg := Config{N: 24, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: par}
+				cfg := Config{N: 24, Bandwidth: 32, Model: Unicast, Seed: 7, Env: Env{Parallelism: par}}
 				if _, err := RunProcs(cfg, roundsRingBody(rounds)); err != nil {
 					t.Fatal(err)
 				}
@@ -646,9 +646,8 @@ func TestAllocRegressionExchange(t *testing.T) {
 // pooledAllocsPerRun is testing.AllocsPerRun isolated from the
 // collector: two collections first settle what earlier tests left, and
 // the collector stays off while it measures, so no collection lands
-// inside the measurement. Sketch's stack slabs and circuit's evaluation
-// storage are the module's only sync.Pools, and no core run draws from
-// either.
+// inside the measurement. Sketch's stack slabs are the module's only
+// sync.Pool, and no core run draws from it.
 func pooledAllocsPerRun(runs int, f func()) float64 {
 	runtime.GC()
 	runtime.GC()
@@ -661,7 +660,7 @@ func pooledAllocsPerRun(runs int, f func()) float64 {
 // ExchangeUnicast, chunked at b = 16.
 func faultedUnicastRun(t *testing.T, nbits int) func() {
 	return func() {
-		cfg := Config{N: 16, Bandwidth: 16, Model: Unicast, Seed: 1, Parallelism: 1, FaultPlan: idlePlan{}}
+		cfg := Config{N: 16, Bandwidth: 16, Model: Unicast, Seed: 1, Env: Env{Parallelism: 1, Faults: func(int64) FaultInjector { return idlePlan{} }}}
 		_, err := RunProcs(cfg, func(p *Proc) error {
 			perDst := make([]*bits.Buffer, p.N())
 			for k := 1; k <= 2; k++ {

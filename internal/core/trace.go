@@ -2,14 +2,15 @@ package core
 
 import "fmt"
 
-// Round-level tracing (DESIGN.md §14). A Sink installed on Config.Sink
-// (directly, or through Env.Sink) receives one RoundTrace record per
-// engine round, emitted from the engine's sequential delivery pass, plus a RunMeta header and a
+// Round-level tracing (DESIGN.md §14). The Sink a run's Env.Sink builds
+// receives one RoundTrace record per engine round, emitted from the
+// engine's sequential delivery pass, plus a RunMeta header and a
 // RunFooter carrying the final Stats. The tracer is a second,
 // independent auditor of the paper's accounting: summing the records
 // reconciles exactly with Stats (obs.Reconcile pins the identities),
-// and a nil Sink costs nothing — zero allocations per round, no
-// tracing work on the hot path (TestAllocRegressionTrace).
+// and an untraced run (no Sink factory, or a nil Sink) costs nothing —
+// zero allocations per round, no tracing work on the hot path
+// (TestAllocRegressionTrace).
 //
 // # Wire names
 //
@@ -23,7 +24,7 @@ import "fmt"
 // # Determinism contract
 //
 // Every RoundTrace field except WallNs is a pure function of
-// (protocol, Config minus Parallelism): records are built during the
+// (protocol, Config minus Env.Parallelism): records are built during the
 // sequential collection/delivery pass in ascending node order, and
 // marks stamped by concurrently-stepped nodes are merged in ascending
 // node id (stamp order within a node), so traces are bit-identical

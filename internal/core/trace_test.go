@@ -129,7 +129,7 @@ func scrubRounds(rounds []RoundTrace) []RoundTrace {
 func TestTracedMatchesUntracedExact(t *testing.T) {
 	const n = 48
 	run := func(par int, sink Sink) *Result {
-		cfg := Config{N: n, Bandwidth: 24, Model: Unicast, Seed: 42, Parallelism: par, Sink: sink}
+		cfg := Config{N: n, Bandwidth: 24, Model: Unicast, Seed: 42, Env: Env{Parallelism: par, Sink: func(int64) Sink { return sink }}}
 		res, err := RunProcs(cfg, gossipEquivBody(true))
 		if err != nil {
 			t.Fatalf("par=%d traced=%v: %v", par, sink != nil, err)
@@ -186,7 +186,7 @@ func TestTraceMergeOrderParallel(t *testing.T) {
 	}
 	run := func(par int) *testSink {
 		s := &testSink{}
-		cfg := Config{N: n, Bandwidth: 8, Model: Unicast, Seed: 3, Parallelism: par, Sink: s}
+		cfg := Config{N: n, Bandwidth: 8, Model: Unicast, Seed: 3, Env: Env{Parallelism: par, Sink: func(int64) Sink { return s }}}
 		if err := cfg.validate(); err != nil {
 			t.Fatalf("validate rejected Sink at Parallelism=%d: %v", par, err)
 		}
@@ -256,7 +256,11 @@ func TestTraceFaultStatsReconcile(t *testing.T) {
 	run := func(par int, sink Sink) *Result {
 		cfg := Config{
 			N: n, Bandwidth: 24, Model: Unicast, Seed: 91,
-			Parallelism: par, FaultPlan: mixedFaultPlan{}, Sink: sink,
+			Env: Env{
+				Parallelism: par,
+				Faults:      func(int64) FaultInjector { return mixedFaultPlan{} },
+				Sink:        func(int64) Sink { return sink },
+			},
 		}
 		res, err := RunProcs(cfg, gossipEquivBody(false))
 		if err != nil {
@@ -312,7 +316,7 @@ func TestAllocRegressionTrace(t *testing.T) {
 	const n, fanout = 32, 4
 	run := func(rounds int) func() {
 		return func() {
-			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Parallelism: 1, Sink: nil}
+			cfg := Config{N: n, Bandwidth: 32, Model: Unicast, Seed: 7, Env: Env{Parallelism: 1}}
 			if _, err := RunProcs(cfg, gossipBody(rounds, fanout)); err != nil {
 				t.Fatal(err)
 			}
@@ -331,7 +335,7 @@ func TestAllocRegressionTrace(t *testing.T) {
 // untraced run the markers are free — no state accumulates and no
 // allocation happens per call.
 func TestTraceAnnotateUntracedFree(t *testing.T) {
-	cfg := Config{N: 4, Bandwidth: 8, Model: Unicast, Seed: 5, Parallelism: 1}
+	cfg := Config{N: 4, Bandwidth: 8, Model: Unicast, Seed: 5, Env: Env{Parallelism: 1}}
 	_, err := RunProcs(cfg, func(p *Proc) error {
 		annotate := func(int) error {
 			p.Annotate("phase")

@@ -30,7 +30,7 @@ func evalReference(c *circuit.Circuit, in []bool, batch bool) ([]bool, error) {
 }
 
 // E14EvalEngines is the evaluation-engine ablation (DESIGN.md §7):
-// scalar gate-at-a-time vs dense levelized plan vs 64-way bitsliced, on
+// scalar gate-at-a-time vs dense plan vs 64-way bitsliced, on
 // the Section 2.1 trial circuit — equivalence first, then throughput per
 // evaluated assignment, then the batched Shamir detector against the
 // exact truth.
@@ -144,7 +144,7 @@ func E14EvalEngines(w io.Writer, quick bool, env Env) error {
 	for _, sz := range sizes {
 		g := graph.Gnp(sz, 0.2, rng)
 		want := g.HasTriangle()
-		got, err := matmul.DetectTrianglesBatch(g, matmul.Schoolbook, 0, 64, 1, rng)
+		got, err := matmul.DetectTrianglesBatch(g, matmul.Schoolbook, 0, 64, rng)
 		if err != nil {
 			return err
 		}

@@ -44,9 +44,9 @@ func E18RoundTracing(w io.Writer, quick bool, env Env) error {
 	// workload: every node ships one payload to each neighbor through
 	// the Lenzen router and checks what arrives.
 	g := graph.Gnp(n, 0.4, rand.New(rand.NewSource(180)))
-	runRouteLeg := func(par int, sink core.Sink) (*core.Result, error) {
+	runRouteLeg := func(env core.Env) (*core.Result, error) {
 		rt := routing.NewRouter(n)
-		cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: 181, Parallelism: par, Sink: sink}
+		cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: 181, Env: env}
 		return core.RunProcs(cfg, func(p *core.Proc) error {
 			me := p.ID()
 			out := make([]routing.Msg, 0, len(g.Neighbors(me)))
@@ -69,12 +69,12 @@ func E18RoundTracing(w io.Writer, quick bool, env Env) error {
 	var baseline *core.Result
 	var baseTrace *obs.Trace
 	for _, par := range []int{1, 4} {
-		plain, err := runRouteLeg(par, nil)
+		plain, err := runRouteLeg(core.Env{Parallelism: par})
 		if err != nil {
 			return fmt.Errorf("E18(a) untraced par=%d: %w", par, err)
 		}
 		rec := &obs.Recorder{}
-		traced, err := runRouteLeg(par, rec)
+		traced, err := runRouteLeg(core.Env{Parallelism: par, Sink: func(int64) core.Sink { return rec }})
 		if err != nil {
 			return fmt.Errorf("E18(a) traced par=%d: %w", par, err)
 		}

@@ -107,8 +107,8 @@ func E2Routing(w io.Writer, quick bool, env Env) error {
 
 func routeAllToAll(env core.Env, n int, valiant bool) (*core.Stats, error) {
 	rt := routing.NewRouter(n)
-	cfg := core.Config{N: n, Bandwidth: 64, Model: core.Unicast, Seed: 3}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: 64, Model: core.Unicast, Seed: 3, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		var out []routing.Msg
 		for d := 0; d < n; d++ {
 			if d == p.ID() {
@@ -194,7 +194,7 @@ func E3MatmulTriangles(w io.Writer, quick bool, env Env) error {
 		if env.Batch {
 			// -batch: cross-check with the bitsliced local detector (64
 			// Shamir trials in one EvalBatch pass).
-			got, err := matmul.DetectTrianglesBatch(g, matmul.Schoolbook, 0, 64, 1, rng)
+			got, err := matmul.DetectTrianglesBatch(g, matmul.Schoolbook, 0, 64, rng)
 			if err != nil {
 				return err
 			}

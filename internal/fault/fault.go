@@ -1,6 +1,6 @@
 // Package fault is the repo's deterministic adversary: a seeded fault
-// plan injected into core's delivery path via Config.FaultPlan (or
-// core.Env.Faults, for protocols that build their own Config).
+// plan that a run's core.Env.Faults builds and core consults on its
+// delivery path.
 //
 // Every decision — drop, corrupt, delay, duplicate, crash — is a pure
 // function of (seed, round, src, dst) resp. (seed, id), derived

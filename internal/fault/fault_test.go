@@ -47,12 +47,14 @@ func gossipBody(rounds int) func(*core.Proc) error {
 func runGossip(t *testing.T, n, rounds, parallelism int, plan core.FaultInjector) *core.Result {
 	t.Helper()
 	res, err := core.RunProcs(core.Config{
-		N:           n,
-		Bandwidth:   64,
-		Model:       core.Unicast,
-		Seed:        42,
-		Parallelism: parallelism,
-		FaultPlan:   plan,
+		N:         n,
+		Bandwidth: 64,
+		Model:     core.Unicast,
+		Seed:      42,
+		Env: core.Env{
+			Parallelism: parallelism,
+			Faults:      func(int64) core.FaultInjector { return plan },
+		},
 	}, gossipBody(rounds))
 	if err != nil {
 		t.Fatalf("RunProcs(parallelism=%d): %v", parallelism, err)
@@ -163,7 +165,7 @@ func TestFaultStatsCounting(t *testing.T) {
 	// fresh send and is discarded.
 	ringRes, err := core.RunProcs(core.Config{
 		N: 8, Bandwidth: 16, Model: core.Unicast, Seed: 2,
-		FaultPlan: New(Spec{Delay: 0.2}, 5),
+		Env: core.Env{Faults: func(int64) core.FaultInjector { return New(Spec{Delay: 0.2}, 5) }},
 	}, func(p *core.Proc) error {
 		return p.Rounds(30, func(r int) error {
 			msg := bits.New(16)
@@ -208,7 +210,7 @@ func TestStallDetection(t *testing.T) {
 		Bandwidth: 8,
 		Model:     core.Unicast,
 		Seed:      1,
-		FaultPlan: New(Spec{Crash: 1, CrashBy: 1}, 1),
+		Env:       core.Env{Faults: func(int64) core.FaultInjector { return New(Spec{Crash: 1, CrashBy: 1}, 1) }},
 	}, func(p *core.Proc) error {
 		if p.ID() == 0 {
 			// Waits forever for node 1's message, which never comes:

@@ -10,7 +10,6 @@ package lowerbound
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -217,14 +216,4 @@ func (lb *Graph) ObservationEleven(x, y []bool) (bool, error) {
 func (lb *Graph) Sparsity() (cut int, delta float64) {
 	cut = lb.G.CutSize(lb.Side)
 	return cut, float64(cut) / float64(lb.G.N())
-}
-
-// sortedVerts is a helper for deterministic reporting.
-func sortedVerts(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }

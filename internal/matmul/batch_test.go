@@ -63,7 +63,7 @@ func TestTrialCircuitMatchesDirectShamir(t *testing.T) {
 
 // TestDetectTrianglesBatch pins the batched detector's one-sided error:
 // never a false positive, and (with a healthy trial budget) no false
-// negatives across random graphs, both engines, both worker counts.
+// negatives across random graphs and both engines.
 func TestDetectTrianglesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 10; trial++ {
@@ -74,16 +74,14 @@ func TestDetectTrianglesBatch(t *testing.T) {
 		g := graph.Gnp(n, 0.25, rng)
 		want := g.HasTriangle()
 		for _, alg := range []Algorithm{Schoolbook, Strassen} {
-			for _, workers := range []int{1, 4} {
-				// 80 trials spill into a second bitsliced pass and push the
-				// false-negative probability below 2^-80.
-				got, err := DetectTrianglesBatch(g, alg, 4, 80, workers, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("n=%d %v workers=%d: batch says %v, truth %v", n, alg, workers, got, want)
-				}
+			// 80 trials spill into a second bitsliced pass and push the
+			// false-negative probability below 2^-80.
+			got, err := DetectTrianglesBatch(g, alg, 4, 80, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("n=%d %v: batch says %v, truth %v", n, alg, got, want)
 			}
 		}
 	}
@@ -100,7 +98,7 @@ func TestBatchMatchesCliqueDetector(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := DetectTrianglesBatch(g, Schoolbook, 0, 40, 1, rng)
+		batch, err := DetectTrianglesBatch(g, Schoolbook, 0, 40, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -321,8 +321,8 @@ func TriangleTrialCircuit(n int, alg Algorithm, cutoff int) (*circuit.Circuit, e
 // trial budget is spent. The answer has the same one-sided-error
 // guarantee as TriangleCircuit with the same trial count: false
 // positives are impossible, false negatives happen with probability at
-// most 2^{-trials}. workers > 1 enables level-parallel stepping.
-func DetectTrianglesBatch(g *graph.Graph, alg Algorithm, cutoff, trials, workers int, rng *rand.Rand) (bool, error) {
+// most 2^{-trials}.
+func DetectTrianglesBatch(g *graph.Graph, alg Algorithm, cutoff, trials int, rng *rand.Rand) (bool, error) {
 	n := g.N()
 	if trials < 1 {
 		return false, fmt.Errorf("matmul: DetectTrianglesBatch(trials=%d)", trials)
@@ -354,7 +354,7 @@ func DetectTrianglesBatch(g *graph.Graph, alg Algorithm, cutoff, trials, workers
 			}
 			in[n*n+k] = word
 		}
-		out, err := plan.EvalBatchParallel(in, workers)
+		out, err := plan.EvalBatch(in)
 		if err != nil {
 			return false, err
 		}

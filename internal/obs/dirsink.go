@@ -50,13 +50,6 @@ func (d *DirSink) Factory() func(seed int64) core.Sink {
 	}
 }
 
-// Count returns how many traced runs the sink has seen so far.
-func (d *DirSink) Count() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.sinks)
-}
-
 // Close flushes and closes every archived trace still open, returning
 // the first error of any trace.
 func (d *DirSink) Close() error {

@@ -22,15 +22,12 @@ func TestDirSinkArchivesPerSeed(t *testing.T) {
 
 	var want []*core.Result
 	for _, seed := range []int64{11, 11, 12} {
-		cfg := core.Config{N: 16, Bandwidth: 24, Model: core.Unicast, Seed: seed}
-		res, err := core.RunProcs(env.Apply(cfg), gossipBody(6, 3))
+		cfg := core.Config{N: 16, Bandwidth: 24, Model: core.Unicast, Seed: seed, Env: env}
+		res, err := core.RunProcs(cfg, gossipBody(6, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, res)
-	}
-	if ds.Count() != 3 {
-		t.Fatalf("Count() = %d, want 3", ds.Count())
 	}
 
 	paths, err := filepath.Glob(filepath.Join(dir, "trace-*.ndjson"))
@@ -80,9 +77,6 @@ func TestDirSinkArchivesPerSeed(t *testing.T) {
 func TestDirSinkLazyCreation(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "never-made")
 	ds := NewDirSink(dir)
-	if ds.Count() != 0 {
-		t.Fatalf("Count() = %d, want 0", ds.Count())
-	}
 	if err := ds.Close(); err != nil {
 		t.Fatalf("Close on empty sink: %v", err)
 	}

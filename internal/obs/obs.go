@@ -142,8 +142,7 @@ func (t *TraceWriter) emit(v interface{}) {
 // flushes and closes the file, so a finished run's file is complete on
 // disk and holds no descriptor; Close does the same for a run that
 // never finished. The file is created once: a closed sink never reopens
-// or truncates it. Check Close's error (or Err) before trusting the
-// file.
+// or truncates it. Check Close's error before trusting the file.
 type FileSink struct {
 	path    string
 	created bool // TraceStart has tried to create the file
@@ -191,7 +190,7 @@ func (s *FileSink) TraceEnd(f *core.RunFooter) {
 	if s.w != nil {
 		s.w.TraceEnd(f)
 	}
-	_ = s.Close() // the error sticks: Close and Err report it
+	_ = s.Close() // the error sticks: a later Close reports it
 }
 
 // Close flushes and closes the file, reporting the first error seen
@@ -215,17 +214,6 @@ func (s *FileSink) Close() error {
 	s.f, s.buf, s.w = nil, nil, nil
 	s.err = err
 	return err
-}
-
-// Err reports the sink's sticky error without closing it.
-func (s *FileSink) Err() error {
-	if s.err != nil {
-		return s.err
-	}
-	if s.w != nil {
-		return s.w.Err()
-	}
-	return nil
 }
 
 // Load reads an engine-trace/v1 stream, decoding each line's record

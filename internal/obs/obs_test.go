@@ -65,7 +65,7 @@ func gossipBody(rounds, fanout int) func(*core.Proc) error {
 }
 
 func runGossipTraced(t testing.TB, n, par int, sink core.Sink) *core.Result {
-	cfg := core.Config{N: n, Bandwidth: 24, Model: core.Unicast, Seed: 7, Parallelism: par, Sink: sink}
+	cfg := core.Config{N: n, Bandwidth: 24, Model: core.Unicast, Seed: 7, Env: core.Env{Parallelism: par, Sink: func(int64) core.Sink { return sink }}}
 	res, err := core.RunProcs(cfg, gossipBody(12, 4))
 	if err != nil {
 		t.Fatal(err)
@@ -330,17 +330,17 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	const n = 256
 	legs := []struct {
 		name string
-		mk   func() core.Sink
+		mk   func(int64) core.Sink
 	}{
-		{"none", func() core.Sink { return nil }},
-		{"recorder", func() core.Sink { return &Recorder{} }},
-		{"ndjson", func() core.Sink { return NewTraceWriter(io.Discard) }},
+		{"none", func(int64) core.Sink { return nil }},
+		{"recorder", func(int64) core.Sink { return &Recorder{} }},
+		{"ndjson", func(int64) core.Sink { return NewTraceWriter(io.Discard) }},
 	}
 	for _, leg := range legs {
 		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cfg := core.Config{N: n, Bandwidth: 24, Model: core.Unicast, Seed: 7, Parallelism: 1, Sink: leg.mk()}
+				cfg := core.Config{N: n, Bandwidth: 24, Model: core.Unicast, Seed: 7, Env: core.Env{Parallelism: 1, Sink: leg.mk}}
 				if _, err := core.RunProcs(cfg, gossipBody(12, 4)); err != nil {
 					b.Fatal(err)
 				}

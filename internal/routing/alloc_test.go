@@ -12,7 +12,7 @@ import (
 // sender. Returns via t.Fatal on any routing error.
 func routeChunkedOnce(tb testing.TB, n, bandwidth, payloadBits int) {
 	rt := NewRouter(n)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: 3, Parallelism: 1}
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: 3, Env: core.Env{Parallelism: 1}}
 	if _, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		var out []Msg
 		for j := 0; j < n; j++ {

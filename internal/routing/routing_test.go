@@ -423,7 +423,7 @@ func TestRouteResultContract(t *testing.T) {
 	for _, valiant := range []bool{false, true} {
 		for _, par := range []int{1, 4} {
 			rt := NewRouter(n)
-			cfg := core.Config{N: n, Bandwidth: 16, Model: core.Unicast, Seed: 9, Parallelism: par}
+			cfg := core.Config{N: n, Bandwidth: 16, Model: core.Unicast, Seed: 9, Env: core.Env{Parallelism: par}}
 			_, err := core.RunProcs(cfg, func(p *core.Proc) error {
 				me := p.ID()
 				route := rt.Route

@@ -106,8 +106,7 @@ func runTriangle(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult
 	var truth bool
 	switch {
 	case leg.Batch:
-		truth, err = matmul.DetectTrianglesBatch(g, matmul.Schoolbook, 2, 64,
-			leg.Env.Parallelism, rand.New(rand.NewSource(seed^0x7a1a7)))
+		truth, err = matmul.DetectTrianglesBatch(g, matmul.Schoolbook, 2, 64, rand.New(rand.NewSource(seed^0x7a1a7)))
 		if err != nil {
 			return nil, err
 		}
@@ -169,8 +168,8 @@ func runRouting(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult,
 	if leg.Faulty {
 		maxPayload = routing.FrameBits(routePayloadBits)
 	}
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(leg.Env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed, Env: leg.Env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		me := p.ID()
 		nbrs := g.Neighbors(me)
 		out := make([]routing.Msg, 0, len(nbrs))
@@ -295,14 +294,8 @@ func runCircuit(g *graph.Graph, bandwidth int, seed int64, leg Leg) (*LegResult,
 	case leg.Oracle:
 		want, err = c.EvalScalar(input)
 	case leg.Batch:
-		lanes := make([]uint64, len(input))
-		for i, v := range input {
-			if v {
-				lanes[i] = ^uint64(0)
-			}
-		}
 		var out []uint64
-		out, err = c.EvalBatch(lanes)
+		out, err = c.EvalBatch(circuit.ReplicateLanes(input))
 		if err == nil {
 			want = make([]bool, len(out))
 			for i, w := range out {

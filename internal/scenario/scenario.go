@@ -64,8 +64,8 @@ type Leg struct {
 	Faulty bool
 	// Env is the engine environment the adapter hands every protocol
 	// run: one worker on a clean channel for the oracle leg; for the
-	// engine leg, the cell's resolved worker count (also the width of
-	// local batch evaluation), the run's adversary and its trace sink.
+	// engine leg, the cell's resolved worker count, the run's adversary
+	// and its trace sink.
 	Env core.Env
 }
 

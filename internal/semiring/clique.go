@@ -72,8 +72,8 @@ func RunMM(env core.Env, sr Semiring, a, b *Matrix, proto Protocol, bandwidth in
 		mul = sr.MulLocal
 	}
 	rt := routing.NewRouter(n)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		row, err := NewMultiplier(p, rt, proto).MulRow(sr, a.Row(p.ID()), b.Row(p.ID()), mul)
 		if err != nil {
 			return err

@@ -27,8 +27,8 @@ func APSP(env core.Env, wg *graph.Weighted, proto Protocol, bandwidth int, seed 
 	n := wg.N()
 	d := DistanceMatrix(wg)
 	rt := routing.NewRouter(n)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		m := NewMultiplier(p, rt, proto)
 		row := append([]uint32(nil), d.Row(p.ID())...)
 		for span := 1; span < n-1; span *= 2 {
@@ -58,8 +58,8 @@ func KHopDistances(env core.Env, wg *graph.Weighted, k int, proto Protocol, band
 	n := wg.N()
 	d := DistanceMatrix(wg)
 	rt := routing.NewRouter(n)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		m := NewMultiplier(p, rt, proto)
 		wrow := d.Row(p.ID())
 		row := append([]uint32(nil), wrow...)
@@ -106,9 +106,9 @@ func MatrixPowerCounts(env core.Env, g *graph.Graph, proto Protocol, bandwidth i
 	n := g.N()
 	adj := AdjacencyMatrix(g)
 	rt := routing.NewRouter(n)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed, Env: env}
 	type rows struct{ b2, b3, c2 []uint32 }
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		m := NewMultiplier(p, rt, proto)
 		arow := adj.Row(p.ID())
 		b2, err := m.MulRow(Boolean, arow, arow, kern(Boolean))

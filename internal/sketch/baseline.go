@@ -23,8 +23,8 @@ func BroadcastBoruvka(env core.Env, g *graph.Graph, bandwidth int, seed int64) (
 		return trivialCC(n), nil
 	}
 	rounds := core.ChunkRounds(n, bandwidth)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		me := p.ID()
 		comp := make([]int, n)
 		for v := range comp {

@@ -224,8 +224,8 @@ func runBoruvka(env core.Env, g *graph.Graph, classOf func(me, v int) int, class
 	sampleBits := NewSampler(universe, DefaultFpBits, 0).WireBits()
 
 	rt := routing.NewRouter(n)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		me := p.ID()
 
 		// Per-class incidence stacks of this node's own edges. Stack

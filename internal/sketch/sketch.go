@@ -26,7 +26,7 @@ import (
 // fingerprint test with probability about 2^-DefaultFpBits per cell.
 const DefaultFpBits = 16
 
-// Sampler is one seeded ℓ0-sampler over the universe [0, Universe): a
+// Sampler is one seeded ℓ0-sampler over the universe [0, U): a
 // linear sketch of a set S ⊆ [U] under symmetric difference. Toggle flips
 // an item in and out of S (additions and removals are the same operation
 // over GF(2)); Merge XORs two samplers, yielding the sampler of the
@@ -102,9 +102,6 @@ func samplerOver(words []uint64, universe, fpBits int, seed uint64) Sampler {
 		fps:      words[2*levels : 3*levels : 3*levels],
 	}
 }
-
-// Universe reports the sampler's universe size.
-func (s *Sampler) Universe() int { return s.universe }
 
 // level returns the deepest level item i reaches: the number of trailing
 // zeros of the item's hash, capped at the ladder depth.

@@ -41,8 +41,8 @@ func DetectC4Congest(env core.Env, g *graph.Graph, bandwidth, cap int, seed int6
 	}
 	rounds := core.ChunkRounds(cntW+maxLen*idW, bandwidth)
 
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Congest, Topology: g, Seed: seed}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Congest, Topology: g, Seed: seed, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		me := p.ID()
 		nbrs := views[me].Neighbors()
 		send := nbrs

@@ -69,8 +69,8 @@ type ReconstructResult struct {
 func Reconstruct(env core.Env, g *graph.Graph, k, bandwidth int, seed int64) (*ReconstructResult, error) {
 	n := g.N()
 	views := graph.Distribute(g)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		recon, ok, err := RunA(p, views[p.ID()].Neighbors(), n, k)
 		if err != nil {
 			return err
@@ -126,8 +126,8 @@ func DetectKnownTuranCut(env core.Env, g *graph.Graph, fam turan.Family, bandwid
 	n := g.N()
 	k := fam.DegeneracyBound(n)
 	views := graph.Distribute(g)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed, CutSide: cutSide}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed, CutSide: cutSide, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		recon, ok, err := RunA(p, views[p.ID()].Neighbors(), n, k)
 		if err != nil {
 			return err
@@ -188,8 +188,8 @@ func DetectAdaptive(env core.Env, g, h *graph.Graph, bandwidth int, seed int64) 
 	bigN := 1 << ell
 	xw := bits.UintWidth(uint64(bigN - 1))
 
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		// Phase 1: broadcast X_v.
 		x := uint64(p.Rand().Intn(bigN))
 		payload := bits.New(xw)

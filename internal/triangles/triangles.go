@@ -50,8 +50,8 @@ func BroadcastDetect(env core.Env, g *graph.Graph, bandwidth int, seed int64) (*
 	n := g.N()
 	views := graph.Distribute(g)
 	rounds := core.ChunkRounds(n, bandwidth)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Broadcast, Seed: seed, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		payload := core.EncodeAdjacencyRow(views[p.ID()].Row(), n)
 		all, err := core.ExchangeBroadcasts(p, payload, rounds)
 		if err != nil {
@@ -207,8 +207,8 @@ func DLPDeterministic(env core.Env, g *graph.Graph, bandwidth int, seed int64) (
 		owner[i%n] = append(owner[i%n], tr)
 	}
 	rt := routing.NewRouter(n)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		found, wit, err := serveAndCheck(p, rt, views[p.ID()], gr, owner)
 		if err != nil {
 			return err
@@ -247,8 +247,8 @@ func DLPRandomized(env core.Env, g *graph.Graph, bandwidth, promisedT, samplesPe
 	gw := bits.UintWidth(uint64(numGroups - 1))
 
 	rt := routing.NewRouter(n)
-	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed}
-	res, err := core.RunProcs(env.Apply(cfg), func(p *core.Proc) error {
+	cfg := core.Config{N: n, Bandwidth: bandwidth, Model: core.Unicast, Seed: seed, Env: env}
+	res, err := core.RunProcs(cfg, func(p *core.Proc) error {
 		// Sample and announce triples: 3·samples group ids per node.
 		mine := make([]triple, samplesPerNode)
 		payload := bits.New(3 * samplesPerNode * gw)
